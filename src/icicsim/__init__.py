@@ -1,4 +1,4 @@
-"""Distributed multi-cell blanking coordination with certified gaps.
+"""Distributed multi-cell blanking coordination with estimated gaps.
 
 Layered as: network geometry/channels -> link adaptation (rates and
 bounds) -> per-sector fairness -> flow-based coordination -> oracles ->

@@ -2,9 +2,11 @@
 
   icicsim simulate --config cfg.txt --out results/ [overrides]
   icicsim verify   [--quick]          cross-check battery, exit 3 on failure
-  icicsim gapbench [--instances N]    certified-gap benchmark vs exhaustion
+  icicsim gapbench [--instances N]    rounded value vs exhaustive optimum
 
 Exit codes: 0 success, 2 configuration error, 3 acceptance failure.
+Every config error, command-line overrides included, is found before the
+run starts and exits 2.
 """
 
 import argparse
@@ -16,23 +18,15 @@ import numpy as np
 def _cmd_simulate(args):
     from .simulate import ConfigError, emit_reports, load_config, run_simulation
 
+    flags = (("scenario.seed", args.seed), ("run.scheme", args.scheme),
+             ("scheduler.mode", None if args.alpha is None else "alpha_fair"),
+             ("scheduler.alpha", args.alpha), ("icic.n_iter", args.niter),
+             ("icic.rho", args.rho))
+    overrides = [f"{key} = {value}" for key, value in flags
+                 if value is not None]
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.scenario.seed = args.seed
-        if args.scheme is not None:
-            cfg.scheme = args.scheme
-        if args.alpha is not None:
-            cfg.scheduler.mode = "alpha_fair"
-            cfg.scheduler.alpha = args.alpha
-        if args.niter is not None:
-            cfg.icic.n_iter = args.niter
-        if args.rho is not None:
-            cfg.icic.rho = args.rho
-        cfg.validate()
-        cfg.icic.__post_init__()
-        cfg.scheduler.__post_init__()
-    except (ConfigError, ValueError, OSError) as exc:
+        cfg = load_config(args.config, overrides)
+    except (ConfigError, UnicodeDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -47,7 +41,7 @@ def _cmd_simulate(args):
 def _cmd_verify(args):
     from . import coordinator as co
     from . import mcnf, oracle
-    from .instances import instance_triples, random_desk_instance
+    from .instances import random_desk_instance
 
     quick = args.quick
     failures = []
@@ -164,6 +158,8 @@ def _cmd_gapbench(args):
 
 
 def main(argv=None):
+    from .simulate import SCHEMES
+
     parser = argparse.ArgumentParser(prog="icicsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -171,8 +167,7 @@ def main(argv=None):
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--scheme",
-                       choices=["proposed", "reuse1", "reuse3", "pfr"])
+    p_sim.add_argument("--scheme", help=" | ".join(SCHEMES))
     p_sim.add_argument("--alpha", type=float)
     p_sim.add_argument("--niter", type=int)
     p_sim.add_argument("--rho", type=int)
@@ -182,7 +177,8 @@ def main(argv=None):
     p_ver.add_argument("--quick", action="store_true")
     p_ver.set_defaults(func=_cmd_verify)
 
-    p_gap = sub.add_parser("gapbench", help="certified-gap benchmark")
+    p_gap = sub.add_parser("gapbench",
+                           help="true-gap benchmark vs exhaustive search")
     p_gap.add_argument("--instances", type=int, default=50)
     p_gap.add_argument("--seed", type=int, default=0)
     p_gap.add_argument("--niter", type=int, default=5)

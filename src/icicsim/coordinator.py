@@ -1,6 +1,6 @@
 """Distributed blanking coordination: per-(sector, RB) flow subproblems,
 a projected-subgradient master over the blanking variables, rounding,
-and certified gap reporting.
+and the paper's optimality-gap estimate (not a proven bound).
 
 Each subproblem is the single-RB weighted-rate LP of one sector given
 everyone's (possibly fractional) blanking levels. Its flow form:
@@ -32,34 +32,26 @@ import numpy as np
 from . import mcnf
 from .fairsched import local_schedule
 from .linkadapt import default_amc_table, precompute_rate_triples
+from .schema import check_fields, rule
 
 
 @dataclass
 class IcicConfig:
-    n_iter: int = 5
-    step_constant: float = 1.0    # delta = c / iteration_index
-    rho: int = 1                  # execution period, sub-frames
-    runs: int = 1                 # 1, or 2 for the zeroed-channel re-run
-    quant_bits: int = 16          # message width for overhead accounting
+    n_iter: int = rule(5, ge=0)               # 0 skips the master
+    step_constant: float = rule(1.0, gt=0)    # delta = c / iteration_index
+    rho: int = rule(1, ge=1)                  # execution period, sub-frames
+    runs: int = rule(1, choices=(1, 2))       # 2 = the zeroed-channel re-run
+    # message width for overhead accounting; capped so that 2^bits, the
+    # level count when quantizing, stays a finite float
+    quant_bits: int = rule(16, ge=1, le=64)
     quantize_exchange: bool = False   # also quantize the exchanged values
     keep_best_rounding: bool = True
     normalize_weights: bool = True
-    init_mode: str = "zeros"      # zeros | random
-    init_seed: int = 0
+    init_mode: str = rule("zeros", choices=("zeros", "random"))
+    init_seed: int = rule(0, ge=0)
 
     def __post_init__(self):
-        if self.n_iter < 0:
-            raise ValueError("n_iter must be >= 0 (0 skips the master)")
-        if self.step_constant <= 0:
-            raise ValueError("step constant must be positive")
-        if self.rho < 1:
-            raise ValueError("rho must be >= 1")
-        if self.runs not in (1, 2):
-            raise ValueError("runs must be 1 or 2")
-        if self.quant_bits < 1:
-            raise ValueError("quant_bits must be >= 1")
-        if self.init_mode not in ("zeros", "random"):
-            raise ValueError("init_mode must be zeros or random")
+        check_fields(self)
 
 
 @dataclass
@@ -73,7 +65,7 @@ class SubproblemSolution:
 
 @dataclass
 class GapReport:
-    p_relaxed: float                 # estimate used for the certified gap
+    p_relaxed: float                 # relaxed-value estimate behind the gap
     p_relaxed_final: float           # master value at the final iterate
     p_hat: float                     # rounded feasible bound objective
     gap_bound_percent: float
@@ -504,7 +496,12 @@ def run_coordination(problem, config, warm_start=None):
 # --- closed-form reports ---
 
 def optimality_gap(p_relaxed, p_hat):
-    """Certified gap percentage (upper bound on the true gap)."""
+    """Estimated gap percentage, the paper's quantity.
+
+    Not a bound on the true gap: p_relaxed is the best of several lower
+    bounds, so it can fall below the exhaustive optimum and understate
+    the gap.
+    """
     if p_relaxed <= 0:
         raise ValueError(f"optimality gap undefined for p_relaxed={p_relaxed}")
     return 100.0 * (p_relaxed - p_hat) / p_relaxed

@@ -11,18 +11,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .schema import check_fields, rule
+
 
 @dataclass
 class WeightPolicy:
-    mode: str = "alpha_fair"          # alpha_fair | linear
-    alpha: float = 1.0
-    beta: float = 0.0
+    mode: str = rule("alpha_fair", choices=("alpha_fair", "linear"))
+    # the caps keep weights finite: the rate floor 1e-3 raised to -alpha,
+    # and beta (kbit/s) times any rate; alpha = 20 already approximates
+    # max-min fairness
+    alpha: float = rule(1.0, ge=0, le=20)
+    beta: float = rule(0.0, ge=0, le=1e9)
 
     def __post_init__(self):
-        if self.mode not in ("alpha_fair", "linear"):
-            raise ValueError(f"unknown weight mode {self.mode!r}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
+        check_fields(self)
 
 
 @dataclass
@@ -30,15 +32,12 @@ class AverageRateTracker:
     """EWMA of scheduled rates, floored so alpha > 0 weights stay finite."""
 
     num_users: int
-    t_c: float = 100.0
-    floor_eps: float = 1e-3
+    t_c: float = rule(100.0, ge=1)
+    floor_eps: float = rule(1e-3, gt=0)
     rbar: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.t_c < 1:
-            raise ValueError(f"averaging window t_c={self.t_c} must be >= 1")
-        if self.floor_eps <= 0:
-            raise ValueError("floor_eps must be positive")
+        check_fields(self)
         if self.rbar is None:
             self.rbar = np.full(self.num_users, self.floor_eps)
 

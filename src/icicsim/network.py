@@ -21,6 +21,7 @@ import numpy as np
 
 
 BORESIGHTS_DEG = (30.0, 150.0, 270.0)
+NEIGHBOR_MODES = ("nearest", "strongest")
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,10 @@ def _cluster_shape(sites):
         f"form i^2+ij+j^2 (1, 3, 4, 7, 9, 12, 13, 16, 19, 21, 25, ...)")
 
 
-def generate_layout(dims, isd, seed=0, tilt_deg=12.0, wraparound=True):
+def generate_layout(dims, isd, tilt_deg=12.0, wraparound=True):
     """Hexagonal-lattice site cluster with tri-sector boresights.
 
-    Deterministic: the seed is accepted for interface symmetry but the
-    geometry itself has no random component.
+    Deterministic: the geometry has no random component.
     """
     if isd <= 0:
         raise ValueError("inter-site distance must be positive")
@@ -256,10 +256,14 @@ def neighbor_map(layout, k_tilde=6, mode="nearest"):
 
     Greedy b-matching on the coupling scores with a deterministic repair
     pass; raises if the requested regular relation cannot be completed.
+    mode: one of NEIGHBOR_MODES.
     """
     k = layout.sector_site.shape[0]
     if k_tilde >= k:
         raise ValueError("k_tilde must be < number of sectors")
+    if mode not in NEIGHBOR_MODES:
+        raise ValueError(f"unknown neighbor mode {mode!r}; "
+                         f"use one of {', '.join(NEIGHBOR_MODES)}")
     score = _coupling_scores(layout, mode)
     order = sorted(((a, b) for a in range(k) for b in range(a + 1, k)),
                    key=lambda p: (-score[p], p))
@@ -311,9 +315,11 @@ def neighbor_map(layout, k_tilde=6, mode="nearest"):
             if done:
                 break
         if not done:
-            raise ValueError(
-                f"could not complete a symmetric {k_tilde}-regular "
-                f"neighbor relation over {k} sectors")
+            break
+    if any(len(adj[v]) != k_tilde for v in range(k)):
+        raise ValueError(
+            f"could not complete a symmetric {k_tilde}-regular "
+            f"neighbor relation over {k} sectors")
     rows = [sorted(adj[v]) for v in range(k)]
     return NeighborMap(nbr=np.array(rows))
 

@@ -21,56 +21,60 @@ from .coordinator import (CoordinationProblem, IcicConfig, finalize_schedule,
                           overhead_report, run_coordination)
 from .fairsched import AverageRateTracker, WeightPolicy, compute_weights
 from .linkadapt import RadioConfig, default_amc_table
+from .schema import ConfigError, check_fields, rule, rule_of
 
 
-class ConfigError(ValueError):
-    """Bad harness configuration; message carries the offending line."""
+SCHEMES = ("proposed", "reuse1", "reuse3", "pfr")
 
 
 @dataclass
 class ScenarioConfig:
-    sites: int = 4
-    users_per_sector: int = 2
-    rbs: int = 6
-    isd_m: float = 500.0
-    shadowing_sigma_db: float = 8.0
-    shadowing_cross_corr: float = 0.5
-    pathloss_a_db: float = 15.3
-    pathloss_b_db: float = 37.6
-    drops: int = 2
-    subframes: int = 50
-    t_c: float = 100.0
-    seed: int = 1
-    total_bs_power_dbm: float = 46.0
-    noise_per_rb_dbm: float = -114.45
-    bandwidth_hz: float = 10e6
-    k_tilde: int = 6
-    neighbor_mode: str = "nearest"
+    """Deployment, channel and run length.
+
+    Ranges are physical; outside them linear powers overflow or the user
+    drop cannot fill every sector. Under the 25 m masts, isd_m >= 200 and
+    tilt_deg <= 15 keep the antenna pattern above its -20 dB floor in part
+    of every cell, and pathloss_b_db >= 20 (free space) keeps nearer sites
+    stronger; otherwise the sectors of a site, or the sites, tie for every
+    user and the tie always goes to the same one.
+    """
+
+    sites: int = rule(4, ge=1)
+    users_per_sector: int = rule(2, ge=1)
+    rbs: int = rule(6, ge=1)
+    isd_m: float = rule(500.0, ge=200, le=1e5)
+    shadowing_sigma_db: float = rule(8.0, ge=0, le=30)
+    shadowing_cross_corr: float = rule(0.5, ge=0, le=1)
+    pathloss_a_db: float = rule(15.3, ge=0, le=200)
+    pathloss_b_db: float = rule(37.6, ge=20, le=100)
+    drops: int = rule(2, ge=1)
+    subframes: int = rule(50, ge=1)
+    t_c: float = rule_of(AverageRateTracker, "t_c")
+    seed: int = rule(1, ge=0)
+    total_bs_power_dbm: float = rule(46.0, ge=0, le=80)
+    noise_per_rb_dbm: float = rule(-114.45, ge=-200, le=0)
+    bandwidth_hz: float = rule(10e6, gt=0)
+    k_tilde: int = rule(6, ge=1)           # clamped to K - 1 at run time
+    neighbor_mode: str = rule("nearest", choices=nw.NEIGHBOR_MODES)
     fast_fading: bool = True
     refade_each_subframe: bool = True
-    estimation_delay_subframes: int = 0
+    estimation_delay_subframes: int = rule(0, ge=0)
     sinr_margin_db: float = 0.0
-    min_bs_dist_m: float = 25.0
-    tilt_deg: float = 12.0
+    min_bs_dist_m: float = rule(25.0, ge=0)
+    tilt_deg: float = rule(12.0, ge=0, le=15)
     wraparound: bool = True
 
-    def validate(self):
-        if self.drops < 1 or self.subframes < 1:
-            raise ConfigError("drops and subframes must be >= 1")
-        if self.rbs < 1 or self.sites < 1 or self.users_per_sector < 1:
-            raise ConfigError("rbs, sites, users_per_sector must be >= 1")
-        if self.estimation_delay_subframes < 0:
-            raise ConfigError("estimation delay must be >= 0")
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
 class MetricsConfig:
-    percentiles: tuple = (5.0, 50.0, 95.0)
+    percentiles: tuple = rule((5.0, 50.0, 95.0), gt=0, lt=100)
     rmin_grid: tuple = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07)
 
-    def validate(self):
-        if any(not 0.0 < p < 100.0 for p in self.percentiles):
-            raise ConfigError("percentiles must lie strictly inside (0, 100)")
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
@@ -79,13 +83,10 @@ class SimConfig:
     scheduler: WeightPolicy = field(default_factory=WeightPolicy)
     icic: IcicConfig = field(default_factory=IcicConfig)
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
-    scheme: str = "proposed"       # proposed | reuse1 | reuse3 | pfr
+    scheme: str = rule("proposed", choices=SCHEMES)
 
-    def validate(self):
-        self.scenario.validate()
-        self.metrics.validate()
-        if self.scheme not in ("proposed", "reuse1", "reuse3", "pfr"):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
+    def __post_init__(self):
+        check_fields(self)
 
     def radio(self):
         p_total = 10 ** ((self.scenario.total_bs_power_dbm - 30.0) / 10.0)
@@ -106,8 +107,18 @@ class SimConfig:
         return "\n".join(parts) + "\n"
 
 
+# config section -> dataclass; "run" holds SimConfig's own keys
+_SECTIONS = {"scenario": ScenarioConfig, "scheduler": WeightPolicy,
+             "icic": IcicConfig, "metrics": MetricsConfig, "run": SimConfig}
+
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
+
+
+def _kind(ann):
+    name = ann if isinstance(ann, str) else getattr(ann, "__name__", "")
+    return {"tuple": tuple, "bool": bool, "int": int,
+            "str": str}.get(name, float)
 
 
 def _convert(raw, kind, where):
@@ -121,52 +132,99 @@ def _convert(raw, kind, where):
         raise ConfigError(f"{where}: cannot parse {raw!r}") from exc
 
 
-def parse_config(text, path="<config>"):
-    """Line-oriented `section.key = value`; unknown keys are hard errors."""
-    cfg = SimConfig()
-    sections = {"scenario": cfg.scenario, "scheduler": cfg.scheduler,
-                "icic": cfg.icic, "metrics": cfg.metrics}
-    def _kind(ann):
-        name = ann if isinstance(ann, str) else getattr(ann, "__name__", "")
-        return {"tuple": tuple, "bool": bool, "int": int,
-                "str": str}.get(name, float)
+def _physical_memory_bytes():
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):    # no sysconf here
+        return math.inf
 
-    typemap = {sec: {f.name: _kind(f.type) for f in fields(obj)}
-               for sec, obj in sections.items()}
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _check_feasible(cfg):
+    """Cross-field checks, made at parse time by the code that would
+    otherwise fail at run time."""
+    sc = cfg.scenario
+
+    def bad(key, value, why):
+        return ConfigError(f"{key} = {value!r}: {why}", key=key)
+
+    try:
+        nw._cluster_shape(sc.sites)
+    except ValueError as exc:
+        raise bad("scenario.sites", sc.sites, exc) from None
+    k = 3 * sc.sites
+    tensor_bytes = k * sc.users_per_sector * sc.rbs * k * 8
+    if tensor_bytes > _physical_memory_bytes():
+        raise bad("scenario.users_per_sector", sc.users_per_sector,
+                  f"with {sc.sites} sites and {sc.rbs} RBs the gain tensor "
+                  f"needs {tensor_bytes / 2**30:.1f} GiB, more than "
+                  f"physical memory")
+    if cfg.scheme != "proposed":
+        try:
+            baseline_reuse(cfg.scheme, k, sc.rbs)
+        except ValueError as exc:
+            raise bad("scenario.rbs", sc.rbs, exc) from None
+    k_tilde = min(sc.k_tilde, k - 1)
+    if k * k_tilde % 2:
+        raise bad("scenario.k_tilde", sc.k_tilde,
+                  f"{k} sectors cannot each have {k_tilde} mutual "
+                  f"neighbors (sectors * k_tilde must be even)")
+    # isd/2 is the cell's inradius: every corner of the hexagon, 9 % of
+    # its area, stays open; nearer isd/sqrt(3) the drop runs out of tries
+    if not sc.min_bs_dist_m < sc.isd_m / 2:
+        raise bad("scenario.min_bs_dist_m", sc.min_bs_dist_m,
+                  f"must be < isd_m / 2 = {sc.isd_m / 2:g}")
+
+
+def parse_config(text, path="<config>", overrides=()):
+    """Line-oriented `section.key = value`; unknown keys are hard errors.
+
+    overrides: more `section.key = value` lines (the command-line flags),
+    applied after the text. Each section is built and checked once.
+    """
+    kinds = {sec: {f.name: _kind(f.type) for f in fields(cls)
+                   if f.name not in _SECTIONS}
+             for sec, cls in _SECTIONS.items()}
+    values = {sec: {} for sec in _SECTIONS}
+    where = {}
+    lines = [(f"{path}:{n}", line)
+             for n, line in enumerate(text.splitlines(), start=1)]
+    lines += [("command line", line) for line in overrides]
+    for loc, line in lines:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        where = f"{path}:{lineno}"
         if "=" not in stripped:
-            raise ConfigError(f"{where}: expected `section.key = value`")
+            raise ConfigError(f"{loc}: expected `section.key = value`")
         key, raw = (s.strip() for s in stripped.split("=", 1))
-        if key == "run.scheme":
-            cfg.scheme = raw.strip()
-            continue
         if "." not in key:
-            raise ConfigError(f"{where}: key {key!r} has no section")
+            raise ConfigError(f"{loc}: key {key!r} has no section")
         sec, name = key.split(".", 1)
-        if sec not in sections:
-            raise ConfigError(f"{where}: unknown section {sec!r}")
-        if name not in typemap[sec]:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        setattr(sections[sec], name, _convert(raw, typemap[sec][name], where))
+        if sec not in kinds:
+            raise ConfigError(f"{loc}: unknown section {sec!r}")
+        if name not in kinds[sec]:
+            raise ConfigError(f"{loc}: unknown key {key!r}")
+        values[sec][name] = _convert(raw, kinds[sec][name], loc)
+        where[key] = loc
 
-    # re-run dataclass validation on the mutated objects
+    def build(sec, **parts):
+        try:
+            return _SECTIONS[sec](**values[sec], **parts)
+        except ConfigError as exc:
+            raise ConfigError(f"{sec}.{exc}", key=f"{sec}.{exc.key}") from None
+
     try:
-        cfg.scheduler.__post_init__()
-        cfg.icic.__post_init__()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    cfg.validate()
+        cfg = build("run", **{sec: build(sec) for sec in _SECTIONS
+                              if sec != "run"})
+        _check_feasible(cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"{where.get(exc.key, path)}: {exc}",
+                          key=exc.key) from None
     return cfg
 
 
-def load_config(path):
+def load_config(path, overrides=()):
     with open(path) as fh:
-        return parse_config(fh.read(), path=path)
+        return parse_config(fh.read(), path=path, overrides=overrides)
 
 
 # --- static baselines ---
@@ -247,7 +305,6 @@ def _percentiles(values, percents):
 
 def run_simulation(config):
     """Execute the configured Monte Carlo and aggregate the metrics."""
-    config.validate()
     sc = config.scenario
     radio = config.radio()
     amc = default_amc_table()

@@ -57,8 +57,8 @@ def test_dims_reject_non_tri_sector():
 
 def test_layout_deterministic():
     dims = nw.NetworkDims.uniform(7, 1, 2)
-    a = nw.generate_layout(dims, 250.0, seed=1)
-    b = nw.generate_layout(dims, 250.0, seed=99)
+    a = nw.generate_layout(dims, 250.0)
+    b = nw.generate_layout(dims, 250.0)
     assert np.array_equal(a.site_xy, b.site_xy)
 
 
@@ -82,6 +82,20 @@ def test_ring_map_shapes():
     assert nmap3.k_tilde == 3
     with pytest.raises(ValueError):
         nw.ring_neighbor_map(7, 3)
+
+
+@pytest.mark.parametrize("sites,k_tilde", [(1, 1), (3, 3)])
+def test_neighbor_map_odd_degree_sum_raises_own_error(sites, k_tilde):
+    # K * k_tilde odd: no k_tilde-regular relation exists
+    lay = nw.generate_layout(nw.NetworkDims.uniform(sites, 1, 1), 500.0)
+    with pytest.raises(ValueError, match="could not complete a symmetric"):
+        nw.neighbor_map(lay, k_tilde)
+
+
+def test_neighbor_map_rejects_unknown_mode():
+    lay = nw.generate_layout(nw.NetworkDims.uniform(1, 1, 1), 500.0)
+    with pytest.raises(ValueError, match="unknown neighbor mode 'bogus'"):
+        nw.neighbor_map(lay, 2, mode="bogus")
 
 
 def test_neighbor_map_validation():
