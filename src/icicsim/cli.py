@@ -74,6 +74,9 @@ def _cmd_verify(args):
         ok &= got == ref
     check("flow subproblem equals binary enumeration", ok)
 
+    check("lane engine equals per-lane flow solve",
+          oracle.lane_engine_check(300 if quick else 3_000, seed=13) == 0)
+
     ok = True
     for s in range(3 if quick else 10):
         inst = random_desk_instance(n_sectors=6, users_per_sector=2,

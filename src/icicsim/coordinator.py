@@ -15,6 +15,12 @@ everyone's (possibly fractional) blanking levels. Its flow form:
         user->coll    cap 1  cost 0         (slack)
         coll->nbr     cap 1  cost 0         (surplus)
 
+Within one master pass all K*N subproblems share this topology, so the
+pass hands them to `lanes.solve_lanes` as array lanes, one call per group
+of sectors with the same user count M_k. `solve_subproblem` (one
+FlowNetwork, solved by `mcnf.solve`) is the per-lane reference that the
+engine must equal bit for bit; the master loop itself never calls it.
+
 The master consumes one dual per subproblem balance constraint: the
 subgradient of the summed sector values with respect to I[k] is the
 neighbors' credits minus the sector's own loss,
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import mcnf
+from . import lanes, mcnf
 from .fairsched import local_schedule
 from .linkadapt import default_amc_table, precompute_rate_triples
 from .schema import check_fields, rule
@@ -298,34 +304,43 @@ def _quantize(values, bits, vmax=None):
 
 def _subgradient_pass(problem, weights, blanking, boxes, log, seen=None):
     """One master iteration body: solve, exchange duals, return the
-    per-sector ascent directions and the summed master value.
+    per-sector ascent directions, the summed master value and the
+    engine's (x, y) arrays, one pair per group of equal-size sectors.
 
     `seen` carries the blanking levels as neighbors observe them (they
     differ from `blanking` only when exchanged values are quantized).
     """
     k_sec, n_rb = problem.K, problem.N
     nmap = problem.neighbors
+    kt = nmap.k_tilde
     seen = blanking if seen is None else seen
     quantize = getattr(log, "quantize", False)
-    lam_eq = np.zeros((k_sec, n_rb))
-    master_value = 0.0
+    lam_eq = np.empty((k_sec, n_rb))
+    lam_nbr = np.empty((k_sec, n_rb, kt))
+    phi = np.empty((k_sec, n_rb))
     xy = []
+    sizes = np.array([w.shape[0] for w in weights])
+    for m in np.unique(sizes):
+        # lane (k, n) of every sector with M_k == m, in (k, n) order
+        ks = np.flatnonzero(sizes == m)
+        nbr = seen[nmap.nbr[ks]].transpose(0, 2, 1).reshape(-1, kt)
+        w = np.repeat(np.stack([weights[k] for k in ks]), n_rb, axis=0)
+        r = np.concatenate([problem.triples.r[k].T for k in ks])
+        rtil = np.concatenate([problem.triples.rtil[k].transpose(1, 0, 2)
+                               for k in ks])
+        x, y, phi_g, lam_eq_g, lam_nbr_g = lanes.solve_lanes(
+            blanking[ks].ravel(), nbr, w, r, rtil)
+        phi[ks] = phi_g.reshape(-1, n_rb)
+        lam_eq[ks] = lam_eq_g.reshape(-1, n_rb)
+        lam_nbr[ks] = lam_nbr_g.reshape(-1, n_rb, kt)
+        xy.append((x, y))
+    master_value = 0.0
+    for v in phi.ravel().tolist():      # sequential, in (k, n) order
+        master_value += v
     for k in range(k_sec):
-        nbr_rows = seen[nmap.nbr[k]]
-        lam_out = np.zeros((nmap.k_tilde, n_rb))
-        sols = []
-        for n in range(n_rb):
-            s = solve_subproblem(blanking[k, n], nbr_rows[:, n], weights[k],
-                                 problem.triples.r[k][:, n],
-                                 problem.triples.rtil[k][:, n, :])
-            lam_eq[k, n] = s.lam_eq
-            lam_out[:, n] = s.lam_nbr
-            master_value += s.phi
-            sols.append(s)
-        xy.append(sols)
         for pos, dest in enumerate(nmap.nbr[k]):
-            payload = _quantize(lam_out[pos], log.quant_bits) if quantize \
-                else lam_out[pos]
+            dual = lam_nbr[k, :, pos]
+            payload = _quantize(dual, log.quant_bits) if quantize else dual
             boxes[dest].post(k, ("lam", payload))
             log.count(n_rb)
     grad = np.zeros((k_sec, n_rb))
@@ -338,18 +353,11 @@ def _subgradient_pass(problem, weights, blanking, boxes, log, seen=None):
 
 
 def _binary_fraction(xy, blanking, tol=1e-6):
-    at_bound = 0
-    total = 0
-    for sols in xy:
-        for s in sols:
-            vals = np.concatenate([s.x, s.y.ravel()])
-            at_bound += int(np.sum((np.abs(vals) < tol)
-                                   | (np.abs(1.0 - vals) < tol)))
-            total += vals.size
-    b = np.asarray(blanking).ravel()
-    at_bound += int(np.sum((np.abs(b) < tol) | (np.abs(1.0 - b) < tol)))
-    total += b.size
-    return at_bound / total
+    """Share of relaxed variables (x, y and blanking) at 0 or 1."""
+    vals = np.concatenate([a.ravel() for pair in xy for a in pair]
+                          + [np.asarray(blanking, dtype=float).ravel()])
+    at_bound = (np.abs(vals) < tol) | (np.abs(1.0 - vals) < tol)
+    return int(np.sum(at_bound)) / vals.size
 
 
 def _subgradient_run(problem, weights, config, init, frozen=None):

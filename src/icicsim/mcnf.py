@@ -6,6 +6,11 @@ Negative arc costs are absorbed by a Bellman-Ford initialization pass
 (the pass doubles as a negative-cycle check). Graphs in this package
 are tiny (a few dozen nodes), so everything is plain Python + numpy.
 
+This solver takes one network at a time and is the reference: the master
+loop solves its subproblems with `lanes.solve_lanes`, which runs this
+algorithm on many subproblems at once and must match `solve` bit for bit
+(tests/test_lanes.py and `icicsim verify` compare the two).
+
 Conventions:
   node balance   sum(flow out) - sum(flow in) = supply b_i
   reduced cost   red(a) = cost - pi[tail] + pi[head]

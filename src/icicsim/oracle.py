@@ -3,6 +3,7 @@
 Everything here recomputes from first principles: exhaustive search over
 blanking patterns (exact rates and bounded rates), binary enumeration of
 the per-sector subproblem, set-equivalence checks for the linearization,
+the lane engine against the per-lane flow solve,
 the SINR-bound factor identity, and dense LP solves via scipy's HiGHS
 for real-valued cross-checks. RBs decouple once the per-RB blanking is
 fixed, so enumeration runs per RB and sums.
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from . import coordinator, lanes
 from .coordinator import subproblem_objective
 from .linkadapt import (default_amc_table, sinr_all_on, sinr_exact,
                         sinr_one_blanked)
@@ -225,6 +227,69 @@ class _Radio:
     def __init__(self, p_c, p_n):
         self.p_c_watts = p_c
         self.p_n_watts = p_n
+
+
+# --- lane engine against the per-lane flow solve ---
+
+LANE_SHAPES = [(m, kt) for m in range(1, 6) for kt in range(1, 10)]
+
+
+def random_lanes(rng, n_lanes, m, k_tilde):
+    """Subproblem inputs stacked along a lane axis, each lane of one kind:
+    binary, fractional or mixed blanking levels with continuous weights
+    and rates, or small-integer weights, rates and levels (cost ties)."""
+    kind = rng.integers(0, 4, n_lanes)
+    col = kind[:, None]
+    own_b = rng.integers(0, 2, n_lanes).astype(float)
+    nbr_b = rng.integers(0, 2, (n_lanes, k_tilde)).astype(float)
+    own_f = rng.random(n_lanes)
+    nbr_f = rng.random((n_lanes, k_tilde))
+    own_mix = np.where(rng.random(n_lanes) < 0.5, own_b, own_f)
+    nbr_mix = np.where(rng.random((n_lanes, k_tilde)) < 0.5, nbr_b, nbr_f)
+    tied_levels = np.array([0.0, 0.25, 0.5, 1.0])
+    own = np.select([kind == 0, kind == 1, kind == 2],
+                    [own_b, own_f, own_mix],
+                    rng.choice(tied_levels, n_lanes))
+    nbr = np.select([col == 0, col == 1, col == 2],
+                    [nbr_b, nbr_f, nbr_mix],
+                    rng.choice(tied_levels, (n_lanes, k_tilde)))
+    tied = col == 3
+    w = np.where(tied, rng.integers(1, 3, (n_lanes, m)),
+                 rng.uniform(0.2, 2.0, (n_lanes, m)))
+    r = np.where(tied, 10.0 * rng.integers(0, 4, (n_lanes, m)),
+                 rng.uniform(0.0, 500.0, (n_lanes, m)))
+    rtil = np.where(tied[:, :, None],
+                    5.0 * rng.integers(0, 4, (n_lanes, m, k_tilde)),
+                    rng.uniform(0.0, 400.0, (n_lanes, m, k_tilde)))
+    return own, nbr, w, r, rtil
+
+
+def lane_mismatches(own, nbr, w, r, rtil):
+    """Indices of the lanes where lanes.solve_lanes and
+    coordinator.solve_subproblem disagree on x, y, phi, lam_eq or lam_nbr
+    (exact float equality)."""
+    got = lanes.solve_lanes(own, nbr, w, r, rtil)
+    refs = [coordinator.solve_subproblem(own[i], nbr[i], w[i], r[i], rtil[i])
+            for i in range(own.shape[0])]
+    same = np.ones(own.shape[0], dtype=bool)
+    for out, name in zip(got, ("x", "y", "phi", "lam_eq", "lam_nbr")):
+        ref = np.array([getattr(s, name) for s in refs]).reshape(out.shape)
+        same &= (out == ref).reshape(out.shape[0], -1).all(axis=1)
+    return np.flatnonzero(~same).tolist()
+
+
+def lane_engine_check(n_lanes, seed=0):
+    """Number of mismatching lanes among n_lanes random ones, spread over
+    M 1-5 and K_tilde 1-9 (see random_lanes for the input kinds)."""
+    rng = np.random.default_rng(seed)
+    per_shape, extra = divmod(n_lanes, len(LANE_SHAPES))
+    mismatches = 0
+    for idx, (m, kt) in enumerate(LANE_SHAPES):
+        count = per_shape + (idx < extra)
+        if count:
+            mismatches += len(lane_mismatches(
+                *random_lanes(rng, count, m, kt)))
+    return mismatches
 
 
 # --- dense LP references (HiGHS) ---

@@ -329,25 +329,37 @@ def test_mailbox_concurrent_producers():
 def test_exchange_pass_matches_standalone_subgradient():
     inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                 k_tilde=2, seed=71)
-    prob = co.problem_from_instance(inst)
-    nmap = inst.neighbors
+    # sectors keep 1, 2 or 3 of their users, so the lanes form three groups
+    wide = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=2,
+                                k_tilde=2, seed=72)
+    keep = [3, 1, 2, 3, 2, 1]
+    uneven = co.CoordinationProblem(
+        neighbors=wide.neighbors,
+        weights=[w[:m] for w, m in zip(wide.weights, keep)],
+        gains=[g[:m] for g, m in zip(wide.gains, keep)], radio=wide.radio)
     rng = np.random.default_rng(0)
-    blanking = rng.random((6, 2))
-    boxes = [co.Mailbox() for _ in range(6)]
-    log = co.ExchangeLog(16)
-    grad, value, _ = co._subgradient_pass(prob, prob.weights, blanking,
-                                          boxes, log)
-    lam_eq = np.zeros((6, 2))
-    lam_nbr = np.zeros((6, 2, 2))
-    for k in range(6):
-        for n in range(2):
-            s = co.solve_subproblem(
-                blanking[k, n], blanking[nmap.nbr[k], n], prob.weights[k],
-                prob.triples.r[k][:, n], prob.triples.rtil[k][:, n, :])
-            lam_eq[k, n] = s.lam_eq
-            lam_nbr[k, n, :] = s.lam_nbr
-    ref = co.compute_subgradient(lam_eq, lam_nbr, nmap)
-    assert np.array_equal(grad, ref)
+    for prob in (co.problem_from_instance(inst), uneven):
+        nmap = prob.neighbors
+        blanking = rng.random((6, 2))
+        boxes = [co.Mailbox() for _ in range(6)]
+        log = co.ExchangeLog(16)
+        grad, value, _ = co._subgradient_pass(prob, prob.weights, blanking,
+                                              boxes, log)
+        lam_eq = np.zeros((6, 2))
+        lam_nbr = np.zeros((6, 2, 2))
+        total = 0.0
+        for k in range(6):
+            for n in range(2):
+                s = co.solve_subproblem(
+                    blanking[k, n], blanking[nmap.nbr[k], n],
+                    prob.weights[k], prob.triples.r[k][:, n],
+                    prob.triples.rtil[k][:, n, :])
+                lam_eq[k, n] = s.lam_eq
+                lam_nbr[k, n, :] = s.lam_nbr
+                total += s.phi
+        ref = co.compute_subgradient(lam_eq, lam_nbr, nmap)
+        assert np.array_equal(grad, ref)
+        assert value == total
 
 
 def test_config_validation():
