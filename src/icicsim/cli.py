@@ -131,19 +131,21 @@ def _cmd_verify(args):
 def _cmd_gapbench(args):
     from . import coordinator as co
     from . import oracle
-    from .instances import instance_triples, random_desk_instance
+    from .instances import random_desk_instance
 
     gaps = {1: [], 2: []}
     for s in range(args.instances):
         inst = random_desk_instance(n_sectors=12, users_per_sector=2,
                                     n_rbs=2, k_tilde=2, seed=args.seed + s)
-        triples = instance_triples(inst)
-        exh = oracle.exhaustive_bound(inst, triples)
         prob = co.problem_from_instance(inst)
-        for runs in (1, 2):
-            res = co.run_coordination(
-                prob, co.IcicConfig(n_iter=args.niter, runs=runs))
-            gaps[runs].append(100.0 * (exh.value - res.gap.p_hat) / exh.value)
+        exh = oracle.exhaustive_bound(inst, prob.triples)
+        res = co.run_coordination(prob, co.IcicConfig(n_iter=args.niter,
+                                                      runs=2))
+        # the runs=1 column: a runs=2 round starts with the whole runs=1
+        # round, whose p_hat (best rounding kept) ends p_hat_history
+        for runs, p_hat in ((1, res.gap.p_hat_history[-1]),
+                            (2, res.gap.p_hat)):
+            gaps[runs].append(100.0 * (exh.value - p_hat) / exh.value)
 
     print("runs  mean_gap_pct  std_gap_pct   (vs exhaustive bound optimum, "
           f"{args.instances} instances)")

@@ -30,7 +30,6 @@ gauge to zero; validity is enforced by the subgradient inequality rather
 than any sign convention (see tests).
 """
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +77,8 @@ class GapReport:
     binary_fraction: float
     binary_guarantee_percent: float
     gap_history: list = field(default_factory=list)     # per iteration
+    # best rounded value after each iterate of the first run only; with
+    # keep_best_rounding the last entry is the one-run p_hat
     p_hat_history: list = field(default_factory=list)
 
 
@@ -262,19 +263,16 @@ def finalize_schedule(gains, weights, radio, amc, blanking, margin_db=0.0):
 # --- the simulated sector exchange ---
 
 class Mailbox:
-    """Per-sector inbox; producers may post concurrently."""
+    """Per-sector inbox."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._msgs = []
 
     def post(self, sender, payload):
-        with self._lock:
-            self._msgs.append((sender, payload))
+        self._msgs.append((sender, payload))
 
     def drain(self):
-        with self._lock:
-            msgs, self._msgs = self._msgs, []
+        msgs, self._msgs = self._msgs, []
         return msgs
 
 
@@ -361,12 +359,10 @@ def _binary_fraction(xy, blanking, tol=1e-6):
 
 
 def _subgradient_run(problem, weights, config, init, frozen=None):
-    """Run the master loop; returns (final I, iterate values, rounded
-    candidates [(I_star, bound value)], exchange log)."""
-    k_sec, n_rb = problem.K, problem.N
-    nmap = problem.neighbors
+    """Run the master loop; returns (final I, master value per pass, the
+    rounded iterates, the final I as neighbors see it, exchange log)."""
     log = ExchangeLog(config.quant_bits, config.quantize_exchange)
-    boxes = [Mailbox() for _ in range(k_sec)]
+    boxes = [Mailbox() for _ in range(problem.K)]
     blanking = init.copy()
     if frozen is not None:
         blanking[frozen] = 1.0
@@ -376,38 +372,21 @@ def _subgradient_run(problem, weights, config, init, frozen=None):
             return i_mat
         return _quantize(i_mat, config.quant_bits, vmax=1.0)
 
-    def rounded_candidate(i_frac):
-        i_star = round_blanking(i_frac)
-        return i_star, bound_objective(weights, problem.triples, i_star, nmap)
-
-    candidates = [rounded_candidate(blanking)]
+    rounded = [round_blanking(blanking)]
     values = []
-    xy_last = None
     seen = as_seen(blanking)
     for p in range(1, config.n_iter + 1):
-        grad, value, xy_last = _subgradient_pass(
+        grad, value, _ = _subgradient_pass(
             problem, weights, blanking, boxes, log, seen=seen)
         values.append(value)
         blanking = master_step(blanking, grad, p, config.step_constant)
         if frozen is not None:
             blanking[frozen] = 1.0
         seen = as_seen(blanking)
-        for k in range(k_sec):
-            for dest in nmap.nbr[k]:
-                boxes[dest].post(k, ("I", seen[k]))
-                log.count(n_rb)
-        for k in range(k_sec):
-            boxes[k].drain()     # views refresh from the shared matrix
-        candidates.append(rounded_candidate(blanking))
-    if config.n_iter > 0:
-        _, final_value, xy_last = _subgradient_pass(
-            problem, weights, blanking,
-            [Mailbox() for _ in range(k_sec)],
-            ExchangeLog(config.quant_bits), seen=seen)   # bookkeeping only
-        values.append(final_value)
-    else:
-        values.append(candidates[0][1])
-    return blanking, values, candidates, xy_last, log
+        # each sector's I row goes to its K_tilde neighbors
+        log.count(problem.K * problem.neighbors.k_tilde * problem.N)
+        rounded.append(round_blanking(blanking))
+    return blanking, values, rounded, seen, log
 
 
 def run_coordination(problem, config, warm_start=None):
@@ -436,28 +415,36 @@ def run_coordination(problem, config, warm_start=None):
     else:
         init = np.zeros((k_sec, n_rb))
 
-    final_i, values, candidates, xy_last, log = _subgradient_run(
+    final_i, values, rounded, seen, log = _subgradient_run(
         problem, weights, config, init)
+    candidates = [(i, bound_objective(weights, problem.triples, i, nmap))
+                  for i in rounded]
+    if config.n_iter > 0:
+        _, final_value, xy_last = _subgradient_pass(
+            problem, weights, final_i, [Mailbox() for _ in range(k_sec)],
+            ExchangeLog(config.quant_bits), seen=seen)   # bookkeeping only
+        values.append(final_value)
+    else:
+        values.append(candidates[0][1])
+        xy_last = None
 
     if config.runs == 2:
         blank1 = candidates[-1][0] if not config.keep_best_rounding \
             else max(candidates, key=lambda c: c[1])[0]
-        masked = [g.copy() for g in problem.gains]
-        for k in range(k_sec):
-            off = blank1.astype(float).T[None, :, :]     # (1, N, K)
-            masked[k] = masked[k] * (1.0 - off)
-            masked[k][:, :, k] = problem.gains[k][:, :, k]
+        off = blank1.astype(float).T[None, :, :]     # (1, N, K)
+        masked = []
+        for k, g in enumerate(problem.gains):
+            masked.append(g * (1.0 - off))
+            masked[k][:, :, k] = g[:, :, k]
         problem2 = CoordinationProblem(
             neighbors=nmap, weights=problem.weights, gains=masked,
             radio=problem.radio, amc=problem.amc, margin_db=problem.margin_db)
-        weights2 = [w.copy() for w in weights]
-        frozen = blank1.astype(bool)
-        final2, _, cands2, _, log2 = _subgradient_run(
-            problem2, weights2, config, final_i, frozen=frozen)
+        _, _, rounded2, _, log2 = _subgradient_run(
+            problem2, weights, config, final_i, frozen=blank1.astype(bool))
         log.count(log2.values)
-        # candidates from the re-run are re-scored on the true channel
-        candidates += [(c[0], bound_objective(weights, problem.triples,
-                                              c[0], nmap)) for c in cands2]
+        # the re-run's iterates are scored on the true channel
+        candidates += [(i, bound_objective(weights, problem.triples, i, nmap))
+                       for i in rounded2]
 
     if config.keep_best_rounding:
         i_star, p_hat = max(candidates, key=lambda c: c[1])

@@ -12,7 +12,6 @@ sides compute their denominator as a sum over the same index set instead
 of subtracting terms from a precomputed total.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,23 +69,6 @@ class AmcTable:
         db = 10.0 * db - margin_db
         out = self.rates[np.searchsorted(self.uppers, db, side="left")]
         return float(out) if np.isscalar(sinr_linear) else out
-
-    @classmethod
-    def from_csv(cls, path):
-        """Load rows `low_db,high_db,rate_kbps`; -inf/inf spelled out."""
-        rows = []
-        with open(path) as fh:
-            for rec in csv.DictReader(fh):
-                rows.append((float(rec["low_db"]), float(rec["high_db"]),
-                             float(rec["rate_kbps"])))
-        return cls(rows)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["low_db", "high_db", "rate_kbps"])
-            for lo, hi, r in zip(self.lows, self.uppers, self.rates):
-                w.writerow([repr(float(lo)), repr(float(hi)), repr(float(r))])
 
 
 # 14-row default lookup. Two published rows were malformed (a gap at

@@ -13,7 +13,6 @@ pattern in azimuth and elevation, and optional i.i.d. Rayleigh fast
 fading per RB. Everything is a pure function of (config, seed).
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -336,18 +335,6 @@ class ChannelTensor:
     large_scale: list
     user_xy: list                 # (M_k, 2) per sector
     dims: object = None
-
-    def export_csv(self, path):
-        """Debug dump: rows m,n,k,k_tilde,gain_linear."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["m", "n", "k", "k_tilde", "gain_linear"])
-            for k, g in enumerate(self.gains):
-                m_k, n_rb, n_sec = g.shape
-                for m in range(m_k):
-                    for n in range(n_rb):
-                        for j in range(n_sec):
-                            w.writerow([m, n, k, j, repr(float(g[m, n, j]))])
 
 
 def _large_scale_gain_db(layout, cfg, user_xy, shadow_db):

@@ -1,6 +1,6 @@
 """Exit codes and subcommand behavior of the console entry point."""
 
-from icicsim import cli
+from icicsim import cli, coordinator, lanes
 
 GOOD = """
 scenario.sites = 1
@@ -56,10 +56,20 @@ def test_verify_quick():
     assert cli.main(["verify", "--quick"]) == 0
 
 
-def test_gapbench_small(tmp_path, capsys):
+def test_gapbench_small(tmp_path, capsys, monkeypatch):
+    counts = {"solve_lanes": 0, "bound_objective": 0}
+    for owner, name in ((lanes, "solve_lanes"),
+                        (coordinator, "bound_objective")):
+        def counted(*args, _name=name, _f=getattr(owner, name), **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
     out = tmp_path / "gaps.csv"
     assert cli.main(["gapbench", "--instances", "4", "--seed", "3",
                      "--out", str(out)]) == 0
+    # one runs=2 round per instance (n_iter=5) serves both columns:
+    # 5 + 1 + 5 master passes and 2 * 6 scored roundings
+    assert counts == {"solve_lanes": 4 * 11, "bound_objective": 4 * 12}
     text = capsys.readouterr().out
     assert "mean_gap_pct" in text
     lines = out.read_text().splitlines()

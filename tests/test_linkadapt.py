@@ -61,15 +61,6 @@ def test_bad_tables_rejected():
         la.AmcTable([(0.0, 1.0, 0.0), (1.0, np.inf, 10.0)])       # no -inf
 
 
-def test_csv_roundtrip(tmp_path):
-    amc = la.default_amc_table()
-    path = tmp_path / "amc.csv"
-    amc.to_csv(path)
-    back = la.AmcTable.from_csv(path)
-    assert np.array_equal(back.uppers, amc.uppers)
-    assert np.array_equal(back.rates, amc.rates)
-
-
 def test_margin_shifts_lookup():
     amc = la.default_amc_table()
     sinr = 10 ** (1.0 / 10.0)                 # 1 dB -> 131.4

@@ -208,15 +208,3 @@ def test_refade_keeps_large_scale():
     for a, b in zip(t.large_scale, t2.large_scale):
         assert np.array_equal(a, b)
     assert not np.array_equal(t.gains[0], t2.gains[0])
-
-
-def test_channel_csv_export(tmp_path):
-    dims = nw.NetworkDims.uniform(1, 1, 2)
-    lay = nw.generate_layout(dims, 500.0)
-    cfg = nw.ChannelConfig()
-    t = nw.draw_channels(lay, dims, cfg, RADIO, seed=1)
-    path = tmp_path / "chan.csv"
-    t.export_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "m,n,k,k_tilde,gain_linear"
-    assert len(lines) == 1 + sum(m * dims.N * dims.K for m in dims.M)
