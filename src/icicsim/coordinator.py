@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lanes, mcnf
+from . import network as nw
 from .fairsched import local_schedule
 from .linkadapt import default_amc_table, precompute_rate_triples
 from .schema import check_fields, rule
@@ -94,8 +95,8 @@ class OverheadReport:
 @dataclass
 class IcicResult:
     blanking: np.ndarray             # (K, N) binary
-    assignments: list                # per sector (M, N) int8
-    exact_rates: list                # per sector (M, N) kbit/s
+    assignments: tuple               # SectorViews, per sector (M, N) int8
+    exact_rates: tuple               # SectorViews, per sector (M, N) kbit/s
     realized_objective: float        # exact-rate weighted sum
     gap: GapReport
     overhead: OverheadReport
@@ -239,25 +240,47 @@ def bound_objective(weights, triples, blanking, neighbors):
 def finalize_schedule(gains, weights, radio, amc, blanking, margin_db=0.0):
     """Exact rates under a binary blanking, then the per-sector argmax rule.
 
-    Returns (assignments, rates, objective); identical code path to the
-    uncoordinated scheduler, so forcing blanking to zero reproduces it
-    bit for bit.
+    gains: per sector (M_k, N, K); weights: per sector (M_k,). With
+    network.SectorViews (as ChannelTensor.gains) the work runs on the
+    stacked (sum of M_k, N, K) array without copying it. The exact SINR
+    and the AMC lookup run once over all users; `local_schedule` runs once
+    per group of sectors with equal M_k, its batch axis over the group.
+    Each user's interference is summed in the same order as for a single
+    sector, so results do not depend on how sectors are grouped.
+
+    Returns (assignments, rates, objective): SectorViews of the stacked
+    (sum of M_k, N) int8 assignment and kbit/s rates, and the weighted
+    rate summed sector by sector. Identical code path to the uncoordinated
+    scheduler, so forcing blanking to zero reproduces it bit for bit.
     """
     blanking = np.asarray(blanking)
+    sizes = np.array([len(w) for w in weights])
+    owner = np.repeat(np.arange(sizes.size), sizes)     # sector of each row
+    g = nw.stack_rows(gains)                            # (sum M, N, K)
+    w = np.asarray(nw.stack_rows(weights), dtype=float)
     on = 1.0 - blanking.T.astype(float)                # (N, K)
-    assignments, rates_out = [], []
+    own = g[np.arange(owner.size), :, owner]            # serving gain
+    interf = np.einsum("mnk,nk->mn", g, on) - own * on[:, owner].T
+    sinr = radio.p_c_watts * own \
+        / (radio.p_c_watts * interf + radio.p_n_watts)
+    rates = amc.rate_linear(sinr, margin_db)
+    n_rb = rates.shape[1]
+    assign = np.empty(rates.shape, dtype=np.int8)
+    sector_value = np.empty(sizes.size)
+    for m in np.unique(sizes):
+        ks = np.flatnonzero(sizes == m)
+        rows = np.flatnonzero(sizes[owner] == m)
+        w_g = w[rows].reshape(-1, m)
+        r_g = rates[rows].reshape(-1, m, n_rb)
+        a_g = local_schedule(w_g, r_g, blanking[ks])
+        assign[rows] = a_g.reshape(-1, n_rb)
+        sector_value[ks] = (w_g[:, :, None] * a_g * r_g).reshape(
+            ks.size, -1).sum(axis=1)
     objective = 0.0
-    for k, g in enumerate(gains):
-        interf = np.einsum("mnk,nk->mn", g, on) \
-            - g[:, :, k] * on[None, :, k]
-        sinr = radio.p_c_watts * g[:, :, k] \
-            / (radio.p_c_watts * interf + radio.p_n_watts)
-        rates = amc.rate_linear(sinr, margin_db)
-        assign = local_schedule(weights[k], rates, blanking[k])
-        assignments.append(assign)
-        rates_out.append(rates)
-        objective += float(np.sum(weights[k][:, None] * assign * rates))
-    return assignments, rates_out, objective
+    for v in sector_value.tolist():     # sequential, in sector order
+        objective += v
+    return (nw.SectorViews(assign, sizes), nw.SectorViews(rates, sizes),
+            objective)
 
 
 # --- the simulated sector exchange ---
@@ -300,19 +323,18 @@ def _quantize(values, bits, vmax=None):
     return np.round(v / scale * levels) * (scale / levels)
 
 
-def _subgradient_pass(problem, weights, blanking, boxes, log, seen=None):
-    """One master iteration body: solve, exchange duals, return the
-    per-sector ascent directions, the summed master value and the
-    engine's (x, y) arrays, one pair per group of equal-size sectors.
+def _solve_pass(problem, weights, blanking, seen):
+    """Solve every (sector, RB) subproblem of one master pass as lanes.
 
     `seen` carries the blanking levels as neighbors observe them (they
     differ from `blanking` only when exchanged values are quantized).
+    Returns the duals lam_eq (K, N) and lam_nbr (K, N, K_tilde), the summed
+    master value and the engine's (x, y) arrays, one pair per group of
+    equal-size sectors.
     """
     k_sec, n_rb = problem.K, problem.N
     nmap = problem.neighbors
     kt = nmap.k_tilde
-    seen = blanking if seen is None else seen
-    quantize = getattr(log, "quantize", False)
     lam_eq = np.empty((k_sec, n_rb))
     lam_nbr = np.empty((k_sec, n_rb, kt))
     phi = np.empty((k_sec, n_rb))
@@ -335,6 +357,14 @@ def _subgradient_pass(problem, weights, blanking, boxes, log, seen=None):
     master_value = 0.0
     for v in phi.ravel().tolist():      # sequential, in (k, n) order
         master_value += v
+    return lam_eq, lam_nbr, master_value, xy
+
+
+def _exchange_duals(lam_eq, lam_nbr, nmap, boxes, log):
+    """Post each sector's neighbor duals, drain every inbox, and return the
+    per-sector ascent directions."""
+    k_sec, n_rb = lam_eq.shape
+    quantize = getattr(log, "quantize", False)
     for k in range(k_sec):
         for pos, dest in enumerate(nmap.nbr[k]):
             dual = lam_nbr[k, :, pos]
@@ -347,6 +377,17 @@ def _subgradient_pass(problem, weights, blanking, boxes, log, seen=None):
         if set(incoming) != set(nmap.nbr[k].tolist()):
             raise RuntimeError(f"sector {k}: incomplete dual exchange")
         grad[k] = -lam_eq[k] + sum(incoming[a] for a in nmap.nbr[k])
+    return grad
+
+
+def _subgradient_pass(problem, weights, blanking, boxes, log, seen=None):
+    """One master iteration body: solve, exchange duals, return the
+    per-sector ascent directions, the summed master value and the
+    engine's (x, y) arrays."""
+    seen = blanking if seen is None else seen
+    lam_eq, lam_nbr, master_value, xy = _solve_pass(
+        problem, weights, blanking, seen)
+    grad = _exchange_duals(lam_eq, lam_nbr, problem.neighbors, boxes, log)
     return grad, master_value, xy
 
 
@@ -420,9 +461,9 @@ def run_coordination(problem, config, warm_start=None):
     candidates = [(i, bound_objective(weights, problem.triples, i, nmap))
                   for i in rounded]
     if config.n_iter > 0:
-        _, final_value, xy_last = _subgradient_pass(
-            problem, weights, final_i, [Mailbox() for _ in range(k_sec)],
-            ExchangeLog(config.quant_bits), seen=seen)   # bookkeeping only
+        # bookkeeping only: the final value and x/y, no exchange
+        _, _, final_value, xy_last = _solve_pass(problem, weights, final_i,
+                                                 seen)
         values.append(final_value)
     else:
         values.append(candidates[0][1])

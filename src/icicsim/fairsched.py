@@ -63,16 +63,16 @@ def compute_weights(policy, tracker):
 def local_schedule(weights, rates, blanking):
     """Assign each non-blanked RB to argmax_m weights[m] * rates[m, n].
 
-    weights: (M,), rates: (M, N), blanking: (N,) with 1 = RB unused.
-    Returns a binary (M, N) assignment with column sums 1 - blanking.
+    weights: (..., M), rates: (..., M, N), blanking: (..., N) with 1 = RB
+    unused. Leading axes batch sectors of equal M, each scheduled on its
+    own exactly as in an unbatched call.
+    Returns a binary (..., M, N) assignment with column sums 1 - blanking.
     """
     weights = np.asarray(weights, dtype=float)
     rates = np.asarray(rates, dtype=float)
     blanking = np.asarray(blanking)
-    m, n = rates.shape
-    assign = np.zeros((m, n), dtype=np.int8)
-    scores = weights[:, None] * rates
-    winners = np.argmax(scores, axis=0)      # first maximum = lowest index
-    cols = np.nonzero(blanking == 0)[0]
-    assign[winners[cols], cols] = 1
-    return assign
+    scores = weights[..., :, None] * rates
+    winners = np.argmax(scores, axis=-2)     # first maximum = lowest index
+    users = np.arange(rates.shape[-2])[:, None]
+    assign = (users == winners[..., None, :]) & (blanking[..., None, :] == 0)
+    return assign.astype(np.int8)

@@ -63,14 +63,14 @@ class Layout:
     def torus_delta(self, from_xy, to_xy):
         """Displacement from -> to through the nearest wraparound image.
 
-        from_xy: (..., 2); to_xy: (..., 2); returns (..., 2).
+        from_xy: (..., 2); to_xy: (..., 2); returns (..., 2). Ties go to
+        the first image.
         """
         delta = np.asarray(to_xy) - np.asarray(from_xy)
-        cands = delta[..., None, :] + self.images          # (..., I, 2)
-        d2 = np.sum(cands ** 2, axis=-1)
+        d2 = np.square(delta[..., 0, None] + self.images[:, 0])   # (..., I)
+        d2 += np.square(delta[..., 1, None] + self.images[:, 1])
         best = np.argmin(d2, axis=-1)
-        return np.take_along_axis(
-            cands, best[..., None, None], axis=-2).squeeze(-2)
+        return delta + self.images[best]
 
     def torus_distance(self, from_xy, to_xy):
         return np.linalg.norm(self.torus_delta(from_xy, to_xy), axis=-1)
@@ -323,39 +323,65 @@ def neighbor_map(layout, k_tilde=6, mode="nearest"):
     return NeighborMap(nbr=np.array(rows))
 
 
+class SectorViews(tuple):
+    """Per-sector views of one array whose rows are the users of every
+    sector, stacked in sector order.
+
+    Element k is the view stacked[offsets[k]:offsets[k + 1]] with
+    offsets = cumsum([0] + sizes); `stacked` is the array itself, so code
+    that works on all users at once needs no copy.
+    """
+
+    def __new__(cls, stacked, sizes):
+        stops = np.cumsum(sizes).tolist()
+        views = super().__new__(cls, (stacked[a:b] for a, b in
+                                      zip([0] + stops[:-1], stops)))
+        views.stacked = stacked
+        return views
+
+
+def stack_rows(parts):
+    """The (sum of M_k, ...) array behind per-sector parts: `.stacked` of
+    SectorViews without a copy, one concatenation for any other sequence."""
+    stacked = getattr(parts, "stacked", None)
+    return np.concatenate(parts) if stacked is None else stacked
+
+
 @dataclass
 class ChannelTensor:
     """Linear power gains from every sector to every user, per RB.
 
-    gains[k] has shape (M_k, N, K): user m of sector k, RB n, from sector j.
-    large_scale[k] is (M_k, K) without fast fading (association view).
+    The users of all sectors are stacked in sector order: gains.stacked is
+    one (sum of M_k, N, K) array, row offsets[k] + m is user m of sector
+    k and column j of the last axis is the gain from sector j. gains[k] is
+    the (M_k, N, K) view of sector k's rows. large_scale has the same
+    layout, (M_k, K) per sector, without fast fading (association view).
     """
 
-    gains: list
-    large_scale: list
-    user_xy: list                 # (M_k, 2) per sector
+    gains: SectorViews
+    large_scale: SectorViews
+    user_xy: SectorViews          # (M_k, 2) per sector
     dims: object = None
 
 
 def _large_scale_gain_db(layout, cfg, user_xy, shadow_db):
-    """(users, K) gains: pathloss + shadowing + antenna pattern + boresight."""
-    k = layout.sector_site.shape[0]
-    users = user_xy.shape[0]
-    out = np.empty((users, k))
-    sec_xy = layout.sector_xy()
+    """(users, K) gains: pathloss + shadowing + antenna pattern + boresight.
+
+    All sectors at once: the (users, K) pairs are elementwise, so each
+    entry is the same float as when computed one sector at a time.
+    """
     dh = cfg.bs_height_m - cfg.ut_height_m
-    for j in range(k):
-        delta = layout.torus_delta(sec_xy[j], user_xy)        # (users, 2)
-        dist_h = np.maximum(np.linalg.norm(delta, axis=-1), 1.0)
-        dist = np.hypot(dist_h, dh)
-        theta = np.degrees(np.arctan2(delta[:, 1], delta[:, 0])) \
-            - layout.boresight_deg[j]
-        phi = np.degrees(np.arctan2(dh, dist_h))
-        pattern = antenna_gain(theta, phi, layout.tilt_deg)
-        pl = cfg.pathloss_a_db + cfg.pathloss_b_db * np.log10(dist)
-        out[:, j] = (-pl + pattern + cfg.boresight_gain_dbi
-                     - cfg.feeder_loss_db + shadow_db[:, layout.sector_site[j]])
-    return out
+    delta = layout.torus_delta(layout.sector_xy(),
+                               user_xy[:, None, :])       # (users, K, 2)
+    dist_h = np.maximum(np.linalg.norm(delta, axis=-1), 1.0)
+    dist = np.hypot(dist_h, dh)
+    theta = np.degrees(np.arctan2(delta[..., 1], delta[..., 0])) \
+        - layout.boresight_deg
+    phi = np.degrees(np.arctan2(dh, dist_h))
+    pattern = antenna_gain(theta, phi, layout.tilt_deg)
+    pl = cfg.pathloss_a_db + cfg.pathloss_b_db * np.log10(dist)
+    return (-pl + pattern + cfg.boresight_gain_dbi - cfg.feeder_loss_db
+            + shadow_db[:, layout.sector_site])
 
 
 def _draw_shadowing(rng, sigma, cross_corr, num_sites):
@@ -387,7 +413,6 @@ def draw_channels(layout, dims, cfg, radio, seed, user_xy=None):
     """
     rng = np.random.default_rng(seed)
     origin, t1, t2 = _drop_region(layout)
-    sec_xy = layout.sector_xy()
 
     if user_xy is not None:
         placed = [np.asarray(u, dtype=float) for u in user_xy]
@@ -415,7 +440,11 @@ def draw_channels(layout, dims, cfg, radio, seed, user_xy=None):
         while any(q > 0 for q in quota):
             attempts += 1
             if attempts > max_attempts:
-                raise RuntimeError("user drop did not converge; check quotas")
+                unfilled = [k for k, q in enumerate(quota) if q > 0]
+                raise RuntimeError(
+                    f"user drop did not converge: sectors {unfilled} still "
+                    f"lacked users after {max_attempts} tries; where the "
+                    f"sectors tie for every user, the first one wins them all")
             s, t = rng.random(2)
             pos = origin + s * t1 + t * t2
             if np.min(layout.torus_distance(pos, layout.site_xy)) \
@@ -436,28 +465,38 @@ def draw_channels(layout, dims, cfg, radio, seed, user_xy=None):
         shadow = np.array(shadow)
         owners = np.array(owners)
 
-    g_db = _large_scale_gain_db(layout, cfg, flat_xy, shadow)
-    g_lin = 10 ** (g_db / 10.0)
+    # stack the users in sector order, each sector's in drop order
+    order = np.argsort(owners, kind="stable")
+    large = 10 ** (_large_scale_gain_db(layout, cfg, flat_xy[order],
+                                        shadow[order]) / 10.0)
+    if cfg.fast_fading:
+        grid = _faded(large, dims, rng)
+    else:
+        grid = np.repeat(large[:, None, :], dims.N, axis=1)
+    return ChannelTensor(gains=SectorViews(grid, dims.M),
+                         large_scale=SectorViews(large, dims.M),
+                         user_xy=SectorViews(flat_xy[order], dims.M),
+                         dims=dims)
 
-    gains, large, xy = [], [], []
-    for k in range(dims.K):
-        rows = np.nonzero(owners == k)[0]
-        ls = g_lin[rows]                                       # (M_k, K)
-        if cfg.fast_fading:
-            fad = rng.exponential(size=(rows.size, dims.N, dims.K))
-        else:
-            fad = np.ones((rows.size, dims.N, dims.K))
-        gains.append(ls[:, None, :] * fad)
-        large.append(ls)
-        xy.append(flat_xy[rows])
-    return ChannelTensor(gains=gains, large_scale=large, user_xy=xy, dims=dims)
+
+def _faded(large, dims, rng):
+    """(sum of M_k, N, K) gains: the stacked large-scale gains times one
+    exponential draw. One draw of the stacked shape yields the same numbers
+    as one (M_k, N, K) draw per sector in sector order."""
+    grid = rng.exponential(size=(large.shape[0], dims.N, dims.K))
+    grid *= large[:, None, :]
+    return grid
 
 
 def refade(tensor, dims, rng):
-    """Redraw fast fading on top of the existing large-scale gains."""
-    gains = [ls[:, None, :] * rng.exponential(size=(ls.shape[0], dims.N, dims.K))
-             for ls in tensor.large_scale]
-    return ChannelTensor(gains=gains, large_scale=tensor.large_scale,
+    """Redraw fast fading on top of the existing large-scale gains.
+
+    The returned gains are a new stacked (sum of M_k, N, K) array on every
+    call, so tensors kept from earlier sub-frames never change.
+    """
+    large = tensor.large_scale.stacked
+    return ChannelTensor(gains=SectorViews(_faded(large, dims, rng), dims.M),
+                         large_scale=tensor.large_scale,
                          user_xy=tensor.user_xy, dims=dims)
 
 

@@ -324,6 +324,7 @@ def run_simulation(config):
         static = baseline_reuse(config.scheme, dims.K, dims.N)
 
     throughput, user_sector, user_drop = [], [], []
+    n_users = sum(dims.M)
     sector_thr = np.zeros((sc.drops, dims.K))
     blank_counts = np.zeros(dims.N + 1)
     gap_rows = []
@@ -335,12 +336,11 @@ def run_simulation(config):
         channel = nw.draw_channels(layout, dims, chcfg, radio,
                                    seed=ch_seed)
         fade_rng = np.random.default_rng(fade_seed)
-        trackers = [AverageRateTracker(num_users=dims.M[k], t_c=sc.t_c)
-                    for k in range(dims.K)]
+        tracker = AverageRateTracker(num_users=n_users, t_c=sc.t_c)
         warm = None
         held = np.zeros((dims.K, dims.N), dtype=np.int8)
         history = []                      # stale tensors for the delay knob
-        thr_sum = [np.zeros(dims.M[k]) for k in range(dims.K)]
+        thr_sum = np.zeros(n_users)       # every user, in sector order
 
         for t in range(sc.subframes):
             tensor = channel if (t == 0 or not sc.refade_each_subframe
@@ -352,8 +352,8 @@ def run_simulation(config):
             if len(history) > sc.estimation_delay_subframes + 1:
                 history.pop(0)
 
-            weights = [compute_weights(config.scheduler, trackers[k])
-                       for k in range(dims.K)]
+            weights = nw.SectorViews(
+                compute_weights(config.scheduler, tracker), dims.M)
 
             if config.scheme == "proposed":
                 if t % config.icic.rho == 0:
@@ -385,17 +385,16 @@ def run_simulation(config):
             assigns, rates, _ = finalize_schedule(
                 tensor.gains, weights, radio, amc, blanking,
                 sc.sinr_margin_db)
-            for k in range(dims.K):
-                scheduled = (assigns[k] * rates[k]).sum(axis=1)
-                trackers[k].update(scheduled)
-                thr_sum[k] += scheduled
+            scheduled = (assigns.stacked * rates.stacked).sum(axis=1)
+            tracker.update(scheduled)
+            thr_sum += scheduled
 
-        for k in range(dims.K):
-            user_thr = thr_sum[k] / sc.subframes * 1e3 / sc.bandwidth_hz
-            throughput.extend(user_thr.tolist())
-            user_sector.extend([k] * dims.M[k])
-            user_drop.extend([drop] * dims.M[k])
-            sector_thr[drop, k] = float(user_thr.sum())
+        user_thr = thr_sum / sc.subframes * 1e3 / sc.bandwidth_hz
+        throughput.extend(user_thr.tolist())
+        user_sector.extend(np.repeat(np.arange(dims.K), dims.M).tolist())
+        user_drop.extend([drop] * n_users)
+        sector_thr[drop] = [float(part.sum()) for part in
+                            nw.SectorViews(user_thr, dims.M)]
 
     throughput = np.array(throughput)
     outage = [(float(rmin), float(np.mean(throughput < rmin)))

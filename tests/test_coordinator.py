@@ -300,16 +300,20 @@ def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
     inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                 k_tilde=2, seed=3)
     prob = co.problem_from_instance(inst)
-    counts = {"solve_lanes": 0, "bound_objective": 0}
+    counts = {"solve_lanes": 0, "bound_objective": 0, "post": 0}
     _count_calls(monkeypatch, lanes, "solve_lanes", counts)
     _count_calls(monkeypatch, co, "bound_objective", counts)
+    _count_calls(monkeypatch, co.Mailbox, "post", counts)
     n = 4
     co.run_coordination(prob, co.IcicConfig(n_iter=n, runs=runs))
     # run 1: n passes plus the closing pass; the re-run has no closing
     # pass. Every rounded iterate is scored once, on the true channel.
+    # Only the passes that feed a master step exchange duals: each sector
+    # posts to its K_tilde = 2 neighbors.
     passes = {1: n + 1, 2: 2 * n + 1}[runs]
     assert counts == {"solve_lanes": passes,
-                      "bound_objective": runs * (n + 1)}
+                      "bound_objective": runs * (n + 1),
+                      "post": runs * n * 6 * 2}
 
 
 def test_finalize_respects_blanking():

@@ -1,0 +1,213 @@
+"""The sub-frame step on the stacked user grid against its per-sector form.
+
+`finalize_schedule`, `local_schedule`, `refade` and the large-scale gains
+work on all users at once; the references below are the one-sector-at-a-
+time versions they replaced, and the grid versions must equal them bit
+for bit.
+"""
+
+import numpy as np
+import pytest
+
+from icicsim import coordinator as co
+from icicsim import network as nw
+from icicsim.fairsched import local_schedule
+from icicsim.instances import random_desk_instance
+from icicsim.linkadapt import RadioConfig, default_amc_table
+
+RADIO = RadioConfig(p_c_watts=0.8, p_n_watts=3.6e-12)
+
+
+def _local_schedule_one(weights, rates, blanking):
+    m, n = rates.shape
+    assign = np.zeros((m, n), dtype=np.int8)
+    winners = np.argmax(weights[:, None] * rates, axis=0)
+    cols = np.nonzero(np.asarray(blanking) == 0)[0]
+    assign[winners[cols], cols] = 1
+    return assign
+
+
+def _finalize_per_sector(gains, weights, radio, amc, blanking, margin_db):
+    blanking = np.asarray(blanking)
+    on = 1.0 - blanking.T.astype(float)
+    assignments, rates_out = [], []
+    objective = 0.0
+    for k, g in enumerate(gains):
+        interf = np.einsum("mnk,nk->mn", g, on) \
+            - g[:, :, k] * on[None, :, k]
+        sinr = radio.p_c_watts * g[:, :, k] \
+            / (radio.p_c_watts * interf + radio.p_n_watts)
+        rates = amc.rate_linear(sinr, margin_db)
+        assign = _local_schedule_one(weights[k], rates, blanking[k])
+        assignments.append(assign)
+        rates_out.append(rates)
+        objective += float(np.sum(weights[k][:, None] * assign * rates))
+    return assignments, rates_out, objective
+
+
+def _uneven_instance(seed, keep, n_rbs):
+    wide = random_desk_instance(n_sectors=len(keep),
+                                users_per_sector=max(keep), n_rbs=n_rbs,
+                                k_tilde=2, seed=seed)
+    return ([g[:m] for g, m in zip(wide.gains, keep)],
+            [w[:m] for w, m in zip(wide.weights, keep)], wide.radio)
+
+
+def _cases():
+    inst = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=5,
+                                k_tilde=2, seed=81)
+    yield "uniform", inst.gains, inst.weights, inst.radio
+    yield ("uneven",) + _uneven_instance(82, [3, 1, 2, 4, 2, 1], 4)
+    yield ("one RB",) + _uneven_instance(83, [2, 1, 2, 3, 1, 2], 1)
+    dims = nw.NetworkDims(K=21, sites=7, M=(1, 3, 2) * 7, N=6)
+    lay = nw.generate_layout(dims, 500.0)
+    chan = nw.draw_channels(lay, dims, nw.ChannelConfig(), RADIO, seed=84)
+    rng = np.random.default_rng(84)
+    # equal weights make many weight * rate ties among AMC rates
+    weights = nw.SectorViews(rng.choice([0.5, 1.0], size=sum(dims.M)),
+                             dims.M)
+    yield "drawn channel", chan.gains, weights, RADIO
+
+
+@pytest.mark.parametrize("margin_db", [0.0, 2.5])
+def test_finalize_grid_equals_per_sector_loop(margin_db):
+    amc = default_amc_table()
+    rng = np.random.default_rng(5)
+    for name, gains, weights, radio in _cases():
+        k_sec, n_rb = len(gains), gains[0].shape[1]
+        for p_blank in (0.0, 0.3, 0.7):
+            blank = (rng.random((k_sec, n_rb)) < p_blank).astype(np.int8)
+            ref = _finalize_per_sector(gains, weights, radio, amc, blank,
+                                       margin_db)
+            for layout in (gains, list(gains)):    # stacked views or copies
+                got = co.finalize_schedule(layout, weights, radio, amc,
+                                           blank, margin_db)
+                for k in range(k_sec):
+                    assert np.array_equal(got[0][k], ref[0][k]), name
+                    assert got[0][k].dtype == np.int8
+                    assert np.array_equal(got[1][k], ref[1][k]), name
+                assert got[2] == ref[2], name
+
+
+def test_stack_rows_reuses_the_stacked_array():
+    dims = nw.NetworkDims(K=3, sites=1, M=(1, 3, 2), N=3)
+    lay = nw.generate_layout(dims, 500.0)
+    chan = nw.draw_channels(lay, dims, nw.ChannelConfig(), RADIO, seed=2)
+    assert nw.stack_rows(chan.gains) is chan.gains.stacked
+    copied = nw.stack_rows(list(chan.gains))
+    assert copied is not chan.gains.stacked
+    assert np.array_equal(copied, chan.gains.stacked)
+    assigns, rates, _ = co.finalize_schedule(
+        chan.gains, [np.ones(m) for m in dims.M], RADIO,
+        default_amc_table(), np.zeros((dims.K, dims.N), dtype=np.int8))
+    assert assigns.stacked.shape == rates.stacked.shape == (6, 3)
+    assert [a.shape[0] for a in assigns] == list(dims.M)
+
+
+def test_local_schedule_batch_equals_per_sector_calls():
+    rng = np.random.default_rng(11)
+    for m, n in ((1, 4), (3, 5), (4, 1)):
+        weights = rng.choice([1.0, 2.0], size=(7, m))
+        # few distinct rates, so scores tie often
+        rates = rng.choice([0.0, 35.3, 70.6], size=(7, m, n))
+        blank = (rng.random((7, n)) < 0.4).astype(np.int8)
+        batch = local_schedule(weights, rates, blank)
+        assert batch.dtype == np.int8 and batch.shape == (7, m, n)
+        for g in range(7):
+            one = local_schedule(weights[g], rates[g], blank[g])
+            assert np.array_equal(batch[g], one)
+            assert np.array_equal(one, _local_schedule_one(
+                weights[g], rates[g], blank[g]))
+
+
+def test_local_schedule_ties_go_to_lowest_user_in_batch():
+    rates = np.ones((2, 3, 2))
+    assign = local_schedule(np.ones((2, 3)), rates, np.array([[0, 1], [0, 0]]))
+    assert assign[0].tolist() == [[1, 0], [0, 0], [0, 0]]
+    assert assign[1].tolist() == [[1, 1], [0, 0], [0, 0]]
+
+
+def _uneven_channel():
+    dims = nw.NetworkDims(K=12, sites=4, M=(2, 1, 3) * 4, N=5)
+    lay = nw.generate_layout(dims, 500.0)
+    return dims, lay, nw.draw_channels(lay, dims, nw.ChannelConfig(),
+                                       RADIO, seed=9)
+
+
+def test_refade_equals_per_sector_draws():
+    dims, _, chan = _uneven_channel()
+    got = nw.refade(chan, dims, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    for k, ls in enumerate(chan.large_scale):
+        ref = ls[:, None, :] * rng.exponential(size=(dims.M[k], dims.N,
+                                                     dims.K))
+        assert np.array_equal(got.gains[k], ref)
+        assert np.shares_memory(got.gains[k], got.gains.stacked)
+    assert got.large_scale is chan.large_scale
+
+
+def test_refade_returns_fresh_memory():
+    dims, _, chan = _uneven_channel()
+    rng = np.random.default_rng(4)
+    first = nw.refade(chan, dims, rng)
+    kept = first.gains.stacked.copy()
+    second = nw.refade(first, dims, rng)
+    for old in (chan, first):
+        assert not np.shares_memory(second.gains.stacked, old.gains.stacked)
+    assert np.array_equal(first.gains.stacked, kept)
+
+
+def test_channel_views_share_the_stacked_arrays():
+    dims, _, chan = _uneven_channel()
+    assert chan.gains.stacked.shape == (sum(dims.M), dims.N, dims.K)
+    assert chan.large_scale.stacked.shape == (sum(dims.M), dims.K)
+    start = 0
+    for k, m in enumerate(dims.M):
+        assert np.array_equal(chan.gains[k],
+                              chan.gains.stacked[start:start + m])
+        assert np.shares_memory(chan.gains[k], chan.gains.stacked)
+        assert chan.user_xy[k].shape == (m, 2)
+        start += m
+
+
+def _large_scale_gain_db_per_sector(layout, cfg, user_xy, shadow_db):
+    k_sec = layout.sector_site.shape[0]
+    out = np.empty((user_xy.shape[0], k_sec))
+    sec_xy = layout.sector_xy()
+    dh = cfg.bs_height_m - cfg.ut_height_m
+    for j in range(k_sec):
+        delta = user_xy - sec_xy[j]
+        cands = delta[:, None, :] + layout.images
+        best = np.argmin(np.sum(cands ** 2, axis=-1), axis=-1)
+        delta = np.take_along_axis(cands, best[:, None, None],
+                                   axis=-2).squeeze(-2)
+        dist_h = np.maximum(np.linalg.norm(delta, axis=-1), 1.0)
+        dist = np.hypot(dist_h, dh)
+        theta = np.degrees(np.arctan2(delta[:, 1], delta[:, 0])) \
+            - layout.boresight_deg[j]
+        phi = np.degrees(np.arctan2(dh, dist_h))
+        pattern = nw.antenna_gain(theta, phi, layout.tilt_deg)
+        pl = cfg.pathloss_a_db + cfg.pathloss_b_db * np.log10(dist)
+        out[:, j] = (-pl + pattern + cfg.boresight_gain_dbi
+                     - cfg.feeder_loss_db
+                     + shadow_db[:, layout.sector_site[j]])
+    return out
+
+
+@pytest.mark.parametrize("wraparound", [True, False])
+def test_large_scale_gain_equals_per_sector_loop(wraparound):
+    dims = nw.NetworkDims.uniform(7, 1, 1)
+    lay = nw.generate_layout(dims, 500.0, wraparound=wraparound)
+    cfg = nw.ChannelConfig()
+    rng = np.random.default_rng(7)
+    origin, t1, t2 = nw._drop_region(lay)
+    st = rng.random((300, 2))
+    xy = origin + st[:, :1] * t1 + st[:, 1:] * t2
+    xy[:7] = lay.site_xy                   # on a site: the 1 m floor
+    shadow = rng.normal(scale=8.0, size=(300, dims.sites))
+    got = nw._large_scale_gain_db(lay, cfg, xy, shadow)
+    assert np.array_equal(
+        got, _large_scale_gain_db_per_sector(lay, cfg, xy, shadow))
+    for i in (0, 11, 299):                 # one candidate user at a time
+        one = nw._large_scale_gain_db(lay, cfg, xy[i:i + 1], shadow[i:i + 1])
+        assert np.array_equal(one, got[i:i + 1])

@@ -201,6 +201,15 @@ def test_pathloss_matches_direct_formula():
     assert got_db[1] == pytest.approx(expected_db(d2), abs=1e-9)
 
 
+def test_drop_that_cannot_fill_names_sectors_and_tries():
+    # tilted straight down, every user sits in the -20 dB pattern floor of
+    # all three sectors of the site: they tie and sector 0 wins them all
+    dims = nw.NetworkDims.uniform(1, 1, 2)
+    lay = nw.generate_layout(dims, 500.0, tilt_deg=-90)
+    with pytest.raises(RuntimeError, match=r"sectors \[1, 2\].*12000 tries"):
+        nw.draw_channels(lay, dims, nw.ChannelConfig(), RADIO, seed=0)
+
+
 def test_refade_keeps_large_scale():
     dims, lay, cfg = _desk()
     t = nw.draw_channels(lay, dims, cfg, RADIO, seed=5)

@@ -258,6 +258,7 @@ def test_scenario_variants_run():
         "icic.runs = 2\n",
         "icic.quantize_exchange = true\nicic.quant_bits = 12\n",
         "scenario.neighbor_mode = strongest\n",
+        "scenario.estimation_delay_subframes = 2\n",
     )
     for extra in variants:
         rep = run_simulation(parse_config(SMALL + extra))
