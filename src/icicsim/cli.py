@@ -82,26 +82,13 @@ def _cmd_verify(args):
         inst = random_desk_instance(n_sectors=6, users_per_sector=2,
                                     n_rbs=1, k_tilde=2, seed=40 + s)
         prob = co.problem_from_instance(inst)
-        nmap = inst.neighbors
-
-        def value_and_duals(i_vec):
-            tot, le, ln = 0.0, np.zeros((6, 1)), np.zeros((6, 1, 2))
-            for k in range(6):
-                s_ = co.solve_subproblem(
-                    i_vec[k, 0], i_vec[nmap.nbr[k], 0],
-                    prob.weights[k] / 100.0, prob.triples.r[k][:, 0],
-                    prob.triples.rtil[k][:, 0, :])
-                tot += s_.phi
-                le[k, 0] = s_.lam_eq
-                ln[k, 0, :] = s_.lam_nbr
-            return tot, le, ln
-
+        weights = [w / 100.0 for w in prob.weights]
         i0 = np.random.default_rng(s).random((6, 1))
-        v0, le, ln = value_and_duals(i0)
-        grad = co.compute_subgradient(le, ln, nmap)
+        v0, le, ln = oracle.reference_pass(prob, weights, i0)
+        grad = co.compute_subgradient(le, ln, inst.neighbors)
         for t in range(10 if quick else 25):
             i1 = np.random.default_rng(1000 + s * 100 + t).random((6, 1))
-            v1, _, _ = value_and_duals(i1)
+            v1, _, _ = oracle.reference_pass(prob, weights, i1)
             ok &= v1 <= v0 + float(np.sum(grad * (i1 - i0))) + 1e-6
     check("master subgradient inequality", ok)
 

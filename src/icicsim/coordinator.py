@@ -27,7 +27,12 @@ neighbors' credits minus the sector's own loss,
 Lambda[k] = -lambda_own[k] + sum over neighbors of lambda_from[nbr -> k].
 Node potentials supply these multipliers after fixing the collector
 gauge to zero; validity is enforced by the subgradient inequality rather
-than any sign convention (see tests).
+than any sign convention (see tests). `compute_subgradient` is the one
+place that assembles Lambda: each sector posts its neighbor duals to its
+neighbors' `Mailbox`, and each sector drains its inbox and sums it. The
+master loop, `icicsim verify` and the tests all go through it. Message
+counts follow from array shapes: per iteration of each run, every sector
+sends K_tilde*N duals and its K_tilde*N blanking levels.
 """
 
 from dataclasses import dataclass, field
@@ -188,22 +193,6 @@ def solve_subproblem(own_blank, nbr_blank, weights, r, rtil):
                               lam_eq=lam_eq, lam_nbr=lam_nbr)
 
 
-def compute_subgradient(lam_eq, lam_nbr, neighbors):
-    """Assemble the master subgradient from all sectors' duals.
-
-    lam_eq: (K, N); lam_nbr: (K, N, K_tilde) in neighbor-position order.
-    """
-    k_sec, n_rb = lam_eq.shape
-    grad = -lam_eq.copy()
-    for k in range(k_sec):
-        inc = neighbors.incoming(k)
-        if len(inc) != neighbors.k_tilde:
-            raise ValueError(f"sector {k}: missing neighbor duals")
-        for a, pos in inc:
-            grad[k] += lam_nbr[a, :, pos]
-    return grad
-
-
 def master_step(blanking, grad, iteration, step_constant):
     """One projected subgradient ascent step, elementwise clip to [0, 1]."""
     if iteration < 1:
@@ -299,28 +288,44 @@ class Mailbox:
         return msgs
 
 
-class ExchangeLog:
-    def __init__(self, quant_bits, quantize=False):
-        self.values = 0
-        self.quant_bits = quant_bits
-        self.quantize = quantize
+def compute_subgradient(lam_eq, lam_nbr, neighbors):
+    """Assemble the master subgradient by the simulated sector exchange.
 
-    def count(self, n_values):
-        self.values += int(n_values)
+    lam_eq: (K, N); lam_nbr: (K, N, K_tilde) in neighbor-position order.
+    Sector k posts lam_nbr[k, :, pos] to sector nbr[k][pos]; each sector
+    then drains its inbox and adds the messages, in its own nbr order, to
+    minus its lam_eq. An inbox that does not hold exactly one message
+    from each neighbor is a ValueError.
+    """
+    k_sec = lam_eq.shape[0]
+    boxes = [Mailbox() for _ in range(k_sec)]
+    for k in range(k_sec):
+        for pos, dest in enumerate(neighbors.nbr[k]):
+            boxes[dest].post(k, lam_nbr[k, :, pos])
+    grad = np.empty(lam_eq.shape)
+    for k in range(k_sec):
+        incoming = dict(boxes[k].drain())
+        if set(incoming) != set(neighbors.nbr[k].tolist()):
+            raise ValueError(f"sector {k}: incomplete dual exchange")
+        grad[k] = -lam_eq[k] + sum(incoming[a] for a in neighbors.nbr[k])
+    return grad
 
-    @property
-    def bits(self):
-        return self.values * self.quant_bits
 
+def _quantize(values, bits, vmax=None, axis=None):
+    """Uniform block quantization to 2^bits - 1 levels over [0, vmax].
 
-def _quantize(values, bits, vmax=None):
-    """Uniform block quantization to 2^bits - 1 levels over [0, vmax]."""
+    Without vmax each block along `axis` (all of `values` when None) is
+    scaled by its own largest magnitude, and an all-zero block stays zero.
+    """
     v = np.asarray(values, dtype=float)
-    scale = float(np.max(np.abs(v))) if vmax is None else vmax
-    if scale <= 0:
-        return np.zeros_like(v)
     levels = 2 ** bits - 1
-    return np.round(v / scale * levels) * (scale / levels)
+    if vmax is not None:
+        return np.round(v / vmax * levels) * (vmax / levels)
+    scale = np.max(np.abs(v), axis=axis, keepdims=True)
+    dead = scale <= 0
+    scale = np.where(dead, 1.0, scale)
+    return np.where(dead, 0.0,
+                    np.round(v / scale * levels) * (scale / levels))
 
 
 def _solve_pass(problem, weights, blanking, seen):
@@ -360,37 +365,6 @@ def _solve_pass(problem, weights, blanking, seen):
     return lam_eq, lam_nbr, master_value, xy
 
 
-def _exchange_duals(lam_eq, lam_nbr, nmap, boxes, log):
-    """Post each sector's neighbor duals, drain every inbox, and return the
-    per-sector ascent directions."""
-    k_sec, n_rb = lam_eq.shape
-    quantize = getattr(log, "quantize", False)
-    for k in range(k_sec):
-        for pos, dest in enumerate(nmap.nbr[k]):
-            dual = lam_nbr[k, :, pos]
-            payload = _quantize(dual, log.quant_bits) if quantize else dual
-            boxes[dest].post(k, ("lam", payload))
-            log.count(n_rb)
-    grad = np.zeros((k_sec, n_rb))
-    for k in range(k_sec):
-        incoming = {sender: payload[1] for sender, payload in boxes[k].drain()}
-        if set(incoming) != set(nmap.nbr[k].tolist()):
-            raise RuntimeError(f"sector {k}: incomplete dual exchange")
-        grad[k] = -lam_eq[k] + sum(incoming[a] for a in nmap.nbr[k])
-    return grad
-
-
-def _subgradient_pass(problem, weights, blanking, boxes, log, seen=None):
-    """One master iteration body: solve, exchange duals, return the
-    per-sector ascent directions, the summed master value and the
-    engine's (x, y) arrays."""
-    seen = blanking if seen is None else seen
-    lam_eq, lam_nbr, master_value, xy = _solve_pass(
-        problem, weights, blanking, seen)
-    grad = _exchange_duals(lam_eq, lam_nbr, problem.neighbors, boxes, log)
-    return grad, master_value, xy
-
-
 def _binary_fraction(xy, blanking, tol=1e-6):
     """Share of relaxed variables (x, y and blanking) at 0 or 1."""
     vals = np.concatenate([a.ravel() for pair in xy for a in pair]
@@ -401,9 +375,7 @@ def _binary_fraction(xy, blanking, tol=1e-6):
 
 def _subgradient_run(problem, weights, config, init, frozen=None):
     """Run the master loop; returns (final I, master value per pass, the
-    rounded iterates, the final I as neighbors see it, exchange log)."""
-    log = ExchangeLog(config.quant_bits, config.quantize_exchange)
-    boxes = [Mailbox() for _ in range(problem.K)]
+    rounded iterates, the final I as neighbors see it)."""
     blanking = init.copy()
     if frozen is not None:
         blanking[frozen] = 1.0
@@ -417,17 +389,19 @@ def _subgradient_run(problem, weights, config, init, frozen=None):
     values = []
     seen = as_seen(blanking)
     for p in range(1, config.n_iter + 1):
-        grad, value, _ = _subgradient_pass(
-            problem, weights, blanking, boxes, log, seen=seen)
+        lam_eq, lam_nbr, value, _ = _solve_pass(problem, weights, blanking,
+                                                seen)
+        if config.quantize_exchange:
+            # each (sector, neighbor) message carries its own scale
+            lam_nbr = _quantize(lam_nbr, config.quant_bits, axis=1)
+        grad = compute_subgradient(lam_eq, lam_nbr, problem.neighbors)
         values.append(value)
         blanking = master_step(blanking, grad, p, config.step_constant)
         if frozen is not None:
             blanking[frozen] = 1.0
         seen = as_seen(blanking)
-        # each sector's I row goes to its K_tilde neighbors
-        log.count(problem.K * problem.neighbors.k_tilde * problem.N)
         rounded.append(round_blanking(blanking))
-    return blanking, values, rounded, seen, log
+    return blanking, values, rounded, seen
 
 
 def run_coordination(problem, config, warm_start=None):
@@ -456,7 +430,7 @@ def run_coordination(problem, config, warm_start=None):
     else:
         init = np.zeros((k_sec, n_rb))
 
-    final_i, values, rounded, seen, log = _subgradient_run(
+    final_i, values, rounded, seen = _subgradient_run(
         problem, weights, config, init)
     candidates = [(i, bound_objective(weights, problem.triples, i, nmap))
                   for i in rounded]
@@ -480,9 +454,8 @@ def run_coordination(problem, config, warm_start=None):
         problem2 = CoordinationProblem(
             neighbors=nmap, weights=problem.weights, gains=masked,
             radio=problem.radio, amc=problem.amc, margin_db=problem.margin_db)
-        _, _, rounded2, _, log2 = _subgradient_run(
+        _, _, rounded2, _ = _subgradient_run(
             problem2, weights, config, final_i, frozen=blank1.astype(bool))
-        log.count(log2.values)
         # the re-run's iterates are scored on the true channel
         candidates += [(i, bound_objective(weights, problem.triples, i, nmap))
                        for i in rounded2]
@@ -521,8 +494,11 @@ def run_coordination(problem, config, warm_start=None):
 
     m_bar = float(np.mean([w.shape[0] for w in weights]))
     overhead = overhead_report(m_bar, nmap.k_tilde, n_rb, config)
-    overhead.simulated_values = log.values
-    overhead.simulated_bits = log.bits
+    # per iteration of each run every sector sends K_tilde*N duals and
+    # its K_tilde*N blanking levels
+    overhead.simulated_values = \
+        config.runs * 2 * config.n_iter * k_sec * nmap.k_tilde * n_rb
+    overhead.simulated_bits = overhead.simulated_values * config.quant_bits
 
     return IcicResult(blanking=i_star, assignments=assignments,
                       exact_rates=rates, realized_objective=objective,

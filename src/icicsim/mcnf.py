@@ -236,38 +236,3 @@ def verify(net, sol, tol=OPT_TOL):
                 f"slackness on arc {a}: red={red:.3e} > 0 but flow positive")
     return violations
 
-
-# --- debug import/export, DIMACS-min style with real-valued fields ---
-
-def write_dimacs(net, path):
-    """Write `p min` / `n` / `a` lines; floats use repr for round-trip."""
-    with open(path, "w") as fh:
-        fh.write(f"p min {net.num_nodes} {net.num_arcs}\n")
-        for i in range(net.num_nodes):
-            if net.supply[i] != 0.0:
-                fh.write(f"n {i + 1} {float(net.supply[i])!r}\n")
-        for a in range(net.num_arcs):
-            fh.write(f"a {net.tail[a] + 1} {net.head[a] + 1} 0 "
-                     f"{net.cap[a]!r} {net.cost[a]!r}\n")
-
-
-def read_dimacs(path):
-    net = None
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts or parts[0] == "c":
-                continue
-            if parts[0] == "p":
-                net = FlowNetwork(supply=np.zeros(int(parts[2])))
-            elif parts[0] == "n":
-                net.supply[int(parts[1]) - 1] = float(parts[2])
-            elif parts[0] == "a":
-                net.add_arc(int(parts[1]) - 1, int(parts[2]) - 1,
-                            float(parts[4]), float(parts[5]))
-    if net is None:
-        raise ValueError(f"{path}: no problem line")
-    scale = max(1.0, float(np.abs(net.supply).sum()))
-    if abs(float(net.supply.sum())) > BALANCE_TOL * scale:
-        raise UnbalancedError("supplies in file do not balance")
-    return net

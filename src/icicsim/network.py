@@ -188,10 +188,6 @@ class NeighborMap:
                 if a not in sets[b]:
                     raise ValueError(f"neighbor relation not symmetric: "
                                      f"{b} in {a}'s set but not conversely")
-        self._incoming = [[] for _ in range(k)]
-        for a in range(k):
-            for pos, b in enumerate(self.nbr[a]):
-                self._incoming[b].append((a, pos))
 
     @property
     def K(self):
@@ -200,10 +196,6 @@ class NeighborMap:
     @property
     def k_tilde(self):
         return self.nbr.shape[1]
-
-    def incoming(self, k):
-        """Pairs (a, pos) with nbr[a][pos] == k; by symmetry one per neighbor."""
-        return self._incoming[k]
 
 
 def ring_neighbor_map(num_sectors, k_tilde):

@@ -3,22 +3,23 @@
 Everything here recomputes from first principles: exhaustive search over
 blanking patterns (exact rates and bounded rates), binary enumeration of
 the per-sector subproblem, set-equivalence checks for the linearization,
-the lane engine against the per-lane flow solve,
-the SINR-bound factor identity, and dense LP solves via scipy's HiGHS
-for real-valued cross-checks. RBs decouple once the per-RB blanking is
-fixed, so enumeration runs per RB and sums.
+a master pass solved one subproblem at a time, the lane engine against
+the per-lane flow solve, the SINR-bound factor identity, and dense LP
+solves via scipy's HiGHS for real-valued cross-checks. scipy is imported
+inside the two LP functions, so the rest of the module loads without it.
+RBs decouple once the per-RB blanking is fixed, so enumeration runs per
+RB and sums.
 """
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import coordinator, lanes
 from .coordinator import subproblem_objective
-from .linkadapt import (default_amc_table, sinr_all_on, sinr_exact,
-                        sinr_one_blanked)
+from .linkadapt import (RadioConfig, default_amc_table, sinr_all_on,
+                        sinr_exact, sinr_one_blanked)
 
 ENUM_CAP_BITS = 14       # at most 2^14 blanking patterns per RB
 
@@ -181,6 +182,7 @@ def sinr_bound_factor_check(n_samples=10_000, seed=0, p_c=1.0, p_n=0.01):
     neighbor blanks.
     """
     rng = np.random.default_rng(seed)
+    radio = RadioConfig(p_c, p_n)
     report = BoundFactorReport(n_samples, 0.0, 0, 0)
     for _ in range(n_samples):
         k = int(rng.integers(3, 8))                 # sectors incl. serving
@@ -190,13 +192,13 @@ def sinr_bound_factor_check(n_samples=10_000, seed=0, p_c=1.0, p_n=0.01):
         blank = np.zeros(k)
         blank[1:] = rng.integers(0, 2, size=k - 1)
 
-        exact = sinr_exact(gains, serving, blank, _Radio(p_c, p_n))
-        base = sinr_all_on(gains, serving, _Radio(p_c, p_n))
+        exact = sinr_exact(gains, serving, blank, radio)
+        base = sinr_all_on(gains, serving, radio)
         bound = base
         dominant = None
         for j in neighbors:
             if blank[j]:
-                cand = sinr_one_blanked(gains, serving, j, _Radio(p_c, p_n))
+                cand = sinr_one_blanked(gains, serving, j, radio)
                 if cand > bound:
                     bound = cand
                     dominant = j
@@ -221,15 +223,30 @@ def sinr_bound_factor_check(n_samples=10_000, seed=0, p_c=1.0, p_n=0.01):
     return report
 
 
-class _Radio:
-    """Duck-typed stand-in so the check does not need a full config."""
+# --- the master pass and the lane engine against the per-lane flow solve ---
 
-    def __init__(self, p_c, p_n):
-        self.p_c_watts = p_c
-        self.p_n_watts = p_n
+def reference_pass(problem, weights, blanking):
+    """One master pass with one coordinator.solve_subproblem call per
+    (sector, RB): the master value, summed in (k, n) order, and the duals
+    lam_eq (K, N) and lam_nbr (K, N, K_tilde).
 
+    Every neighbor sees `blanking` unquantized. The lane pass of the
+    master loop must equal this bit for bit.
+    """
+    nmap = problem.neighbors
+    lam_eq = np.empty((problem.K, problem.N))
+    lam_nbr = np.empty((problem.K, problem.N, nmap.k_tilde))
+    value = 0.0
+    for k in range(problem.K):
+        for n in range(problem.N):
+            sol = coordinator.solve_subproblem(
+                blanking[k, n], blanking[nmap.nbr[k], n], weights[k],
+                problem.triples.r[k][:, n], problem.triples.rtil[k][:, n, :])
+            value += sol.phi
+            lam_eq[k, n] = sol.lam_eq
+            lam_nbr[k, n] = sol.lam_nbr
+    return value, lam_eq, lam_nbr
 
-# --- lane engine against the per-lane flow solve ---
 
 LANE_SHAPES = [(m, kt) for m in range(1, 6) for kt in range(1, 10)]
 
@@ -296,6 +313,8 @@ def lane_engine_check(n_lanes, seed=0):
 
 def lp_flow_reference(net):
     """LP optimum of an MCNF instance, solved densely."""
+    from scipy.optimize import linprog
+
     v, a = net.num_nodes, net.num_arcs
     a_eq = np.zeros((v, a))
     for i in range(a):
@@ -324,6 +343,8 @@ def relaxed_lp_solve(inst, triples, rb, weights=None, tol=1e-6):
     what the binary-share guarantee speaks about. Variable order:
     assignments, credits, blanking levels.
     """
+    from scipy.optimize import linprog
+
     weights = weights if weights is not None else inst.weights
     k_sec = inst.K
     nmap = inst.neighbors

@@ -128,26 +128,12 @@ def test_criterion_5_subgradient_inequality():
                                     neighbors=nmap)
         prob = co.problem_from_instance(inst)
         weights = [w / 100.0 for w in prob.weights]
-
-        def master(i_vec):
-            total = 0.0
-            le = np.zeros((k_sec, 1))
-            ln = np.zeros((k_sec, 1, 2))
-            for k in range(k_sec):
-                sol = co.solve_subproblem(
-                    i_vec[k, 0], i_vec[nmap.nbr[k], 0], weights[k],
-                    prob.triples.r[k][:, 0], prob.triples.rtil[k][:, 0, :])
-                total += sol.phi
-                le[k, 0] = sol.lam_eq
-                ln[k, 0, :] = sol.lam_nbr
-            return total, le, ln
-
         base = rng.random((k_sec, 1))
-        v0, le, ln = master(base)
+        v0, le, ln = oracle.reference_pass(prob, weights, base)
         grad = co.compute_subgradient(le, ln, nmap)
         for _ in range(100):
             probe = rng.random((k_sec, 1))
-            v1, _, _ = master(probe)
+            v1, _, _ = oracle.reference_pass(prob, weights, probe)
             assert v1 <= v0 + float(np.sum(grad * (probe - base))) + 1e-6
             checked += 1
     assert checked == 10_000

@@ -1,5 +1,7 @@
 """Subproblem flow form, duals, master steps, full coordinated rounds."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -110,13 +112,11 @@ def test_subgradient_arithmetic():
 
 
 def test_subgradient_missing_dual_is_error():
-    class Fake:
-        K = 2
-        k_tilde = 1
-        def incoming(self, k):
-            return []
+    # asymmetric: both sectors send to sector 1, so sector 0 hears nobody
+    # (NeighborMap itself refuses such a relation)
+    fake = SimpleNamespace(nbr=np.array([[1], [1]]))
     with pytest.raises(ValueError):
-        co.compute_subgradient(np.zeros((2, 1)), np.zeros((2, 1, 1)), Fake())
+        co.compute_subgradient(np.zeros((2, 1)), np.zeros((2, 1, 1)), fake)
 
 
 def test_subgradient_inequality_random_probes():
@@ -124,28 +124,14 @@ def test_subgradient_inequality_random_probes():
     inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=1,
                                 k_tilde=2, seed=17)
     prob = co.problem_from_instance(inst)
-    nmap = inst.neighbors
-
-    def value_and_duals(i_vec):
-        total = 0.0
-        le = np.zeros((6, 1))
-        ln = np.zeros((6, 1, 2))
-        for k in range(6):
-            s = co.solve_subproblem(
-                i_vec[k, 0], i_vec[nmap.nbr[k], 0], prob.weights[k] / 100.0,
-                prob.triples.r[k][:, 0], prob.triples.rtil[k][:, 0, :])
-            total += s.phi
-            le[k, 0] = s.lam_eq
-            ln[k, 0, :] = s.lam_nbr
-        return total, le, ln
-
+    weights = [w / 100.0 for w in prob.weights]
     for _ in range(10):
         i0 = rng.random((6, 1))
-        v0, le, ln = value_and_duals(i0)
-        grad = co.compute_subgradient(le, ln, nmap)
+        v0, le, ln = oracle.reference_pass(prob, weights, i0)
+        grad = co.compute_subgradient(le, ln, inst.neighbors)
         for _ in range(25):
             i1 = rng.random((6, 1))
-            v1, _, _ = value_and_duals(i1)
+            v1, _, _ = oracle.reference_pass(prob, weights, i1)
             assert v1 <= v0 + float(np.sum(grad * (i1 - i0))) + 1e-6
 
 
@@ -346,7 +332,22 @@ def test_quantized_exchange_toggle():
     assert set(np.unique(coarse.blanking)) <= {0, 1}
 
 
-def test_exchange_pass_matches_standalone_subgradient():
+def _first_direction(monkeypatch, prob, config, blanking):
+    """The ascent direction of the first master iteration from `blanking`."""
+    seen = []
+    step = co.master_step
+
+    def spy(i_mat, grad, iteration, step_constant):
+        seen.append(grad)
+        return step(i_mat, grad, iteration, step_constant)
+
+    monkeypatch.setattr(co, "master_step", spy)
+    co._subgradient_run(prob, prob.weights, config, blanking)
+    monkeypatch.setattr(co, "master_step", step)
+    return seen[0]
+
+
+def test_exchange_pass_matches_standalone_subgradient(monkeypatch):
     inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                 k_tilde=2, seed=71)
     # sectors keep 1, 2 or 3 of their users, so the lanes form three groups
@@ -359,27 +360,47 @@ def test_exchange_pass_matches_standalone_subgradient():
         gains=[g[:m] for g, m in zip(wide.gains, keep)], radio=wide.radio)
     rng = np.random.default_rng(0)
     for prob in (co.problem_from_instance(inst), uneven):
-        nmap = prob.neighbors
         blanking = rng.random((6, 2))
-        boxes = [co.Mailbox() for _ in range(6)]
-        log = co.ExchangeLog(16)
-        grad, value, _ = co._subgradient_pass(prob, prob.weights, blanking,
-                                              boxes, log)
-        lam_eq = np.zeros((6, 2))
-        lam_nbr = np.zeros((6, 2, 2))
-        total = 0.0
-        for k in range(6):
-            for n in range(2):
-                s = co.solve_subproblem(
-                    blanking[k, n], blanking[nmap.nbr[k], n],
-                    prob.weights[k], prob.triples.r[k][:, n],
-                    prob.triples.rtil[k][:, n, :])
-                lam_eq[k, n] = s.lam_eq
-                lam_nbr[k, n, :] = s.lam_nbr
-                total += s.phi
-        ref = co.compute_subgradient(lam_eq, lam_nbr, nmap)
+        lam_eq, lam_nbr, value, _ = co._solve_pass(prob, prob.weights,
+                                                   blanking, blanking)
+        ref_value, ref_eq, ref_nbr = oracle.reference_pass(
+            prob, prob.weights, blanking)
+        assert value == ref_value
+        assert np.array_equal(lam_eq, ref_eq)
+        assert np.array_equal(lam_nbr, ref_nbr)
+        grad = _first_direction(monkeypatch, prob, co.IcicConfig(n_iter=1),
+                                blanking)
+        ref = co.compute_subgradient(ref_eq, ref_nbr, prob.neighbors)
         assert np.array_equal(grad, ref)
-        assert value == total
+
+
+def test_quantized_exchange_scales_each_message(monkeypatch):
+    bits = 3
+    levels = 2 ** bits - 1
+    lam_nbr = np.array([[[0.0, 2.0], [0.0, -6.0]],
+                        [[0.0, 1.0], [0.0, 0.5]],
+                        [[3.0, 0.7], [0.0, 0.1]]])      # (K, N, K_tilde)
+    got = co._quantize(lam_nbr, bits, axis=1)
+    for k in range(3):
+        for pos in range(2):
+            msg = lam_nbr[k, :, pos]
+            scale = np.max(np.abs(msg))
+            want = np.zeros(2) if scale == 0 else \
+                np.round(msg / scale * levels) * (scale / levels)
+            assert np.array_equal(got[k, :, pos], want)
+    assert np.all(got[:2, :, 0] == 0.0)        # all-zero messages
+    # the master steps along the exchange of the quantized duals
+    inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=3,
+                                k_tilde=2, seed=71)
+    prob = co.problem_from_instance(inst)
+    blanking = np.random.default_rng(1).random((6, 3))
+    cfg = co.IcicConfig(n_iter=1, quantize_exchange=True, quant_bits=bits)
+    seen = co._quantize(blanking, bits, vmax=1.0)
+    lam_eq, lam_nbr, _, _ = co._solve_pass(prob, prob.weights, blanking,
+                                           seen)
+    grad = _first_direction(monkeypatch, prob, cfg, blanking)
+    assert np.array_equal(grad, co.compute_subgradient(
+        lam_eq, co._quantize(lam_nbr, bits, axis=1), prob.neighbors))
 
 
 def test_config_validation():

@@ -149,23 +149,3 @@ def test_negative_cycle_detected():
     net = _flow_instance([0, 0], [(0, 1, 1, -2.0), (1, 0, 1, -2.0)])
     with pytest.raises(mcnf.NegativeCycleError):
         mcnf.solve(net)
-
-
-def test_read_dimacs_requires_problem_line(tmp_path):
-    path = tmp_path / "bad.dmx"
-    path.write_text("c only a comment\n")
-    with pytest.raises(ValueError):
-        mcnf.read_dimacs(path)
-
-
-def test_dimacs_roundtrip(tmp_path):
-    net = _flow_instance([0.25, 0.5, -0.75],
-                         [(0, 2, 1.0, -1.5), (1, 2, 0.5, 2.25),
-                          (0, 1, 0.75, 0.0)])
-    path = tmp_path / "net.dmx"
-    mcnf.write_dimacs(net, path)
-    back = mcnf.read_dimacs(path)
-    assert np.array_equal(back.supply, net.supply)
-    assert back.tail == net.tail and back.head == net.head
-    assert back.cap == net.cap and back.cost == net.cost
-    assert mcnf.solve(back).objective == mcnf.solve(net).objective

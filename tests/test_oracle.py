@@ -1,8 +1,13 @@
 """Brute-force references and their relationships to the solver stack."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import icicsim
 from icicsim import coordinator as co
 from icicsim import oracle
 from icicsim.instances import (DeskInstance, instance_triples,
@@ -176,3 +181,15 @@ def test_lp_flow_reference_matches_tiny_case():
     net = mcnf.FlowNetwork(supply=np.array([1.0, -1.0]))
     net.add_arc(0, 1, 1.0, 5.0)
     assert oracle.lp_flow_reference(net) == pytest.approx(5.0)
+
+
+def test_oracle_import_leaves_scipy_optimize_unloaded():
+    # only the two LP references need scipy; gapbench's exhaustive
+    # search should not pay for loading it
+    src = os.path.dirname(os.path.dirname(icicsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, icicsim.oracle; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
