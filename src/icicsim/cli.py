@@ -77,6 +77,22 @@ def _cmd_verify(args):
     check("lane engine equals per-lane flow solve",
           oracle.lane_engine_check(300 if quick else 3_000, seed=13) == 0)
 
+    # two uniform instances and one whose sectors keep 1, 2 or 3 users
+    probs = [co.problem_from_instance(random_desk_instance(
+        n_sectors=6, users_per_sector=2, n_rbs=2, k_tilde=2, seed=60 + s))
+        for s in range(2)]
+    wide = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=2,
+                                k_tilde=2, seed=62)
+    keep = [3, 1, 2, 3, 2, 1]
+    probs.append(co.CoordinationProblem(
+        neighbors=wide.neighbors,
+        weights=[w[:m] for w, m in zip(wide.weights, keep)],
+        gains=[g[:m] for g, m in zip(wide.gains, keep)], radio=wide.radio))
+    ok = all(not oracle.batch_mismatches(probs, co.IcicConfig(
+        n_iter=3 if quick else 5, runs=2, quantize_exchange=quantize,
+        quant_bits=6)) for quantize in (False, True))
+    check("batched rounds equal single rounds", ok)
+
     ok = True
     for s in range(3 if quick else 10):
         inst = random_desk_instance(n_sectors=6, users_per_sector=2,
@@ -120,19 +136,20 @@ def _cmd_gapbench(args):
     from . import oracle
     from .instances import random_desk_instance
 
-    gaps = {1: [], 2: []}
+    probs, optima = [], []
     for s in range(args.instances):
         inst = random_desk_instance(n_sectors=12, users_per_sector=2,
                                     n_rbs=2, k_tilde=2, seed=args.seed + s)
-        prob = co.problem_from_instance(inst)
-        exh = oracle.exhaustive_bound(inst, prob.triples)
-        res = co.run_coordination(prob, co.IcicConfig(n_iter=args.niter,
-                                                      runs=2))
+        probs.append(co.problem_from_instance(inst))
+        optima.append(oracle.exhaustive_bound(inst, probs[-1].triples).value)
+    results = co.run_rounds(probs, co.IcicConfig(n_iter=args.niter, runs=2))
+    gaps = {1: [], 2: []}
+    for opt, res in zip(optima, results):
         # the runs=1 column: a runs=2 round starts with the whole runs=1
         # round, whose p_hat (best rounding kept) ends p_hat_history
         for runs, p_hat in ((1, res.gap.p_hat_history[-1]),
                             (2, res.gap.p_hat)):
-            gaps[runs].append(100.0 * (exh.value - p_hat) / exh.value)
+            gaps[runs].append(100.0 * (opt - p_hat) / opt)
 
     print("runs  mean_gap_pct  std_gap_pct   (vs exhaustive bound optimum, "
           f"{args.instances} instances)")

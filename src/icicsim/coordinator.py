@@ -17,9 +17,19 @@ everyone's (possibly fractional) blanking levels. Its flow form:
 
 Within one master pass all K*N subproblems share this topology, so the
 pass hands them to `lanes.solve_lanes` as array lanes, one call per group
-of sectors with the same user count M_k. `solve_subproblem` (one
-FlowNetwork, solved by `mcnf.solve`) is the per-lane reference that the
-engine must equal bit for bit; the master loop itself never calls it.
+of sectors with the same user count M_k and neighbor count K_tilde.
+`solve_subproblem` (one FlowNetwork, solved by `mcnf.solve`) is the
+per-lane reference that the engine must equal bit for bit; the master
+loop itself never calls it.
+
+Independent rounds run as a lockstep batch: `run_rounds` advances the
+master loops of several problems together, including the `runs=2`
+re-run, where each problem keeps its own masked channel and frozen set.
+Each pass puts the lanes of every problem into the same engine calls;
+the exchange, master steps, rounding scores and final schedules stay
+per problem, and each master value is summed in its own (k, n) order,
+so a batched result equals the round run alone bit for bit.
+`run_coordination` is a batch of one.
 
 The master consumes one dual per subproblem balance constraint: the
 subgradient of the summed sector values with respect to I[k] is the
@@ -328,41 +338,73 @@ def _quantize(values, bits, vmax=None, axis=None):
                     np.round(v / scale * levels) * (scale / levels))
 
 
-def _solve_pass(problem, weights, blanking, seen):
-    """Solve every (sector, RB) subproblem of one master pass as lanes.
+def _lane_groups(problems, weights, triples):
+    """The fixed lane inputs of a batch of problems.
 
-    `seen` carries the blanking levels as neighbors observe them (they
-    differ from `blanking` only when exchanged values are quantized).
-    Returns the duals lam_eq (K, N) and lam_nbr (K, N, K_tilde), the summed
-    master value and the engine's (x, y) arrays, one pair per group of
-    equal-size sectors.
+    Sectors with equal (M_k, K_tilde) form one group, whose lanes are
+    those sectors' (k, n) pairs, problem by problem and in (k, n) order.
+    Returns, per group in (M_k, K_tilde) order, its members, a list of
+    (problem index, sector indices), and the stacked w, r and rtil of its
+    lanes. `triples` is iterated once, alongside `problems` and `weights`.
     """
-    k_sec, n_rb = problem.K, problem.N
-    nmap = problem.neighbors
-    kt = nmap.k_tilde
-    lam_eq = np.empty((k_sec, n_rb))
-    lam_nbr = np.empty((k_sec, n_rb, kt))
-    phi = np.empty((k_sec, n_rb))
-    xy = []
-    sizes = np.array([w.shape[0] for w in weights])
-    for m in np.unique(sizes):
-        # lane (k, n) of every sector with M_k == m, in (k, n) order
-        ks = np.flatnonzero(sizes == m)
-        nbr = seen[nmap.nbr[ks]].transpose(0, 2, 1).reshape(-1, kt)
-        w = np.repeat(np.stack([weights[k] for k in ks]), n_rb, axis=0)
-        r = np.concatenate([problem.triples.r[k].T for k in ks])
-        rtil = np.concatenate([problem.triples.rtil[k].transpose(1, 0, 2)
-                               for k in ks])
-        x, y, phi_g, lam_eq_g, lam_nbr_g = lanes.solve_lanes(
-            blanking[ks].ravel(), nbr, w, r, rtil)
-        phi[ks] = phi_g.reshape(-1, n_rb)
-        lam_eq[ks] = lam_eq_g.reshape(-1, n_rb)
-        lam_nbr[ks] = lam_nbr_g.reshape(-1, n_rb, kt)
-        xy.append((x, y))
-    master_value = 0.0
-    for v in phi.ravel().tolist():      # sequential, in (k, n) order
-        master_value += v
-    return lam_eq, lam_nbr, master_value, xy
+    parts = {}
+    for p, (pr, w_p, tr) in enumerate(zip(problems, weights, triples)):
+        sizes = np.array([w.shape[0] for w in w_p])
+        for m in np.unique(sizes):
+            ks = np.flatnonzero(sizes == m)
+            parts.setdefault((int(m), pr.neighbors.k_tilde), []).append((
+                (p, ks),
+                np.repeat(np.stack([w_p[k] for k in ks]), pr.N, axis=0),
+                np.concatenate([tr.r[k].T for k in ks]),
+                np.concatenate([tr.rtil[k].transpose(1, 0, 2) for k in ks])))
+    groups = []
+    for key in sorted(parts):
+        members, w, r, rtil = zip(*parts[key])
+        groups.append((list(members), np.concatenate(w), np.concatenate(r),
+                       np.concatenate(rtil)))
+    return groups
+
+
+def _solve_pass(problems, groups, blankings, seens):
+    """Solve every (sector, RB) subproblem of one master pass of each
+    problem as lanes: one `lanes.solve_lanes` call per lane group (see
+    `_lane_groups`), over the lanes of all problems.
+
+    `seens[p]` carries problem p's blanking levels as neighbors observe
+    them (they differ from `blankings[p]` only when exchanged values are
+    quantized). Returns, per problem, the duals lam_eq (K, N) and lam_nbr
+    (K, N, K_tilde), the master value summed in (k, n) order, and the
+    engine's (x, y) arrays, one pair per group of equal-size sectors.
+    """
+    lam_eq = [np.empty((pr.K, pr.N)) for pr in problems]
+    lam_nbr = [np.empty((pr.K, pr.N, pr.neighbors.k_tilde))
+               for pr in problems]
+    phi = [np.empty((pr.K, pr.N)) for pr in problems]
+    xy = [[] for _ in problems]
+    for members, w, r, rtil in groups:
+        kt = rtil.shape[2]
+        own = np.concatenate([blankings[p][ks].ravel() for p, ks in members])
+        nbr = np.concatenate([
+            seens[p][problems[p].neighbors.nbr[ks]].transpose(0, 2, 1)
+            .reshape(-1, kt) for p, ks in members])
+        out = lanes.solve_lanes(own, nbr, w, r, rtil)
+        lo = 0
+        for p, ks in members:
+            n_rb = problems[p].N
+            c = slice(lo, lo + ks.size * n_rb)
+            lo = c.stop
+            x, y, phi_g, lam_eq_g, lam_nbr_g = (a[c] for a in out)
+            phi[p][ks] = phi_g.reshape(-1, n_rb)
+            lam_eq[p][ks] = lam_eq_g.reshape(-1, n_rb)
+            lam_nbr[p][ks] = lam_nbr_g.reshape(-1, n_rb, kt)
+            xy[p].append((x, y))
+    passes = []
+    for p in range(len(problems)):
+        master_value = 0.0
+        for v in phi[p].ravel().tolist():     # sequential, in (k, n) order
+            master_value += v
+        passes.append((lam_eq[p], lam_nbr[p], master_value, xy[p]))
+    return passes
 
 
 def _binary_fraction(xy, blanking, tol=1e-6):
@@ -373,47 +415,60 @@ def _binary_fraction(xy, blanking, tol=1e-6):
     return int(np.sum(at_bound)) / vals.size
 
 
-def _subgradient_run(problem, weights, config, init, frozen=None):
-    """Run the master loop; returns (final I, master value per pass, the
-    rounded iterates, the final I as neighbors see it)."""
-    blanking = init.copy()
+def _subgradient_run(problems, groups, config, inits, frozen=None):
+    """Run the master loops of all problems in lockstep, on the lanes of
+    `groups` (see `_lane_groups`).
+
+    Returns four lists, one entry per problem: the final I, the master
+    value per pass, the rounded iterates and the final I as neighbors
+    see it. `frozen[p]`, when given, marks problem p's entries held at 1.
+    """
+    blankings = [i.copy() for i in inits]
     if frozen is not None:
-        blanking[frozen] = 1.0
+        for b, f in zip(blankings, frozen):
+            b[f] = 1.0
 
     def as_seen(i_mat):
         if not config.quantize_exchange:
             return i_mat
         return _quantize(i_mat, config.quant_bits, vmax=1.0)
 
-    rounded = [round_blanking(blanking)]
-    values = []
-    seen = as_seen(blanking)
-    for p in range(1, config.n_iter + 1):
-        lam_eq, lam_nbr, value, _ = _solve_pass(problem, weights, blanking,
-                                                seen)
-        if config.quantize_exchange:
-            # each (sector, neighbor) message carries its own scale
-            lam_nbr = _quantize(lam_nbr, config.quant_bits, axis=1)
-        grad = compute_subgradient(lam_eq, lam_nbr, problem.neighbors)
-        values.append(value)
-        blanking = master_step(blanking, grad, p, config.step_constant)
-        if frozen is not None:
-            blanking[frozen] = 1.0
-        seen = as_seen(blanking)
-        rounded.append(round_blanking(blanking))
-    return blanking, values, rounded, seen
+    rounded = [[round_blanking(b)] for b in blankings]
+    values = [[] for _ in problems]
+    seens = [as_seen(b) for b in blankings]
+    for it in range(1, config.n_iter + 1):
+        for p, (lam_eq, lam_nbr, value, _) in enumerate(
+                _solve_pass(problems, groups, blankings, seens)):
+            if config.quantize_exchange:
+                # each (sector, neighbor) message carries its own scale
+                lam_nbr = _quantize(lam_nbr, config.quant_bits, axis=1)
+            grad = compute_subgradient(lam_eq, lam_nbr,
+                                       problems[p].neighbors)
+            values[p].append(value)
+            blanking = master_step(blankings[p], grad, it,
+                                   config.step_constant)
+            if frozen is not None:
+                blanking[frozen[p]] = 1.0
+            blankings[p] = blanking
+            seens[p] = as_seen(blanking)
+            rounded[p].append(round_blanking(blanking))
+    return blankings, values, rounded, seens
 
 
-def run_coordination(problem, config, warm_start=None):
-    """Full coordinated round: subgradient master, rounding, local
-    scheduling with exact rates, gap and overhead reports.
+def _masked_triples(problem, blank1):
+    """The re-run's rate triples: every gain from a sector blanked in
+    `blank1` zeroed, serving gains kept."""
+    off = blank1.astype(float).T[None, :, :]     # (1, N, K)
+    masked = []
+    for k, g in enumerate(problem.gains):
+        masked.append(g * (1.0 - off))
+        masked[k][:, :, k] = g[:, :, k]
+    return precompute_rate_triples(masked, problem.radio, problem.neighbors,
+                                   problem.amc, problem.margin_db)
 
-    warm_start: optional (K, N) fractional blanking from the previous
-    execution; the default initial point is all zeros (reuse-1).
-    """
-    k_sec, n_rb = problem.K, problem.N
-    nmap = problem.neighbors
 
+def _round_start(problem, config, warm_start):
+    """Weight scale, master weights and initial blanking of one round."""
     scale = 1.0
     weights = [np.asarray(w, dtype=float) for w in problem.weights]
     if config.normalize_weights:
@@ -422,44 +477,82 @@ def run_coordination(problem, config, warm_start=None):
         if mean > 0:
             scale = mean
             weights = [w / scale for w in weights]
-
     if warm_start is not None:
         init = np.clip(np.asarray(warm_start, dtype=float), 0.0, 1.0)
     elif config.init_mode == "random":
-        init = np.random.default_rng(config.init_seed).random((k_sec, n_rb))
+        init = np.random.default_rng(config.init_seed).random(
+            (problem.K, problem.N))
     else:
-        init = np.zeros((k_sec, n_rb))
+        init = np.zeros((problem.K, problem.N))
+    return scale, weights, init
 
-    final_i, values, rounded, seen = _subgradient_run(
-        problem, weights, config, init)
-    candidates = [(i, bound_objective(weights, problem.triples, i, nmap))
-                  for i in rounded]
+
+def run_rounds(problems, config, warm_starts=None):
+    """Coordinated rounds of independent problems, advanced in lockstep.
+
+    Every master pass solves the subproblems of all problems together
+    (see `_solve_pass`); the exchange, master steps, rounding scores and
+    final schedules stay per problem, so each result equals a round of
+    that problem alone, bit for bit. Returns one IcicResult per problem,
+    in order.
+
+    warm_starts: optional list, per problem None or a (K, N) fractional
+    blanking from the previous execution; the default initial point is
+    all zeros (reuse-1).
+    """
+    if warm_starts is None:
+        warm_starts = [None] * len(problems)
+    if len(warm_starts) != len(problems):
+        raise ValueError(f"{len(warm_starts)} warm starts for "
+                         f"{len(problems)} problems")
+    if not problems:
+        return []
+    scales, weights, inits = zip(*[
+        _round_start(pr, config, ws) for pr, ws in zip(problems, warm_starts)])
+    groups = _lane_groups(problems, weights,
+                          (pr.triples for pr in problems))
+    finals, values, rounded, seens = _subgradient_run(
+        problems, groups, config, inits)
+    candidates = [
+        [(i, bound_objective(w, pr.triples, i, pr.neighbors)) for i in rnd]
+        for pr, w, rnd in zip(problems, weights, rounded)]
     if config.n_iter > 0:
         # bookkeeping only: the final value and x/y, no exchange
-        _, _, final_value, xy_last = _solve_pass(problem, weights, final_i,
-                                                 seen)
-        values.append(final_value)
+        binary = []
+        for vals, (_, _, final_value, xy), final_i in zip(
+                values, _solve_pass(problems, groups, finals, seens), finals):
+            vals.append(final_value)
+            binary.append(_binary_fraction(xy, final_i))
     else:
-        values.append(candidates[0][1])
-        xy_last = None
+        for vals, cands in zip(values, candidates):
+            vals.append(cands[0][1])
+        binary = [1.0] * len(problems)
 
     if config.runs == 2:
-        blank1 = candidates[-1][0] if not config.keep_best_rounding \
-            else max(candidates, key=lambda c: c[1])[0]
-        off = blank1.astype(float).T[None, :, :]     # (1, N, K)
-        masked = []
-        for k, g in enumerate(problem.gains):
-            masked.append(g * (1.0 - off))
-            masked[k][:, :, k] = g[:, :, k]
-        problem2 = CoordinationProblem(
-            neighbors=nmap, weights=problem.weights, gains=masked,
-            radio=problem.radio, amc=problem.amc, margin_db=problem.margin_db)
+        blank1 = [cands[-1][0] if not config.keep_best_rounding
+                  else max(cands, key=lambda c: c[1])[0]
+                  for cands in candidates]
+        # one masked channel alive at a time: only its lanes are kept
+        groups = _lane_groups(problems, weights, (
+            _masked_triples(pr, b) for pr, b in zip(problems, blank1)))
         _, _, rounded2, _ = _subgradient_run(
-            problem2, weights, config, final_i, frozen=blank1.astype(bool))
+            problems, groups, config, finals,
+            frozen=[b.astype(bool) for b in blank1])
         # the re-run's iterates are scored on the true channel
-        candidates += [(i, bound_objective(weights, problem.triples, i, nmap))
-                       for i in rounded2]
+        for pr, w, cands, rnd in zip(problems, weights, candidates,
+                                     rounded2):
+            cands += [(i, bound_objective(w, pr.triples, i, pr.neighbors))
+                      for i in rnd]
 
+    return [_round_result(*args, config) for args in zip(
+        problems, weights, scales, candidates, values, finals, binary)]
+
+
+def _round_result(problem, weights, scale, candidates, values, final_i,
+                  binary_fraction, config):
+    """Pick the rounding, schedule it on exact rates, and report."""
+    k_sec, n_rb = problem.K, problem.N
+    nmap = problem.neighbors
     if config.keep_best_rounding:
         i_star, p_hat = max(candidates, key=lambda c: c[1])
     else:
@@ -480,8 +573,7 @@ def run_coordination(problem, config, warm_start=None):
         p_hat=p_hat * scale,
         gap_bound_percent=optimality_gap(p_relaxed, p_hat)
         if p_relaxed > 0 else 0.0,
-        binary_fraction=_binary_fraction(xy_last, final_i)
-        if xy_last is not None else 1.0,
+        binary_fraction=binary_fraction,
         binary_guarantee_percent=binary_share_guarantee(
             float(np.mean([w.shape[0] for w in weights])), nmap.k_tilde),
         gap_history=gap_hist,
@@ -503,6 +595,17 @@ def run_coordination(problem, config, warm_start=None):
     return IcicResult(blanking=i_star, assignments=assignments,
                       exact_rates=rates, realized_objective=objective,
                       gap=gap, overhead=overhead, warm_start=final_i)
+
+
+def run_coordination(problem, config, warm_start=None):
+    """Full coordinated round: subgradient master, rounding, local
+    scheduling with exact rates, gap and overhead reports.
+
+    A batch of one `run_rounds`. warm_start: optional (K, N) fractional
+    blanking from the previous execution; the default initial point is
+    all zeros (reuse-1).
+    """
+    return run_rounds([problem], config, [warm_start])[0]
 
 
 # --- closed-form reports ---

@@ -21,6 +21,22 @@ Points that keep the result bit-exact:
     ties, which is the (distance, node) order of mcnf's heap;
   - phi uses batched matmul (one BLAS dot per lane, as `np.dot`) and a
     sum over the same contiguous (M, Kt) block as `np.sum`.
+
+Lane compaction: a lane is finished once no node holds excess above its
+tolerance. At the top of every augmentation round the finished lanes
+write x, y and pi to the chunk's outputs and leave the working arrays,
+so Dijkstra, the retrace and the potential shift run on live lanes only.
+Every step is elementwise per lane or a reduction within one lane, and
+compaction keeps the lanes in order, so dropping finished rows changes
+no live lane's arithmetic and the lowest stuck lane is still the one an
+InfeasibleFlowError names.
+
+CHUNK stays 256. The (lanes, V, V) temporaries of one round (costs,
+flows, residual capacities, reduced costs and the compacted copies)
+grow with it. On the 57-sector, 50-RB benchmark round (V = 11; 2-vCPU
+host, perfbench medians) a CHUNK of 512 or 1024 cut wall time from
+0.25 s to 0.20 s or 0.17 s, but raised peak RSS from 50.3 MB to 51.4 MB
+or 55.2 MB. Cut those temporaries before raising CHUNK.
 """
 
 import numpy as np
@@ -53,27 +69,25 @@ def solve_lanes(own, nbr, w, r, rtil):
     coll = m + kt + 1
     for lo in range(0, n_lanes, CHUNK):
         c = slice(lo, lo + CHUNK)
-        flow, pi = _successive_shortest_paths(own[c], nbr[c], w[c], r[c],
-                                              rtil[c])
-        xc = x[c] = flow[:, 0, 1:m + 1]
-        yc = y[c] = flow[:, 1:m + 1, m + 1:coll]
+        x[c], y[c], pi = _successive_shortest_paths(own[c], nbr[c], w[c],
+                                                    r[c], rtil[c])
         # coordinator.subproblem_objective, lane by lane
-        phi[c] = np.matmul(w[c, None, :], (xc * r[c])[:, :, None])[:, 0, 0] \
-            + (w[c, :, None] * yc * rtil[c]).sum(axis=(1, 2))
+        phi[c] = np.matmul(w[c, None, :], (x[c] * r[c])[:, :, None])[:, 0, 0] \
+            + (w[c, :, None] * y[c] * rtil[c]).sum(axis=(1, 2))
         lam_eq[c] = pi[:, coll] - pi[:, 0]
         lam_nbr[c] = np.maximum(pi[:, m + 1:coll] - pi[:, coll, None], 0.0)
     return x, y, phi, lam_eq, lam_nbr
 
 
 def _successive_shortest_paths(own, nbr, w, r, rtil):
-    """mcnf.solve on a chunk of lanes; returns flow (L, V, V), pi (L, V)."""
+    """mcnf.solve on a chunk of lanes; returns x (L, M), y (L, M, Kt) and
+    pi (L, V)."""
     n_lanes, m = w.shape
     kt = nbr.shape[1]
     v_count = m + kt + 2
     coll = m + kt + 1
     users = slice(1, m + 1)
     nbrs = slice(m + 1, coll)
-    lane_ids = np.arange(n_lanes)
 
     # node supplies; from here on, the excess still to be routed
     excess = np.zeros((n_lanes, v_count))
@@ -113,12 +127,26 @@ def _successive_shortest_paths(own, nbr, w, r, rtil):
                              dist[:, nbrs])
     pi = -dist
 
+    x = np.empty((n_lanes, m))
+    y = np.empty((n_lanes, m, kt))
+    pi_out = np.empty((n_lanes, v_count))
+    ids = np.arange(n_lanes)     # chunk lane of each working row
     flow = np.zeros((n_lanes, v_count, v_count))
     while True:
         has_source = excess > eps[:, None]
         active = has_source.any(axis=1)
-        if not active.any():
+        if not active.all():
+            # finished lanes leave: write their result, keep the rest
+            gone = ~active
+            x[ids[gone]] = flow[gone, 0, users]
+            y[ids[gone]] = flow[gone, users, nbrs]
+            pi_out[ids[gone]] = pi[gone]
+            ids, excess, eps, cost, flow, pi, has_source = (
+                a[active] for a in (ids, excess, eps, cost, flow, pi,
+                                    has_source))
+        if ids.size == 0:
             break
+        rows = np.arange(ids.size)
         s = np.argmax(has_source, axis=1)
 
         # Dijkstra; residual capacities and reduced costs stay fixed
@@ -128,21 +156,21 @@ def _successive_shortest_paths(own, nbr, w, r, rtil):
         usable = resid > eps[:, None, None]
         red = cost - pi[:, :, None]
         red += pi[:, None, :]
-        dist = np.full((n_lanes, v_count), np.inf)
-        dist[lane_ids, s] = 0.0
-        pred = np.zeros((n_lanes, v_count), dtype=np.intp)
-        done = np.repeat(~active[:, None], v_count, axis=1)
+        dist = np.full((ids.size, v_count), np.inf)
+        dist[rows, s] = 0.0
+        pred = np.zeros((ids.size, v_count), dtype=np.intp)
+        done = np.zeros((ids.size, v_count), dtype=bool)
         for _ in range(v_count):
             key = np.where(done, np.inf, dist)
             u = np.argmin(key, axis=1)
-            d = key[lane_ids, u]
+            d = key[rows, u]
             live = np.isfinite(d)
             if not live.any():
                 break
-            done[lane_ids[live], u[live]] = True
-            red_u = red[lane_ids, u]
-            relax = usable[lane_ids, u] & ~done & live[:, None]
-            floor = -1e-7 * np.maximum(1.0, np.abs(cost[lane_ids, u]))
+            done[rows[live], u[live]] = True
+            red_u = red[rows, u]
+            relax = usable[rows, u] & ~done & live[:, None]
+            floor = -1e-7 * np.maximum(1.0, np.abs(cost[rows, u]))
             if np.any(relax & (red_u < floor)):
                 raise AssertionError("reduced-cost invariant broken")
             nd = d[:, None] + np.maximum(red_u, 0.0)
@@ -151,8 +179,9 @@ def _successive_shortest_paths(own, nbr, w, r, rtil):
             pred = np.where(better, u[:, None], pred)
 
         deficit = (excess < -eps[:, None]) & np.isfinite(dist)
-        stuck = active & ~deficit.any(axis=1)
+        stuck = ~deficit.any(axis=1)
         if stuck.any():
+            # rows keep chunk order, so this is the lowest stuck lane
             lane = int(np.argmax(stuck))
             raise mcnf.InfeasibleFlowError(
                 f"cannot route remaining supply {excess[lane, s[lane]]:.3e} "
@@ -160,15 +189,15 @@ def _successive_shortest_paths(own, nbr, w, r, rtil):
         t = np.argmin(np.where(deficit, dist, np.inf), axis=1)
 
         # retrace the paths and find the bottlenecks
-        amount = np.minimum(excess[lane_ids, s], -excess[lane_ids, t])
+        amount = np.minimum(excess[rows, s], -excess[rows, t])
         path = []
         v = t
-        walking = active & (v != s)
+        walking = v != s
         while walking.any():
-            p = pred[lane_ids, v]
+            p = pred[rows, v]
             amount = np.where(
-                walking, np.minimum(amount, resid[lane_ids, p, v]), amount)
-            path.append((lane_ids[walking], p[walking], v[walking]))
+                walking, np.minimum(amount, resid[rows, p, v]), amount)
+            path.append((rows[walking], p[walking], v[walking]))
             v = np.where(walking, p, v)
             walking &= v != s
         for idx, p, v in path:
@@ -176,12 +205,11 @@ def _successive_shortest_paths(own, nbr, w, r, rtil):
             flow[idx[fwd], p[fwd], v[fwd]] += amount[idx[fwd]]
             back = ~fwd
             flow[idx[back], v[back], p[back]] -= amount[idx[back]]
-        on = lane_ids[active]
-        excess[on, s[on]] -= amount[on]
-        excess[on, t[on]] += amount[on]
+        excess[rows, s] -= amount
+        excess[rows, t] += amount
 
         # capped potential shift, as in mcnf.solve
-        dt = dist[lane_ids, t][:, None]
+        dt = dist[rows, t][:, None]
         shift = np.minimum(np.where(np.isposinf(dist), dt, dist), dt)
-        pi = np.where(active[:, None], pi - shift, pi)
-    return flow, pi
+        pi -= shift
+    return x, y, pi_out

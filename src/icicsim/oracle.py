@@ -4,13 +4,15 @@ Everything here recomputes from first principles: exhaustive search over
 blanking patterns (exact rates and bounded rates), binary enumeration of
 the per-sector subproblem, set-equivalence checks for the linearization,
 a master pass solved one subproblem at a time, the lane engine against
-the per-lane flow solve, the SINR-bound factor identity, and dense LP
+the per-lane flow solve, lockstep batches of rounds against single
+rounds, the SINR-bound factor identity, and dense LP
 solves via scipy's HiGHS for real-valued cross-checks. scipy is imported
 inside the two LP functions, so the rest of the module loads without it.
 RBs decouple once the per-RB blanking is fixed, so enumeration runs per
 RB and sums.
 """
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -307,6 +309,34 @@ def lane_engine_check(n_lanes, seed=0):
             mismatches += len(lane_mismatches(
                 *random_lanes(rng, count, m, kt)))
     return mismatches
+
+
+def bit_equal(a, b):
+    """Exact equality: dataclasses field by field, arrays by dtype, shape
+    and bytes (so sign bits count), sequences item by item, and anything
+    else by type and repr."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            bit_equal(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(bit_equal, a, b))
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def batch_mismatches(problems, config, warm_starts=None):
+    """Indices of the problems whose coordinator.run_rounds result is not
+    bit_equal to coordinator.run_coordination on that problem alone."""
+    if warm_starts is None:
+        warm_starts = [None] * len(problems)
+    batch = coordinator.run_rounds(problems, config, warm_starts)
+    return [p for p, (prob, ws, res)
+            in enumerate(zip(problems, warm_starts, batch))
+            if not bit_equal(res, coordinator.run_coordination(prob, config,
+                                                               ws))]
 
 
 # --- dense LP references (HiGHS) ---

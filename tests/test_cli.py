@@ -67,9 +67,10 @@ def test_gapbench_small(tmp_path, capsys, monkeypatch):
     out = tmp_path / "gaps.csv"
     assert cli.main(["gapbench", "--instances", "4", "--seed", "3",
                      "--out", str(out)]) == 0
-    # one runs=2 round per instance (n_iter=5) serves both columns:
-    # 5 + 1 + 5 master passes and 2 * 6 scored roundings
-    assert counts == {"solve_lanes": 4 * 11, "bound_objective": 4 * 12}
+    # one runs=2 round per instance (n_iter=5) serves both columns, and
+    # the rounds run in lockstep: 5 + 1 + 5 master passes, each one engine
+    # call for the whole batch, and 2 * 6 scored roundings per instance
+    assert counts == {"solve_lanes": 11, "bound_objective": 4 * 12}
     text = capsys.readouterr().out
     assert "mean_gap_pct" in text
     lines = out.read_text().splitlines()

@@ -302,6 +302,69 @@ def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
                       "post": runs * n * 6 * 2}
 
 
+def _uneven_problem(seed, n_rbs=2):
+    """Six sectors keeping 1, 2 or 3 users: three lane groups."""
+    wide = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=n_rbs,
+                                k_tilde=2, seed=seed)
+    keep = [3, 1, 2, 3, 2, 1]
+    return co.CoordinationProblem(
+        neighbors=wide.neighbors,
+        weights=[w[:m] for w, m in zip(wide.weights, keep)],
+        gains=[g[:m] for g, m in zip(wide.gains, keep)], radio=wide.radio)
+
+
+def _batch_problems():
+    """Uniform M_k, uneven M_k, other K and N, and K_tilde = 3."""
+    shapes = [(6, 2, 3, 2, 81), (8, 2, 2, 2, 82), (4, 3, 5, 2, 83),
+              (6, 2, 2, 3, 84)]
+    problems = [co.problem_from_instance(random_desk_instance(
+        n_sectors=k, users_per_sector=m, n_rbs=n, k_tilde=kt, seed=seed))
+        for k, m, n, kt, seed in shapes]
+    problems.insert(1, _uneven_problem(85, n_rbs=3))
+    return problems
+
+
+@pytest.mark.parametrize("config", [
+    co.IcicConfig(n_iter=4),
+    co.IcicConfig(n_iter=4, runs=2),
+    co.IcicConfig(n_iter=3, runs=2, quantize_exchange=True, quant_bits=6),
+    co.IcicConfig(n_iter=0, runs=2),
+    co.IcicConfig(n_iter=3, init_mode="random", init_seed=4),
+    co.IcicConfig(n_iter=3, runs=2, keep_best_rounding=False),
+    co.IcicConfig(n_iter=3, runs=2, normalize_weights=False),
+], ids=["runs1", "runs2", "quantized", "no_master", "random_init",
+        "last_rounding", "raw_weights"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_batched_rounds_equal_single_rounds(config, warm):
+    problems = _batch_problems()
+    rng = np.random.default_rng(7)
+    warm_starts = [rng.random((pr.K, pr.N)) if warm and p % 2 == 0 else None
+                   for p, pr in enumerate(problems)]
+    assert oracle.batch_mismatches(problems, config, warm_starts) == []
+    # so reversing the batch reverses the results
+    assert oracle.batch_mismatches(problems[::-1], config,
+                                   warm_starts[::-1]) == []
+
+
+def test_batch_groups_lanes_by_user_count_and_k_tilde(monkeypatch):
+    # K_tilde = 2 problems with M_k in {1, 2, 3} and a K_tilde = 3 problem
+    # with M_k = 2: four groups, so four engine calls per master pass,
+    # however many problems the batch holds; a different K_tilde gets its
+    # own group rather than an error
+    counts = {"solve_lanes": 0}
+    _count_calls(monkeypatch, lanes, "solve_lanes", counts)
+    co.run_rounds(_batch_problems(), co.IcicConfig(n_iter=2, runs=2))
+    assert counts["solve_lanes"] == 4 * (2 + 1 + 2)
+
+
+def test_run_rounds_rejects_mismatched_warm_starts():
+    prob = co.problem_from_instance(random_desk_instance(
+        n_sectors=6, users_per_sector=2, n_rbs=2, k_tilde=2, seed=1))
+    with pytest.raises(ValueError):
+        co.run_rounds([prob, prob], co.IcicConfig(n_iter=1), [None])
+    assert co.run_rounds([], co.IcicConfig(n_iter=1)) == []
+
+
 def test_finalize_respects_blanking():
     inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=3,
                                 k_tilde=2, seed=33)
@@ -342,7 +405,8 @@ def _first_direction(monkeypatch, prob, config, blanking):
         return step(i_mat, grad, iteration, step_constant)
 
     monkeypatch.setattr(co, "master_step", spy)
-    co._subgradient_run(prob, prob.weights, config, blanking)
+    groups = co._lane_groups([prob], [prob.weights], [prob.triples])
+    co._subgradient_run([prob], groups, config, [blanking])
     monkeypatch.setattr(co, "master_step", step)
     return seen[0]
 
@@ -350,19 +414,12 @@ def _first_direction(monkeypatch, prob, config, blanking):
 def test_exchange_pass_matches_standalone_subgradient(monkeypatch):
     inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                 k_tilde=2, seed=71)
-    # sectors keep 1, 2 or 3 of their users, so the lanes form three groups
-    wide = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=2,
-                                k_tilde=2, seed=72)
-    keep = [3, 1, 2, 3, 2, 1]
-    uneven = co.CoordinationProblem(
-        neighbors=wide.neighbors,
-        weights=[w[:m] for w, m in zip(wide.weights, keep)],
-        gains=[g[:m] for g, m in zip(wide.gains, keep)], radio=wide.radio)
     rng = np.random.default_rng(0)
-    for prob in (co.problem_from_instance(inst), uneven):
+    for prob in (co.problem_from_instance(inst), _uneven_problem(72)):
         blanking = rng.random((6, 2))
-        lam_eq, lam_nbr, value, _ = co._solve_pass(prob, prob.weights,
-                                                   blanking, blanking)
+        groups = co._lane_groups([prob], [prob.weights], [prob.triples])
+        [(lam_eq, lam_nbr, value, _)] = co._solve_pass(
+            [prob], groups, [blanking], [blanking])
         ref_value, ref_eq, ref_nbr = oracle.reference_pass(
             prob, prob.weights, blanking)
         assert value == ref_value
@@ -396,8 +453,9 @@ def test_quantized_exchange_scales_each_message(monkeypatch):
     blanking = np.random.default_rng(1).random((6, 3))
     cfg = co.IcicConfig(n_iter=1, quantize_exchange=True, quant_bits=bits)
     seen = co._quantize(blanking, bits, vmax=1.0)
-    lam_eq, lam_nbr, _, _ = co._solve_pass(prob, prob.weights, blanking,
-                                           seen)
+    groups = co._lane_groups([prob], [prob.weights], [prob.triples])
+    [(lam_eq, lam_nbr, _, _)] = co._solve_pass([prob], groups, [blanking],
+                                               [seen])
     grad = _first_direction(monkeypatch, prob, cfg, blanking)
     assert np.array_equal(grad, co.compute_subgradient(
         lam_eq, co._quantize(lam_nbr, bits, axis=1), prob.neighbors))

@@ -38,6 +38,44 @@ def test_engine_rejects_unroutable_supply():
         lanes.solve_lanes(own, nbr, w, r, rtil)
 
 
+@pytest.mark.parametrize("m, kt", [(1, 1), (2, 2), (3, 4)])
+def test_engine_bit_equal_when_lanes_finish_at_different_rounds(
+        monkeypatch, m, kt):
+    # binary lanes finish after few augmentations (own = 1 with no blanked
+    # neighbor after none) and fractional ones after more, so with the
+    # fractional lanes last the chunks drop finished lanes round by round
+    monkeypatch.setattr(lanes, "CHUNK", SMALL_CHUNK)
+    rng = np.random.default_rng(10 * m + kt)
+    n_lanes = 3 * SMALL_CHUNK + 3
+    own, nbr, w, r, rtil = oracle.random_lanes(rng, n_lanes, m, kt)
+    n_bin = 2 * SMALL_CHUNK
+    own[:n_bin] = rng.integers(0, 2, n_bin)
+    nbr[:n_bin] = rng.integers(0, 2, (n_bin, kt))
+    own[n_bin:] = rng.random(n_lanes - n_bin)
+    nbr[n_bin:] = rng.random((n_lanes - n_bin, kt))
+    assert oracle.lane_mismatches(own, nbr, w, r, rtil) == []
+
+
+def test_engine_names_the_lowest_stuck_lane_after_compaction(monkeypatch):
+    # lanes 8-12 of the second chunk have nothing to route and leave
+    # before the first augmentation; lanes 13 and 14 route their RB supply
+    # and then both stick at a neighbor source in the next round, so the
+    # error names lane 13, as the per-lane solver does
+    monkeypatch.setattr(lanes, "CHUNK", SMALL_CHUNK)
+    own, nbr, w, r, rtil = oracle.random_lanes(np.random.default_rng(4),
+                                               2 * SMALL_CHUNK, 2, 2)
+    own[:] = 1.0
+    nbr[:] = 0.0
+    own[13:15] = 0.0
+    nbr[13] = [-1.0, 0.0]
+    nbr[14] = [0.0, -0.5]
+    with pytest.raises(mcnf.InfeasibleFlowError) as ref:
+        co.solve_subproblem(own[13], nbr[13], w[13], r[13], rtil[13])
+    with pytest.raises(mcnf.InfeasibleFlowError) as got:
+        lanes.solve_lanes(own, nbr, w, r, rtil)
+    assert str(got.value) == str(ref.value)
+
+
 @pytest.mark.parametrize("config", [
     co.IcicConfig(n_iter=3, runs=2),
     co.IcicConfig(n_iter=3, quantize_exchange=True, quant_bits=6),
