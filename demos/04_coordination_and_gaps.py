@@ -10,12 +10,10 @@ import numpy as np
 
 from icicsim import coordinator as co
 from icicsim import oracle
-from icicsim.instances import instance_triples, random_desk_instance
+from icicsim.instances import random_desk_instance
 
-inst = random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
+prob = random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
                             k_tilde=2, seed=42)
-triples = instance_triples(inst)
-prob = co.problem_from_instance(inst)
 
 res = co.run_coordination(prob, co.IcicConfig(n_iter=5))
 print("estimated gap by iteration (vs the run's relaxed estimate):")
@@ -25,8 +23,8 @@ print(f"binary fraction at the final iterate: "
       f"{res.gap.binary_fraction:.3f} "
       f"(guarantee {res.gap.binary_guarantee_percent / 100:.3f})")
 
-exh_bound = oracle.exhaustive_bound(inst, triples)
-exh_exact = oracle.exhaustive_original(inst)
+exh_bound = oracle.exhaustive_bound(prob)
+exh_exact = oracle.exhaustive_original(prob)
 true_gap = 100 * (exh_bound.value - res.gap.p_hat) / exh_bound.value
 print(f"\nbound objective: achieved {res.gap.p_hat:.1f} of "
       f"{exh_bound.value:.1f} exhaustive optimum -> true gap "

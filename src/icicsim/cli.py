@@ -78,9 +78,8 @@ def _cmd_verify(args):
           oracle.lane_engine_check(300 if quick else 3_000, seed=13) == 0)
 
     # two uniform instances and one whose sectors keep 1, 2 or 3 users
-    probs = [co.problem_from_instance(random_desk_instance(
-        n_sectors=6, users_per_sector=2, n_rbs=2, k_tilde=2, seed=60 + s))
-        for s in range(2)]
+    probs = [random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
+                                  k_tilde=2, seed=60 + s) for s in range(2)]
     wide = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=2,
                                 k_tilde=2, seed=62)
     keep = [3, 1, 2, 3, 2, 1]
@@ -95,13 +94,12 @@ def _cmd_verify(args):
 
     ok = True
     for s in range(3 if quick else 10):
-        inst = random_desk_instance(n_sectors=6, users_per_sector=2,
+        prob = random_desk_instance(n_sectors=6, users_per_sector=2,
                                     n_rbs=1, k_tilde=2, seed=40 + s)
-        prob = co.problem_from_instance(inst)
         weights = [w / 100.0 for w in prob.weights]
         i0 = np.random.default_rng(s).random((6, 1))
         v0, le, ln = oracle.reference_pass(prob, weights, i0)
-        grad = co.compute_subgradient(le, ln, inst.neighbors)
+        grad = co.compute_subgradient(le, ln, prob.neighbors)
         for t in range(10 if quick else 25):
             i1 = np.random.default_rng(1000 + s * 100 + t).random((6, 1))
             v1, _, _ = oracle.reference_pass(prob, weights, i1)
@@ -136,12 +134,10 @@ def _cmd_gapbench(args):
     from . import oracle
     from .instances import random_desk_instance
 
-    probs, optima = [], []
-    for s in range(args.instances):
-        inst = random_desk_instance(n_sectors=12, users_per_sector=2,
-                                    n_rbs=2, k_tilde=2, seed=args.seed + s)
-        probs.append(co.problem_from_instance(inst))
-        optima.append(oracle.exhaustive_bound(inst, probs[-1].triples).value)
+    probs = [random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
+                                  k_tilde=2, seed=args.seed + s)
+             for s in range(args.instances)]
+    optima = [oracle.exhaustive_bound(p).value for p in probs]
     results = co.run_rounds(probs, co.IcicConfig(n_iter=args.niter, runs=2))
     gaps = {1: [], 2: []}
     for opt, res in zip(optima, results):

@@ -87,7 +87,6 @@ class SubproblemSolution:
 @dataclass
 class GapReport:
     p_relaxed: float                 # relaxed-value estimate behind the gap
-    p_relaxed_final: float           # master value at the final iterate
     p_hat: float                     # rounded feasible bound objective
     gap_bound_percent: float
     binary_fraction: float
@@ -145,12 +144,6 @@ class CoordinationProblem:
     @property
     def N(self):
         return self.gains[0].shape[1]
-
-
-def problem_from_instance(inst, amc=None, margin_db=0.0):
-    return CoordinationProblem(neighbors=inst.neighbors, weights=inst.weights,
-                               gains=inst.gains, radio=inst.radio, amc=amc,
-                               margin_db=margin_db)
 
 
 # --- subproblem construction and duals ---
@@ -498,8 +491,13 @@ def run_rounds(problems, config, warm_starts=None):
 
     warm_starts: optional list, per problem None or a (K, N) fractional
     blanking from the previous execution; the default initial point is
-    all zeros (reuse-1).
+    all zeros (reuse-1). Every problem needs K_tilde >= 1: a sector
+    without neighbors has nothing to coordinate.
     """
+    for pr in problems:
+        if pr.neighbors.k_tilde < 1:
+            raise ValueError(f"k_tilde = {pr.neighbors.k_tilde}: coordination "
+                             f"needs k_tilde >= 1")
     if warm_starts is None:
         warm_starts = [None] * len(problems)
     if len(warm_starts) != len(problems):
@@ -553,6 +551,7 @@ def _round_result(problem, weights, scale, candidates, values, final_i,
     """Pick the rounding, schedule it on exact rates, and report."""
     k_sec, n_rb = problem.K, problem.N
     nmap = problem.neighbors
+    m_bar = float(np.mean([w.shape[0] for w in weights]))
     if config.keep_best_rounding:
         i_star, p_hat = max(candidates, key=lambda c: c[1])
     else:
@@ -562,20 +561,17 @@ def _round_result(problem, weights, scale, candidates, values, final_i,
     for _, v in candidates[:config.n_iter + 1]:
         best = max(best, v)
         p_hat_hist.append(best * scale)
-    p_relaxed_final = values[-1]
     p_relaxed = max(max(values), max(v for _, v in candidates), p_hat)
     gap_hist = [100.0 * (p_relaxed - v / scale) / p_relaxed if p_relaxed > 0
                 else 0.0 for v in p_hat_hist]
 
     gap = GapReport(
         p_relaxed=p_relaxed * scale,
-        p_relaxed_final=p_relaxed_final * scale,
         p_hat=p_hat * scale,
         gap_bound_percent=optimality_gap(p_relaxed, p_hat)
         if p_relaxed > 0 else 0.0,
         binary_fraction=binary_fraction,
-        binary_guarantee_percent=binary_share_guarantee(
-            float(np.mean([w.shape[0] for w in weights])), nmap.k_tilde),
+        binary_guarantee_percent=binary_share_guarantee(m_bar, nmap.k_tilde),
         gap_history=gap_hist,
         p_hat_history=p_hat_hist,
     )
@@ -584,7 +580,6 @@ def _round_result(problem, weights, scale, candidates, values, final_i,
         problem.gains, problem.weights, problem.radio, problem.amc, i_star,
         problem.margin_db)
 
-    m_bar = float(np.mean([w.shape[0] for w in weights]))
     overhead = overhead_report(m_bar, nmap.k_tilde, n_rb, config)
     # per iteration of each run every sector sends K_tilde*N duals and
     # its K_tilde*N blanking levels

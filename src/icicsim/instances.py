@@ -1,42 +1,18 @@
-"""Small synthetic coordination instances for benchmarks and oracles.
+"""Small synthetic coordination problems for benchmarks and oracles.
 
 These bypass the geometric channel model: gains are drawn directly so a
 dominant-interference regime can be dialed in (each interferer well above
 the aggregate of all weaker ones), which is where the single-blanked-
 neighbor rate bound is tight and exhaustive search stays affordable.
+Each instance is a `coordinator.CoordinationProblem`, so the coordinator
+and the oracles score the same weights, rates and AMC table.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
+from .coordinator import CoordinationProblem
 from .linkadapt import RadioConfig, default_amc_table, precompute_rate_triples
-from .network import NeighborMap, ring_neighbor_map
-
-
-@dataclass
-class DeskInstance:
-    """A complete per-RB coordination problem at enumeration scale."""
-
-    neighbors: NeighborMap
-    gains: list          # per sector k: (M_k, N, K) linear, serving at col k
-    weights: list        # per sector k: (M_k,)
-    radio: RadioConfig
-
-    @property
-    def K(self):
-        return self.neighbors.K
-
-    @property
-    def N(self):
-        return self.gains[0].shape[1]
-
-    @property
-    def M(self):
-        return tuple(g.shape[0] for g in self.gains)
-
-    def enumeration_budget_ok(self, cap_bits=14):
-        return self.K <= cap_bits
+from .network import ring_neighbor_map
 
 
 def random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
@@ -48,6 +24,8 @@ def random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
     form a decaying ladder (every rung 10..30x above the next), with
     `edge_fraction` of users getting a near-serving-strength dominant
     interferer. Non-neighbor sectors contribute a tiny positive floor.
+    Returns a CoordinationProblem with the default AMC table and no SINR
+    margin.
     """
     rng = np.random.default_rng(seed)
     nmap = neighbors if neighbors is not None \
@@ -74,11 +52,7 @@ def random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
         g[:, :, k] = 1.0
         gains.append(g)
         weights.append(rng.uniform(0.5, 1.5, size=users_per_sector))
-    return DeskInstance(neighbors=nmap, gains=gains, weights=weights,
-                        radio=radio)
-
-
-def instance_triples(inst, amc=None, margin_db=0.0):
-    amc = amc or default_amc_table()
-    return precompute_rate_triples(inst.gains, inst.radio, inst.neighbors,
-                                   amc, margin_db)
+    amc = default_amc_table()
+    return CoordinationProblem(
+        neighbors=nmap, weights=weights, gains=gains, radio=radio, amc=amc,
+        triples=precompute_rate_triples(gains, radio, nmap, amc))

@@ -10,9 +10,15 @@ solves via scipy's HiGHS for real-valued cross-checks. scipy is imported
 inside the two LP functions, so the rest of the module loads without it.
 RBs decouple once the per-RB blanking is fixed, so enumeration runs per
 RB and sums.
+
+The problem-level oracles (`exhaustive_original`, `exhaustive_bound`,
+`relaxed_lp_solve`) take a `coordinator.CoordinationProblem` and read
+its weights, rate triples, AMC table and SINR margin, so they score
+exactly the problem the coordinator solves.
 """
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -20,18 +26,22 @@ import numpy as np
 
 from . import coordinator, lanes
 from .coordinator import subproblem_objective
-from .linkadapt import (RadioConfig, default_amc_table, sinr_all_on,
-                        sinr_exact, sinr_one_blanked)
+from .linkadapt import RadioConfig, sinr_all_on, sinr_exact, sinr_one_blanked
 
 ENUM_CAP_BITS = 14       # at most 2^14 blanking patterns per RB
 
 
+@functools.lru_cache(maxsize=None)
 def _all_patterns(k):
+    """Every binary blanking of k sectors, (2^k, k), built once per k and
+    shared read-only."""
     if k > ENUM_CAP_BITS:
         raise ValueError(f"{k} sectors exceeds the 2^{ENUM_CAP_BITS} "
                          f"enumeration budget")
     bits = np.arange(2 ** k, dtype=np.int64)
-    return ((bits[:, None] >> np.arange(k)) & 1).astype(float)   # (P, K)
+    pats = ((bits[:, None] >> np.arange(k)) & 1).astype(float)
+    pats.flags.writeable = False
+    return pats
 
 
 @dataclass
@@ -41,28 +51,27 @@ class ExhaustiveResult:
     per_rb: np.ndarray        # (N,) per-RB optimal values
 
 
-def exhaustive_original(inst, weights=None, amc=None, margin_db=0.0):
+def exhaustive_original(problem):
     """Global optimum of the exact-rate problem by full enumeration.
 
     For every blanking pattern: exact SINR/rate for every user, then the
     per-sector argmax assignment on live RBs.
     """
-    amc = amc or default_amc_table()
-    weights = weights if weights is not None else inst.weights
-    k_sec, n_rb = inst.K, inst.N
+    amc, weights = problem.amc, problem.weights
+    k_sec, n_rb = problem.K, problem.N
     pats = _all_patterns(k_sec)                      # (P, K)
     on = 1.0 - pats                                  # transmit indicator
-    p_c, p_n = inst.radio.p_c_watts, inst.radio.p_n_watts
+    p_c, p_n = problem.radio.p_c_watts, problem.radio.p_n_watts
 
     best_val = np.full(n_rb, -np.inf)
     best_pat = np.zeros((k_sec, n_rb))
     for n in range(n_rb):
         total = np.zeros(pats.shape[0])
         for k in range(k_sec):
-            g = inst.gains[k][:, n, :]               # (M, K)
+            g = problem.gains[k][:, n, :]            # (M, K)
             interf = on @ g.T - on[:, [k]] * g[:, k]          # (P, M)
             sinr = p_c * g[:, k] / (p_c * interf + p_n)
-            rates = amc.rate_linear(sinr, margin_db)          # (P, M)
+            rates = amc.rate_linear(sinr, problem.margin_db)  # (P, M)
             sector_best = np.max(weights[k] * rates, axis=1)
             total += on[:, k] * sector_best
         arg = int(np.argmax(total))
@@ -72,16 +81,16 @@ def exhaustive_original(inst, weights=None, amc=None, margin_db=0.0):
                             per_rb=best_val)
 
 
-def exhaustive_bound(inst, triples, weights=None):
+def exhaustive_bound(problem):
     """Global optimum of the bounded-rate problem by full enumeration.
 
     The bounded rate credits only the strongest blanked neighbor, so this
     equals the optimum of the linearized binary program by construction.
     """
-    weights = weights if weights is not None else inst.weights
-    k_sec, n_rb = inst.K, inst.N
+    weights, triples = problem.weights, problem.triples
+    k_sec, n_rb = problem.K, problem.N
     pats = _all_patterns(k_sec)
-    nmap = inst.neighbors
+    nmap = problem.neighbors
 
     best_val = np.full(n_rb, -np.inf)
     best_pat = np.zeros((k_sec, n_rb))
@@ -95,7 +104,7 @@ def exhaustive_bound(inst, triples, weights=None):
                 credit = np.max(rtil[None, :, :] * blanked[:, None, :],
                                 axis=2)
             else:
-                credit = 0.0
+                credit = np.zeros((pats.shape[0], r.shape[0]))
             sector_best = np.max(weights[k] * (r + credit), axis=1)
             total += (1.0 - pats[:, k]) * sector_best
         arg = int(np.argmax(total))
@@ -366,7 +375,7 @@ class RelaxedSolveResult:
     binary_fraction: float
 
 
-def relaxed_lp_solve(inst, triples, rb, weights=None, tol=1e-6):
+def relaxed_lp_solve(problem, rb, tol=1e-6):
     """Exact optimum of the relaxed linearized problem for one RB.
 
     Solved with HiGHS dual simplex so the optimum is a vertex, which is
@@ -375,9 +384,9 @@ def relaxed_lp_solve(inst, triples, rb, weights=None, tol=1e-6):
     """
     from scipy.optimize import linprog
 
-    weights = weights if weights is not None else inst.weights
-    k_sec = inst.K
-    nmap = inst.neighbors
+    weights, triples = problem.weights, problem.triples
+    k_sec = problem.K
+    nmap = problem.neighbors
     kt = nmap.k_tilde
     m_of = [w.shape[0] for w in weights]
 

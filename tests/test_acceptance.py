@@ -15,7 +15,7 @@ from icicsim import cli
 from icicsim import coordinator as co
 from icicsim import oracle
 from icicsim.fairsched import local_schedule
-from icicsim.instances import instance_triples, random_desk_instance
+from icicsim.instances import random_desk_instance
 from icicsim.linkadapt import default_amc_table
 from icicsim.network import ring_neighbor_map
 from icicsim.simulate import parse_config, run_simulation
@@ -29,11 +29,9 @@ def desk_batch():
     t0 = time.time()
     rows = []
     for s in range(N_DESK):
-        inst = random_desk_instance(n_sectors=12, users_per_sector=2,
+        prob = random_desk_instance(n_sectors=12, users_per_sector=2,
                                     n_rbs=2, k_tilde=2, seed=DESK_SEED + s)
-        triples = instance_triples(inst)
-        exh = oracle.exhaustive_bound(inst, triples)
-        prob = co.problem_from_instance(inst)
+        exh = oracle.exhaustive_bound(prob)
         r1 = co.run_coordination(prob, co.IcicConfig(n_iter=5, runs=1))
         r2 = co.run_coordination(prob, co.IcicConfig(n_iter=5, runs=2))
         rows.append((exh, r1, r2))
@@ -72,11 +70,10 @@ def test_criterion_3_binary_share_guarantee():
     for m_bar, k_tilde, k_sec in configs:
         bound = co.binary_share_guarantee(m_bar, k_tilde) / 100.0
         for s in range(34):
-            inst = random_desk_instance(
+            prob = random_desk_instance(
                 n_sectors=k_sec, users_per_sector=m_bar, n_rbs=1,
                 k_tilde=k_tilde, seed=2000 + 100 * m_bar + s)
-            triples = instance_triples(inst)
-            res = oracle.relaxed_lp_solve(inst, triples, 0, tol=1e-6)
+            res = oracle.relaxed_lp_solve(prob, 0, tol=1e-6)
             solves += 1
             worst_margin = min(worst_margin, res.binary_fraction - bound)
             if res.binary_fraction < bound - 1e-9:
@@ -123,10 +120,9 @@ def test_criterion_5_subgradient_inequality():
     nmap = ring_neighbor_map(k_sec, 2)
     checked = 0
     for s in range(100):
-        inst = random_desk_instance(n_sectors=k_sec, users_per_sector=2,
+        prob = random_desk_instance(n_sectors=k_sec, users_per_sector=2,
                                     n_rbs=1, k_tilde=2, seed=3000 + s,
                                     neighbors=nmap)
-        prob = co.problem_from_instance(inst)
         weights = [w / 100.0 for w in prob.weights]
         base = rng.random((k_sec, 1))
         v0, le, ln = oracle.reference_pass(prob, weights, base)
@@ -166,13 +162,12 @@ def test_criterion_8_overhead_ratio():
 
 
 def test_criterion_9_reductions():
-    inst = random_desk_instance(n_sectors=9, users_per_sector=3, n_rbs=4,
+    prob = random_desk_instance(n_sectors=9, users_per_sector=3, n_rbs=4,
                                 k_tilde=2, seed=4000)
-    prob = co.problem_from_instance(inst)
     res = co.run_coordination(prob, co.IcicConfig(n_iter=0))
     assert np.all(res.blanking == 0)
     for k in range(9):
-        direct = local_schedule(inst.weights[k], res.exact_rates[k],
+        direct = local_schedule(prob.weights[k], res.exact_rates[k],
                                 np.zeros(4, dtype=np.int8))
         assert np.array_equal(res.assignments[k], direct)
 

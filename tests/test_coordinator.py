@@ -9,7 +9,6 @@ from icicsim import coordinator as co
 from icicsim import lanes, mcnf, oracle
 from icicsim.fairsched import local_schedule
 from icicsim.instances import random_desk_instance
-from icicsim.linkadapt import default_amc_table
 from icicsim.network import ring_neighbor_map
 
 
@@ -30,18 +29,17 @@ def test_blanked_own_sector_kills_rb_supply():
 
 
 def test_blanking_dominant_interferer_helps_victim():
-    inst = random_desk_instance(n_sectors=6, users_per_sector=1, n_rbs=1,
+    prob = random_desk_instance(n_sectors=6, users_per_sector=1, n_rbs=1,
                                 k_tilde=2, seed=3, edge_fraction=1.0)
-    amc = default_amc_table()
-    base = co.finalize_schedule(inst.gains, inst.weights, inst.radio, amc,
-                                np.zeros((6, 1), dtype=np.int8))
+    base = co.finalize_schedule(prob.gains, prob.weights, prob.radio,
+                                prob.amc, np.zeros((6, 1), dtype=np.int8))
     # blank user 0's strongest interferer
-    victim_gains = inst.gains[0][0, 0]
+    victim_gains = prob.gains[0][0, 0]
     dominant = int(np.argsort(victim_gains)[-2])    # strongest non-serving
     blank = np.zeros((6, 1), dtype=np.int8)
     blank[dominant, 0] = 1
-    helped = co.finalize_schedule(inst.gains, inst.weights, inst.radio, amc,
-                                  blank)
+    helped = co.finalize_schedule(prob.gains, prob.weights, prob.radio,
+                                  prob.amc, blank)
     assert helped[1][0][0, 0] >= base[1][0][0, 0]
 
 
@@ -121,14 +119,13 @@ def test_subgradient_missing_dual_is_error():
 
 def test_subgradient_inequality_random_probes():
     rng = np.random.default_rng(3)
-    inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=1,
+    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=1,
                                 k_tilde=2, seed=17)
-    prob = co.problem_from_instance(inst)
     weights = [w / 100.0 for w in prob.weights]
     for _ in range(10):
         i0 = rng.random((6, 1))
         v0, le, ln = oracle.reference_pass(prob, weights, i0)
-        grad = co.compute_subgradient(le, ln, inst.neighbors)
+        grad = co.compute_subgradient(le, ln, prob.neighbors)
         for _ in range(25):
             i1 = rng.random((6, 1))
             v1, _, _ = oracle.reference_pass(prob, weights, i1)
@@ -188,10 +185,10 @@ def test_overhead_formulas():
 
 @pytest.mark.parametrize("runs", [1, 2])
 def test_simulated_exchange_matches_formula(runs):
-    inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=3,
+    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=3,
                                 k_tilde=2, seed=5)
     cfg = co.IcicConfig(n_iter=4, quant_bits=8, runs=runs)
-    res = co.run_coordination(co.problem_from_instance(inst), cfg)
+    res = co.run_coordination(prob, cfg)
     # per iteration of each run every sector sends Kt*N duals and Kt*N
     # blanking values
     expected_values = runs * 2 * cfg.n_iter * 2 * 3 * 6
@@ -200,21 +197,19 @@ def test_simulated_exchange_matches_formula(runs):
 
 
 def test_skip_master_reduces_to_uncoordinated():
-    inst = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=4,
+    prob = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=4,
                                 k_tilde=2, seed=9)
-    prob = co.problem_from_instance(inst)
     res = co.run_coordination(prob, co.IcicConfig(n_iter=0))
     assert np.all(res.blanking == 0)
     for k in range(6):
-        direct = local_schedule(inst.weights[k], res.exact_rates[k],
+        direct = local_schedule(prob.weights[k], res.exact_rates[k],
                                 np.zeros(4, dtype=np.int8))
         assert np.array_equal(res.assignments[k], direct)
 
 
 def test_tiny_steps_stay_near_reuse1():
-    inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
+    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                 k_tilde=2, seed=11)
-    prob = co.problem_from_instance(inst)
     res = co.run_coordination(prob, co.IcicConfig(
         n_iter=1, step_constant=1e-9, keep_best_rounding=False))
     assert np.all(res.blanking == 0)
@@ -222,19 +217,17 @@ def test_tiny_steps_stay_near_reuse1():
 
 def test_max_sinr_center_users_stay_reuse1():
     # all cell-center users: blanking has nothing to offer
-    inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
+    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                 k_tilde=2, seed=13, edge_fraction=0.0)
-    prob = co.problem_from_instance(inst)
     res = co.run_coordination(prob, co.IcicConfig(n_iter=5))
     assert res.blanking.sum() <= 1
 
 
 def test_gap_report_invariants():
     for seed in range(8):
-        inst = random_desk_instance(n_sectors=8, users_per_sector=2, n_rbs=2,
+        prob = random_desk_instance(n_sectors=8, users_per_sector=2, n_rbs=2,
                                     k_tilde=2, seed=seed)
-        res = co.run_coordination(co.problem_from_instance(inst),
-                                   co.IcicConfig(n_iter=5))
+        res = co.run_coordination(prob, co.IcicConfig(n_iter=5))
         g = res.gap
         assert g.p_relaxed >= g.p_hat - 1e-9
         assert g.gap_bound_percent >= -1e-12
@@ -247,9 +240,8 @@ def test_gap_report_invariants():
 
 
 def test_warm_start_accepted_and_deterministic():
-    inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
+    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                 k_tilde=2, seed=21)
-    prob = co.problem_from_instance(inst)
     first = co.run_coordination(prob, co.IcicConfig(n_iter=3))
     again = co.run_coordination(prob, co.IcicConfig(n_iter=3))
     assert np.array_equal(first.blanking, again.blanking)
@@ -260,9 +252,8 @@ def test_warm_start_accepted_and_deterministic():
 
 def test_two_runs_never_worse_on_bound_objective():
     for seed in range(6):
-        inst = random_desk_instance(n_sectors=10, users_per_sector=2,
+        prob = random_desk_instance(n_sectors=10, users_per_sector=2,
                                     n_rbs=2, k_tilde=2, seed=40 + seed)
-        prob = co.problem_from_instance(inst)
         r1 = co.run_coordination(prob, co.IcicConfig(n_iter=4, runs=1))
         r2 = co.run_coordination(prob, co.IcicConfig(n_iter=4, runs=2))
         assert r2.gap.p_hat >= r1.gap.p_hat - 1e-9
@@ -283,9 +274,8 @@ def _count_calls(monkeypatch, owner, name, counts):
 @pytest.mark.parametrize("runs", [1, 2])
 def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
     # equal M_k: one lane group, so one engine call per master pass
-    inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
+    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                 k_tilde=2, seed=3)
-    prob = co.problem_from_instance(inst)
     counts = {"solve_lanes": 0, "bound_objective": 0, "post": 0}
     _count_calls(monkeypatch, lanes, "solve_lanes", counts)
     _count_calls(monkeypatch, co, "bound_objective", counts)
@@ -317,9 +307,9 @@ def _batch_problems():
     """Uniform M_k, uneven M_k, other K and N, and K_tilde = 3."""
     shapes = [(6, 2, 3, 2, 81), (8, 2, 2, 2, 82), (4, 3, 5, 2, 83),
               (6, 2, 2, 3, 84)]
-    problems = [co.problem_from_instance(random_desk_instance(
-        n_sectors=k, users_per_sector=m, n_rbs=n, k_tilde=kt, seed=seed))
-        for k, m, n, kt, seed in shapes]
+    problems = [random_desk_instance(n_sectors=k, users_per_sector=m,
+                                     n_rbs=n, k_tilde=kt, seed=seed)
+                for k, m, n, kt, seed in shapes]
     problems.insert(1, _uneven_problem(85, n_rbs=3))
     return problems
 
@@ -358,30 +348,29 @@ def test_batch_groups_lanes_by_user_count_and_k_tilde(monkeypatch):
 
 
 def test_run_rounds_rejects_mismatched_warm_starts():
-    prob = co.problem_from_instance(random_desk_instance(
-        n_sectors=6, users_per_sector=2, n_rbs=2, k_tilde=2, seed=1))
+    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
+                                k_tilde=2, seed=1)
     with pytest.raises(ValueError):
         co.run_rounds([prob, prob], co.IcicConfig(n_iter=1), [None])
     assert co.run_rounds([], co.IcicConfig(n_iter=1)) == []
 
 
 def test_finalize_respects_blanking():
-    inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=3,
+    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=3,
                                 k_tilde=2, seed=33)
     blank = np.zeros((6, 3), dtype=np.int8)
     blank[2, 1] = 1
     blank[4, 0] = 1
     assigns, rates, obj = co.finalize_schedule(
-        inst.gains, inst.weights, inst.radio, default_amc_table(), blank)
+        prob.gains, prob.weights, prob.radio, prob.amc, blank)
     for k in range(6):
         assert np.array_equal(assigns[k].sum(axis=0), 1 - blank[k])
     assert obj > 0
 
 
 def test_quantized_exchange_toggle():
-    inst = random_desk_instance(n_sectors=8, users_per_sector=2, n_rbs=2,
+    prob = random_desk_instance(n_sectors=8, users_per_sector=2, n_rbs=2,
                                 k_tilde=2, seed=61)
-    prob = co.problem_from_instance(inst)
     full = co.run_coordination(prob, co.IcicConfig(n_iter=4))
     fine = co.run_coordination(prob, co.IcicConfig(
         n_iter=4, quantize_exchange=True, quant_bits=24))
@@ -412,10 +401,10 @@ def _first_direction(monkeypatch, prob, config, blanking):
 
 
 def test_exchange_pass_matches_standalone_subgradient(monkeypatch):
-    inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
-                                k_tilde=2, seed=71)
+    uniform = random_desk_instance(n_sectors=6, users_per_sector=2,
+                                   n_rbs=2, k_tilde=2, seed=71)
     rng = np.random.default_rng(0)
-    for prob in (co.problem_from_instance(inst), _uneven_problem(72)):
+    for prob in (uniform, _uneven_problem(72)):
         blanking = rng.random((6, 2))
         groups = co._lane_groups([prob], [prob.weights], [prob.triples])
         [(lam_eq, lam_nbr, value, _)] = co._solve_pass(
@@ -447,9 +436,8 @@ def test_quantized_exchange_scales_each_message(monkeypatch):
             assert np.array_equal(got[k, :, pos], want)
     assert np.all(got[:2, :, 0] == 0.0)        # all-zero messages
     # the master steps along the exchange of the quantized duals
-    inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=3,
+    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=3,
                                 k_tilde=2, seed=71)
-    prob = co.problem_from_instance(inst)
     blanking = np.random.default_rng(1).random((6, 3))
     cfg = co.IcicConfig(n_iter=1, quantize_exchange=True, quant_bits=bits)
     seen = co._quantize(blanking, bits, vmax=1.0)

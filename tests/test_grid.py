@@ -54,9 +54,9 @@ def _uneven_instance(seed, keep, n_rbs):
 
 
 def _cases():
-    inst = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=5,
+    prob = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=5,
                                 k_tilde=2, seed=81)
-    yield "uniform", inst.gains, inst.weights, inst.radio
+    yield "uniform", prob.gains, prob.weights, prob.radio
     yield ("uneven",) + _uneven_instance(82, [3, 1, 2, 4, 2, 1], 4)
     yield ("one RB",) + _uneven_instance(83, [2, 1, 2, 3, 1, 2], 1)
     dims = nw.NetworkDims(K=21, sites=7, M=(1, 3, 2) * 7, N=6)

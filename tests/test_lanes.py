@@ -86,7 +86,7 @@ def test_coordination_never_calls_the_per_lane_solver(monkeypatch, config):
     monkeypatch.setattr(mcnf, "solve", forbidden)
     monkeypatch.setattr(co, "solve_subproblem", forbidden)
     monkeypatch.setattr(co, "build_subproblem_network", forbidden)
-    inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=3,
+    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=3,
                                 k_tilde=2, seed=8)
-    res = co.run_coordination(co.problem_from_instance(inst), config)
+    res = co.run_coordination(prob, config)
     assert set(np.unique(res.blanking)) <= {0, 1}

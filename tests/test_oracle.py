@@ -10,26 +10,29 @@ import pytest
 import icicsim
 from icicsim import coordinator as co
 from icicsim import oracle
-from icicsim.instances import (DeskInstance, instance_triples,
-                               random_desk_instance)
-from icicsim.linkadapt import RadioConfig, default_amc_table
+from icicsim.instances import random_desk_instance
+from icicsim.linkadapt import RadioConfig
 from icicsim.network import ring_neighbor_map
 
 
 def test_single_sector_never_blanks():
-    inst = random_desk_instance(n_sectors=1, users_per_sector=3, n_rbs=2,
+    prob = random_desk_instance(n_sectors=1, users_per_sector=3, n_rbs=2,
                                 k_tilde=0, seed=0)
-    amc = default_amc_table()
-    res = oracle.exhaustive_original(inst)
+    res = oracle.exhaustive_original(prob)
     assert np.all(res.patterns == 0)
     # optimum is the best single weighted rate per RB
     expected = 0.0
     for n in range(2):
-        rates = amc.rate_linear(
-            inst.radio.p_c_watts * inst.gains[0][:, n, 0]
-            / inst.radio.p_n_watts)
-        expected += float(np.max(inst.weights[0] * rates))
+        rates = prob.amc.rate_linear(
+            prob.radio.p_c_watts * prob.gains[0][:, n, 0]
+            / prob.radio.p_n_watts)
+        expected += float(np.max(prob.weights[0] * rates))
     assert res.value == pytest.approx(expected, rel=1e-12)
+    # no interferers, so the bounded rates are the exact ones
+    assert oracle.exhaustive_bound(prob).value == res.value
+    # nothing to coordinate without neighbors
+    with pytest.raises(ValueError, match="k_tilde"):
+        co.run_coordination(prob, co.IcicConfig())
 
 
 def test_zero_cross_gains_keep_reuse1():
@@ -40,23 +43,22 @@ def test_zero_cross_gains_keep_reuse1():
         g = np.full((2, 1, 4), 1e-12)
         g[:, :, k] = rng.uniform(0.5, 1.0, size=(2, 1))
         gains.append(g)
-    inst = DeskInstance(neighbors=nmap, gains=gains,
-                        weights=[np.ones(2)] * 4,
-                        radio=RadioConfig(p_c_watts=1.0, p_n_watts=0.01))
-    res = oracle.exhaustive_original(inst)
+    prob = co.CoordinationProblem(
+        neighbors=nmap, weights=[np.ones(2)] * 4, gains=gains,
+        radio=RadioConfig(p_c_watts=1.0, p_n_watts=0.01))
+    res = oracle.exhaustive_original(prob)
     assert np.all(res.patterns == 0)
 
 
 def test_exhaustive_bound_at_reuse1_matches_all_on_objective():
-    inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
+    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                 k_tilde=2, seed=2)
-    triples = instance_triples(inst)
-    reuse1 = sum(float(np.max(inst.weights[k][:, None] * triples.r[k],
+    reuse1 = sum(float(np.max(prob.weights[k][:, None] * prob.triples.r[k],
                               axis=0).sum()) for k in range(6))
-    res = oracle.exhaustive_bound(inst, triples)
+    res = oracle.exhaustive_bound(prob)
     assert res.value >= reuse1 - 1e-9
-    zero_val = co.bound_objective(inst.weights, triples,
-                                  np.zeros((6, 2), dtype=int), inst.neighbors)
+    zero_val = co.bound_objective(prob.weights, prob.triples,
+                                  np.zeros((6, 2), dtype=int), prob.neighbors)
     assert zero_val == pytest.approx(reuse1, rel=1e-12)
 
 
@@ -64,43 +66,72 @@ def test_bound_equals_original_when_single_neighbor():
     # with K_tilde = 1 at most one neighbor can blank per user, where the
     # bound is exact, so both enumerations agree
     for seed in range(5):
-        inst = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=1,
+        prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=1,
                                     k_tilde=1, seed=seed, edge_fraction=0.6)
-        triples = instance_triples(inst)
-        a = oracle.exhaustive_original(inst)
-        b = oracle.exhaustive_bound(inst, triples)
+        a = oracle.exhaustive_original(prob)
+        b = oracle.exhaustive_bound(prob)
         assert b.value == pytest.approx(a.value, rel=1e-12)
 
 
 def test_bound_below_original_generally():
     for seed in range(5):
-        inst = random_desk_instance(n_sectors=8, users_per_sector=2, n_rbs=1,
+        prob = random_desk_instance(n_sectors=8, users_per_sector=2, n_rbs=1,
                                     k_tilde=2, seed=10 + seed)
-        triples = instance_triples(inst)
-        a = oracle.exhaustive_original(inst)
-        b = oracle.exhaustive_bound(inst, triples)
+        a = oracle.exhaustive_original(prob)
+        b = oracle.exhaustive_bound(prob)
         assert b.value <= a.value + 1e-9
 
 
 def test_algorithm_never_beats_exhaustive():
     for seed in range(5):
-        inst = random_desk_instance(n_sectors=10, users_per_sector=2,
+        prob = random_desk_instance(n_sectors=10, users_per_sector=2,
                                     n_rbs=2, k_tilde=2, seed=20 + seed)
-        triples = instance_triples(inst)
-        prob = co.problem_from_instance(inst)
         res = co.run_coordination(prob, co.IcicConfig(n_iter=5))
-        exh = oracle.exhaustive_original(inst)
-        exh_b = oracle.exhaustive_bound(inst, triples)
+        exh = oracle.exhaustive_original(prob)
+        exh_b = oracle.exhaustive_bound(prob)
         assert res.realized_objective <= exh.value * (1 + 1e-9)
         assert res.gap.p_hat <= exh_b.value * (1 + 1e-9)
 
 
+def test_oracles_score_the_problems_own_rates():
+    # sectors keeping 1, 2 or 3 users and a 3 dB SINR margin: the oracles
+    # must take the weights, rates and margin from the problem
+    wide = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=2,
+                                k_tilde=2, seed=91)
+    keep = [3, 1, 2, 3, 2, 1]
+    prob = co.CoordinationProblem(
+        neighbors=wide.neighbors,
+        weights=[w[:m] for w, m in zip(wide.weights, keep)],
+        gains=[g[:m] for g, m in zip(wide.gains, keep)], radio=wide.radio,
+        margin_db=3.0)
+    bound = oracle.exhaustive_bound(prob)
+    rng = np.random.default_rng(3)
+    for _ in range(64):
+        pattern = rng.integers(0, 2, (prob.K, prob.N))
+        val = co.bound_objective(prob.weights, prob.triples, pattern,
+                                 prob.neighbors)
+        assert bound.value >= val * (1 - 1e-12)
+    assert bound.value == pytest.approx(co.bound_objective(
+        prob.weights, prob.triples, bound.patterns, prob.neighbors),
+        rel=1e-12)
+    exact = oracle.exhaustive_original(prob)
+    assert exact.value == pytest.approx(co.finalize_schedule(
+        prob.gains, prob.weights, prob.radio, prob.amc, exact.patterns,
+        prob.margin_db)[2], rel=1e-12)
+    # the margin is not a no-op on this problem
+    assert exact.value < oracle.exhaustive_original(
+        co.CoordinationProblem(neighbors=prob.neighbors, weights=prob.weights,
+                               gains=prob.gains, radio=prob.radio)).value
+
+
 def test_enumeration_budget_guard():
-    inst = random_desk_instance(n_sectors=12, users_per_sector=1, n_rbs=1,
-                                k_tilde=2, seed=0)
     with pytest.raises(ValueError):
         oracle._all_patterns(20)
-    assert inst.enumeration_budget_ok()
+    # built once per K and shared, so callers cannot change it
+    pats = oracle._all_patterns(oracle.ENUM_CAP_BITS)
+    assert pats.shape == (2 ** oracle.ENUM_CAP_BITS, oracle.ENUM_CAP_BITS)
+    assert oracle._all_patterns(oracle.ENUM_CAP_BITS) is pats
+    assert not pats.flags.writeable
 
 
 def test_subproblem_enumeration_trivial_cases():
@@ -133,16 +164,15 @@ def test_bound_factor_report_clean():
 
 def test_relaxed_lp_dominates_binary():
     for seed in range(8):
-        inst = random_desk_instance(n_sectors=8, users_per_sector=2, n_rbs=1,
+        prob = random_desk_instance(n_sectors=8, users_per_sector=2, n_rbs=1,
                                     k_tilde=2, seed=30 + seed)
-        triples = instance_triples(inst)
-        relaxed = oracle.relaxed_lp_solve(inst, triples, 0)
-        exh = oracle.exhaustive_bound(inst, triples)
+        relaxed = oracle.relaxed_lp_solve(prob, 0)
+        exh = oracle.exhaustive_bound(prob)
         assert relaxed.value >= exh.per_rb[0] - 1e-6
         # rounding the relaxed blanking stays below the binary optimum
         rounded = co.round_blanking(relaxed.blanking)
-        val = co.bound_objective(inst.weights, triples,
-                                 rounded[:, None], inst.neighbors)
+        val = co.bound_objective(prob.weights, prob.triples,
+                                 rounded[:, None], prob.neighbors)
         assert val <= exh.per_rb[0] + 1e-6
 
 
@@ -150,13 +180,11 @@ def test_certified_gap_dominates_true_gap():
     # with the exact relaxed optimum as reference, the certified bound is
     # never below the true gap against the binary optimum
     for seed in range(6):
-        inst = random_desk_instance(n_sectors=8, users_per_sector=2, n_rbs=1,
+        prob = random_desk_instance(n_sectors=8, users_per_sector=2, n_rbs=1,
                                     k_tilde=2, seed=60 + seed)
-        triples = instance_triples(inst)
-        relaxed = oracle.relaxed_lp_solve(inst, triples, 0)
-        binary = oracle.exhaustive_bound(inst, triples).per_rb[0]
-        res = co.run_coordination(co.problem_from_instance(inst),
-                                  co.IcicConfig(n_iter=5))
+        relaxed = oracle.relaxed_lp_solve(prob, 0)
+        binary = oracle.exhaustive_bound(prob).per_rb[0]
+        res = co.run_coordination(prob, co.IcicConfig(n_iter=5))
         p_hat = res.gap.p_hat
         certified = co.optimality_gap(relaxed.value, p_hat)
         true_gap = co.optimality_gap(binary, min(p_hat, binary))
@@ -164,11 +192,10 @@ def test_certified_gap_dominates_true_gap():
 
 
 def test_relaxed_lp_satisfies_constraints():
-    inst = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=1,
+    prob = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=1,
                                 k_tilde=2, seed=50)
-    triples = instance_triples(inst)
-    res = oracle.relaxed_lp_solve(inst, triples, 0)
-    nmap = inst.neighbors
+    res = oracle.relaxed_lp_solve(prob, 0)
+    nmap = prob.neighbors
     for k in range(6):
         assert res.x[k].sum() + res.blanking[k] == pytest.approx(1.0, abs=1e-8)
         assert np.all(res.y[k].sum(axis=1) <= res.x[k] + 1e-8)
