@@ -1,12 +1,17 @@
 """Scenario configuration, the drop/sub-frame Monte Carlo loop, static
 reuse baselines, metrics, and CSV emission.
 
-The loop per drop: draw a channel (positions, shadowing, fading), then
-per sub-frame update fairness weights, run the selected scheme (the
-coordinated one every rho sub-frames, holding its blanking in between,
-or a static reuse pattern), realize exact rates, and fold the scheduled
-rates back into the averages. Every random draw descends from the single
-configured seed, so identical configs produce identical output bytes.
+Drops run in groups of consecutive drops, as many as fill one lane-engine
+chunk (`lanes.CHUNK`) with their K*N subproblems, at least one. Each drop
+of a group draws its channel (positions, shadowing, fading); then the
+sub-frames run in order, and per sub-frame every drop refades and updates
+its fairness weights, the selected scheme runs (the coordinated one every
+rho sub-frames as one lockstep `run_rounds` call over the group's drops,
+holding each drop's blanking in between; or a static reuse pattern), and
+each drop realizes exact rates and folds the scheduled rates back into
+its averages. Output rows stay in drop order. Every random draw descends
+from the configured seed through per-drop streams, so the grouping
+changes no number and identical configs produce identical output bytes.
 """
 
 import hashlib
@@ -16,9 +21,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import lanes
 from . import network as nw
-from .coordinator import (CoordinationProblem, IcicConfig, finalize_schedule,
-                          overhead_report, run_coordination)
+# run_coordination is unused here, but perfbench/tracing.py wraps
+# `simulate.run_coordination` by name and fails when it is missing; the
+# import can go once the tracer wraps run_rounds instead
+from .coordinator import (CoordinationProblem, IcicConfig,
+                          finalize_schedule, overhead_report,
+                          run_coordination, run_rounds)
 from .fairsched import AverageRateTracker, WeightPolicy, compute_weights
 from .linkadapt import RadioConfig, default_amc_table
 from .schema import ConfigError, check_fields, rule, rule_of
@@ -153,11 +163,24 @@ def _check_feasible(cfg):
         raise bad("scenario.sites", sc.sites, exc) from None
     k = 3 * sc.sites
     tensor_bytes = k * sc.users_per_sector * sc.rbs * k * 8
-    if tensor_bytes > _physical_memory_bytes():
+    # every drop of a group keeps its channel plus the delay history
+    group = _drop_group(k * sc.rbs, sc.drops)
+    kept = min(sc.subframes, sc.estimation_delay_subframes + 1)
+    memory = _physical_memory_bytes()
+    if group * 2 * tensor_bytes > memory:
         raise bad("scenario.users_per_sector", sc.users_per_sector,
-                  f"with {sc.sites} sites and {sc.rbs} RBs the gain tensor "
-                  f"needs {tensor_bytes / 2**30:.1f} GiB, more than "
-                  f"physical memory")
+                  f"with {sc.sites} sites and {sc.rbs} RBs the "
+                  f"{2 * group} gain tensors of {group} drops run together "
+                  f"need {group * 2 * tensor_bytes / 2**30:.1f} GiB, more "
+                  f"than physical memory")
+    if group * (1 + kept) * tensor_bytes > memory:
+        raise bad("scenario.estimation_delay_subframes",
+                  sc.estimation_delay_subframes,
+                  f"each of the {group} drops run together keeps {kept} "
+                  f"past gain tensors of {tensor_bytes / 2**20:.1f} MiB "
+                  f"besides its channel, "
+                  f"{group * (1 + kept) * tensor_bytes / 2**30:.1f} GiB in "
+                  f"all, more than physical memory")
     if cfg.scheme != "proposed":
         try:
             baseline_reuse(cfg.scheme, k, sc.rbs)
@@ -303,6 +326,47 @@ def _percentiles(values, percents):
     return {p: float(np.percentile(flat, p)) for p in percents}
 
 
+def _drop_group(lanes_per_drop, drops):
+    """Drops advanced together: as many as fill one engine chunk with
+    their K*N lanes, at least one."""
+    return min(drops, max(1, lanes.CHUNK // lanes_per_drop))
+
+
+class _Drop:
+    """One drop of a group: its channel, random streams and running state.
+
+    Each drop draws from its own seeds, so drops advanced side by side get
+    the same numbers as drops run one after another.
+    """
+
+    def __init__(self, index, sc, layout, dims, chcfg, radio):
+        root = np.random.SeedSequence(entropy=(sc.seed, index))
+        ch_seed, fade_seed = root.spawn(2)
+        n_users = sum(dims.M)
+        self.index = index
+        self.channel = nw.draw_channels(layout, dims, chcfg, radio,
+                                        seed=ch_seed)
+        self.fade_rng = np.random.default_rng(fade_seed)
+        self.tracker = AverageRateTracker(num_users=n_users, t_c=sc.t_c)
+        self.warm = None
+        self.held = np.zeros((dims.K, dims.N), dtype=np.int8)
+        self.history = []                 # stale tensors for the delay knob
+        self.thr_sum = np.zeros(n_users)  # every user, in sector order
+        self.gap_rows = []
+
+    def observe(self, t, sc, dims):
+        """Sub-frame t's true channel and the one the scheme knows."""
+        tensor = self.channel if (t == 0 or not sc.refade_each_subframe
+                                  or not sc.fast_fading) \
+            else nw.refade(self.channel, dims, self.fade_rng)
+        self.history.append(tensor)
+        delay = min(sc.estimation_delay_subframes, len(self.history) - 1)
+        known = self.history[-1 - delay]
+        if len(self.history) > sc.estimation_delay_subframes + 1:
+            self.history.pop(0)
+        return tensor, known
+
+
 def run_simulation(config):
     """Execute the configured Monte Carlo and aggregate the metrics."""
     sc = config.scenario
@@ -329,44 +393,35 @@ def run_simulation(config):
     blank_counts = np.zeros(dims.N + 1)
     gap_rows = []
     overhead = None
+    group = _drop_group(dims.K * dims.N, sc.drops)
 
-    for drop in range(sc.drops):
-        root = np.random.SeedSequence(entropy=(sc.seed, drop))
-        ch_seed, fade_seed = root.spawn(2)
-        channel = nw.draw_channels(layout, dims, chcfg, radio,
-                                   seed=ch_seed)
-        fade_rng = np.random.default_rng(fade_seed)
-        tracker = AverageRateTracker(num_users=n_users, t_c=sc.t_c)
-        warm = None
-        held = np.zeros((dims.K, dims.N), dtype=np.int8)
-        history = []                      # stale tensors for the delay knob
-        thr_sum = np.zeros(n_users)       # every user, in sector order
-
+    for first in range(0, sc.drops, group):
+        batch = [_Drop(d, sc, layout, dims, chcfg, radio)
+                 for d in range(first, min(first + group, sc.drops))]
         for t in range(sc.subframes):
-            tensor = channel if (t == 0 or not sc.refade_each_subframe
-                                 or not sc.fast_fading) \
-                else nw.refade(channel, dims, fade_rng)
-            history.append(tensor)
-            delay = min(sc.estimation_delay_subframes, len(history) - 1)
-            known = history[-1 - delay]
-            if len(history) > sc.estimation_delay_subframes + 1:
-                history.pop(0)
+            coordinate = static is None and t % config.icic.rho == 0
+            tensors, weights, problems = [], [], []
+            for d in batch:
+                tensor, known = d.observe(t, sc, dims)
+                w = nw.SectorViews(
+                    compute_weights(config.scheduler, d.tracker), dims.M)
+                tensors.append(tensor)
+                weights.append(w)
+                if coordinate:
+                    problems.append(CoordinationProblem(
+                        neighbors=nmap, weights=w, gains=known.gains,
+                        radio=radio, amc=amc, margin_db=sc.sinr_margin_db))
 
-            weights = nw.SectorViews(
-                compute_weights(config.scheduler, tracker), dims.M)
-
-            if config.scheme == "proposed":
-                if t % config.icic.rho == 0:
-                    problem = CoordinationProblem(
-                        neighbors=nmap, weights=weights, gains=known.gains,
-                        radio=radio, amc=amc, margin_db=sc.sinr_margin_db)
-                    res = run_coordination(problem, config.icic,
-                                           warm_start=warm)
-                    warm = res.warm_start
-                    held = res.blanking
+            if coordinate:
+                # one lockstep round over the group's drops
+                results = run_rounds(problems, config.icic,
+                                     [d.warm for d in batch])
+                for d, res in zip(batch, results):
+                    d.warm = res.warm_start
+                    d.held = res.blanking
                     overhead = res.overhead
-                    gap_rows.append({
-                        "drop": drop, "subframe": t,
+                    d.gap_rows.append({
+                        "drop": d.index, "subframe": t,
                         "rb_set": f"0-{dims.N - 1}",
                         "p_relaxed": res.gap.p_relaxed,
                         "p_hat": res.gap.p_hat,
@@ -374,27 +429,28 @@ def run_simulation(config):
                         "binary_frac": res.gap.binary_fraction,
                         "prop1_bound": res.gap.binary_guarantee_percent})
                     for k in range(dims.K):
-                        blank_counts[int(held[k].sum())] += 1
-                blanking = held
-            else:
-                blanking = static
-                if t == 0:
-                    for k in range(dims.K):
-                        blank_counts[int(blanking[k].sum())] += 1
+                        blank_counts[int(d.held[k].sum())] += 1
 
-            assigns, rates, _ = finalize_schedule(
-                tensor.gains, weights, radio, amc, blanking,
-                sc.sinr_margin_db)
-            scheduled = (assigns.stacked * rates.stacked).sum(axis=1)
-            tracker.update(scheduled)
-            thr_sum += scheduled
+            for d, tensor, w in zip(batch, tensors, weights):
+                blanking = d.held if static is None else static
+                assigns, rates, _ = finalize_schedule(
+                    tensor.gains, w, radio, amc, blanking, sc.sinr_margin_db)
+                scheduled = (assigns.stacked * rates.stacked).sum(axis=1)
+                d.tracker.update(scheduled)
+                d.thr_sum += scheduled
 
-        user_thr = thr_sum / sc.subframes * 1e3 / sc.bandwidth_hz
-        throughput.extend(user_thr.tolist())
-        user_sector.extend(np.repeat(np.arange(dims.K), dims.M).tolist())
-        user_drop.extend([drop] * n_users)
-        sector_thr[drop] = [float(part.sum()) for part in
-                            nw.SectorViews(user_thr, dims.M)]
+        # rows stay in drop order
+        for d in batch:
+            gap_rows.extend(d.gap_rows)
+            user_thr = d.thr_sum / sc.subframes * 1e3 / sc.bandwidth_hz
+            throughput.extend(user_thr.tolist())
+            user_sector.extend(np.repeat(np.arange(dims.K), dims.M).tolist())
+            user_drop.extend([d.index] * n_users)
+            sector_thr[d.index] = [float(part.sum()) for part in
+                                   nw.SectorViews(user_thr, dims.M)]
+            if static is not None:
+                for k in range(dims.K):
+                    blank_counts[int(static[k].sum())] += 1
 
     throughput = np.array(throughput)
     outage = [(float(rmin), float(np.mean(throughput < rmin)))

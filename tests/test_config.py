@@ -47,6 +47,10 @@ PROBES = [
     ("scenario.noise_per_rb_dbm = inf", "scenario.noise_per_rb_dbm"),
     ("scenario.tilt_deg = nan", "scenario.tilt_deg"),
     ("scenario.users_per_sector = 200000000", "scenario.users_per_sector"),
+    # the delay history, not one tensor, is what outgrows memory here
+    ("scenario.subframes = 100000000\n"
+     "scenario.estimation_delay_subframes = 100000000",
+     "scenario.estimation_delay_subframes"),
 ]
 
 

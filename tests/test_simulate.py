@@ -5,11 +5,13 @@ import os
 import numpy as np
 import pytest
 
+from icicsim import lanes
 from icicsim import network as nw
 from icicsim.coordinator import finalize_schedule
 from icicsim.linkadapt import default_amc_table
 from icicsim.simulate import (ConfigError, MetricsReport, baseline_reuse,
-                              emit_reports, parse_config, run_simulation)
+                              emit_reports, load_config, parse_config,
+                              run_simulation)
 
 SMALL = """
 scenario.sites = 4
@@ -264,3 +266,62 @@ def test_scenario_variants_run():
         rep = run_simulation(parse_config(SMALL + extra))
         assert np.all(np.isfinite(rep.throughput_bps_hz)), extra
         assert rep.throughput_bps_hz.shape == (24,), extra
+
+
+# 12 sectors x 8 RBs = 96 lanes per drop: the default CHUNK of 256 holds
+# two drops, so three drops leave a ragged last group of one
+GROUPED = SMALL.replace("scenario.rbs = 4", "scenario.rbs = 8").replace(
+    "scenario.drops = 1", "scenario.drops = 3").replace(
+    "scenario.subframes = 6", "scenario.subframes = 4")
+
+
+def _emitted(text, out_dir):
+    emit_reports(run_simulation(parse_config(text)), out_dir)
+    return {name: (out_dir / name).read_bytes()
+            for name in sorted(os.listdir(out_dir))}
+
+
+@pytest.mark.parametrize("extra", [
+    "icic.runs = 2\nicic.rho = 2\nscenario.estimation_delay_subframes = 2\n",
+    "icic.quantize_exchange = true\n",
+    "run.scheme = reuse3\n",
+], ids=["rerun-rho-delay", "quantized", "reuse3"])
+def test_drop_grouping_changes_no_byte(extra, tmp_path, monkeypatch):
+    text = GROUPED + extra
+    default = _emitted(text, tmp_path / "default")
+    for chunk in (1, 10**6):      # one drop per group; all drops in one
+        monkeypatch.setattr(lanes, "CHUNK", chunk)
+        assert _emitted(text, tmp_path / f"chunk{chunk}") == default, chunk
+
+
+def test_first_drop_rows_do_not_depend_on_drop_count():
+    three = run_simulation(parse_config(GROUPED))
+    one = run_simulation(parse_config(
+        GROUPED.replace("scenario.drops = 3", "scenario.drops = 1")))
+    first = three.user_drop == 0
+    assert three.throughput_bps_hz[first].tolist() == \
+        one.throughput_bps_hz.tolist()
+    assert three.user_sector[first].tolist() == one.user_sector.tolist()
+    assert three.sector_throughput[0].tolist() == \
+        one.sector_throughput[0].tolist()
+    assert [r for r in three.gap_rows if r["drop"] == 0] == one.gap_rows
+    assert len(three.gap_rows) == 3 * len(one.gap_rows)
+
+
+def test_drops_share_one_engine_call_per_pass(monkeypatch):
+    # desk.cfg: 2 drops of 96 lanes fit one chunk, n_iter = 5, rho = 1;
+    # each coordinated sub-frame is one lockstep round over both drops
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "desk.cfg")
+    cfg = load_config(path, overrides=["scenario.subframes = 6"])
+    assert (cfg.scenario.drops, cfg.icic.n_iter, cfg.icic.rho) == (2, 5, 1)
+    calls = []
+    original = lanes.solve_lanes
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lanes, "solve_lanes", counted)
+    run_simulation(cfg)
+    # n_iter passes plus the closing pass per sub-frame, 2 x 96 lanes each
+    assert calls == [2 * 96] * ((5 + 1) * 6)
