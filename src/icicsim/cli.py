@@ -142,7 +142,7 @@ def _cmd_gapbench(args):
     gaps = {1: [], 2: []}
     for opt, res in zip(optima, results):
         # the runs=1 column: a runs=2 round starts with the whole runs=1
-        # round, whose p_hat (best rounding kept) ends p_hat_history
+        # round, whose p_hat (its best rounding) ends p_hat_history
         for runs, p_hat in ((1, res.gap.p_hat_history[-1]),
                             (2, res.gap.p_hat)):
             gaps[runs].append(100.0 * (opt - p_hat) / opt)

@@ -58,6 +58,9 @@ from .schema import check_fields, rule
 
 @dataclass
 class IcicConfig:
+    """The `icic` config section: n_iter, step_constant, rho, runs,
+    quant_bits and quantize_exchange."""
+
     n_iter: int = rule(5, ge=0)               # 0 skips the master
     step_constant: float = rule(1.0, gt=0)    # delta = c / iteration_index
     rho: int = rule(1, ge=1)                  # execution period, sub-frames
@@ -66,10 +69,6 @@ class IcicConfig:
     # level count when quantizing, stays a finite float
     quant_bits: int = rule(16, ge=1, le=64)
     quantize_exchange: bool = False   # also quantize the exchanged values
-    keep_best_rounding: bool = True
-    normalize_weights: bool = True
-    init_mode: str = rule("zeros", choices=("zeros", "random"))
-    init_seed: int = rule(0, ge=0)
 
     def __post_init__(self):
         check_fields(self)
@@ -92,8 +91,8 @@ class GapReport:
     binary_fraction: float
     binary_guarantee_percent: float
     gap_history: list = field(default_factory=list)     # per iteration
-    # best rounded value after each iterate of the first run only; with
-    # keep_best_rounding the last entry is the one-run p_hat
+    # best rounded value after each iterate of the first run only; the
+    # last entry is the one-run p_hat
     p_hat_history: list = field(default_factory=list)
 
 
@@ -460,23 +459,20 @@ def _masked_triples(problem, blank1):
                                    problem.amc, problem.margin_db)
 
 
-def _round_start(problem, config, warm_start):
-    """Weight scale, master weights and initial blanking of one round."""
+def _round_start(problem, warm_start):
+    """Weight scale, normalised master weights and initial blanking (the
+    clipped warm start, else all zeros: reuse-1) of one round."""
     scale = 1.0
     weights = [np.asarray(w, dtype=float) for w in problem.weights]
-    if config.normalize_weights:
-        wr = [w[:, None] * r for w, r in zip(weights, problem.triples.r)]
-        mean = float(np.mean(np.concatenate([v.ravel() for v in wr])))
-        if mean > 0:
-            scale = mean
-            weights = [w / scale for w in weights]
-    if warm_start is not None:
-        init = np.clip(np.asarray(warm_start, dtype=float), 0.0, 1.0)
-    elif config.init_mode == "random":
-        init = np.random.default_rng(config.init_seed).random(
-            (problem.K, problem.N))
-    else:
+    wr = [w[:, None] * r for w, r in zip(weights, problem.triples.r)]
+    mean = float(np.mean(np.concatenate([v.ravel() for v in wr])))
+    if mean > 0:
+        scale = mean
+        weights = [w / scale for w in weights]
+    if warm_start is None:
         init = np.zeros((problem.K, problem.N))
+    else:
+        init = np.clip(np.asarray(warm_start, dtype=float), 0.0, 1.0)
     return scale, weights, init
 
 
@@ -506,7 +502,7 @@ def run_rounds(problems, config, warm_starts=None):
     if not problems:
         return []
     scales, weights, inits = zip(*[
-        _round_start(pr, config, ws) for pr, ws in zip(problems, warm_starts)])
+        _round_start(pr, ws) for pr, ws in zip(problems, warm_starts)])
     groups = _lane_groups(problems, weights,
                           (pr.triples for pr in problems))
     finals, values, rounded, seens = _subgradient_run(
@@ -527,9 +523,7 @@ def run_rounds(problems, config, warm_starts=None):
         binary = [1.0] * len(problems)
 
     if config.runs == 2:
-        blank1 = [cands[-1][0] if not config.keep_best_rounding
-                  else max(cands, key=lambda c: c[1])[0]
-                  for cands in candidates]
+        blank1 = [max(cands, key=lambda c: c[1])[0] for cands in candidates]
         # one masked channel alive at a time: only its lanes are kept
         groups = _lane_groups(problems, weights, (
             _masked_triples(pr, b) for pr, b in zip(problems, blank1)))
@@ -552,17 +546,14 @@ def _round_result(problem, weights, scale, candidates, values, final_i,
     k_sec, n_rb = problem.K, problem.N
     nmap = problem.neighbors
     m_bar = float(np.mean([w.shape[0] for w in weights]))
-    if config.keep_best_rounding:
-        i_star, p_hat = max(candidates, key=lambda c: c[1])
-    else:
-        i_star, p_hat = candidates[-1]
+    i_star, p_hat = max(candidates, key=lambda c: c[1])
 
     p_hat_hist, best = [], -np.inf
     for _, v in candidates[:config.n_iter + 1]:
         best = max(best, v)
         p_hat_hist.append(best * scale)
     p_relaxed = max(max(values), max(v for _, v in candidates), p_hat)
-    gap_hist = [100.0 * (p_relaxed - v / scale) / p_relaxed if p_relaxed > 0
+    gap_hist = [optimality_gap(p_relaxed, v / scale) if p_relaxed > 0
                 else 0.0 for v in p_hat_hist]
 
     gap = GapReport(

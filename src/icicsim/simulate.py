@@ -270,28 +270,17 @@ def baseline_reuse(pattern, num_sectors, n_rbs):
     if pattern not in ("reuse3", "pfr"):
         raise ValueError(f"unknown reuse pattern {pattern!r}")
     if pattern == "reuse3":
-        start, sizes = 0, _band_sizes(n_rbs)
+        inner = 0
         if n_rbs < 3:
             raise ValueError("reuse-3 needs at least 3 RBs")
-        bands = []
-        for s in sizes:
-            bands.append(np.arange(start, start + s))
-            start += s
     else:
         inner = math.ceil(0.6 * n_rbs)
-        outer = n_rbs - inner
-        if outer < 3:
+        if n_rbs - inner < 3:
             raise ValueError("pfr needs at least 3 RBs past the inner band")
-        start, sizes = inner, _band_sizes(outer)
-        bands = []
-        for s in sizes:
-            bands.append(np.arange(start, start + s))
-            start += s
-    for k in range(num_sectors):
-        cls = k % 3
-        for other in range(3):
-            if other != cls:
-                blanking[k, bands[other]] = 1
+    edges = inner + np.cumsum([0] + _band_sizes(n_rbs - inner))
+    cls = np.arange(num_sectors) % 3
+    for band in range(3):
+        blanking[cls != band, edges[band]:edges[band + 1]] = 1
     return blanking
 
 

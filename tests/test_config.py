@@ -51,6 +51,11 @@ PROBES = [
     ("scenario.subframes = 100000000\n"
      "scenario.estimation_delay_subframes = 100000000",
      "scenario.estimation_delay_subframes"),
+    # removed coordinator options are unknown keys
+    ("icic.keep_best_rounding = false", "icic.keep_best_rounding"),
+    ("icic.normalize_weights = false", "icic.normalize_weights"),
+    ("icic.init_mode = random", "icic.init_mode"),
+    ("icic.init_seed = 4", "icic.init_seed"),
 ]
 
 

@@ -211,7 +211,7 @@ def test_tiny_steps_stay_near_reuse1():
     prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                 k_tilde=2, seed=11)
     res = co.run_coordination(prob, co.IcicConfig(
-        n_iter=1, step_constant=1e-9, keep_best_rounding=False))
+        n_iter=1, step_constant=1e-9))
     assert np.all(res.blanking == 0)
 
 
@@ -319,11 +319,7 @@ def _batch_problems():
     co.IcicConfig(n_iter=4, runs=2),
     co.IcicConfig(n_iter=3, runs=2, quantize_exchange=True, quant_bits=6),
     co.IcicConfig(n_iter=0, runs=2),
-    co.IcicConfig(n_iter=3, init_mode="random", init_seed=4),
-    co.IcicConfig(n_iter=3, runs=2, keep_best_rounding=False),
-    co.IcicConfig(n_iter=3, runs=2, normalize_weights=False),
-], ids=["runs1", "runs2", "quantized", "no_master", "random_init",
-        "last_rounding", "raw_weights"])
+], ids=["runs1", "runs2", "quantized", "no_master"])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_batched_rounds_equal_single_rounds(config, warm):
     problems = _batch_problems()
@@ -460,5 +456,3 @@ def test_config_validation():
         co.IcicConfig(runs=3)
     with pytest.raises(ValueError):
         co.IcicConfig(quant_bits=0)
-    with pytest.raises(ValueError):
-        co.IcicConfig(init_mode="ones")

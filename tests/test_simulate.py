@@ -77,6 +77,19 @@ def test_pfr_bands():
         assert len(classes) == 1
 
 
+def test_reuse_patterns_pinned():
+    # reuse-3 bands 3, 2, 2; PFR keeps 6 inner RBs live and splits 2, 1, 1
+    assert baseline_reuse("reuse3", 3, 7).tolist() == [
+        [0, 0, 0, 1, 1, 1, 1],
+        [1, 1, 1, 0, 0, 1, 1],
+        [1, 1, 1, 1, 1, 0, 0]]
+    assert baseline_reuse("pfr", 3, 10).tolist() == [
+        [0, 0, 0, 0, 0, 0, 0, 0, 1, 1],
+        [0, 0, 0, 0, 0, 0, 1, 1, 0, 1],
+        [0, 0, 0, 0, 0, 0, 1, 1, 1, 0]]
+    assert baseline_reuse("pfr", 3, 10).dtype == np.int8
+
+
 def test_reuse1_all_zero_and_guards():
     assert np.all(baseline_reuse("reuse1", 6, 5) == 0)
     with pytest.raises(ValueError):
@@ -256,7 +269,6 @@ def test_scenario_variants_run():
         "scenario.wraparound = false\n",
         "scenario.fast_fading = false\n",
         "scenario.refade_each_subframe = false\n",
-        "icic.init_mode = random\nicic.init_seed = 4\n",
         "icic.runs = 2\n",
         "icic.quantize_exchange = true\nicic.quant_bits = 12\n",
         "scenario.neighbor_mode = strongest\n",
