@@ -77,16 +77,12 @@ def _cmd_verify(args):
     check("lane engine equals per-lane flow solve",
           oracle.lane_engine_check(300 if quick else 3_000, seed=13) == 0)
 
-    # two uniform instances and one whose sectors keep 1, 2 or 3 users
+    # two uniform instances and one whose sectors have 1, 2 or 3 users
     probs = [random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                   k_tilde=2, seed=60 + s) for s in range(2)]
-    wide = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=2,
-                                k_tilde=2, seed=62)
-    keep = [3, 1, 2, 3, 2, 1]
-    probs.append(co.CoordinationProblem(
-        neighbors=wide.neighbors,
-        weights=[w[:m] for w, m in zip(wide.weights, keep)],
-        gains=[g[:m] for g, m in zip(wide.gains, keep)], radio=wide.radio))
+    probs.append(random_desk_instance(n_sectors=6,
+                                      users_per_sector=[3, 1, 2, 3, 2, 1],
+                                      n_rbs=2, k_tilde=2, seed=62))
     ok = all(not oracle.batch_mismatches(probs, co.IcicConfig(
         n_iter=3 if quick else 5, runs=2, quantize_exchange=quantize,
         quant_bits=6)) for quantize in (False, True))

@@ -24,20 +24,22 @@ def random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
     form a decaying ladder (every rung 10..30x above the next), with
     `edge_fraction` of users getting a near-serving-strength dominant
     interferer. Non-neighbor sectors contribute a tiny positive floor.
-    Returns a CoordinationProblem with the default AMC table and no SINR
-    margin.
+    `users_per_sector` is one count for every sector or a sequence of
+    n_sectors counts. Returns a CoordinationProblem with the default AMC
+    table and no SINR margin.
     """
     rng = np.random.default_rng(seed)
     nmap = neighbors if neighbors is not None \
         else ring_neighbor_map(n_sectors, k_tilde)
     kt = nmap.k_tilde
     radio = RadioConfig(p_c_watts=1.0, p_n_watts=10 ** (-snr_db / 10.0))
+    counts = np.broadcast_to(users_per_sector, (n_sectors,))
 
     gains, weights = [], []
-    for k in range(n_sectors):
-        g = np.full((users_per_sector, n_rbs, n_sectors), 1e-6)
+    for k, users in enumerate(counts.tolist()):
+        g = np.full((users, n_rbs, n_sectors), 1e-6)
         g *= rng.uniform(0.5, 1.5, size=g.shape)
-        for m in range(users_per_sector):
+        for m in range(users):
             for n in range(n_rbs):
                 if kt == 0:
                     continue
@@ -51,7 +53,7 @@ def random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
                 g[m, n, nmap.nbr[k][order]] = 10 ** (-ladder_db / 10.0)
         g[:, :, k] = 1.0
         gains.append(g)
-        weights.append(rng.uniform(0.5, 1.5, size=users_per_sector))
+        weights.append(rng.uniform(0.5, 1.5, size=users))
     amc = default_amc_table()
     return CoordinationProblem(
         neighbors=nmap, weights=weights, gains=gains, radio=radio, amc=amc,

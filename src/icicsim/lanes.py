@@ -9,9 +9,11 @@ bit-identical to `coordinator.solve_subproblem`; that per-lane solver
 stays as the reference the tests and `icicsim verify` compare against.
 
 Node numbering follows `build_subproblem_network`: 0 the RB source,
-1..M users, M+1..M+Kt neighbours, M+Kt+1 the collector. Between any two
-nodes there is at most one arc, so flows, costs and residual capacities
-are dense (lanes, V, V) matrices indexed by (tail, head).
+1..M users, M+1..M+Kt neighbours, M+Kt+1 the collector. Flows are kept
+per arc, (lanes, A), in that function's arc order; costs per residual
+arc, (lanes, 2A): the A arcs, then their reverses at minus the cost.
+Between any two nodes runs at most one residual arc, so Dijkstra reads
+the reduced costs from one dense (lanes, V, V) matrix per round.
 
 Points that keep the result bit-exact:
   - the arc list is in topological order, so one Bellman-Ford sweep in
@@ -22,6 +24,23 @@ Points that keep the result bit-exact:
   - phi uses batched matmul (one BLAS dot per lane, as `np.dot`) and a
     sum over the same contiguous (M, Kt) block as `np.sum`.
 
+One Dijkstra step is a handful of numpy calls on (lanes, V) arrays. Once
+per round, `redp` holds the reduced costs clipped at 0, +inf on every
+pair of nodes without a usable residual arc. A step is then one argmin
+over `key` (dist with settled nodes at +inf), one gather of row u of
+redp, one add, one `nd < dist - 1e-15` compare and masked copies into
+dist, key and pred. Popped keys never decrease and redp >= 0, so the
+compare is already false for settled nodes and for lanes with nothing
+left to pop; neither needs a mask of its own.
+
+The reduced-cost check runs once per round, after Dijkstra, and is
+exactly as strict as mcnf's. Each node records the step it settled at
+(V if never), and the round fails if a usable residual arc u -> v has
+red < -1e-7 * max(1, |cost|) and u settled before v: mcnf tests the arcs
+out of u when it pops u, skipping heads already done. Usable arcs with
+red >= -1e-7 cannot fail, so the floor is computed only for the rest,
+which are none in a healthy solve.
+
 Lane compaction: a lane is finished once no node holds excess above its
 tolerance. At the top of every augmentation round the finished lanes
 write x, y and pi to the chunk's outputs and leave the working arrays,
@@ -31,19 +50,19 @@ compaction keeps the lanes in order, so dropping finished rows changes
 no live lane's arithmetic and the lowest stuck lane is still the one an
 InfeasibleFlowError names.
 
-CHUNK stays 256. The (lanes, V, V) temporaries of one round (costs,
-flows, residual capacities, reduced costs and the compacted copies)
-grow with it. On the 57-sector, 50-RB benchmark round (V = 11; 2-vCPU
-host, perfbench medians) a CHUNK of 512 or 1024 cut wall time from
-0.25 s to 0.20 s or 0.17 s, but raised peak RSS from 50.3 MB to 51.4 MB
-or 55.2 MB. Cut those temporaries before raising CHUNK.
+CHUNK is 1024 lanes. Only redp is (lanes, V, V), and it is freed before
+the next round; the flows and costs are (lanes, A) and (lanes, 2A). On
+the 57-sector, 50-RB benchmark round (V = 11, seed 7919, one perfbench
+run of 24 s per CHUNK on a 2-vCPU host) wall time and peak RSS were
+0.33 s and 49.7 MB at 256 lanes, 0.28 s and 50.1 MB at 512, 0.26 s and
+51.2 MB at 768, and 0.25 s and 52.2 MB at 1024.
 """
 
 import numpy as np
 
 from . import mcnf
 
-CHUNK = 256     # lanes per array pass; bounds the (lanes, V, V) temporaries
+CHUNK = 1024    # lanes per array pass; bounds the per-round temporaries
 
 
 def solve_lanes(own, nbr, w, r, rtil):
@@ -79,38 +98,14 @@ def solve_lanes(own, nbr, w, r, rtil):
     return x, y, phi, lam_eq, lam_nbr
 
 
-def _successive_shortest_paths(own, nbr, w, r, rtil):
-    """mcnf.solve on a chunk of lanes; returns x (L, M), y (L, M, Kt) and
-    pi (L, V)."""
-    n_lanes, m = w.shape
-    kt = nbr.shape[1]
-    v_count = m + kt + 2
-    coll = m + kt + 1
+def _initial_potentials(cost_x, cost_y):
+    """Bellman-Ford from an all-zeros start, one sweep in arc order; returns
+    pi (L, V) as mcnf._initial_potentials does for each lane."""
+    n_lanes, m, kt = cost_y.shape
     users = slice(1, m + 1)
-    nbrs = slice(m + 1, coll)
-
-    # node supplies; from here on, the excess still to be routed
-    excess = np.zeros((n_lanes, v_count))
-    excess[:, 0] = 1.0 - own
-    excess[:, nbrs] = -nbr
-    excess[:, coll] = -1.0 + own + nbr.sum(axis=1)
-    eps = mcnf.BALANCE_TOL * np.maximum(1.0, np.abs(excess).sum(axis=1))
-
-    cost_x = -w * r                         # RB -> user
-    cost_y = -w[:, :, None] * rtil          # user -> neighbour
-    is_arc = np.zeros((v_count, v_count), dtype=bool)
-    is_arc[0, users] = True
-    is_arc[users, nbrs] = True
-    is_arc[users, coll] = True
-    is_arc[coll, nbrs] = True
-    cost = np.zeros((n_lanes, v_count, v_count))
-    cost[:, 0, users] = cost_x
-    cost[:, users, nbrs] = cost_y
-    # residual arc u -> v: the arc itself, or the reverse of arc v -> u
-    cost = np.where(is_arc, cost, -cost.transpose(0, 2, 1))
-
-    # Bellman-Ford from an all-zeros start, one sweep in arc order
-    dist = np.zeros((n_lanes, v_count))
+    nbrs = slice(m + 1, m + kt + 1)
+    coll = m + kt + 1
+    dist = np.zeros((n_lanes, m + kt + 2))
     cand = dist[:, 0, None] + cost_x
     dist[:, users] = np.where(cand < dist[:, users] - 1e-15, cand,
                               dist[:, users])
@@ -125,58 +120,140 @@ def _successive_shortest_paths(own, nbr, w, r, rtil):
     cand = dist[:, coll, None] + 0.0
     dist[:, nbrs] = np.where(cand < dist[:, nbrs] - 1e-15, cand,
                              dist[:, nbrs])
-    pi = -dist
+    return -dist
+
+
+def _residual_arcs(m, kt):
+    """Tail and head of each residual arc of the graph with M users and Kt
+    neighbours, and the index of the residual arc from node u to node v at
+    [u, v]. The first half are the arcs in `build_subproblem_network` order
+    (RB -> user, user -> neighbour user-major, user -> collector, collector
+    -> neighbour), the second half their reverses in the same order."""
+    coll = m + kt + 1
+    users = np.arange(1, m + 1)
+    nbrs = np.arange(m + 1, coll)
+    tail = np.concatenate(([0] * m, np.repeat(users, kt), users, [coll] * kt))
+    head = np.concatenate((users, np.tile(nbrs, m), [coll] * m, nbrs))
+    res_tail = np.concatenate((tail, head))
+    res_head = np.concatenate((head, tail))
+    res_of = np.zeros((coll + 1, coll + 1), dtype=np.intp)
+    res_of[res_tail, res_head] = np.arange(res_tail.size)
+    return res_tail, res_head, res_of
+
+
+def _successive_shortest_paths(own, nbr, w, r, rtil):
+    """mcnf.solve on a chunk of lanes; returns x (L, M), y (L, M, Kt) and
+    pi (L, V)."""
+    n_lanes, m = w.shape
+    kt = nbr.shape[1]
+    v_count = m + kt + 2
+    coll = m + kt + 1
+    res_tail, res_head, res_of = _residual_arcs(m, kt)
+    n_arcs = res_tail.size // 2
+    res_at = res_tail * v_count + res_head    # flat (tail, head) position
+
+    # node supplies; from here on, the excess still to be routed
+    excess = np.zeros((n_lanes, v_count))
+    excess[:, 0] = 1.0 - own
+    excess[:, m + 1:coll] = -nbr
+    excess[:, coll] = -1.0 + own + nbr.sum(axis=1)
+    eps = mcnf.BALANCE_TOL * np.maximum(1.0, np.abs(excess).sum(axis=1))
+
+    cost_x = -w * r                         # RB -> user
+    cost_y = -w[:, :, None] * rtil          # user -> neighbour
+    pi = _initial_potentials(cost_x, cost_y)
+    # residual arc costs; a reverse arc costs minus its arc, so -0.0 for
+    # the zero-cost arcs into and out of the collector
+    cost = np.zeros((n_lanes, 2 * n_arcs))
+    cost[:, :m] = cost_x
+    cost[:, m:m + m * kt] = cost_y.reshape(n_lanes, m * kt)
+    np.negative(cost[:, :n_arcs], out=cost[:, n_arcs:])
 
     x = np.empty((n_lanes, m))
     y = np.empty((n_lanes, m, kt))
     pi_out = np.empty((n_lanes, v_count))
     ids = np.arange(n_lanes)     # chunk lane of each working row
-    flow = np.zeros((n_lanes, v_count, v_count))
+    flow = np.zeros((n_lanes, n_arcs))
     while True:
         has_source = excess > eps[:, None]
         active = has_source.any(axis=1)
         if not active.all():
             # finished lanes leave: write their result, keep the rest
             gone = ~active
-            x[ids[gone]] = flow[gone, 0, users]
-            y[ids[gone]] = flow[gone, users, nbrs]
+            x[ids[gone]] = flow[gone, :m]
+            y[ids[gone]] = flow[gone, m:m + m * kt].reshape(-1, m, kt)
             pi_out[ids[gone]] = pi[gone]
-            ids, excess, eps, cost, flow, pi, has_source = (
-                a[active] for a in (ids, excess, eps, cost, flow, pi,
-                                    has_source))
+            ids = ids[active]
+            excess = excess[active]
+            eps = eps[active]
+            cost = cost[active]
+            flow = flow[active]
+            pi = pi[active]
+            has_source = has_source[active]
         if ids.size == 0:
             break
         rows = np.arange(ids.size)
         s = np.argmax(has_source, axis=1)
 
-        # Dijkstra; residual capacities and reduced costs stay fixed
-        # until it ends
-        resid = 1.0 - flow
-        np.copyto(resid, flow.transpose(0, 2, 1), where=~is_arc)
-        usable = resid > eps[:, None, None]
-        red = cost - pi[:, :, None]
-        red += pi[:, None, :]
+        # residual capacity: 1 - flow on an arc, its flow on the reverse
+        resid = np.empty_like(cost)
+        np.subtract(1.0, flow, out=resid[:, :n_arcs])
+        resid[:, n_arcs:] = flow
+        usable = resid > eps[:, None]
+        del resid
+        red = cost - pi[:, res_tail]
+        red += pi[:, res_head]
+        # the usable arcs that may break the invariant, checked below
+        neg_lane, neg_arc = np.nonzero((red < -1e-7) & usable)
+        neg_red = red[neg_lane, neg_arc]
+        # redp: the reduced costs clipped at 0 in a dense (tail, head)
+        # matrix per lane, +inf where no usable residual arc runs
+        np.maximum(red, 0.0, out=red)
+        np.copyto(red, np.inf, where=~usable)
+        redp = np.full((ids.size, v_count * v_count), np.inf)
+        redp[:, res_at] = red
+        del red, usable
+
+        # Dijkstra. key is dist with settled nodes at +inf, and a step
+        # reads row u of redp through one flat index per lane. Popped keys
+        # never decrease and redp >= 0, so nd < dist - 1e-15 is false for
+        # settled nodes and for lanes with nothing left to pop.
         dist = np.full((ids.size, v_count), np.inf)
         dist[rows, s] = 0.0
+        key = dist.copy()
+        key_flat = key.reshape(-1)
+        redp_rows = redp.reshape(-1, v_count)
+        row_at = rows * v_count
         pred = np.zeros((ids.size, v_count), dtype=np.intp)
-        done = np.zeros((ids.size, v_count), dtype=bool)
+        popped, pop_dist = [], []
         for _ in range(v_count):
-            key = np.where(done, np.inf, dist)
-            u = np.argmin(key, axis=1)
-            d = key[rows, u]
-            live = np.isfinite(d)
-            if not live.any():
-                break
-            done[rows[live], u[live]] = True
-            red_u = red[rows, u]
-            relax = usable[rows, u] & ~done & live[:, None]
-            floor = -1e-7 * np.maximum(1.0, np.abs(cost[rows, u]))
-            if np.any(relax & (red_u < floor)):
+            u = key.argmin(axis=1)
+            at = row_at + u
+            d = key_flat.take(at)
+            key_flat[at] = np.inf
+            nd = redp_rows.take(at, axis=0)
+            nd += d[:, None]
+            better = nd < dist - 1e-15
+            np.copyto(dist, nd, where=better)
+            np.copyto(key, nd, where=better)
+            np.copyto(pred, u[:, None], where=better)
+            popped.append(u)
+            pop_dist.append(d)
+        del redp, redp_rows
+
+        if neg_lane.size:
+            # mcnf.solve's check on the arcs it tests: usable, from a
+            # settled node u to a node v not yet settled when u was
+            # order: the step each node settled at, V if never; a step
+            # that pops nothing writes to the spare last column
+            popped = np.where(np.isfinite(pop_dist), popped, v_count)
+            order = np.full((ids.size, v_count + 1), v_count)
+            order[rows, popped] = np.arange(v_count)[:, None]
+            floor = -1e-7 * np.maximum(1.0, np.abs(cost[neg_lane, neg_arc]))
+            if np.any((neg_red < floor)
+                      & (order[neg_lane, res_tail[neg_arc]]
+                         < order[neg_lane, res_head[neg_arc]])):
                 raise AssertionError("reduced-cost invariant broken")
-            nd = d[:, None] + np.maximum(red_u, 0.0)
-            better = relax & (nd < dist - 1e-15)
-            dist = np.where(better, nd, dist)
-            pred = np.where(better, u[:, None], pred)
 
         deficit = (excess < -eps[:, None]) & np.isfinite(dist)
         stuck = ~deficit.any(axis=1)
@@ -188,28 +265,34 @@ def _successive_shortest_paths(own, nbr, w, r, rtil):
                 f"from node {s[lane]}")
         t = np.argmin(np.where(deficit, dist, np.inf), axis=1)
 
-        # retrace the paths and find the bottlenecks
-        amount = np.minimum(excess[rows, s], -excess[rows, t])
-        path = []
+        # retrace the paths (t != s, so every lane takes a first step),
+        # then find the bottlenecks and augment on all path arcs at once;
+        # no path holds an arc twice
+        tails, heads, walked = [], [], []
         v = t
-        walking = v != s
+        walking = np.ones(ids.size, dtype=bool)
         while walking.any():
             p = pred[rows, v]
-            amount = np.where(
-                walking, np.minimum(amount, resid[rows, p, v]), amount)
-            path.append((rows[walking], p[walking], v[walking]))
+            tails.append(p)
+            heads.append(v)
+            walked.append(walking)
             v = np.where(walking, p, v)
-            walking &= v != s
-        for idx, p, v in path:
-            fwd = is_arc[p, v]
-            flow[idx[fwd], p[fwd], v[fwd]] += amount[idx[fwd]]
-            back = ~fwd
-            flow[idx[back], v[back], p[back]] -= amount[idx[back]]
+            walking = walking & (v != s)
+        walked = np.array(walked)
+        idx = np.broadcast_to(rows, walked.shape)[walked]
+        arc = res_of[np.array(tails)[walked], np.array(heads)[walked]]
+        fwd = arc < n_arcs
+        arc %= n_arcs
+        resid = np.full(walked.shape, np.inf)
+        resid[walked] = np.where(fwd, 1.0 - flow[idx, arc], flow[idx, arc])
+        amount = np.minimum(np.minimum(excess[rows, s], -excess[rows, t]),
+                            resid.min(axis=0))
+        back = ~fwd
+        flow[idx[fwd], arc[fwd]] += amount[idx[fwd]]
+        flow[idx[back], arc[back]] -= amount[idx[back]]
         excess[rows, s] -= amount
         excess[rows, t] += amount
 
-        # capped potential shift, as in mcnf.solve
-        dt = dist[rows, t][:, None]
-        shift = np.minimum(np.where(np.isposinf(dist), dt, dist), dt)
-        pi -= shift
+        # capped potential shift, as in mcnf.solve: min(inf, dt) is dt
+        pi -= np.minimum(dist, dist[rows, t][:, None])
     return x, y, pi_out

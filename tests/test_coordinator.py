@@ -293,14 +293,10 @@ def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
 
 
 def _uneven_problem(seed, n_rbs=2):
-    """Six sectors keeping 1, 2 or 3 users: three lane groups."""
-    wide = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=n_rbs,
-                                k_tilde=2, seed=seed)
-    keep = [3, 1, 2, 3, 2, 1]
-    return co.CoordinationProblem(
-        neighbors=wide.neighbors,
-        weights=[w[:m] for w, m in zip(wide.weights, keep)],
-        gains=[g[:m] for g, m in zip(wide.gains, keep)], radio=wide.radio)
+    """Six sectors of 1, 2 or 3 users: three lane groups."""
+    return random_desk_instance(n_sectors=6,
+                                users_per_sector=[3, 1, 2, 3, 2, 1],
+                                n_rbs=n_rbs, k_tilde=2, seed=seed)
 
 
 def _batch_problems():

@@ -13,6 +13,36 @@ def test_engine_bit_equal_on_random_lanes():
     assert oracle.lane_engine_check(10_000, seed=3) == 0
 
 
+def test_engine_bit_equal_on_full_default_chunks():
+    # round57's (M, K_tilde); 2,500 lanes fill two default chunks and part
+    # of a third with binary, fractional and mixed levels
+    assert 2 * lanes.CHUNK < 2_500 < 3 * lanes.CHUNK
+    inputs = oracle.random_lanes(np.random.default_rng(57), 2_500, 3, 6)
+    assert oracle.lane_mismatches(*inputs) == []
+
+
+def test_both_solvers_refuse_negative_reduced_costs(monkeypatch):
+    # all-zero starting potentials leave each RB -> user arc at reduced
+    # cost -w*r, so the first Dijkstra pass meets a negative one
+    own, nbr, w, r, rtil = oracle.random_lanes(np.random.default_rng(6),
+                                               12, 2, 3)
+    own[:] = 0.0            # the RB source has supply to route
+    lanes.solve_lanes(own, nbr, w, r, rtil)     # fine from Bellman-Ford
+    monkeypatch.setattr(mcnf, "_initial_potentials",
+                        lambda net: np.zeros(net.num_nodes))
+    monkeypatch.setattr(lanes, "_initial_potentials",
+                        lambda cost_x, cost_y: np.zeros(
+                            (cost_y.shape[0], sum(cost_y.shape[1:]) + 2)))
+    hit = np.flatnonzero((w * r > 0).any(axis=1))
+    assert hit.size > 6
+    for i in hit:
+        with pytest.raises(AssertionError, match="reduced-cost invariant"):
+            co.solve_subproblem(own[i], nbr[i], w[i], r[i], rtil[i])
+        with pytest.raises(AssertionError, match="reduced-cost invariant"):
+            lanes.solve_lanes(own[i:i + 1], nbr[i:i + 1], w[i:i + 1],
+                              r[i:i + 1], rtil[i:i + 1])
+
+
 SMALL_CHUNK = 8
 
 

@@ -280,8 +280,8 @@ def test_scenario_variants_run():
         assert rep.throughput_bps_hz.shape == (24,), extra
 
 
-# 12 sectors x 8 RBs = 96 lanes per drop: the default CHUNK of 256 holds
-# two drops, so three drops leave a ragged last group of one
+# 12 sectors x 8 RBs = 96 lanes per drop: the default CHUNK holds all
+# three drops, and a CHUNK of 192 holds two, leaving a ragged last group
 GROUPED = SMALL.replace("scenario.rbs = 4", "scenario.rbs = 8").replace(
     "scenario.drops = 1", "scenario.drops = 3").replace(
     "scenario.subframes = 6", "scenario.subframes = 4")
@@ -301,7 +301,7 @@ def _emitted(text, out_dir):
 def test_drop_grouping_changes_no_byte(extra, tmp_path, monkeypatch):
     text = GROUPED + extra
     default = _emitted(text, tmp_path / "default")
-    for chunk in (1, 10**6):      # one drop per group; all drops in one
+    for chunk in (1, 192, 10**6):     # groups of one; two and one; three
         monkeypatch.setattr(lanes, "CHUNK", chunk)
         assert _emitted(text, tmp_path / f"chunk{chunk}") == default, chunk
 
