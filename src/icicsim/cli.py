@@ -15,6 +15,11 @@ import sys
 import numpy as np
 
 
+def _config_error(message):
+    print(f"config error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_simulate(args):
     from .simulate import ConfigError, emit_reports, load_config, run_simulation
 
@@ -27,8 +32,7 @@ def _cmd_simulate(args):
     try:
         cfg = load_config(args.config, overrides)
     except (ConfigError, UnicodeDecodeError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
 
     report = run_simulation(cfg)
     files = emit_reports(report, args.out)
@@ -129,12 +133,22 @@ def _cmd_gapbench(args):
     from . import coordinator as co
     from . import oracle
     from .instances import random_desk_instance
+    from .schema import ConfigError
+
+    try:
+        icic = co.IcicConfig(n_iter=args.niter, runs=2)
+    except ConfigError as exc:
+        return _config_error(f"--niter: {exc}")
+    for flag, value, low in (("--instances", args.instances, 1),
+                             ("--seed", args.seed, 0)):
+        if value < low:
+            return _config_error(f"{flag} = {value}: must be >= {low}")
 
     probs = [random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
                                   k_tilde=2, seed=args.seed + s)
              for s in range(args.instances)]
     optima = [oracle.exhaustive_bound(p).value for p in probs]
-    results = co.run_rounds(probs, co.IcicConfig(n_iter=args.niter, runs=2))
+    results = co.run_rounds(probs, icic)
     gaps = {1: [], 2: []}
     for opt, res in zip(optima, results):
         # the runs=1 column: a runs=2 round starts with the whole runs=1

@@ -14,10 +14,11 @@ from .coordinator import CoordinationProblem
 from .linkadapt import RadioConfig, default_amc_table, precompute_rate_triples
 from .network import ring_neighbor_map
 
+SNR_DB = 20.0      # serving gain 1 over noise, in dB
+
 
 def random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
-                         k_tilde=2, seed=0, edge_fraction=0.5,
-                         snr_db=20.0, neighbors=None):
+                         k_tilde=2, seed=0, edge_fraction=0.5):
     """Dominant-interference random instance on a ring neighbor map.
 
     Serving gains are normalized to 1; each user's neighbor interferers
@@ -29,10 +30,9 @@ def random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
     table and no SINR margin.
     """
     rng = np.random.default_rng(seed)
-    nmap = neighbors if neighbors is not None \
-        else ring_neighbor_map(n_sectors, k_tilde)
+    nmap = ring_neighbor_map(n_sectors, k_tilde)
     kt = nmap.k_tilde
-    radio = RadioConfig(p_c_watts=1.0, p_n_watts=10 ** (-snr_db / 10.0))
+    radio = RadioConfig(p_c_watts=1.0, p_n_watts=10 ** (-SNR_DB / 10.0))
     counts = np.broadcast_to(users_per_sector, (n_sectors,))
 
     gains, weights = [], []

@@ -54,7 +54,6 @@ class Layout:
     boresight_deg: np.ndarray     # (K,)
     isd: float
     tilt_deg: float
-    wraparound: bool
     images: np.ndarray            # (n_images, 2) torus translation vectors
 
     def sector_xy(self):
@@ -77,11 +76,15 @@ class Layout:
 
 
 def _cluster_shape(sites):
-    """Find lattice indices (i, j) with i^2 + i*j + j^2 = sites."""
-    for i in range(0, 12):
-        for j in range(0, i + 1):
-            if i * i + i * j + j * j == sites:
-                return max(i, j), min(i, j)
+    """Find lattice indices (i, j), i >= j >= 0, with i^2 + i*j + j^2 =
+    sites, smallest i first."""
+    for i in range(0, math.isqrt(sites) + 1):
+        # j is the non-negative root of j^2 + i*j + (i^2 - sites) = 0
+        disc = 4 * sites - 3 * i * i
+        root = math.isqrt(disc)
+        j, odd = divmod(root - i, 2)
+        if root * root == disc and not odd and 0 <= j <= i:
+            return i, j
     raise ValueError(
         f"{sites} sites cannot tile a wraparound layout; use a count of the "
         f"form i^2+ij+j^2 (1, 3, 4, 7, 9, 12, 13, 16, 19, 21, 25, ...)")
@@ -94,8 +97,6 @@ def generate_layout(dims, isd, tilt_deg=12.0, wraparound=True):
     """
     if isd <= 0:
         raise ValueError("inter-site distance must be positive")
-    if dims.K % 3 != 0:
-        raise ValueError("tri-sector mode needs K divisible by 3")
     i, j = _cluster_shape(dims.sites)
 
     a1 = np.array([isd, 0.0])
@@ -138,8 +139,7 @@ def generate_layout(dims, isd, tilt_deg=12.0, wraparound=True):
 
     return Layout(site_xy=site_xy, sector_site=sector_site,
                   boresight_deg=boresight, isd=float(isd),
-                  tilt_deg=float(tilt_deg), wraparound=wraparound,
-                  images=images)
+                  tilt_deg=float(tilt_deg), images=images)
 
 
 def antenna_gain(theta_deg, phi_deg, tilt_deg):
@@ -247,7 +247,9 @@ def neighbor_map(layout, k_tilde=6, mode="nearest"):
 
     Greedy b-matching on the coupling scores with a deterministic repair
     pass; raises if the requested regular relation cannot be completed.
-    mode: one of NEIGHBOR_MODES.
+    mode: one of NEIGHBOR_MODES. "strongest" ranks pairs by
+    `_mean_gain_db`, whose pathloss slope is a fixed 37.6 dB/decade, not
+    the channel config's `pathloss_b_db` (scenario.pathloss_b_db).
     """
     k = layout.sector_site.shape[0]
     if k_tilde >= k:
@@ -353,7 +355,6 @@ class ChannelTensor:
     gains: SectorViews
     large_scale: SectorViews
     user_xy: SectorViews          # (M_k, 2) per sector
-    dims: object = None
 
 
 def _large_scale_gain_db(layout, cfg, user_xy, shadow_db):
@@ -393,69 +394,47 @@ def associate_users(wideband_gains, radio):
     return np.argmax(sinr, axis=1)
 
 
-def draw_channels(layout, dims, cfg, radio, seed, user_xy=None):
+def draw_channels(layout, dims, cfg, radio, seed):
     """Drop users, draw shadowing and fading, and build the gain tensor.
 
     Users are drawn uniformly on the torus and kept when their best
     wideband-SINR sector still has quota, so the association invariant
     holds by construction. Deterministic for a given (config, seed).
-
-    user_xy: optional list of (M_k, 2) arrays pinning user positions per
-    sector (validated against the minimum BS distance).
     """
     rng = np.random.default_rng(seed)
     origin, t1, t2 = _drop_region(layout)
 
-    if user_xy is not None:
-        placed = [np.asarray(u, dtype=float) for u in user_xy]
-        for k, pts in enumerate(placed):
-            if pts.shape != (dims.M[k], 2):
-                raise ValueError(f"sector {k}: expected {dims.M[k]} positions")
-            d = layout.torus_distance(pts[:, None, :], layout.site_xy[None, :, :])
-            if np.any(d < cfg.min_bs_dist_m):
-                raise ValueError(
-                    f"user closer than {cfg.min_bs_dist_m} m to a site")
-        if cfg.shadowing_sigma_db > 0:
-            shadow = np.array([
-                _draw_shadowing(rng, cfg.shadowing_sigma_db,
-                                cfg.shadowing_cross_corr, dims.sites)
-                for _ in range(sum(dims.M))])
-        else:
-            shadow = np.zeros((sum(dims.M), dims.sites))
-        flat_xy = np.concatenate(placed, axis=0)
-        owners = np.repeat(np.arange(dims.K), dims.M)
-    else:
-        quota = list(dims.M)
-        flat_xy, shadow, owners = [], [], []
-        attempts = 0
-        max_attempts = 4000 * sum(dims.M)
-        while any(q > 0 for q in quota):
-            attempts += 1
-            if attempts > max_attempts:
-                unfilled = [k for k, q in enumerate(quota) if q > 0]
-                raise RuntimeError(
-                    f"user drop did not converge: sectors {unfilled} still "
-                    f"lacked users after {max_attempts} tries; where the "
-                    f"sectors tie for every user, the first one wins them all")
-            s, t = rng.random(2)
-            pos = origin + s * t1 + t * t2
-            if np.min(layout.torus_distance(pos, layout.site_xy)) \
-                    < cfg.min_bs_dist_m:
-                continue
-            sh = _draw_shadowing(rng, cfg.shadowing_sigma_db,
-                                 cfg.shadowing_cross_corr, dims.sites) \
-                if cfg.shadowing_sigma_db > 0 else np.zeros(dims.sites)
-            g_db = _large_scale_gain_db(layout, cfg, pos[None, :], sh[None, :])
-            best = int(associate_users(10 ** (g_db / 10.0), radio)[0])
-            if quota[best] <= 0:
-                continue
-            quota[best] -= 1
-            flat_xy.append(pos)
-            shadow.append(sh)
-            owners.append(best)
-        flat_xy = np.array(flat_xy)
-        shadow = np.array(shadow)
-        owners = np.array(owners)
+    quota = list(dims.M)
+    flat_xy, shadow, owners = [], [], []
+    attempts = 0
+    max_attempts = 4000 * sum(dims.M)
+    while any(q > 0 for q in quota):
+        attempts += 1
+        if attempts > max_attempts:
+            unfilled = [k for k, q in enumerate(quota) if q > 0]
+            raise RuntimeError(
+                f"user drop did not converge: sectors {unfilled} still "
+                f"lacked users after {max_attempts} tries; where the "
+                f"sectors tie for every user, the first one wins them all")
+        s, t = rng.random(2)
+        pos = origin + s * t1 + t * t2
+        if np.min(layout.torus_distance(pos, layout.site_xy)) \
+                < cfg.min_bs_dist_m:
+            continue
+        sh = _draw_shadowing(rng, cfg.shadowing_sigma_db,
+                             cfg.shadowing_cross_corr, dims.sites) \
+            if cfg.shadowing_sigma_db > 0 else np.zeros(dims.sites)
+        g_db = _large_scale_gain_db(layout, cfg, pos[None, :], sh[None, :])
+        best = int(associate_users(10 ** (g_db / 10.0), radio)[0])
+        if quota[best] <= 0:
+            continue
+        quota[best] -= 1
+        flat_xy.append(pos)
+        shadow.append(sh)
+        owners.append(best)
+    flat_xy = np.array(flat_xy)
+    shadow = np.array(shadow)
+    owners = np.array(owners)
 
     # stack the users in sector order, each sector's in drop order
     order = np.argsort(owners, kind="stable")
@@ -467,8 +446,7 @@ def draw_channels(layout, dims, cfg, radio, seed, user_xy=None):
         grid = np.repeat(large[:, None, :], dims.N, axis=1)
     return ChannelTensor(gains=SectorViews(grid, dims.M),
                          large_scale=SectorViews(large, dims.M),
-                         user_xy=SectorViews(flat_xy[order], dims.M),
-                         dims=dims)
+                         user_xy=SectorViews(flat_xy[order], dims.M))
 
 
 def _faded(large, dims, rng):
@@ -489,12 +467,12 @@ def refade(tensor, dims, rng):
     large = tensor.large_scale.stacked
     return ChannelTensor(gains=SectorViews(_faded(large, dims, rng), dims.M),
                          large_scale=tensor.large_scale,
-                         user_xy=tensor.user_xy, dims=dims)
+                         user_xy=tensor.user_xy)
 
 
 def _drop_region(layout):
     """(origin, v1, v2) spanning the user drop area."""
-    if layout.wraparound and layout.images.shape[0] > 1:
+    if layout.images.shape[0] > 1:
         return np.zeros(2), layout.images[1], layout.images[2]
     # non-wrapped: the site bounding box with one ISD of margin
     lo = layout.site_xy.min(axis=0) - layout.isd

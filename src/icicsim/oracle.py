@@ -51,6 +51,25 @@ class ExhaustiveResult:
     per_rb: np.ndarray        # (N,) per-RB optimal values
 
 
+def _best_patterns(problem, sector_best):
+    """Best blanking pattern per RB by full enumeration. A pattern scores
+    the sum over its live sectors k of sector_best(k, n, pats, on), the
+    (P,) best weighted rates, where on = 1 - pats is the transmit flag."""
+    pats = _all_patterns(problem.K)                  # (P, K)
+    on = 1.0 - pats
+    best_val = np.full(problem.N, -np.inf)
+    best_pat = np.zeros((problem.K, problem.N))
+    for n in range(problem.N):
+        total = np.zeros(pats.shape[0])
+        for k in range(problem.K):
+            total += on[:, k] * sector_best(k, n, pats, on)
+        arg = int(np.argmax(total))
+        best_val[n] = total[arg]
+        best_pat[:, n] = pats[arg]
+    return ExhaustiveResult(value=float(best_val.sum()), patterns=best_pat,
+                            per_rb=best_val)
+
+
 def exhaustive_original(problem):
     """Global optimum of the exact-rate problem by full enumeration.
 
@@ -58,27 +77,16 @@ def exhaustive_original(problem):
     per-sector argmax assignment on live RBs.
     """
     amc, weights = problem.amc, problem.weights
-    k_sec, n_rb = problem.K, problem.N
-    pats = _all_patterns(k_sec)                      # (P, K)
-    on = 1.0 - pats                                  # transmit indicator
     p_c, p_n = problem.radio.p_c_watts, problem.radio.p_n_watts
 
-    best_val = np.full(n_rb, -np.inf)
-    best_pat = np.zeros((k_sec, n_rb))
-    for n in range(n_rb):
-        total = np.zeros(pats.shape[0])
-        for k in range(k_sec):
-            g = problem.gains[k][:, n, :]            # (M, K)
-            interf = on @ g.T - on[:, [k]] * g[:, k]          # (P, M)
-            sinr = p_c * g[:, k] / (p_c * interf + p_n)
-            rates = amc.rate_linear(sinr, problem.margin_db)  # (P, M)
-            sector_best = np.max(weights[k] * rates, axis=1)
-            total += on[:, k] * sector_best
-        arg = int(np.argmax(total))
-        best_val[n] = total[arg]
-        best_pat[:, n] = pats[arg]
-    return ExhaustiveResult(value=float(best_val.sum()), patterns=best_pat,
-                            per_rb=best_val)
+    def sector_best(k, n, pats, on):
+        g = problem.gains[k][:, n, :]                # (M, K)
+        interf = on @ g.T - on[:, [k]] * g[:, k]              # (P, M)
+        sinr = p_c * g[:, k] / (p_c * interf + p_n)
+        rates = amc.rate_linear(sinr, problem.margin_db)      # (P, M)
+        return np.max(weights[k] * rates, axis=1)
+
+    return _best_patterns(problem, sector_best)
 
 
 def exhaustive_bound(problem):
@@ -88,30 +96,19 @@ def exhaustive_bound(problem):
     equals the optimum of the linearized binary program by construction.
     """
     weights, triples = problem.weights, problem.triples
-    k_sec, n_rb = problem.K, problem.N
-    pats = _all_patterns(k_sec)
     nmap = problem.neighbors
 
-    best_val = np.full(n_rb, -np.inf)
-    best_pat = np.zeros((k_sec, n_rb))
-    for n in range(n_rb):
-        total = np.zeros(pats.shape[0])
-        for k in range(k_sec):
-            r = triples.r[k][:, n]                    # (M,)
-            rtil = triples.rtil[k][:, n, :]           # (M, Kt)
-            if nmap.k_tilde:
-                blanked = pats[:, nmap.nbr[k]]        # (P, Kt)
-                credit = np.max(rtil[None, :, :] * blanked[:, None, :],
-                                axis=2)
-            else:
-                credit = np.zeros((pats.shape[0], r.shape[0]))
-            sector_best = np.max(weights[k] * (r + credit), axis=1)
-            total += (1.0 - pats[:, k]) * sector_best
-        arg = int(np.argmax(total))
-        best_val[n] = total[arg]
-        best_pat[:, n] = pats[arg]
-    return ExhaustiveResult(value=float(best_val.sum()), patterns=best_pat,
-                            per_rb=best_val)
+    def sector_best(k, n, pats, on):
+        r = triples.r[k][:, n]                        # (M,)
+        rtil = triples.rtil[k][:, n, :]               # (M, Kt)
+        if nmap.k_tilde:
+            blanked = pats[:, nmap.nbr[k]]            # (P, Kt)
+            credit = np.max(rtil[None, :, :] * blanked[:, None, :], axis=2)
+        else:
+            credit = np.zeros((pats.shape[0], r.shape[0]))
+        return np.max(weights[k] * (r + credit), axis=1)
+
+    return _best_patterns(problem, sector_best)
 
 
 def subproblem_enumeration(own_blank, nbr_blank, weights, r, rtil):

@@ -17,7 +17,6 @@ from icicsim import oracle
 from icicsim.fairsched import local_schedule
 from icicsim.instances import random_desk_instance
 from icicsim.linkadapt import default_amc_table
-from icicsim.network import ring_neighbor_map
 from icicsim.simulate import parse_config, run_simulation
 
 N_DESK = 50
@@ -117,16 +116,14 @@ def test_criterion_4_flow_equals_enumeration():
 def test_criterion_5_subgradient_inequality():
     rng = np.random.default_rng(55)
     k_sec = 6
-    nmap = ring_neighbor_map(k_sec, 2)
     checked = 0
     for s in range(100):
         prob = random_desk_instance(n_sectors=k_sec, users_per_sector=2,
-                                    n_rbs=1, k_tilde=2, seed=3000 + s,
-                                    neighbors=nmap)
+                                    n_rbs=1, k_tilde=2, seed=3000 + s)
         weights = [w / 100.0 for w in prob.weights]
         base = rng.random((k_sec, 1))
         v0, le, ln = oracle.reference_pass(prob, weights, base)
-        grad = co.compute_subgradient(le, ln, nmap)
+        grad = co.compute_subgradient(le, ln, prob.neighbors)
         for _ in range(100):
             probe = rng.random((k_sec, 1))
             v1, _, _ = oracle.reference_pass(prob, weights, probe)

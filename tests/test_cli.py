@@ -1,5 +1,7 @@
 """Exit codes and subcommand behavior of the console entry point."""
 
+import pytest
+
 from icicsim import cli, coordinator, lanes
 
 GOOD = """
@@ -76,3 +78,15 @@ def test_gapbench_small(tmp_path, capsys, monkeypatch):
     lines = out.read_text().splitlines()
     assert lines[0] == "instance,runs,gap_pct"
     assert len(lines) == 1 + 8
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--niter", "-1"), ("--seed", "-1"), ("--instances", "0"),
+    ("--instances", "-3")])
+def test_gapbench_bad_argument_exits_2(flag, value, tmp_path, capsys):
+    out = tmp_path / "gaps.csv"
+    assert cli.main(["gapbench", flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and flag in err
+    assert "Traceback" not in err
+    assert not out.exists()

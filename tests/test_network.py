@@ -5,6 +5,7 @@ import pytest
 
 from icicsim import network as nw
 from icicsim.linkadapt import RadioConfig
+from icicsim.simulate import parse_config
 
 RADIO = RadioConfig(p_c_watts=0.8, p_n_watts=3.6e-12)
 
@@ -65,6 +66,12 @@ def test_layout_deterministic():
 def test_unsupported_site_count_rejected():
     with pytest.raises(ValueError):
         nw.generate_layout(nw.NetworkDims.uniform(5, 1, 1), 500.0)
+
+
+def test_cluster_shape_beyond_twelve():
+    assert nw._cluster_shape(144) == (12, 0)
+    assert nw._cluster_shape(157) == (12, 1)
+    assert parse_config("scenario.sites = 144\n").scenario.sites == 144
 
 
 def test_antenna_pattern_values():
@@ -158,11 +165,12 @@ def test_association_single_sector_and_dominant():
     assert nw.associate_users(g, RADIO)[0] == 3
 
 
-def test_min_distance_enforced_for_pinned_users():
+def test_drawn_users_keep_min_distance_from_every_site():
     dims, lay, cfg = _desk()
-    bad = [np.tile(lay.site_xy[0], (dims.M[k], 1)) for k in range(dims.K)]
-    with pytest.raises(ValueError):
-        nw.draw_channels(lay, dims, cfg, RADIO, seed=0, user_xy=bad)
+    for seed in range(6):
+        t = nw.draw_channels(lay, dims, cfg, RADIO, seed=seed)
+        d = lay.torus_distance(t.user_xy.stacked[:, None], lay.site_xy[None])
+        assert d.min() >= cfg.min_bs_dist_m
 
 
 def test_symmetric_users_get_equal_gains():
@@ -171,10 +179,9 @@ def test_symmetric_users_get_equal_gains():
     cfg = nw.ChannelConfig(shadowing_sigma_db=0.0, fast_fading=False)
     bore = np.radians(lay.boresight_deg[0])
     offset = 120.0 * np.array([np.cos(bore), np.sin(bore)])
-    user_xy = [np.array([offset, offset]), np.array([[300.0, 10.0]]),
-               np.array([[10.0, -300.0]])]
-    t = nw.draw_channels(lay, dims, cfg, RADIO, seed=0, user_xy=user_xy)
-    assert np.array_equal(t.gains[0][0], t.gains[0][1])
+    xy = np.array([offset, offset, [300.0, 10.0]])
+    gain_db = nw._large_scale_gain_db(lay, cfg, xy, np.zeros((3, 1)))
+    assert np.array_equal(gain_db[0], gain_db[1])
 
 
 def test_pathloss_matches_direct_formula():
@@ -184,9 +191,8 @@ def test_pathloss_matches_direct_formula():
     bore = np.radians(lay.boresight_deg[0])
     direction = np.array([np.cos(bore), np.sin(bore)])
     d1, d2 = 100.0, 200.0
-    user_xy = [np.array([d1 * direction, d2 * direction]),
-               np.array([[300.0, 10.0]]), np.array([[10.0, -300.0]])]
-    t = nw.draw_channels(lay, dims, cfg, RADIO, seed=0, user_xy=user_xy)
+    xy = np.array([d1 * direction, d2 * direction])
+    gain_db = nw._large_scale_gain_db(lay, cfg, xy, np.zeros((2, 1)))
 
     def expected_db(d):
         dh = cfg.bs_height_m - cfg.ut_height_m
@@ -196,9 +202,8 @@ def test_pathloss_matches_direct_formula():
         return (-(cfg.pathloss_a_db + cfg.pathloss_b_db * np.log10(dist))
                 + pattern + cfg.boresight_gain_dbi - cfg.feeder_loss_db)
 
-    got_db = 10 * np.log10(t.gains[0][:, 0, 0])
-    assert got_db[0] == pytest.approx(expected_db(d1), abs=1e-9)
-    assert got_db[1] == pytest.approx(expected_db(d2), abs=1e-9)
+    assert gain_db[0, 0] == pytest.approx(expected_db(d1), abs=1e-9)
+    assert gain_db[1, 0] == pytest.approx(expected_db(d2), abs=1e-9)
 
 
 def test_drop_that_cannot_fill_names_sectors_and_tries():
