@@ -211,21 +211,40 @@ def bound_objective(weights, triples, blanking, neighbors):
     """Bound-problem value of a binary blanking with optimal local picks.
 
     For each live (sector, RB): the best user counting the single
-    strongest blanked neighbor's extra rate.
+    strongest blanked neighbor's extra rate. `blanking` is one (K, N)
+    pattern, which gives a float, or a stack of C patterns (C, K, N),
+    which gives (C,) values.
+
+    A stack is scored sector by sector. Each sector total sums only the
+    live RBs of its pattern: rows with the same live count are summed
+    together, and a row sum adds the same values in the same order as a
+    1-D sum, so each value equals scoring its pattern alone bit for bit.
+    The sector totals are added one at a time, in sector order.
     """
     blanking = np.asarray(blanking)
-    total = 0.0
-    for k in range(neighbors.K):
+    stack = blanking if blanking.ndim == 3 else blanking[None]
+    k_sec, n_rb = neighbors.K, stack.shape[2]
+    best = np.empty((stack.shape[0], k_sec, n_rb))    # best user per RB
+    for k in range(k_sec):
         if neighbors.k_tilde:
-            nbr_rows = blanking[neighbors.nbr[k]]      # (K_tilde, N)
-            credit = (triples.rtil[k] * nbr_rows.T[None, :, :]).max(axis=2)
+            nbr_rows = stack[:, neighbors.nbr[k]]            # (C, Kt, N)
+            credit = (triples.rtil[k][None] * nbr_rows.transpose(
+                0, 2, 1)[:, None]).max(axis=3)
         else:
             credit = 0.0
         val = (triples.r[k] + credit) * weights[k][:, None]
-        live = blanking[k] == 0
-        if np.any(live):
-            total += float(val[:, live].max(axis=0).sum())
-    return total
+        best[:, k] = val.max(axis=-2)
+    live = stack == 0
+    counts = live.sum(axis=2)
+    sector_total = np.zeros(counts.shape)
+    for n_live in np.unique(counts[counts > 0]).tolist():
+        rows = counts == n_live
+        sector_total[rows] = best[rows][live[rows]].reshape(
+            -1, n_live).sum(axis=1)
+    total = np.zeros(stack.shape[0])
+    for k in range(k_sec):
+        total += sector_total[:, k]
+    return total if blanking.ndim == 3 else float(total[0])
 
 
 def finalize_schedule(gains, weights, radio, amc, blanking, margin_db=0.0):
@@ -342,13 +361,20 @@ def _lane_groups(problems, weights, triples):
     parts = {}
     for p, (pr, w_p, tr) in enumerate(zip(problems, weights, triples)):
         sizes = np.array([w.shape[0] for w in w_p])
+        starts = np.cumsum(sizes) - sizes
+        w_all = np.concatenate(w_p)
+        rbs = np.arange(pr.N)[None, :, None]
         for m in np.unique(sizes):
             ks = np.flatnonzero(sizes == m)
+            # [users, rbs] reads (sector, RB, user): one row per lane
+            users = (starts[ks][:, None] + np.arange(m))[:, None, :]
             parts.setdefault((int(m), pr.neighbors.k_tilde), []).append((
                 (p, ks),
-                np.repeat(np.stack([w_p[k] for k in ks]), pr.N, axis=0),
-                np.concatenate([tr.r[k].T for k in ks]),
-                np.concatenate([tr.rtil[k].transpose(1, 0, 2) for k in ks])))
+                w_all[np.broadcast_to(users, (ks.size, pr.N, m))]
+                .reshape(-1, m),
+                tr.r.stacked[users, rbs].reshape(-1, m),
+                tr.rtil.stacked[users, rbs].reshape(
+                    -1, m, pr.neighbors.k_tilde)))
     groups = []
     for key in sorted(parts):
         members, w, r, rtil = zip(*parts[key])
@@ -450,13 +476,23 @@ def _subgradient_run(problems, groups, config, inits, frozen=None):
 def _masked_triples(problem, blank1):
     """The re-run's rate triples: every gain from a sector blanked in
     `blank1` zeroed, serving gains kept."""
-    off = blank1.astype(float).T[None, :, :]     # (1, N, K)
-    masked = []
-    for k, g in enumerate(problem.gains):
-        masked.append(g * (1.0 - off))
-        masked[k][:, :, k] = g[:, :, k]
-    return precompute_rate_triples(masked, problem.radio, problem.neighbors,
+    sizes = [g.shape[0] for g in problem.gains]
+    owner = np.repeat(np.arange(len(sizes)), sizes)     # sector of each row
+    users = np.arange(owner.size)
+    gains = nw.stack_rows(problem.gains)                # (sum M, N, K)
+    masked = gains * (1.0 - blank1.astype(float).T[None, :, :])
+    masked[users, :, owner] = gains[users, :, owner]
+    return precompute_rate_triples(nw.SectorViews(masked, sizes),
+                                   problem.radio, problem.neighbors,
                                    problem.amc, problem.margin_db)
+
+
+def _scored(problem, weights, rounded):
+    """(blanking, bound value) of each rounded iterate of one run, all
+    scored by one bound_objective call."""
+    values = bound_objective(weights, problem.triples, np.stack(rounded),
+                             problem.neighbors)
+    return list(zip(rounded, values.tolist()))
 
 
 def _round_start(problem, warm_start):
@@ -507,9 +543,8 @@ def run_rounds(problems, config, warm_starts=None):
                           (pr.triples for pr in problems))
     finals, values, rounded, seens = _subgradient_run(
         problems, groups, config, inits)
-    candidates = [
-        [(i, bound_objective(w, pr.triples, i, pr.neighbors)) for i in rnd]
-        for pr, w, rnd in zip(problems, weights, rounded)]
+    candidates = [_scored(pr, w, rnd)
+                  for pr, w, rnd in zip(problems, weights, rounded)]
     if config.n_iter > 0:
         # bookkeeping only: the final value and x/y, no exchange
         binary = []
@@ -533,8 +568,7 @@ def run_rounds(problems, config, warm_starts=None):
         # the re-run's iterates are scored on the true channel
         for pr, w, cands, rnd in zip(problems, weights, candidates,
                                      rounded2):
-            cands += [(i, bound_objective(w, pr.triples, i, pr.neighbors))
-                      for i in rnd]
+            cands += _scored(pr, w, rnd)
 
     return [_round_result(*args, config) for args in zip(
         problems, weights, scales, candidates, values, finals, binary)]

@@ -1,6 +1,13 @@
 """SINR and rate computations: exact values, blanking lower bounds, and
 the per-(sector, user, RB) rate triples the coordinator consumes.
 
+The triples are stacked like the channel gains: one (sum of M_k, N)
+array of all-on rates and one (sum of M_k, N, K_tilde) array of extra
+rates, rows in sector order, each read per sector through
+`network.SectorViews`. `precompute_rate_triples` writes every user's
+SINRs into these buffers sector by sector and then makes one AMC lookup
+for each of the two.
+
 All channel gains are linear power gains. Blanking indicators are 1 when
 a sector leaves the RB unused. The exact SINR sums interference over
 every other sector; the bound only ever credits the removal of a single
@@ -12,9 +19,12 @@ sides compute their denominator as a sum over the same index set instead
 of subtracting terms from a precomputed total.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
+
+from .network import SectorViews
 
 
 @dataclass(frozen=True)
@@ -92,8 +102,14 @@ DEFAULT_AMC_ROWS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
 def default_amc_table():
-    return AmcTable(DEFAULT_AMC_ROWS)
+    """The one shared table of DEFAULT_AMC_ROWS; its arrays are read-only.
+    AmcTable(DEFAULT_AMC_ROWS) builds a private copy."""
+    table = AmcTable(DEFAULT_AMC_ROWS)
+    for arr in (table.lows, table.uppers, table.rates):
+        arr.flags.writeable = False
+    return table
 
 
 def sinr_exact(gains, serving, blanking, radio):
@@ -145,40 +161,56 @@ class RateTriples:
 
     r[k]     (M_k, N)          rate if all sectors use the RB
     rtil[k]  (M_k, N, K_tilde) additional rate if only that neighbor blanks
+
+    r and rtil are network.SectorViews: r.stacked is one (sum of M_k, N)
+    array and rtil.stacked one (sum of M_k, N, K_tilde) array, the users
+    of all sectors stacked in sector order.
     """
 
-    r: list = field(default_factory=list)
-    rtil: list = field(default_factory=list)
+    r: SectorViews
+    rtil: SectorViews
 
 
 def precompute_rate_triples(gains_per_sector, radio, neighbors, amc,
                             margin_db=0.0):
     """Build RateTriples from per-sector gain tensors.
 
-    gains_per_sector: list over sectors k of arrays (M_k, N, K); column j
-    holds the gain from sector j, so column k is the serving gain.
+    gains_per_sector: sequence over sectors k of arrays (M_k, N, K);
+    column j holds the gain from sector j, so column k is the serving
+    gain. It may cover fewer sectors than there are gain columns.
     neighbors: NeighborMap-like with .nbr (K, K_tilde) int array.
+
+    Each denominator sums the same gains in the same order as a boolean
+    mask over the columns would: per sector, one gather of every column
+    but k and one (K_tilde, K - 2) gather of every column but k and the
+    neighbor. The SINRs go into stacked buffers, so the AMC lookup runs
+    once for r and once for rtil over all users.
     """
     p_c, p_n = radio.p_c_watts, radio.p_n_watts
-    triples = RateTriples()
+    sizes = [g.shape[0] for g in gains_per_sector]
+    _, n_rb, n_sec = gains_per_sector[0].shape
+    nbr = np.asarray(neighbors.nbr)[:len(sizes)]
+    k_tilde = nbr.shape[1]
+    # others[k]: every column but k; removed[k, pos]: also without nbr[k, pos]
+    col = np.arange(n_sec - 1)
+    others = col + (col >= np.arange(len(sizes))[:, None])
+    keep = others[:, None, :] != nbr[:, :, None]
+    removed = np.broadcast_to(others[:, None, :], keep.shape)[keep].reshape(
+        len(sizes), k_tilde, max(n_sec - 2, 0))
+    gamma = np.empty((sum(sizes), n_rb))
+    gamma_t = np.empty((sum(sizes), n_rb, k_tilde))
+    lo = 0
     for k, g in enumerate(gains_per_sector):
-        m_k, n_rb, n_sec = g.shape
-        nbr = neighbors.nbr[k]
-        others = np.ones(n_sec, dtype=bool)
-        others[k] = False
-        total_int = p_c * g[:, :, others].sum(axis=2)          # (M, N)
-        gamma = p_c * g[:, :, k] / (total_int + p_n)
-        r = amc.rate_linear(gamma, margin_db)
-        rtil = np.empty((m_k, n_rb, len(nbr)))
-        for pos, j in enumerate(nbr):
-            mask = others.copy()
-            mask[j] = False
-            removed_int = p_c * g[:, :, mask].sum(axis=2)
-            gamma_t = p_c * g[:, :, k] / (removed_int + p_n)
-            rtil[:, :, pos] = amc.rate_linear(gamma_t, margin_db) - r
-        triples.r.append(r)
-        triples.rtil.append(rtil)
-    return triples
+        rows = slice(lo, lo + g.shape[0])
+        lo = rows.stop
+        serving = p_c * g[:, :, k]
+        total_int = p_c * g[:, :, others[k]].sum(axis=2)       # (M, N)
+        gamma[rows] = serving / (total_int + p_n)
+        removed_int = p_c * g[:, :, removed[k]].sum(axis=3)      # (M, N, Kt)
+        gamma_t[rows] = serving[:, :, None] / (removed_int + p_n)
+    r = amc.rate_linear(gamma, margin_db)
+    rtil = amc.rate_linear(gamma_t, margin_db) - r[:, :, None]
+    return RateTriples(r=SectorViews(r, sizes), rtil=SectorViews(rtil, sizes))
 
 
 def rate_bound(r, rtil, blanked_mask):

@@ -94,19 +94,31 @@ def exhaustive_bound(problem):
 
     The bounded rate credits only the strongest blanked neighbor, so this
     equals the optimum of the linearized binary program by construction.
+    A sector's best bounded rate depends only on its K_tilde neighbors'
+    bits, so it is computed once per neighbor pattern and each full
+    pattern looks it up by its neighbor code: the same floats as scoring
+    every full pattern.
     """
-    weights, triples = problem.weights, problem.triples
     nmap = problem.neighbors
+    kt = nmap.k_tilde
+    p = np.arange(_all_patterns(problem.K).shape[0])    # within the budget
+    # code[k, p]: the neighbor bits of full pattern p, as a row of sub
+    code = np.zeros((problem.K, p.size), dtype=np.intp)
+    for pos in range(kt):
+        code |= ((p >> nmap.nbr[:, pos, None]) & 1) << pos
+    sub = _all_patterns(kt)                               # (2^Kt, Kt)
+    best = []                           # per sector, (N, 2^Kt) best values
+    for k, w in enumerate(problem.weights):
+        r = problem.triples.r[k][:, :, None]              # (M, N, 1)
+        rtil = problem.triples.rtil[k][:, :, None, :]     # (M, N, 1, Kt)
+        if kt:
+            credit = np.max(rtil * sub, axis=3)           # (M, N, 2^Kt)
+        else:
+            credit = np.zeros(r.shape)
+        best.append(np.max(w[:, None, None] * (r + credit), axis=0))
 
     def sector_best(k, n, pats, on):
-        r = triples.r[k][:, n]                        # (M,)
-        rtil = triples.rtil[k][:, n, :]               # (M, Kt)
-        if nmap.k_tilde:
-            blanked = pats[:, nmap.nbr[k]]            # (P, Kt)
-            credit = np.max(rtil[None, :, :] * blanked[:, None, :], axis=2)
-        else:
-            credit = np.zeros((pats.shape[0], r.shape[0]))
-        return np.max(weights[k] * (r + credit), axis=1)
+        return best[k][n][code[k]]
 
     return _best_patterns(problem, sector_best)
 

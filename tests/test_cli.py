@@ -1,5 +1,6 @@
 """Exit codes and subcommand behavior of the console entry point."""
 
+import numpy as np
 import pytest
 
 from icicsim import cli, coordinator, lanes
@@ -59,20 +60,29 @@ def test_verify_quick():
 
 
 def test_gapbench_small(tmp_path, capsys, monkeypatch):
-    counts = {"solve_lanes": 0, "bound_objective": 0}
-    for owner, name in ((lanes, "solve_lanes"),
-                        (coordinator, "bound_objective")):
-        def counted(*args, _name=name, _f=getattr(owner, name), **kwargs):
-            counts[_name] += 1
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
+    calls = {"solve_lanes": 0}
+    scored = []
+
+    def solve_lanes(*args, _f=lanes.solve_lanes, **kwargs):
+        calls["solve_lanes"] += 1
+        return _f(*args, **kwargs)
+
+    def bound_objective(weights, triples, blanking, neighbors,
+                        _f=coordinator.bound_objective):
+        scored.append(np.shape(blanking)[0])
+        return _f(weights, triples, blanking, neighbors)
+
+    monkeypatch.setattr(lanes, "solve_lanes", solve_lanes)
+    monkeypatch.setattr(coordinator, "bound_objective", bound_objective)
     out = tmp_path / "gaps.csv"
     assert cli.main(["gapbench", "--instances", "4", "--seed", "3",
                      "--out", str(out)]) == 0
     # one runs=2 round per instance (n_iter=5) serves both columns, and
     # the rounds run in lockstep: 5 + 1 + 5 master passes, each one engine
-    # call for the whole batch, and 2 * 6 scored roundings per instance
-    assert counts == {"solve_lanes": 11, "bound_objective": 4 * 12}
+    # call for the whole batch. Each run of each instance scores its 6
+    # roundings in one call.
+    assert calls == {"solve_lanes": 11}
+    assert scored == [6] * (4 * 2)
     text = capsys.readouterr().out
     assert "mean_gap_pct" in text
     lines = out.read_text().splitlines()

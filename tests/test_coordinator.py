@@ -271,6 +271,19 @@ def _count_calls(monkeypatch, owner, name, counts):
     monkeypatch.setattr(owner, name, counted)
 
 
+def _count_scored(monkeypatch):
+    """The number of stacked patterns of each bound_objective call."""
+    scored = []
+    original = co.bound_objective
+
+    def counted(weights, triples, blanking, neighbors):
+        scored.append(np.shape(blanking)[0])
+        return original(weights, triples, blanking, neighbors)
+
+    monkeypatch.setattr(co, "bound_objective", counted)
+    return scored
+
+
 @pytest.mark.parametrize("runs", [1, 2])
 def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
     # equal M_k: one lane group, so one engine call per master pass
@@ -280,16 +293,18 @@ def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
     _count_calls(monkeypatch, lanes, "solve_lanes", counts)
     _count_calls(monkeypatch, co, "bound_objective", counts)
     _count_calls(monkeypatch, co.Mailbox, "post", counts)
+    scored = _count_scored(monkeypatch)
     n = 4
     co.run_coordination(prob, co.IcicConfig(n_iter=n, runs=runs))
     # run 1: n passes plus the closing pass; the re-run has no closing
-    # pass. Every rounded iterate is scored once, on the true channel.
-    # Only the passes that feed a master step exchange duals: each sector
-    # posts to its K_tilde = 2 neighbors.
+    # pass. Each run's n + 1 rounded iterates are scored once, by one
+    # call, on the true channel. Only the passes that feed a master step
+    # exchange duals: each sector posts to its K_tilde = 2 neighbors.
     passes = {1: n + 1, 2: 2 * n + 1}[runs]
     assert counts == {"solve_lanes": passes,
-                      "bound_objective": runs * (n + 1),
+                      "bound_objective": runs,
                       "post": runs * n * 6 * 2}
+    assert scored == [n + 1] * runs
 
 
 def _uneven_problem(seed, n_rbs=2):

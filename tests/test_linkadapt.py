@@ -25,6 +25,18 @@ def test_default_table_has_all_rows():
         assert (lo, hi, rate) == (alo, ahi, arate)
 
 
+def test_default_table_is_shared_and_read_only():
+    amc = la.default_amc_table()
+    assert la.default_amc_table() is amc
+    for arr in (amc.lows, amc.uppers, amc.rates):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    fresh = la.AmcTable(la.DEFAULT_AMC_ROWS)
+    assert fresh is not amc
+    fresh.rates[1] = 36.0              # a private table stays writable
+    assert amc.rates[1] == 35.3
+
+
 def test_rate_spot_values():
     amc = la.default_amc_table()
     assert amc.rate_db(0.0) == 131.4

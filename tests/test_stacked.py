@@ -1,0 +1,214 @@
+"""Stacked scoring and rate triples against the loops they replaced.
+
+`bound_objective` scores a stack of blankings sector by sector,
+`precompute_rate_triples` writes every user's SINRs into stacked buffers
+before one AMC lookup, the lane inputs and the re-run's masked channel
+are read from the stacked arrays, and `exhaustive_bound` scores each
+neighbor pattern once. The references below are the per-candidate,
+per-sector and per-pattern versions, and the new code must equal them
+bit for bit.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from icicsim import coordinator as co
+from icicsim import network as nw
+from icicsim import oracle
+from icicsim.instances import random_desk_instance
+from icicsim.linkadapt import (RadioConfig, default_amc_table,
+                               precompute_rate_triples)
+
+RADIO = RadioConfig(p_c_watts=1.0, p_n_watts=0.01)
+
+
+def _bound_objective_one(weights, triples, blanking, neighbors):
+    blanking = np.asarray(blanking)
+    total = 0.0
+    for k in range(neighbors.K):
+        if neighbors.k_tilde:
+            nbr_rows = blanking[neighbors.nbr[k]]
+            credit = (triples.rtil[k] * nbr_rows.T[None, :, :]).max(axis=2)
+        else:
+            credit = 0.0
+        val = (triples.r[k] + credit) * weights[k][:, None]
+        live = blanking[k] == 0
+        if np.any(live):
+            total += float(val[:, live].max(axis=0).sum())
+    return total
+
+
+def _triples_per_sector(gains_per_sector, radio, neighbors, amc,
+                        margin_db=0.0):
+    p_c, p_n = radio.p_c_watts, radio.p_n_watts
+    r_out, rtil_out = [], []
+    for k, g in enumerate(gains_per_sector):
+        m_k, n_rb, n_sec = g.shape
+        nbr = neighbors.nbr[k]
+        others = np.ones(n_sec, dtype=bool)
+        others[k] = False
+        total_int = p_c * g[:, :, others].sum(axis=2)
+        gamma = p_c * g[:, :, k] / (total_int + p_n)
+        r = amc.rate_linear(gamma, margin_db)
+        rtil = np.empty((m_k, n_rb, len(nbr)))
+        for pos, j in enumerate(nbr):
+            mask = others.copy()
+            mask[j] = False
+            removed_int = p_c * g[:, :, mask].sum(axis=2)
+            gamma_t = p_c * g[:, :, k] / (removed_int + p_n)
+            rtil[:, :, pos] = amc.rate_linear(gamma_t, margin_db) - r
+        r_out.append(r)
+        rtil_out.append(rtil)
+    return r_out, rtil_out
+
+
+def _exhaustive_bound_per_pattern(problem):
+    weights, triples = problem.weights, problem.triples
+    nmap = problem.neighbors
+
+    def sector_best(k, n, pats, on):
+        r = triples.r[k][:, n]
+        rtil = triples.rtil[k][:, n, :]
+        if nmap.k_tilde:
+            blanked = pats[:, nmap.nbr[k]]
+            credit = np.max(rtil[None, :, :] * blanked[:, None, :], axis=2)
+        else:
+            credit = np.zeros((pats.shape[0], r.shape[0]))
+        return np.max(weights[k] * (r + credit), axis=1)
+
+    return oracle._best_patterns(problem, sector_best)
+
+
+def _random_blankings(rng, count, k_sec, n_rb):
+    """Each (pattern, sector) row gets a live count drawn from 0..n_rb."""
+    stack = np.ones((count, k_sec, n_rb), dtype=np.int8)
+    for row in stack.reshape(-1, n_rb):
+        row[rng.permutation(n_rb)[:rng.integers(0, n_rb + 1)]] = 0
+    return stack
+
+
+@pytest.mark.parametrize("users, k_tilde", [
+    (2, 2), ([3, 1, 2, 4, 2, 1], 2), ([3, 1, 2, 4, 2, 1], 0)],
+    ids=["uniform", "uneven", "k_tilde 0"])
+def test_bound_objective_stack_equals_per_candidate_loop(users, k_tilde):
+    prob = random_desk_instance(n_sectors=6, users_per_sector=users,
+                                n_rbs=50, k_tilde=k_tilde, seed=31)
+    rng = np.random.default_rng(32)
+    weights = [w * rng.uniform(0.1, 3.0) for w in prob.weights]
+    stack = _random_blankings(rng, 40, 6, 50)
+    live = (stack == 0).sum(axis=2)
+    assert live.min() == 0 and (live < 8).any() and (live >= 8).any()
+    got = co.bound_objective(weights, prob.triples, stack, prob.neighbors)
+    ref = np.array([_bound_objective_one(weights, prob.triples, b,
+                                         prob.neighbors) for b in stack])
+    assert got.shape == (40,)
+    assert got.tobytes() == ref.tobytes()
+    one = co.bound_objective(weights, prob.triples, stack[3], prob.neighbors)
+    assert type(one) is float and one == ref[3]
+
+
+def _gains(rng, users, n_rb, n_sec):
+    """Per-sector gains spread over 40 dB, the serving column strongest,
+    so the SINRs cover most AMC rows."""
+    parts = []
+    for k, m in enumerate(users):
+        g = 10 ** rng.uniform(-4.0, -1.0, (m, n_rb, n_sec))
+        g[:, :, k] = 10 ** rng.uniform(-1.5, 0.0, (m, n_rb))
+        parts.append(g)
+    return parts
+
+
+class _SinrTable:
+    """Stands in for an AMC table and returns the SINR, backed off by the
+    margin, so the SINR arithmetic itself is compared bit for bit."""
+
+    @staticmethod
+    def rate_linear(sinr_linear, margin_db=0.0):
+        return np.asarray(sinr_linear) - margin_db
+
+
+@pytest.mark.parametrize("amc", [default_amc_table(), _SinrTable()],
+                         ids=["amc", "sinr"])
+@pytest.mark.parametrize("n_sec, k_tilde, margin_db", [
+    (6, 2, 0.0), (9, 4, 2.5), (12, 4, 0.0), (12, 3, 2.5), (8, 0, 0.0)])
+def test_triples_equal_per_sector_masks(n_sec, k_tilde, margin_db, amc):
+    # K - 1 below 8 and at least 8, so the pairwise sums differ in shape
+    rng = np.random.default_rng(n_sec)
+    users = rng.integers(1, 5, n_sec).tolist()
+    gains = _gains(rng, users, 7, n_sec)
+    nmap = nw.ring_neighbor_map(n_sec, k_tilde)
+    ref_r, ref_rtil = _triples_per_sector(gains, RADIO, nmap, amc,
+                                          margin_db)
+    stacked = nw.SectorViews(np.concatenate(gains), users)
+    for layout in (gains, stacked):
+        got = precompute_rate_triples(layout, RADIO, nmap, amc, margin_db)
+        assert got.r.stacked.shape == (sum(users), 7)
+        assert got.rtil.stacked.shape == (sum(users), 7, k_tilde)
+        for k in range(n_sec):
+            assert got.r[k].tobytes() == ref_r[k].tobytes()
+            assert got.rtil[k].shape == ref_rtil[k].shape
+            assert got.rtil[k].tobytes() == ref_rtil[k].tobytes()
+
+
+def test_triples_of_fewer_sectors_than_gain_columns():
+    rng = np.random.default_rng(3)
+    gains = _gains(rng, [2, 3], 5, 11)
+    nmap = SimpleNamespace(nbr=np.array([[1, 4, 7], [0, 5, 9]]))
+    ref_r, ref_rtil = _triples_per_sector(gains, RADIO, nmap, _SinrTable())
+    got = precompute_rate_triples(gains, RADIO, nmap, _SinrTable())
+    assert len(got.r) == len(got.rtil) == 2
+    for k in range(2):
+        assert got.r[k].tobytes() == ref_r[k].tobytes()
+        assert got.rtil[k].tobytes() == ref_rtil[k].tobytes()
+
+
+def _uneven_desk(seed, k_tilde, n_rbs=3):
+    return random_desk_instance(n_sectors=6,
+                                users_per_sector=[3, 1, 2, 3, 2, 1],
+                                n_rbs=n_rbs, k_tilde=k_tilde, seed=seed)
+
+
+@pytest.mark.parametrize("k_tilde", [0, 1, 2, 3])
+def test_exhaustive_bound_equals_full_pattern_scoring(k_tilde):
+    prob = _uneven_desk(50 + k_tilde, k_tilde)
+    assert oracle.bit_equal(oracle.exhaustive_bound(prob),
+                            _exhaustive_bound_per_pattern(prob))
+
+
+def test_masked_triples_equal_per_sector_masking():
+    for prob in (_uneven_desk(61, 2, n_rbs=6), random_desk_instance(
+            n_sectors=8, users_per_sector=2, n_rbs=6, k_tilde=3, seed=62)):
+        rng = np.random.default_rng(63)
+        blank1 = (rng.random((prob.K, prob.N)) < 0.4).astype(np.int8)
+        off = blank1.astype(float).T[None, :, :]
+        masked = []
+        for k, g in enumerate(prob.gains):
+            masked.append(g * (1.0 - off))
+            masked[k][:, :, k] = g[:, :, k]
+        ref_r, ref_rtil = _triples_per_sector(masked, prob.radio,
+                                              prob.neighbors, _SinrTable())
+        prob.amc = _SinrTable()
+        got = co._masked_triples(prob, blank1)
+        for k in range(prob.K):
+            assert got.r[k].tobytes() == ref_r[k].tobytes()
+            assert got.rtil[k].tobytes() == ref_rtil[k].tobytes()
+
+
+def test_lane_groups_equal_per_sector_transposes():
+    probs = [_uneven_desk(71, 2), random_desk_instance(
+        n_sectors=6, users_per_sector=2, n_rbs=4, k_tilde=2, seed=72)]
+    weights = [[w * 0.5 for w in pr.weights] for pr in probs]
+    groups = co._lane_groups(probs, weights, [pr.triples for pr in probs])
+    for members, w, r, rtil in groups:
+        ref = [(np.repeat(np.stack([weights[p][k] for k in ks]),
+                          probs[p].N, axis=0),
+                np.concatenate([probs[p].triples.r[k].T for k in ks]),
+                np.concatenate([probs[p].triples.rtil[k].transpose(1, 0, 2)
+                                for k in ks]))
+               for p, ks in members]
+        for got, want in zip((w, r, rtil), zip(*ref)):
+            want = np.concatenate(want)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
