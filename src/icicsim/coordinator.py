@@ -18,6 +18,9 @@ everyone's (possibly fractional) blanking levels. Its flow form:
 Within one master pass all K*N subproblems share this topology, so the
 pass hands them to `lanes.solve_lanes` as array lanes, one call per group
 of sectors with the same user count M_k and neighbor count K_tilde.
+Within one run the lane inputs other than the blanking levels are
+fixed, so after the first pass a call holds only the lanes whose own or
+neighbor levels changed; the others keep their previous solution.
 `solve_subproblem` (one FlowNetwork, solved by `mcnf.solve`) is the
 per-lane reference that the engine must equal bit for bit; the master
 loop itself never calls it.
@@ -383,7 +386,7 @@ def _lane_groups(problems, weights, triples):
     return groups
 
 
-def _solve_pass(problems, groups, blankings, seens):
+def _solve_pass(problems, groups, blankings, seens, cache=None):
     """Solve every (sector, RB) subproblem of one master pass of each
     problem as lanes: one `lanes.solve_lanes` call per lane group (see
     `_lane_groups`), over the lanes of all problems.
@@ -393,19 +396,40 @@ def _solve_pass(problems, groups, blankings, seens):
     quantized). Returns, per problem, the duals lam_eq (K, N) and lam_nbr
     (K, N, K_tilde), the master value summed in (k, n) order, and the
     engine's (x, y) arrays, one pair per group of equal-size sectors.
+
+    `cache`, a list with one entry per group (None before the group's
+    first pass; without a list the pass stands alone), carries each group's lane inputs (own, nbr) and engine outputs
+    from pass to pass. A group's w, r and rtil are fixed, so a lane whose
+    own and nbr are bit-equal to the previous pass's (compared as uint64,
+    so -0.0 differs from 0.0) has the same solution: the engine solves
+    only the changed lanes and writes their results in place into the
+    cached outputs. The group still makes its one engine call when no
+    lane changed. The (x, y) arrays are then views that a later pass with
+    the same cache overwrites.
     """
     lam_eq = [np.empty((pr.K, pr.N)) for pr in problems]
     lam_nbr = [np.empty((pr.K, pr.N, pr.neighbors.k_tilde))
                for pr in problems]
     phi = [np.empty((pr.K, pr.N)) for pr in problems]
     xy = [[] for _ in problems]
-    for members, w, r, rtil in groups:
+    if cache is None:
+        cache = [None] * len(groups)        # a pass on its own
+    for g, (members, w, r, rtil) in enumerate(groups):
         kt = rtil.shape[2]
         own = np.concatenate([blankings[p][ks].ravel() for p, ks in members])
         nbr = np.concatenate([
             seens[p][problems[p].neighbors.nbr[ks]].transpose(0, 2, 1)
             .reshape(-1, kt) for p, ks in members])
-        out = lanes.solve_lanes(own, nbr, w, r, rtil)
+        if cache[g] is None:
+            out = lanes.solve_lanes(own, nbr, w, r, rtil)
+        else:
+            prev_own, prev_nbr, out = cache[g]
+            changed = own.view(np.uint64) != prev_own.view(np.uint64)
+            changed |= (nbr.view(np.uint64)
+                        != prev_nbr.view(np.uint64)).any(axis=1)
+            lanes.solve_lanes(own, nbr, w, r, rtil,
+                              at=np.flatnonzero(changed), out=out)
+        cache[g] = (own, nbr, out)
         lo = 0
         for p, ks in members:
             n_rb = problems[p].N
@@ -439,7 +463,14 @@ def _subgradient_run(problems, groups, config, inits, frozen=None):
 
     Returns four lists, one entry per problem: the final I, the master
     value per pass, the rounded iterates and the final I as neighbors
-    see it. `frozen[p]`, when given, marks problem p's entries held at 1.
+    see it; and, fifth, the run's lane cache (see `_solve_pass`), which
+    a closing pass over the same groups may reuse. `frozen[p]`, when
+    given, marks problem p's entries held at 1.
+
+    Every pass of the run shares one cache, so a pass re-solves only the
+    lanes whose blanking inputs moved; the projection clips saturated
+    entries to exactly 0 or 1, so many lanes repeat. The (x, y) pairs of
+    a pass are overwritten by the next one, and the run reads none.
     """
     blankings = [i.copy() for i in inits]
     if frozen is not None:
@@ -454,9 +485,10 @@ def _subgradient_run(problems, groups, config, inits, frozen=None):
     rounded = [[round_blanking(b)] for b in blankings]
     values = [[] for _ in problems]
     seens = [as_seen(b) for b in blankings]
+    cache = [None] * len(groups)
     for it in range(1, config.n_iter + 1):
         for p, (lam_eq, lam_nbr, value, _) in enumerate(
-                _solve_pass(problems, groups, blankings, seens)):
+                _solve_pass(problems, groups, blankings, seens, cache)):
             if config.quantize_exchange:
                 # each (sector, neighbor) message carries its own scale
                 lam_nbr = _quantize(lam_nbr, config.quant_bits, axis=1)
@@ -470,7 +502,7 @@ def _subgradient_run(problems, groups, config, inits, frozen=None):
             blankings[p] = blanking
             seens[p] = as_seen(blanking)
             rounded[p].append(round_blanking(blanking))
-    return blankings, values, rounded, seens
+    return blankings, values, rounded, seens, cache
 
 
 def _masked_triples(problem, blank1):
@@ -541,15 +573,17 @@ def run_rounds(problems, config, warm_starts=None):
         _round_start(pr, ws) for pr, ws in zip(problems, warm_starts)])
     groups = _lane_groups(problems, weights,
                           (pr.triples for pr in problems))
-    finals, values, rounded, seens = _subgradient_run(
+    finals, values, rounded, seens, cache = _subgradient_run(
         problems, groups, config, inits)
     candidates = [_scored(pr, w, rnd)
                   for pr, w, rnd in zip(problems, weights, rounded)]
     if config.n_iter > 0:
-        # bookkeeping only: the final value and x/y, no exchange
+        # bookkeeping only: the final value and x/y, no exchange; the
+        # run's cache re-solves only the lanes its last step moved
         binary = []
         for vals, (_, _, final_value, xy), final_i in zip(
-                values, _solve_pass(problems, groups, finals, seens), finals):
+                values, _solve_pass(problems, groups, finals, seens, cache),
+                finals):
             vals.append(final_value)
             binary.append(_binary_fraction(xy, final_i))
     else:
@@ -562,7 +596,8 @@ def run_rounds(problems, config, warm_starts=None):
         # one masked channel alive at a time: only its lanes are kept
         groups = _lane_groups(problems, weights, (
             _masked_triples(pr, b) for pr, b in zip(problems, blank1)))
-        _, _, rounded2, _ = _subgradient_run(
+        # new groups, so the re-run starts from an empty cache
+        _, _, rounded2, _, _ = _subgradient_run(
             problems, groups, config, finals,
             frozen=[b.astype(bool) for b in blank1])
         # the re-run's iterates are scored on the true channel

@@ -13,7 +13,8 @@ Node numbering follows `build_subproblem_network`: 0 the RB source,
 per arc, (lanes, A), in that function's arc order; costs per residual
 arc, (lanes, 2A): the A arcs, then their reverses at minus the cost.
 Between any two nodes runs at most one residual arc, so Dijkstra reads
-the reduced costs from one dense (lanes, V, V) matrix per round.
+the reduced costs from one dense (lanes, V, V) matrix, rewritten each
+round.
 
 Points that keep the result bit-exact:
   - the arc list is in topological order, so one Bellman-Ford sweep in
@@ -24,12 +25,15 @@ Points that keep the result bit-exact:
   - phi uses batched matmul (one BLAS dot per lane, as `np.dot`) and a
     sum over the same contiguous (M, Kt) block as `np.sum`.
 
-One Dijkstra step is a handful of numpy calls on (lanes, V) arrays. Once
-per round, `redp` holds the reduced costs clipped at 0, +inf on every
-pair of nodes without a usable residual arc. A step is then one argmin
-over `key` (dist with settled nodes at +inf), one gather of row u of
-redp, one add, one `nd < dist - 1e-15` compare and masked copies into
-dist, key and pred. Popped keys never decrease and redp >= 0, so the
+One Dijkstra step is a handful of numpy calls on (lanes, V) arrays.
+`redp` holds the reduced costs clipped at 0, +inf on every pair of nodes
+without a usable residual arc. It is allocated once per chunk, all +inf,
+with one (V, V) block per working row. Pairs of nodes without a
+residual arc are never written, and each round rewrites the residual-arc
+positions of every live row, so a row left over from a lane that has
+finished is never read. A step is then one argmin over `key` (dist with
+settled nodes at +inf), one gather of row u of redp, one add, one
+`nd < dist - 1e-15` compare and masked copies into dist, key and pred. Popped keys never decrease and redp >= 0, so the
 compare is already false for settled nodes and for lanes with nothing
 left to pop; neither needs a mask of its own.
 
@@ -38,8 +42,9 @@ exactly as strict as mcnf's. Each node records the step it settled at
 (V if never), and the round fails if a usable residual arc u -> v has
 red < -1e-7 * max(1, |cost|) and u settled before v: mcnf tests the arcs
 out of u when it pops u, skipping heads already done. Usable arcs with
-red >= -1e-7 cannot fail, so the floor is computed only for the rest,
-which are none in a healthy solve.
+red >= -1e-7 cannot fail, so the floor is computed only for the rest.
+A healthy round has none, so the round looks them up with `nonzero`
+only when `((red < -1e-7) & usable).any()` holds.
 
 Lane compaction: a lane is finished once no node holds excess above its
 tolerance. At the top of every augmentation round the finished lanes
@@ -50,12 +55,18 @@ compaction keeps the lanes in order, so dropping finished rows changes
 no live lane's arithmetic and the lowest stuck lane is still the one an
 InfeasibleFlowError names.
 
-CHUNK is 1024 lanes. Only redp is (lanes, V, V), and it is freed before
-the next round; the flows and costs are (lanes, A) and (lanes, 2A). On
-the 57-sector, 50-RB benchmark round (V = 11, seed 7919, one perfbench
-run of 24 s per CHUNK on a 2-vCPU host) wall time and peak RSS were
-0.33 s and 49.7 MB at 256 lanes, 0.28 s and 50.1 MB at 512, 0.26 s and
-51.2 MB at 768, and 0.25 s and 52.2 MB at 1024.
+Subsets: for the same reason a lane's result does not depend on which
+lanes share its chunk. A caller that re-solves only some lanes passes
+their indices as `at` and the earlier outputs as `out`; each chunk
+gathers up to CHUNK of those lanes and writes their results back into
+`out`, and the other lanes keep theirs.
+
+CHUNK is 1024 lanes. Only redp is (lanes, V, V), one per chunk; the
+flows and costs are (lanes, A) and (lanes, 2A). On the 57-sector, 50-RB
+benchmark round (V = 11, seed 7919, one perfbench run of 24 s per CHUNK
+on a 2-vCPU host, every lane solved in every pass) wall time and peak
+RSS were 0.33 s and 49.7 MB at 256 lanes, 0.28 s and 50.1 MB at 512,
+0.26 s and 51.2 MB at 768, and 0.25 s and 52.2 MB at 1024.
 """
 
 import numpy as np
@@ -65,14 +76,22 @@ from . import mcnf
 CHUNK = 1024    # lanes per array pass; bounds the per-round temporaries
 
 
-def solve_lanes(own, nbr, w, r, rtil):
+def solve_lanes(own, nbr, w, r, rtil, at=None, out=None):
     """Solve L subproblems that share M users and Kt neighbours.
 
     The arguments are those of `coordinator.solve_subproblem` stacked
     along a leading lane axis: own (L,), nbr (L, Kt), w (L, M), r (L, M),
     rtil (L, M, Kt). Returns x (L, M), y (L, M, Kt), phi (L,),
     lam_eq (L,) and lam_nbr (L, Kt).
+
+    `out`, when given, holds those five arrays, and the results are
+    written into it and it is returned. `at`, when given, lists the lanes
+    to solve; the other lanes of `out` keep their values, so `at` needs
+    `out`. Each chunk gathers its own lanes' inputs, so solving a subset
+    copies no full-size inputs or outputs.
     """
+    if at is not None and out is None:
+        raise ValueError("solving a subset of lanes needs `out`")
     own = np.asarray(own, dtype=float)
     nbr = np.asarray(nbr, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -80,14 +99,14 @@ def solve_lanes(own, nbr, w, r, rtil):
     rtil = np.asarray(rtil, dtype=float)
     n_lanes, m = w.shape
     kt = nbr.shape[1]
-    x = np.empty((n_lanes, m))
-    y = np.empty((n_lanes, m, kt))
-    phi = np.empty(n_lanes)
-    lam_eq = np.empty(n_lanes)
-    lam_nbr = np.empty((n_lanes, kt))
+    if out is None:
+        out = (np.empty((n_lanes, m)), np.empty((n_lanes, m, kt)),
+               np.empty(n_lanes), np.empty(n_lanes), np.empty((n_lanes, kt)))
+    x, y, phi, lam_eq, lam_nbr = out
     coll = m + kt + 1
-    for lo in range(0, n_lanes, CHUNK):
-        c = slice(lo, lo + CHUNK)
+    todo = n_lanes if at is None else at.size
+    for lo in range(0, todo, CHUNK):
+        c = slice(lo, lo + CHUNK) if at is None else at[lo:lo + CHUNK]
         x[c], y[c], pi = _successive_shortest_paths(own[c], nbr[c], w[c],
                                                     r[c], rtil[c])
         # coordinator.subproblem_objective, lane by lane
@@ -95,7 +114,7 @@ def solve_lanes(own, nbr, w, r, rtil):
             + (w[c, :, None] * y[c] * rtil[c]).sum(axis=(1, 2))
         lam_eq[c] = pi[:, coll] - pi[:, 0]
         lam_nbr[c] = np.maximum(pi[:, m + 1:coll] - pi[:, coll, None], 0.0)
-    return x, y, phi, lam_eq, lam_nbr
+    return out
 
 
 def _initial_potentials(cost_x, cost_y):
@@ -174,45 +193,52 @@ def _successive_shortest_paths(own, nbr, w, r, rtil):
     pi_out = np.empty((n_lanes, v_count))
     ids = np.arange(n_lanes)     # chunk lane of each working row
     flow = np.zeros((n_lanes, n_arcs))
+    # redp: per working row, the reduced costs clipped at 0 in a dense
+    # (tail, head) matrix, +inf where no usable residual arc runs; pairs
+    # without a residual arc are never written
+    redp = np.full((n_lanes, v_count * v_count), np.inf)
+    redp_rows = redp.reshape(-1, v_count)
     while True:
         has_source = excess > eps[:, None]
         active = has_source.any(axis=1)
         if not active.all():
             # finished lanes leave: write their result, keep the rest
-            gone = ~active
-            x[ids[gone]] = flow[gone, :m]
-            y[ids[gone]] = flow[gone, m:m + m * kt].reshape(-1, m, kt)
-            pi_out[ids[gone]] = pi[gone]
-            ids = ids[active]
-            excess = excess[active]
-            eps = eps[active]
-            cost = cost[active]
-            flow = flow[active]
-            pi = pi[active]
-            has_source = has_source[active]
+            gone = np.flatnonzero(~active)
+            done = ids[gone]
+            x[done] = flow[gone, :m]
+            y[done] = flow[gone, m:m + m * kt].reshape(-1, m, kt)
+            pi_out[done] = pi.take(gone, axis=0)
+            keep = np.flatnonzero(active)
+            ids = ids.take(keep)
+            excess = excess.take(keep, axis=0)
+            eps = eps.take(keep)
+            cost = cost.take(keep, axis=0)
+            flow = flow.take(keep, axis=0)
+            pi = pi.take(keep, axis=0)
+            has_source = has_source.take(keep, axis=0)
         if ids.size == 0:
             break
         rows = np.arange(ids.size)
         s = np.argmax(has_source, axis=1)
 
-        # residual capacity: 1 - flow on an arc, its flow on the reverse
-        resid = np.empty_like(cost)
-        np.subtract(1.0, flow, out=resid[:, :n_arcs])
-        resid[:, n_arcs:] = flow
-        usable = resid > eps[:, None]
-        del resid
+        # usable: residual capacity above eps, 1 - flow on an arc and its
+        # flow on the reverse
+        usable = np.empty(cost.shape, dtype=bool)
+        np.greater(1.0 - flow, eps[:, None], out=usable[:, :n_arcs])
+        np.greater(flow, eps[:, None], out=usable[:, n_arcs:])
         red = cost - pi[:, res_tail]
         red += pi[:, res_head]
-        # the usable arcs that may break the invariant, checked below
-        neg_lane, neg_arc = np.nonzero((red < -1e-7) & usable)
-        neg_red = red[neg_lane, neg_arc]
-        # redp: the reduced costs clipped at 0 in a dense (tail, head)
-        # matrix per lane, +inf where no usable residual arc runs
+        # the usable arcs that may break the invariant, checked below;
+        # a healthy round has none
+        suspect = (red < -1e-7) & usable
+        check = suspect.any()
+        if check:
+            neg_lane, neg_arc = np.nonzero(suspect)
+            neg_red = red[neg_lane, neg_arc]
         np.maximum(red, 0.0, out=red)
         np.copyto(red, np.inf, where=~usable)
-        redp = np.full((ids.size, v_count * v_count), np.inf)
-        redp[:, res_at] = red
-        del red, usable
+        redp[:ids.size, res_at] = red
+        del red, usable, suspect
 
         # Dijkstra. key is dist with settled nodes at +inf, and a step
         # reads row u of redp through one flat index per lane. Popped keys
@@ -222,7 +248,6 @@ def _successive_shortest_paths(own, nbr, w, r, rtil):
         dist[rows, s] = 0.0
         key = dist.copy()
         key_flat = key.reshape(-1)
-        redp_rows = redp.reshape(-1, v_count)
         row_at = rows * v_count
         pred = np.zeros((ids.size, v_count), dtype=np.intp)
         popped, pop_dist = [], []
@@ -239,9 +264,8 @@ def _successive_shortest_paths(own, nbr, w, r, rtil):
             np.copyto(pred, u[:, None], where=better)
             popped.append(u)
             pop_dist.append(d)
-        del redp, redp_rows
 
-        if neg_lane.size:
+        if check:
             # mcnf.solve's check on the arcs it tests: usable, from a
             # settled node u to a node v not yet settled when u was
             # order: the step each node settled at, V if never; a step
@@ -287,9 +311,10 @@ def _successive_shortest_paths(own, nbr, w, r, rtil):
         resid[walked] = np.where(fwd, 1.0 - flow[idx, arc], flow[idx, arc])
         amount = np.minimum(np.minimum(excess[rows, s], -excess[rows, t]),
                             resid.min(axis=0))
-        back = ~fwd
-        flow[idx[fwd], arc[fwd]] += amount[idx[fwd]]
-        flow[idx[back], arc[back]] -= amount[idx[back]]
+        # a reverse arc gives flow back: adding -amount subtracts exactly
+        step = amount[idx]
+        np.negative(step, out=step, where=~fwd)
+        flow[idx, arc] += step
         excess[rows, s] -= amount
         excess[rows, t] += amount
 

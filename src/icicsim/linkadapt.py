@@ -76,8 +76,13 @@ class AmcTable:
         s = np.asarray(sinr_linear, dtype=float)
         db = np.full(s.shape, -np.inf)
         np.log10(s, out=db, where=s > 0)
-        db = 10.0 * db - margin_db
-        out = self.rates[np.searchsorted(self.uppers, db, side="left")]
+        # in place, and freed before the lookup allocates its output: the
+        # same operations with two full-size temporaries fewer
+        db *= 10.0
+        db -= margin_db
+        idx = np.searchsorted(self.uppers, db, side="left")
+        del db
+        out = self.rates[idx]
         return float(out) if np.isscalar(sinr_linear) else out
 
 

@@ -401,6 +401,13 @@ def draw_channels(layout, dims, cfg, radio, seed):
     wideband-SINR sector still has quota, so the association invariant
     holds by construction. Deterministic for a given (config, seed).
     """
+    tied = _tied_sectors(layout, cfg, dims.M)
+    if tied:
+        raise RuntimeError(
+            f"user drop cannot fill sectors {tied}: every elevation a user "
+            f"can have lies in the -20 dB floor of the "
+            f"{layout.tilt_deg:g} deg tilt, so the sectors of a site tie "
+            f"for every user and the first one wins them all")
     rng = np.random.default_rng(seed)
     origin, t1, t2 = _drop_region(layout)
 
@@ -414,8 +421,7 @@ def draw_channels(layout, dims, cfg, radio, seed):
             unfilled = [k for k, q in enumerate(quota) if q > 0]
             raise RuntimeError(
                 f"user drop did not converge: sectors {unfilled} still "
-                f"lacked users after {max_attempts} tries; where the "
-                f"sectors tie for every user, the first one wins them all")
+                f"lacked users after {max_attempts} tries")
         s, t = rng.random(2)
         pos = origin + s * t1 + t * t2
         if np.min(layout.torus_distance(pos, layout.site_xy)) \
@@ -449,11 +455,39 @@ def draw_channels(layout, dims, cfg, radio, seed):
                          user_xy=SectorViews(flat_xy[order], dims.M))
 
 
+def _tied_sectors(layout, cfg, quota):
+    """The sectors with quota that no user can ever choose, because the
+    antenna pattern sits at its -20 dB floor for every reachable user.
+
+    Co-sited sectors share pathloss and shadowing and differ only in the
+    pattern. Users lie at least max(min_bs_dist_m, 1) m from every site,
+    so their elevation phi runs between 0 (far away) and the angle at
+    that distance. If 12 * ((phi - tilt) / 15)^2 >= 20 over that whole
+    range, the pattern is -20 dB toward every user, the sectors of a site
+    tie exactly, and association gives every user to the lowest one.
+    The range runs to 0 rather than to the farthest user's angle, so the
+    check never calls a drop tied that is not; a tilt that floors all but
+    the farthest users still runs to the try cap.
+    """
+    dh = cfg.bs_height_m - cfg.ut_height_m
+    phi_near = math.degrees(math.atan2(dh, max(cfg.min_bs_dist_m, 1.0)))
+    lo, hi = min(0.0, phi_near), max(0.0, phi_near)
+    closest = min(max(layout.tilt_deg, lo), hi)     # the phi nearest tilt
+    if 12.0 * ((closest - layout.tilt_deg) / 15.0) ** 2 < 20.0:
+        return []
+    sites = layout.sector_site.tolist()
+    return [k for k, site in enumerate(sites)
+            if sites.index(site) != k and quota[k] > 0]
+
+
 def _faded(large, dims, rng):
     """(sum of M_k, N, K) gains: the stacked large-scale gains times one
     exponential draw. One draw of the stacked shape yields the same numbers
-    as one (M_k, N, K) draw per sector in sector order."""
-    grid = rng.exponential(size=(large.shape[0], dims.N, dims.K))
+    as one (M_k, N, K) draw per sector in sector order. numpy draws
+    exponential(scale) as scale times standard_exponential, so the unit
+    draw here gives the same values and leaves the generator in the same
+    state, without the scaling pass."""
+    grid = rng.standard_exponential(size=(large.shape[0], dims.N, dims.K))
     grid *= large[:, None, :]
     return grid
 

@@ -146,6 +146,16 @@ def test_refade_equals_per_sector_draws():
     assert got.large_scale is chan.large_scale
 
 
+def test_refade_leaves_generator_as_exponential_draws():
+    # the unit draw advances the generator exactly as exponential() does
+    dims, _, chan = _uneven_channel()
+    rng = np.random.default_rng(4)
+    nw.refade(chan, dims, rng)
+    ref = np.random.default_rng(4)
+    ref.exponential(size=(sum(dims.M), dims.N, dims.K))
+    assert rng.random() == ref.random()
+
+
 def test_refade_returns_fresh_memory():
     dims, _, chan = _uneven_channel()
     rng = np.random.default_rng(4)

@@ -21,6 +21,28 @@ def test_engine_bit_equal_on_full_default_chunks():
     assert oracle.lane_mismatches(*inputs) == []
 
 
+def test_subset_of_lanes_solved_in_place():
+    # about 1,500 of 2,500 lanes get new levels and are solved again into
+    # the first call's outputs, two chunks of gathered lanes: they equal a
+    # fresh solve, and the other lanes keep their first results
+    rng = np.random.default_rng(58)
+    own, nbr, w, r, rtil = oracle.random_lanes(rng, 2_500, 3, 6)
+    out = lanes.solve_lanes(own, nbr, w, r, rtil)
+    first = [a.copy() for a in out]
+    at = np.flatnonzero(rng.random(own.size) < 0.6)
+    assert lanes.CHUNK < at.size < 2 * lanes.CHUNK
+    own[at] = rng.random(at.size)
+    nbr[at] = rng.integers(0, 2, (at.size, 6))
+    assert lanes.solve_lanes(own, nbr, w, r, rtil, at=at, out=out) is out
+    fresh = lanes.solve_lanes(own, nbr, w, r, rtil)
+    kept = np.setdiff1d(np.arange(own.size), at)
+    for got, ref, old in zip(out, fresh, first):
+        assert got[at].tobytes() == ref[at].tobytes()
+        assert got[kept].tobytes() == old[kept].tobytes()
+    with pytest.raises(ValueError):
+        lanes.solve_lanes(own, nbr, w, r, rtil, at=at)
+
+
 def test_both_solvers_refuse_negative_reduced_costs(monkeypatch):
     # all-zero starting potentials leave each RB -> user arc at reduced
     # cost -w*r, so the first Dijkstra pass meets a negative one

@@ -208,11 +208,31 @@ def test_pathloss_matches_direct_formula():
 
 def test_drop_that_cannot_fill_names_sectors_and_tries():
     # tilted straight down, every user sits in the -20 dB pattern floor of
-    # all three sectors of the site: they tie and sector 0 wins them all
+    # all three sectors of the site: they tie and sector 0 wins them all,
+    # which is refused before the first try
     dims = nw.NetworkDims.uniform(1, 1, 2)
     lay = nw.generate_layout(dims, 500.0, tilt_deg=-90)
-    with pytest.raises(RuntimeError, match=r"sectors \[1, 2\].*12000 tries"):
+    with pytest.raises(RuntimeError, match=r"sectors \[1, 2\].*tie"):
         nw.draw_channels(lay, dims, nw.ChannelConfig(), RADIO, seed=0)
+
+
+def test_tie_check_spares_every_parsed_tilt():
+    # parsed configs allow tilts of 0-15 deg, where the pattern still
+    # separates co-sited sectors; the tie needs the elevation floor for
+    # every phi in [0, atan(23.5 / 25)] = [0, 43.2] deg, whose edge sits
+    # 15 * sqrt(20 / 12) = 19.36 deg from the tilt
+    dims = nw.NetworkDims.uniform(1, 1, 2)
+    cfg = nw.ChannelConfig()
+    for tilt in range(0, 16):
+        lay = nw.generate_layout(dims, 500.0, tilt_deg=tilt)
+        assert nw._tied_sectors(lay, cfg, dims.M) == []
+    for tilt, tied in ((-19.3, []), (-19.4, [1, 2]), (62.5, []),
+                       (62.6, [1, 2])):
+        lay = nw.generate_layout(dims, 500.0, tilt_deg=tilt)
+        assert nw._tied_sectors(lay, cfg, dims.M) == tied
+    # a sector without quota is no obstacle
+    lay = nw.generate_layout(dims, 500.0, tilt_deg=-90)
+    assert nw._tied_sectors(lay, cfg, (1, 0, 2)) == [2]
 
 
 def test_refade_keeps_large_scale():

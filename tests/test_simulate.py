@@ -329,11 +329,15 @@ def test_drops_share_one_engine_call_per_pass(monkeypatch):
     calls = []
     original = lanes.solve_lanes
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape[0])
-        return original(*args, **kwargs)
+    def counted(*args, at=None, **kwargs):
+        calls.append(args[0].shape[0] if at is None else at.size)
+        return original(*args, at=at, **kwargs)
 
     monkeypatch.setattr(lanes, "solve_lanes", counted)
     run_simulation(cfg)
-    # n_iter passes plus the closing pass per sub-frame, 2 x 96 lanes each
-    assert calls == [2 * 96] * ((5 + 1) * 6)
+    # n_iter passes plus the closing pass per sub-frame, one call each;
+    # the first pass solves all 2 x 96 lanes, the later ones only the
+    # lanes whose blanking inputs changed
+    assert len(calls) == (5 + 1) * 6
+    assert calls[::5 + 1] == [2 * 96] * 6
+    assert max(calls) == 2 * 96 and min(calls) < 2 * 96
