@@ -5,11 +5,12 @@
   icicsim gapbench [--instances N]    rounded value vs exhaustive optimum
 
 Exit codes: 0 success, 2 configuration error, 3 acceptance failure.
-Every config error, command-line overrides included, is found before the
-run starts and exits 2.
+Every config error, including command-line overrides and an unusable
+--out, is found before the run starts and exits 2.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -33,6 +34,10 @@ def _cmd_simulate(args):
         cfg = load_config(args.config, overrides)
     except (ConfigError, UnicodeDecodeError, OSError) as exc:
         return _config_error(exc)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        return _config_error(f"--out: {exc}")
 
     report = run_simulation(cfg)
     files = emit_reports(report, args.out)
@@ -143,6 +148,10 @@ def _cmd_gapbench(args):
                              ("--seed", args.seed, 0)):
         if value < low:
             return _config_error(f"{flag} = {value}: must be >= {low}")
+    try:
+        out = open(args.out, "w") if args.out else None
+    except OSError as exc:
+        return _config_error(f"--out: {exc}")
 
     probs = [random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
                                   k_tilde=2, seed=args.seed + s)
@@ -162,12 +171,12 @@ def _cmd_gapbench(args):
     for runs in (1, 2):
         g = np.array(gaps[runs])
         print(f"{runs:4d}  {g.mean():12.3f}  {g.std():11.3f}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("instance,runs,gap_pct\n")
+    if out:
+        with out:
+            out.write("instance,runs,gap_pct\n")
             for runs in (1, 2):
                 for i, g in enumerate(gaps[runs]):
-                    fh.write(f"{i},{runs},{g!r}\n")
+                    out.write(f"{i},{runs},{g!r}\n")
     ok = np.mean(gaps[1]) <= 8.0 and np.mean(gaps[2]) < np.mean(gaps[1])
     return 0 if ok else 3
 

@@ -128,7 +128,6 @@ class CoordinationProblem:
     gains: list                      # per sector (M_k, N, K)
     radio: object                    # RadioConfig
     amc: object = None
-    margin_db: float = 0.0
     triples: object = None
 
     def __post_init__(self):
@@ -136,8 +135,7 @@ class CoordinationProblem:
             self.amc = default_amc_table()
         if self.triples is None:
             self.triples = precompute_rate_triples(
-                self.gains, self.radio, self.neighbors, self.amc,
-                self.margin_db)
+                self.gains, self.radio, self.neighbors, self.amc)
 
     @property
     def K(self):
@@ -229,12 +227,9 @@ def bound_objective(weights, triples, blanking, neighbors):
     k_sec, n_rb = neighbors.K, stack.shape[2]
     best = np.empty((stack.shape[0], k_sec, n_rb))    # best user per RB
     for k in range(k_sec):
-        if neighbors.k_tilde:
-            nbr_rows = stack[:, neighbors.nbr[k]]            # (C, Kt, N)
-            credit = (triples.rtil[k][None] * nbr_rows.transpose(
-                0, 2, 1)[:, None]).max(axis=3)
-        else:
-            credit = 0.0
+        nbr_rows = stack[:, neighbors.nbr[k]]                # (C, Kt, N)
+        credit = (triples.rtil[k][None] * nbr_rows.transpose(
+            0, 2, 1)[:, None]).max(axis=3)
         val = (triples.r[k] + credit) * weights[k][:, None]
         best[:, k] = val.max(axis=-2)
     live = stack == 0
@@ -250,7 +245,7 @@ def bound_objective(weights, triples, blanking, neighbors):
     return total if blanking.ndim == 3 else float(total[0])
 
 
-def finalize_schedule(gains, weights, radio, amc, blanking, margin_db=0.0):
+def finalize_schedule(gains, weights, radio, amc, blanking):
     """Exact rates under a binary blanking, then the per-sector argmax rule.
 
     gains: per sector (M_k, N, K); weights: per sector (M_k,). With
@@ -276,7 +271,7 @@ def finalize_schedule(gains, weights, radio, amc, blanking, margin_db=0.0):
     interf = np.einsum("mnk,nk->mn", g, on) - own * on[:, owner].T
     sinr = radio.p_c_watts * own \
         / (radio.p_c_watts * interf + radio.p_n_watts)
-    rates = amc.rate_linear(sinr, margin_db)
+    rates = amc.rate_linear(sinr)
     n_rb = rates.shape[1]
     assign = np.empty(rates.shape, dtype=np.int8)
     sector_value = np.empty(sizes.size)
@@ -516,7 +511,7 @@ def _masked_triples(problem, blank1):
     masked[users, :, owner] = gains[users, :, owner]
     return precompute_rate_triples(nw.SectorViews(masked, sizes),
                                    problem.radio, problem.neighbors,
-                                   problem.amc, problem.margin_db)
+                                   problem.amc)
 
 
 def _scored(problem, weights, rounded):
@@ -555,13 +550,8 @@ def run_rounds(problems, config, warm_starts=None):
 
     warm_starts: optional list, per problem None or a (K, N) fractional
     blanking from the previous execution; the default initial point is
-    all zeros (reuse-1). Every problem needs K_tilde >= 1: a sector
-    without neighbors has nothing to coordinate.
+    all zeros (reuse-1).
     """
-    for pr in problems:
-        if pr.neighbors.k_tilde < 1:
-            raise ValueError(f"k_tilde = {pr.neighbors.k_tilde}: coordination "
-                             f"needs k_tilde >= 1")
     if warm_starts is None:
         warm_starts = [None] * len(problems)
     if len(warm_starts) != len(problems):
@@ -621,7 +611,7 @@ def _round_result(problem, weights, scale, candidates, values, final_i,
     for _, v in candidates[:config.n_iter + 1]:
         best = max(best, v)
         p_hat_hist.append(best * scale)
-    p_relaxed = max(max(values), max(v for _, v in candidates), p_hat)
+    p_relaxed = max(max(values), p_hat)
     gap_hist = [optimality_gap(p_relaxed, v / scale) if p_relaxed > 0
                 else 0.0 for v in p_hat_hist]
 
@@ -637,8 +627,7 @@ def _round_result(problem, weights, scale, candidates, values, final_i,
     )
 
     assignments, rates, objective = finalize_schedule(
-        problem.gains, problem.weights, problem.radio, problem.amc, i_star,
-        problem.margin_db)
+        problem.gains, problem.weights, problem.radio, problem.amc, i_star)
 
     overhead = overhead_report(m_bar, nmap.k_tilde, n_rb, config)
     # per iteration of each run every sector sends K_tilde*N duals and

@@ -13,11 +13,13 @@ import numpy as np
 
 from .schema import check_fields, rule
 
+RATE_FLOOR = 1e-3     # kbit/s, the floor of every tracked average rate
+
 
 @dataclass
 class WeightPolicy:
     mode: str = rule("alpha_fair", choices=("alpha_fair", "linear"))
-    # the caps keep weights finite: the rate floor 1e-3 raised to -alpha,
+    # the caps keep weights finite: RATE_FLOOR raised to -alpha,
     # and beta (kbit/s) times any rate; alpha = 20 already approximates
     # max-min fairness
     alpha: float = rule(1.0, ge=0, le=20)
@@ -33,13 +35,12 @@ class AverageRateTracker:
 
     num_users: int
     t_c: float = rule(100.0, ge=1)
-    floor_eps: float = rule(1e-3, gt=0)
     rbar: np.ndarray = field(default=None)
 
     def __post_init__(self):
         check_fields(self)
         if self.rbar is None:
-            self.rbar = np.full(self.num_users, self.floor_eps)
+            self.rbar = np.full(self.num_users, RATE_FLOOR)
 
     def update(self, scheduled_rate):
         """Fold one sub-frame of scheduled rates (kbit/s) into the average."""
@@ -47,7 +48,7 @@ class AverageRateTracker:
         if np.any(r < 0):
             raise ValueError("scheduled rates must be nonnegative")
         a = 1.0 / self.t_c
-        self.rbar = np.maximum((1.0 - a) * self.rbar + a * r, self.floor_eps)
+        self.rbar = np.maximum((1.0 - a) * self.rbar + a * r, RATE_FLOOR)
         return self
 
 

@@ -27,7 +27,7 @@ def random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
     interferer. Non-neighbor sectors contribute a tiny positive floor.
     `users_per_sector` is one count for every sector or a sequence of
     n_sectors counts. Returns a CoordinationProblem with the default AMC
-    table and no SINR margin.
+    table.
     """
     rng = np.random.default_rng(seed)
     nmap = ring_neighbor_map(n_sectors, k_tilde)
@@ -41,8 +41,6 @@ def random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
         g *= rng.uniform(0.5, 1.5, size=g.shape)
         for m in range(users):
             for n in range(n_rbs):
-                if kt == 0:
-                    continue
                 if rng.random() < edge_fraction:
                     top_db = rng.uniform(1.0, 6.0)      # cell edge
                 else:

@@ -71,15 +71,14 @@ class AmcTable:
         idx = np.searchsorted(self.uppers, sinr_db, side="left")
         return self.rates[idx]
 
-    def rate_linear(self, sinr_linear, margin_db=0.0):
-        """Rate (kbit/s) for linear SINR >= 0, optional margin back-off."""
+    def rate_linear(self, sinr_linear):
+        """Rate (kbit/s) for linear SINR >= 0; scalar or array."""
         s = np.asarray(sinr_linear, dtype=float)
         db = np.full(s.shape, -np.inf)
         np.log10(s, out=db, where=s > 0)
         # in place, and freed before the lookup allocates its output: the
-        # same operations with two full-size temporaries fewer
+        # same operations with one full-size temporary fewer
         db *= 10.0
-        db -= margin_db
         idx = np.searchsorted(self.uppers, db, side="left")
         del db
         out = self.rates[idx]
@@ -176,8 +175,7 @@ class RateTriples:
     rtil: SectorViews
 
 
-def precompute_rate_triples(gains_per_sector, radio, neighbors, amc,
-                            margin_db=0.0):
+def precompute_rate_triples(gains_per_sector, radio, neighbors, amc):
     """Build RateTriples from per-sector gain tensors.
 
     gains_per_sector: sequence over sectors k of arrays (M_k, N, K);
@@ -201,7 +199,7 @@ def precompute_rate_triples(gains_per_sector, radio, neighbors, amc,
     others = col + (col >= np.arange(len(sizes))[:, None])
     keep = others[:, None, :] != nbr[:, :, None]
     removed = np.broadcast_to(others[:, None, :], keep.shape)[keep].reshape(
-        len(sizes), k_tilde, max(n_sec - 2, 0))
+        len(sizes), k_tilde, n_sec - 2)
     gamma = np.empty((sum(sizes), n_rb))
     gamma_t = np.empty((sum(sizes), n_rb, k_tilde))
     lo = 0
@@ -213,8 +211,8 @@ def precompute_rate_triples(gains_per_sector, radio, neighbors, amc,
         gamma[rows] = serving / (total_int + p_n)
         removed_int = p_c * g[:, :, removed[k]].sum(axis=3)      # (M, N, Kt)
         gamma_t[rows] = serving[:, :, None] / (removed_int + p_n)
-    r = amc.rate_linear(gamma, margin_db)
-    rtil = amc.rate_linear(gamma_t, margin_db) - r[:, :, None]
+    r = amc.rate_linear(gamma)
+    rtil = amc.rate_linear(gamma_t) - r[:, :, None]
     return RateTriples(r=SectorViews(r, sizes), rtil=SectorViews(rtil, sizes))
 
 
@@ -224,7 +222,4 @@ def rate_bound(r, rtil, blanked_mask):
     r: scalar or (M,) / (M, N); rtil: matching array with a trailing
     neighbor axis; blanked_mask: (K_tilde,) booleans.
     """
-    rtil = np.asarray(rtil)
-    gain = np.max(rtil * np.asarray(blanked_mask), axis=-1) \
-        if rtil.shape[-1] else 0.0
-    return r + gain
+    return r + np.max(np.asarray(rtil) * np.asarray(blanked_mask), axis=-1)

@@ -173,13 +173,16 @@ class ChannelConfig:
 
 @dataclass
 class NeighborMap:
-    """Symmetric fixed-cardinality interferer sets per sector."""
+    """Symmetric fixed-cardinality interferer sets per sector, at least
+    one each: a sector without neighbors has nothing to coordinate."""
 
     nbr: np.ndarray       # (K, K_tilde) int
 
     def __post_init__(self):
         self.nbr = np.asarray(self.nbr, dtype=int)
         k, kt = self.nbr.shape
+        if kt == 0:
+            raise ValueError("k_tilde = 0: every sector needs a neighbor")
         sets = [set(row.tolist()) for row in self.nbr]
         for a in range(k):
             if len(sets[a]) != kt or a in sets[a]:

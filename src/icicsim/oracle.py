@@ -13,8 +13,8 @@ RB and sums.
 
 The problem-level oracles (`exhaustive_original`, `exhaustive_bound`,
 `relaxed_lp_solve`) take a `coordinator.CoordinationProblem` and read
-its weights, rate triples, AMC table and SINR margin, so they score
-exactly the problem the coordinator solves.
+its weights, rate triples and AMC table, so they score exactly the
+problem the coordinator solves.
 """
 
 import dataclasses
@@ -83,7 +83,7 @@ def exhaustive_original(problem):
         g = problem.gains[k][:, n, :]                # (M, K)
         interf = on @ g.T - on[:, [k]] * g[:, k]              # (P, M)
         sinr = p_c * g[:, k] / (p_c * interf + p_n)
-        rates = amc.rate_linear(sinr, problem.margin_db)      # (P, M)
+        rates = amc.rate_linear(sinr)                         # (P, M)
         return np.max(weights[k] * rates, axis=1)
 
     return _best_patterns(problem, sector_best)
@@ -111,10 +111,7 @@ def exhaustive_bound(problem):
     for k, w in enumerate(problem.weights):
         r = problem.triples.r[k][:, :, None]              # (M, N, 1)
         rtil = problem.triples.rtil[k][:, :, None, :]     # (M, N, 1, Kt)
-        if kt:
-            credit = np.max(rtil * sub, axis=3)           # (M, N, 2^Kt)
-        else:
-            credit = np.zeros(r.shape)
+        credit = np.max(rtil * sub, axis=3)               # (M, N, 2^Kt)
         best.append(np.max(w[:, None, None] * (r + credit), axis=0))
 
     def sector_best(k, n, pats, on):
@@ -193,7 +190,7 @@ class BoundFactorReport:
     exactness_violations: int   # <=1 blanked neighbor but not bit-equal
 
 
-def sinr_bound_factor_check(n_samples=10_000, seed=0, p_c=1.0, p_n=0.01):
+def sinr_bound_factor_check(n_samples=10_000, seed=0):
     """Verify the multiplicative tightness factor of the SINR bound.
 
     For random gains and neighbor blanking: the exact SINR equals the
@@ -202,6 +199,7 @@ def sinr_bound_factor_check(n_samples=10_000, seed=0, p_c=1.0, p_n=0.01):
     neighbor blanks.
     """
     rng = np.random.default_rng(seed)
+    p_c, p_n = 1.0, 0.01
     radio = RadioConfig(p_c, p_n)
     report = BoundFactorReport(n_samples, 0.0, 0, 0)
     for _ in range(n_samples):

@@ -17,6 +17,7 @@ changes no number and identical configs produce identical output bytes.
 import hashlib
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -67,9 +68,7 @@ class ScenarioConfig:
     k_tilde: int = rule(6, ge=1)           # clamped to K - 1 at run time
     neighbor_mode: str = rule("nearest", choices=nw.NEIGHBOR_MODES)
     fast_fading: bool = True
-    refade_each_subframe: bool = True
     estimation_delay_subframes: int = rule(0, ge=0)
-    sinr_margin_db: float = 0.0
     min_bs_dist_m: float = rule(25.0, ge=0)
     tilt_deg: float = rule(12.0, ge=0, le=15)
     wraparound: bool = True
@@ -339,21 +338,17 @@ class _Drop:
         self.tracker = AverageRateTracker(num_users=n_users, t_c=sc.t_c)
         self.warm = None
         self.held = np.zeros((dims.K, dims.N), dtype=np.int8)
-        self.history = []                 # stale tensors for the delay knob
+        # this and the past estimation_delay_subframes channels, oldest first
+        self.history = deque(maxlen=sc.estimation_delay_subframes + 1)
         self.thr_sum = np.zeros(n_users)  # every user, in sector order
         self.gap_rows = []
 
     def observe(self, t, sc, dims):
         """Sub-frame t's true channel and the one the scheme knows."""
-        tensor = self.channel if (t == 0 or not sc.refade_each_subframe
-                                  or not sc.fast_fading) \
-            else nw.refade(self.channel, dims, self.fade_rng)
+        tensor = nw.refade(self.channel, dims, self.fade_rng) \
+            if t > 0 and sc.fast_fading else self.channel
         self.history.append(tensor)
-        delay = min(sc.estimation_delay_subframes, len(self.history) - 1)
-        known = self.history[-1 - delay]
-        if len(self.history) > sc.estimation_delay_subframes + 1:
-            self.history.pop(0)
-        return tensor, known
+        return tensor, self.history[0]
 
 
 def run_simulation(config):
@@ -399,7 +394,7 @@ def run_simulation(config):
                 if coordinate:
                     problems.append(CoordinationProblem(
                         neighbors=nmap, weights=w, gains=known.gains,
-                        radio=radio, amc=amc, margin_db=sc.sinr_margin_db))
+                        radio=radio, amc=amc))
 
             if coordinate:
                 # one lockstep round over the group's drops
@@ -423,7 +418,7 @@ def run_simulation(config):
             for d, tensor, w in zip(batch, tensors, weights):
                 blanking = d.held if static is None else static
                 assigns, rates, _ = finalize_schedule(
-                    tensor.gains, w, radio, amc, blanking, sc.sinr_margin_db)
+                    tensor.gains, w, radio, amc, blanking)
                 scheduled = (assigns.stacked * rates.stacked).sum(axis=1)
                 d.tracker.update(scheduled)
                 d.thr_sum += scheduled

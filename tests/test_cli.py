@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from icicsim import cli, coordinator, lanes
+from icicsim import cli, coordinator, lanes, simulate
 
 GOOD = """
 scenario.sites = 1
@@ -47,6 +47,31 @@ def test_simulate_config_error(tmp_path):
 def test_simulate_missing_file(tmp_path):
     assert cli.main(["simulate", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "out")]) == 2
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the run started despite a bad --out")
+
+
+def test_simulate_out_beneath_a_file_exits_2_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simulate, "run_simulation", _never)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(GOOD)
+    (tmp_path / "file").write_text("")
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "file" / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out") and "Traceback" not in err
+
+
+def test_gapbench_out_in_missing_dir_exits_2_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(coordinator, "run_rounds", _never)
+    assert cli.main(["gapbench", "--instances", "2",
+                     "--out", str(tmp_path / "missing" / "g.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out") and "Traceback" not in err
 
 
 def test_bad_arguments_exit_2():

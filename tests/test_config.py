@@ -36,7 +36,6 @@ PROBES = [
     ("scenario.isd_m = nan", "scenario.isd_m"),
     ("scenario.shadowing_cross_corr = 2", "scenario.shadowing_cross_corr"),
     ("scenario.min_bs_dist_m = 5000", "scenario.min_bs_dist_m"),
-    ("scenario.sinr_margin_db = nan", "scenario.sinr_margin_db"),
     ("scenario.bandwidth_hz = 0", "scenario.bandwidth_hz"),
     ("scheduler.alpha = inf", "scheduler.alpha"),
     ("icic.quantize_exchange = true\nicic.quant_bits = 2000",
@@ -51,12 +50,18 @@ PROBES = [
     ("scenario.subframes = 100000000\n"
      "scenario.estimation_delay_subframes = 100000000",
      "scenario.estimation_delay_subframes"),
-    # removed coordinator options are unknown keys
+]
+# removed options are unknown keys
+REMOVED = [
     ("icic.keep_best_rounding = false", "icic.keep_best_rounding"),
     ("icic.normalize_weights = false", "icic.normalize_weights"),
     ("icic.init_mode = random", "icic.init_mode"),
     ("icic.init_seed = 4", "icic.init_seed"),
+    ("scenario.sinr_margin_db = nan", "scenario.sinr_margin_db"),
+    ("scenario.refade_each_subframe = false",
+     "scenario.refade_each_subframe"),
 ]
+PROBES += REMOVED
 
 
 def _simulate(text, out_dir, *flags):
@@ -72,6 +77,7 @@ def test_bad_value_exits_2_naming_key(extra, key, tmp_path, capsys):
     assert _simulate(DESK + extra + "\n", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err, err
+    assert ("unknown key" in err) == ((extra, key) in REMOVED), err
 
 
 @pytest.mark.parametrize("flags,key", [

@@ -40,7 +40,7 @@ def test_update_rejects_bad_window_and_rates():
 
 
 def test_floor_keeps_rates_positive():
-    tr = AverageRateTracker(num_users=2, t_c=2.0, floor_eps=1e-3)
+    tr = AverageRateTracker(num_users=2, t_c=2.0)
     for _ in range(100):
         tr.update(np.zeros(2))
     assert np.all(tr.rbar == 1e-3)

@@ -6,6 +6,8 @@ time versions they replaced, and the grid versions must equal them bit
 for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ def _local_schedule_one(weights, rates, blanking):
     return assign
 
 
-def _finalize_per_sector(gains, weights, radio, amc, blanking, margin_db):
+def _finalize_per_sector(gains, weights, radio, amc, blanking):
     blanking = np.asarray(blanking)
     on = 1.0 - blanking.T.astype(float)
     assignments, rates_out = [], []
@@ -37,7 +39,7 @@ def _finalize_per_sector(gains, weights, radio, amc, blanking, margin_db):
             - g[:, :, k] * on[None, :, k]
         sinr = radio.p_c_watts * g[:, :, k] \
             / (radio.p_c_watts * interf + radio.p_n_watts)
-        rates = amc.rate_linear(sinr, margin_db)
+        rates = amc.rate_linear(sinr)
         assign = _local_schedule_one(weights[k], rates, blanking[k])
         assignments.append(assign)
         rates_out.append(rates)
@@ -69,19 +71,21 @@ def _cases():
     yield "drawn channel", chan.gains, weights, RADIO
 
 
-@pytest.mark.parametrize("margin_db", [0.0, 2.5])
-def test_finalize_grid_equals_per_sector_loop(margin_db):
+@pytest.mark.parametrize("noise_rise_db", [0.0, 2.5])
+def test_finalize_grid_equals_per_sector_loop(noise_rise_db):
+    # a noise rise moves every SINR, and so the AMC levels both paths pick
     amc = default_amc_table()
     rng = np.random.default_rng(5)
     for name, gains, weights, radio in _cases():
+        radio = replace(radio, p_n_watts=radio.p_n_watts
+                        * 10.0 ** (noise_rise_db / 10.0))
         k_sec, n_rb = len(gains), gains[0].shape[1]
         for p_blank in (0.0, 0.3, 0.7):
             blank = (rng.random((k_sec, n_rb)) < p_blank).astype(np.int8)
-            ref = _finalize_per_sector(gains, weights, radio, amc, blank,
-                                       margin_db)
+            ref = _finalize_per_sector(gains, weights, radio, amc, blank)
             for layout in (gains, list(gains)):    # stacked views or copies
                 got = co.finalize_schedule(layout, weights, radio, amc,
-                                           blank, margin_db)
+                                           blank)
                 for k in range(k_sec):
                     assert np.array_equal(got[0][k], ref[0][k]), name
                     assert got[0][k].dtype == np.int8

@@ -73,14 +73,6 @@ def test_bad_tables_rejected():
         la.AmcTable([(0.0, 1.0, 0.0), (1.0, np.inf, 10.0)])       # no -inf
 
 
-def test_margin_shifts_lookup():
-    amc = la.default_amc_table()
-    sinr = 10 ** (1.0 / 10.0)                 # 1 dB -> 131.4
-    assert amc.rate_linear(sinr) == 131.4
-    # 1 - 6 = -5 dB lands in (-6.1, -4.1]
-    assert amc.rate_linear(sinr, margin_db=6.0) == 35.3
-
-
 def test_sinr_exact_all_blanked_is_noise_limited():
     gains = np.array([0.5, 0.1, 0.2])
     blank = np.array([0, 1, 1])

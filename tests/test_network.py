@@ -112,6 +112,16 @@ def test_neighbor_map_validation():
         nw.NeighborMap(nbr=np.array([[1], [2], [0]]))  # asymmetric
 
 
+def test_k_tilde_0_is_refused():
+    # every builder of a neighbor map stops in NeighborMap itself
+    lay = nw.generate_layout(nw.NetworkDims.uniform(1, 1, 1), 500.0)
+    for build in (lambda: nw.NeighborMap(nbr=np.zeros((3, 0))),
+                  lambda: nw.ring_neighbor_map(6, 0),
+                  lambda: nw.neighbor_map(lay, 0)):
+        with pytest.raises(ValueError, match="k_tilde = 0"):
+            build()
+
+
 def _desk():
     dims = nw.NetworkDims.uniform(4, 2, 3)
     lay = nw.generate_layout(dims, 500.0)

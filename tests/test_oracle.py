@@ -15,26 +15,6 @@ from icicsim.linkadapt import RadioConfig
 from icicsim.network import ring_neighbor_map
 
 
-def test_single_sector_never_blanks():
-    prob = random_desk_instance(n_sectors=1, users_per_sector=3, n_rbs=2,
-                                k_tilde=0, seed=0)
-    res = oracle.exhaustive_original(prob)
-    assert np.all(res.patterns == 0)
-    # optimum is the best single weighted rate per RB
-    expected = 0.0
-    for n in range(2):
-        rates = prob.amc.rate_linear(
-            prob.radio.p_c_watts * prob.gains[0][:, n, 0]
-            / prob.radio.p_n_watts)
-        expected += float(np.max(prob.weights[0] * rates))
-    assert res.value == pytest.approx(expected, rel=1e-12)
-    # no interferers, so the bounded rates are the exact ones
-    assert oracle.exhaustive_bound(prob).value == res.value
-    # nothing to coordinate without neighbors
-    with pytest.raises(ValueError, match="k_tilde"):
-        co.run_coordination(prob, co.IcicConfig())
-
-
 def test_zero_cross_gains_keep_reuse1():
     nmap = ring_neighbor_map(4, 2)
     gains = []
@@ -94,16 +74,15 @@ def test_algorithm_never_beats_exhaustive():
 
 
 def test_oracles_score_the_problems_own_rates():
-    # sectors keeping 1, 2 or 3 users and a 3 dB SINR margin: the oracles
-    # must take the weights, rates and margin from the problem
+    # sectors keeping 1, 2 or 3 users: the oracles must take the weights
+    # and rates from the problem
     wide = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=2,
                                 k_tilde=2, seed=91)
     keep = [3, 1, 2, 3, 2, 1]
     prob = co.CoordinationProblem(
         neighbors=wide.neighbors,
         weights=[w[:m] for w, m in zip(wide.weights, keep)],
-        gains=[g[:m] for g, m in zip(wide.gains, keep)], radio=wide.radio,
-        margin_db=3.0)
+        gains=[g[:m] for g, m in zip(wide.gains, keep)], radio=wide.radio)
     bound = oracle.exhaustive_bound(prob)
     rng = np.random.default_rng(3)
     for _ in range(64):
@@ -116,12 +95,8 @@ def test_oracles_score_the_problems_own_rates():
         rel=1e-12)
     exact = oracle.exhaustive_original(prob)
     assert exact.value == pytest.approx(co.finalize_schedule(
-        prob.gains, prob.weights, prob.radio, prob.amc, exact.patterns,
-        prob.margin_db)[2], rel=1e-12)
-    # the margin is not a no-op on this problem
-    assert exact.value < oracle.exhaustive_original(
-        co.CoordinationProblem(neighbors=prob.neighbors, weights=prob.weights,
-                               gains=prob.gains, radio=prob.radio)).value
+        prob.gains, prob.weights, prob.radio, prob.amc, exact.patterns)[2],
+        rel=1e-12)
 
 
 def test_enumeration_budget_guard():

@@ -223,9 +223,8 @@ def test_baseline_schemes_run():
         assert np.all(rep.throughput_bps_hz >= 0)
 
 
-def test_estimation_delay_and_margin_run():
-    text = SMALL + "scenario.estimation_delay_subframes = 2\n" \
-                   "scenario.sinr_margin_db = 6.0\n"
+def test_estimation_delay_runs():
+    text = SMALL + "scenario.estimation_delay_subframes = 2\n"
     rep = run_simulation(parse_config(text))
     assert rep.throughput_bps_hz.shape == (24,)
 
@@ -268,7 +267,6 @@ def test_scenario_variants_run():
     variants = (
         "scenario.wraparound = false\n",
         "scenario.fast_fading = false\n",
-        "scenario.refade_each_subframe = false\n",
         "icic.runs = 2\n",
         "icic.quantize_exchange = true\nicic.quant_bits = 12\n",
         "scenario.neighbor_mode = strongest\n",
