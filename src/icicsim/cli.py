@@ -83,7 +83,7 @@ def _cmd_verify(args):
         ok &= got == ref
     check("flow subproblem equals binary enumeration", ok)
 
-    check("lane engine equals per-lane flow solve",
+    check("closed-form lanes optimal against per-lane flow solve",
           oracle.lane_engine_check(300 if quick else 3_000, seed=13) == 0)
 
     # two uniform instances and one whose sectors have 1, 2 or 3 users

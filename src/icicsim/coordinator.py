@@ -17,18 +17,18 @@ everyone's (possibly fractional) blanking levels. Its flow form:
 
 Within one master pass all K*N subproblems share this topology, so the
 pass hands them to `lanes.solve_lanes` as array lanes, one call per group
-of sectors with the same user count M_k and neighbor count K_tilde.
-Within one run the lane inputs other than the blanking levels are
-fixed, so after the first pass a call holds only the lanes whose own or
-neighbor levels changed; the others keep their previous solution.
-`solve_subproblem` (one FlowNetwork, solved by `mcnf.solve`) is the
-per-lane reference that the engine must equal bit for bit; the master
-loop itself never calls it.
+of sectors with the same user count M_k and neighbor count K_tilde. That
+call solves every lane in closed form, as a fractional knapsack (see the
+lanes module docstring). `solve_subproblem` (one FlowNetwork, solved by
+`mcnf.solve`) is the paper's network-flow method and the per-lane
+reference: every lane of the closed form must be optimal, and its value
+and duals must match the flow solve's within a stated tolerance
+(`oracle.lane_mismatches`). The master loop itself never calls it.
 
 Independent rounds run as a lockstep batch: `run_rounds` advances the
 master loops of several problems together, including the `runs=2`
 re-run, where each problem keeps its own masked channel and frozen set.
-Each pass puts the lanes of every problem into the same engine calls;
+Each pass puts the lanes of every problem into the same lane calls;
 the exchange, master steps, rounding scores and final schedules stay
 per problem, and each master value is summed in its own (k, n) order,
 so a batched result equals the round run alone bit for bit.
@@ -38,9 +38,10 @@ The master consumes one dual per subproblem balance constraint: the
 subgradient of the summed sector values with respect to I[k] is the
 neighbors' credits minus the sector's own loss,
 Lambda[k] = -lambda_own[k] + sum over neighbors of lambda_from[nbr -> k].
-Node potentials supply these multipliers after fixing the collector
-gauge to zero; validity is enforced by the subgradient inequality rather
-than any sign convention (see tests). `compute_subgradient` is the one
+The lane solve returns these multipliers (for the flow solve they are
+node potentials with the collector gauge fixed to zero); validity is
+enforced by the subgradient inequality rather than any sign convention
+(see tests). `compute_subgradient` is the one
 place that assembles Lambda: each sector posts its neighbor duals to its
 neighbors' `Mailbox`, and each sector drains its inbox and sums it. The
 master loop, `icicsim verify` and the tests all go through it. Message
@@ -216,22 +217,28 @@ def bound_objective(weights, triples, blanking, neighbors):
     pattern, which gives a float, or a stack of C patterns (C, K, N),
     which gives (C,) values.
 
-    A stack is scored sector by sector. Each sector total sums only the
-    live RBs of its pattern: rows with the same live count are summed
-    together, and a row sum adds the same values in the same order as a
-    1-D sum, so each value equals scoring its pattern alone bit for bit.
-    The sector totals are added one at a time, in sector order.
+    The sectors with equal user counts M_k are scored together on the
+    stacked triples (products and maxima are exact). Each sector total
+    sums only the live RBs of its pattern: rows with the same live count
+    are summed together, and a row sum adds the same values in the same
+    order as a 1-D sum, so each value equals scoring its pattern alone bit
+    for bit. The sector totals are added one at a time, in sector order.
     """
     blanking = np.asarray(blanking)
     stack = blanking if blanking.ndim == 3 else blanking[None]
     k_sec, n_rb = neighbors.K, stack.shape[2]
+    sizes = np.array([len(w) for w in weights])
+    owner = np.repeat(np.arange(k_sec), sizes)          # sector of each row
     best = np.empty((stack.shape[0], k_sec, n_rb))    # best user per RB
-    for k in range(k_sec):
-        nbr_rows = stack[:, neighbors.nbr[k]]                # (C, Kt, N)
-        credit = (triples.rtil[k][None] * nbr_rows.transpose(
-            0, 2, 1)[:, None]).max(axis=3)
-        val = (triples.r[k] + credit) * weights[k][:, None]
-        best[:, k] = val.max(axis=-2)
+    for m in np.unique(sizes):
+        ks = np.flatnonzero(sizes == m)
+        rows = np.flatnonzero(sizes[owner] == m)
+        w = nw.stack_rows(weights)[rows].reshape(ks.size, m, 1)
+        r = nw.stack_rows(triples.r)[rows].reshape(ks.size, m, n_rb)
+        rtil = nw.stack_rows(triples.rtil)[rows].reshape(ks.size, m, n_rb, -1)
+        nbr_rows = stack[:, neighbors.nbr[ks]].transpose(0, 1, 3, 2)
+        credit = (rtil[None] * nbr_rows[:, :, None]).max(axis=4)
+        best[:, ks] = ((r + credit) * w).max(axis=2)      # (C, G, N)
     live = stack == 0
     counts = live.sum(axis=2)
     sector_total = np.zeros(counts.shape)
@@ -381,7 +388,7 @@ def _lane_groups(problems, weights, triples):
     return groups
 
 
-def _solve_pass(problems, groups, blankings, seens, cache=None):
+def _solve_pass(problems, groups, blankings, seens):
     """Solve every (sector, RB) subproblem of one master pass of each
     problem as lanes: one `lanes.solve_lanes` call per lane group (see
     `_lane_groups`), over the lanes of all problems.
@@ -390,41 +397,20 @@ def _solve_pass(problems, groups, blankings, seens, cache=None):
     them (they differ from `blankings[p]` only when exchanged values are
     quantized). Returns, per problem, the duals lam_eq (K, N) and lam_nbr
     (K, N, K_tilde), the master value summed in (k, n) order, and the
-    engine's (x, y) arrays, one pair per group of equal-size sectors.
-
-    `cache`, a list with one entry per group (None before the group's
-    first pass; without a list the pass stands alone), carries each group's lane inputs (own, nbr) and engine outputs
-    from pass to pass. A group's w, r and rtil are fixed, so a lane whose
-    own and nbr are bit-equal to the previous pass's (compared as uint64,
-    so -0.0 differs from 0.0) has the same solution: the engine solves
-    only the changed lanes and writes their results in place into the
-    cached outputs. The group still makes its one engine call when no
-    lane changed. The (x, y) arrays are then views that a later pass with
-    the same cache overwrites.
+    lanes' (x, y) arrays, one pair per group of equal-size sectors.
     """
     lam_eq = [np.empty((pr.K, pr.N)) for pr in problems]
     lam_nbr = [np.empty((pr.K, pr.N, pr.neighbors.k_tilde))
                for pr in problems]
     phi = [np.empty((pr.K, pr.N)) for pr in problems]
     xy = [[] for _ in problems]
-    if cache is None:
-        cache = [None] * len(groups)        # a pass on its own
-    for g, (members, w, r, rtil) in enumerate(groups):
+    for members, w, r, rtil in groups:
         kt = rtil.shape[2]
         own = np.concatenate([blankings[p][ks].ravel() for p, ks in members])
         nbr = np.concatenate([
             seens[p][problems[p].neighbors.nbr[ks]].transpose(0, 2, 1)
             .reshape(-1, kt) for p, ks in members])
-        if cache[g] is None:
-            out = lanes.solve_lanes(own, nbr, w, r, rtil)
-        else:
-            prev_own, prev_nbr, out = cache[g]
-            changed = own.view(np.uint64) != prev_own.view(np.uint64)
-            changed |= (nbr.view(np.uint64)
-                        != prev_nbr.view(np.uint64)).any(axis=1)
-            lanes.solve_lanes(own, nbr, w, r, rtil,
-                              at=np.flatnonzero(changed), out=out)
-        cache[g] = (own, nbr, out)
+        out = lanes.solve_lanes(own, nbr, w, r, rtil)
         lo = 0
         for p, ks in members:
             n_rb = problems[p].N
@@ -458,14 +444,7 @@ def _subgradient_run(problems, groups, config, inits, frozen=None):
 
     Returns four lists, one entry per problem: the final I, the master
     value per pass, the rounded iterates and the final I as neighbors
-    see it; and, fifth, the run's lane cache (see `_solve_pass`), which
-    a closing pass over the same groups may reuse. `frozen[p]`, when
-    given, marks problem p's entries held at 1.
-
-    Every pass of the run shares one cache, so a pass re-solves only the
-    lanes whose blanking inputs moved; the projection clips saturated
-    entries to exactly 0 or 1, so many lanes repeat. The (x, y) pairs of
-    a pass are overwritten by the next one, and the run reads none.
+    see it. `frozen[p]`, when given, marks problem p's entries held at 1.
     """
     blankings = [i.copy() for i in inits]
     if frozen is not None:
@@ -480,10 +459,9 @@ def _subgradient_run(problems, groups, config, inits, frozen=None):
     rounded = [[round_blanking(b)] for b in blankings]
     values = [[] for _ in problems]
     seens = [as_seen(b) for b in blankings]
-    cache = [None] * len(groups)
     for it in range(1, config.n_iter + 1):
         for p, (lam_eq, lam_nbr, value, _) in enumerate(
-                _solve_pass(problems, groups, blankings, seens, cache)):
+                _solve_pass(problems, groups, blankings, seens)):
             if config.quantize_exchange:
                 # each (sector, neighbor) message carries its own scale
                 lam_nbr = _quantize(lam_nbr, config.quant_bits, axis=1)
@@ -497,7 +475,7 @@ def _subgradient_run(problems, groups, config, inits, frozen=None):
             blankings[p] = blanking
             seens[p] = as_seen(blanking)
             rounded[p].append(round_blanking(blanking))
-    return blankings, values, rounded, seens, cache
+    return blankings, values, rounded, seens
 
 
 def _masked_triples(problem, blank1):
@@ -563,17 +541,15 @@ def run_rounds(problems, config, warm_starts=None):
         _round_start(pr, ws) for pr, ws in zip(problems, warm_starts)])
     groups = _lane_groups(problems, weights,
                           (pr.triples for pr in problems))
-    finals, values, rounded, seens, cache = _subgradient_run(
+    finals, values, rounded, seens = _subgradient_run(
         problems, groups, config, inits)
     candidates = [_scored(pr, w, rnd)
                   for pr, w, rnd in zip(problems, weights, rounded)]
     if config.n_iter > 0:
-        # bookkeeping only: the final value and x/y, no exchange; the
-        # run's cache re-solves only the lanes its last step moved
+        # bookkeeping only: the final value and x/y, no exchange
         binary = []
         for vals, (_, _, final_value, xy), final_i in zip(
-                values, _solve_pass(problems, groups, finals, seens, cache),
-                finals):
+                values, _solve_pass(problems, groups, finals, seens), finals):
             vals.append(final_value)
             binary.append(_binary_fraction(xy, final_i))
     else:
@@ -586,8 +562,7 @@ def run_rounds(problems, config, warm_starts=None):
         # one masked channel alive at a time: only its lanes are kept
         groups = _lane_groups(problems, weights, (
             _masked_triples(pr, b) for pr, b in zip(problems, blank1)))
-        # new groups, so the re-run starts from an empty cache
-        _, _, rounded2, _, _ = _subgradient_run(
+        _, _, rounded2, _ = _subgradient_run(
             problems, groups, config, finals,
             frozen=[b.astype(bool) for b in blank1])
         # the re-run's iterates are scored on the true channel

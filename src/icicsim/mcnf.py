@@ -7,9 +7,9 @@ Negative arc costs are absorbed by a Bellman-Ford initialization pass
 are tiny (a few dozen nodes), so everything is plain Python + numpy.
 
 This solver takes one network at a time and is the reference: the master
-loop solves its subproblems with `lanes.solve_lanes`, which runs this
-algorithm on many subproblems at once and must match `solve` bit for bit
-(tests/test_lanes.py and `icicsim verify` compare the two).
+loop solves its subproblems in closed form with `lanes.solve_lanes`, and
+tests/test_lanes.py and `icicsim verify` check each of its lanes against
+`solve` (see `oracle.lane_mismatches`).
 
 Conventions:
   node balance   sum(flow out) - sum(flow in) = supply b_i

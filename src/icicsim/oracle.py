@@ -3,8 +3,8 @@
 Everything here recomputes from first principles: exhaustive search over
 blanking patterns (exact rates and bounded rates), binary enumeration of
 the per-sector subproblem, set-equivalence checks for the linearization,
-a master pass solved one subproblem at a time, the lane engine against
-the per-lane flow solve, lockstep batches of rounds against single
+a master pass solved one subproblem at a time, the closed-form lanes
+against the per-lane flow solve, lockstep batches of rounds against single
 rounds, the SINR-bound factor identity, and dense LP
 solves via scipy's HiGHS for real-valued cross-checks. scipy is imported
 inside the two LP functions, so the rest of the module loads without it.
@@ -241,7 +241,7 @@ def sinr_bound_factor_check(n_samples=10_000, seed=0):
     return report
 
 
-# --- the master pass and the lane engine against the per-lane flow solve ---
+# --- the master pass and the closed-form lanes against the flow solve ---
 
 def reference_pass(problem, weights, blanking):
     """One master pass with one coordinator.solve_subproblem call per
@@ -249,7 +249,7 @@ def reference_pass(problem, weights, blanking):
     lam_eq (K, N) and lam_nbr (K, N, K_tilde).
 
     Every neighbor sees `blanking` unquantized. The lane pass of the
-    master loop must equal this bit for bit.
+    master loop must match it within REF_TOL.
     """
     nmap = problem.neighbors
     lam_eq = np.empty((problem.K, problem.N))
@@ -299,23 +299,97 @@ def random_lanes(rng, n_lanes, m, k_tilde):
     return own, nbr, w, r, rtil
 
 
+def edge_lanes(rng, m, k_tilde):
+    """Subproblem inputs of the edge cases, one lane each: no RB supply
+    (own = 1), more neighbor demand than supply, no credits (rtil = 0), a
+    user of weight 0, equal gains at every neighbor, supply that ends
+    exactly at a neighbor's level, and all levels at 1."""
+    own, nbr, w, r, rtil = random_lanes(rng, 7, m, k_tilde)
+    own[0] = 1.0
+    own[1], nbr[1] = 0.6, 0.5
+    rtil[2] = 0.0
+    w[3, 0] = 0.0
+    rtil[4] = rtil[4, :, :1]
+    # distinct gains; the dyadic levels make 1 - own a sum of levels
+    rtil[5] = 100.0 * np.arange(1, k_tilde + 1)
+    own[5], nbr[5] = 1.0 - 0.25 * min(k_tilde, 2), 0.25
+    own[6], nbr[6] = 1.0, 1.0
+    return own, nbr, w, r, rtil
+
+
+LANE_TOL = 1e-12    # float order: feasibility, duality gap, near ties
+REF_TOL = 1e-9      # phi and the duals against the flow solve
+
+
+def _close(a, b, tol):
+    return np.abs(a - b) <= tol * np.maximum(
+        1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
+def _at_least(a, b):
+    return a >= b - LANE_TOL * np.maximum(1.0, np.abs(b))
+
+
+def _unique_optimum(w, r, rtil):
+    """Lanes whose subproblem has one optimum: no two best-user candidates
+    within LANE_TOL, no two equal gains and no zero gain."""
+    wr = w[:, :, None] * r[:, :, None]
+    top = np.sort(np.concatenate((wr, wr + w[:, :, None] * rtil), axis=2),
+                  axis=1)                                # (L, M, 1 + Kt)
+    gain = np.sort(top[:, -1, 1:] - top[:, -1, :1], axis=1)
+    tied = _close(gain, 0.0, LANE_TOL).any(axis=1) \
+        | _close(gain[:, 1:], gain[:, :-1], LANE_TOL).any(axis=1)
+    if top.shape[1] > 1:
+        tied |= _close(top[:, -1], top[:, -2], LANE_TOL).any(axis=1)
+    return ~tied
+
+
 def lane_mismatches(own, nbr, w, r, rtil):
-    """Indices of the lanes where lanes.solve_lanes and
-    coordinator.solve_subproblem disagree on x, y, phi, lam_eq or lam_nbr
-    (exact float equality)."""
-    got = lanes.solve_lanes(own, nbr, w, r, rtil)
-    refs = [coordinator.solve_subproblem(own[i], nbr[i], w[i], r[i], rtil[i])
+    """Indices of the lanes where lanes.solve_lanes fails to be optimal.
+
+    Every lane must be primal feasible (x, y >= 0, sum x = 1 - own, the
+    neighbor columns of y within nbr, each user's row of y within x) and
+    dual feasible (lam_nbr >= 0, lam_eq >= w r, lam_eq + lam_nbr >=
+    w (r + rtil)), close the duality gap (phi = (1 - own) lam_eq +
+    sum nbr lam_nbr), and give phi, lam_eq and lam_nbr within REF_TOL of
+    coordinator.solve_subproblem. Where the optimum is unique (see
+    `_unique_optimum`), x and y must also be within LANE_TOL of the flow
+    solve's; ties leave several optima, and the two may differ there.
+    Float-order comparisons use LANE_TOL relative to max(1, |value|).
+    """
+    x, y, phi, lam_eq, lam_nbr = lanes.solve_lanes(own, nbr, w, r, rtil)
+    sols = [coordinator.solve_subproblem(own[i], nbr[i], w[i], r[i], rtil[i])
             for i in range(own.shape[0])]
-    same = np.ones(own.shape[0], dtype=bool)
-    for out, name in zip(got, ("x", "y", "phi", "lam_eq", "lam_nbr")):
-        ref = np.array([getattr(s, name) for s in refs]).reshape(out.shape)
-        same &= (out == ref).reshape(out.shape[0], -1).all(axis=1)
-    return np.flatnonzero(~same).tolist()
+    ref = {name: np.array([getattr(s, name) for s in sols])
+           for name in ("x", "y", "phi", "lam_eq", "lam_nbr")}
+    wr = w * r
+    unique = _unique_optimum(w, r, rtil)
+    checks = [
+        x >= 0.0, y >= 0.0, lam_nbr >= 0.0,
+        _close(x.sum(axis=1), 1.0 - own, LANE_TOL),
+        _at_least(nbr, y.sum(axis=1)),
+        _at_least(x, y.sum(axis=2)),
+        _at_least(lam_eq[:, None], wr),
+        _at_least(lam_eq[:, None, None] + lam_nbr[:, None, :],
+                  wr[:, :, None] + w[:, :, None] * rtil),
+        _close(phi, (1.0 - own) * lam_eq + (nbr * lam_nbr).sum(axis=1),
+               LANE_TOL),
+        _close(phi, ref["phi"], REF_TOL),
+        _close(lam_eq, ref["lam_eq"], REF_TOL),
+        _close(lam_nbr, ref["lam_nbr"], REF_TOL),
+        # ties leave several optima: x and y are compared where it is unique
+        _close(x, ref["x"], LANE_TOL) | ~unique[:, None],
+        _close(y, ref["y"], LANE_TOL) | ~unique[:, None, None],
+    ]
+    ok = np.logical_and.reduce(
+        [c.reshape(own.shape[0], -1).all(axis=1) for c in checks])
+    return np.flatnonzero(~ok).tolist()
 
 
 def lane_engine_check(n_lanes, seed=0):
-    """Number of mismatching lanes among n_lanes random ones, spread over
-    M 1-5 and K_tilde 1-9 (see random_lanes for the input kinds)."""
+    """Number of failing lanes (see lane_mismatches) among n_lanes random
+    ones spread over M 1-5 and K_tilde 1-9 (see random_lanes for the
+    input kinds), plus the edge lanes of every shape."""
     rng = np.random.default_rng(seed)
     per_shape, extra = divmod(n_lanes, len(LANE_SHAPES))
     mismatches = 0
@@ -324,6 +398,7 @@ def lane_engine_check(n_lanes, seed=0):
         if count:
             mismatches += len(lane_mismatches(
                 *random_lanes(rng, count, m, kt)))
+        mismatches += len(lane_mismatches(*edge_lanes(rng, m, kt)))
     return mismatches
 
 

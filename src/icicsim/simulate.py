@@ -1,8 +1,8 @@
 """Scenario configuration, the drop/sub-frame Monte Carlo loop, static
 reuse baselines, metrics, and CSV emission.
 
-Drops run in groups of consecutive drops, as many as fill one lane-engine
-chunk (`lanes.CHUNK`) with their K*N subproblems, at least one. Each drop
+Drops run in groups of consecutive drops, as many as fit GROUP_LANES
+(K*N subproblems per drop) in one lockstep round, at least one. Each drop
 of a group draws its channel (positions, shadowing, fading); then the
 sub-frames run in order, and per sub-frame every drop refades and updates
 its fairness weights, the selected scheme runs (the coordinated one every
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import lanes
 from . import network as nw
 # run_coordination is unused here, but perfbench/tracing.py wraps
 # `simulate.run_coordination` by name and fails when it is missing; the
@@ -36,6 +35,7 @@ from .schema import ConfigError, check_fields, rule, rule_of
 
 
 SCHEMES = ("proposed", "reuse1", "reuse3", "pfr")
+GROUP_LANES = 1024      # subproblems per lockstep round of a drop group
 
 
 @dataclass
@@ -315,9 +315,9 @@ def _percentiles(values, percents):
 
 
 def _drop_group(lanes_per_drop, drops):
-    """Drops advanced together: as many as fill one engine chunk with
-    their K*N lanes, at least one."""
-    return min(drops, max(1, lanes.CHUNK // lanes_per_drop))
+    """Drops advanced together: as many as fit GROUP_LANES with their
+    K*N lanes, at least one."""
+    return min(drops, max(1, GROUP_LANES // lanes_per_drop))
 
 
 class _Drop:

@@ -13,7 +13,7 @@ import pytest
 
 from icicsim import cli
 from icicsim import coordinator as co
-from icicsim import oracle
+from icicsim import lanes, oracle
 from icicsim.fairsched import local_schedule
 from icicsim.instances import random_desk_instance
 from icicsim.linkadapt import default_amc_table
@@ -98,6 +98,10 @@ def test_criterion_4_flow_equals_enumeration():
         got = co.solve_subproblem(own, nbr, w, r, rtil)
         ref = oracle.subproblem_enumeration(own, nbr, w, r, rtil)
         assert got.phi == ref[2]
+        # the closed form the master loop uses, on the same subproblem
+        closed = lanes.solve_lanes(np.array([own]), nbr[None], w[None],
+                                   r[None], rtil[None])
+        assert closed[2][0] == ref[2]
         exact_matches += 1
     from icicsim import mcnf
     slack_checked = 0
@@ -110,7 +114,8 @@ def test_criterion_4_flow_equals_enumeration():
         assert mcnf.verify(net, sol, tol=1e-9) == []
         slack_checked += 1
     print(f"PASS criterion 4: {exact_matches} binary subproblems exactly "
-          f"matched; {slack_checked} fractional solves pass 1e-9 slackness")
+          f"matched by the flow solve and the closed form; {slack_checked} "
+          f"fractional solves pass 1e-9 slackness")
 
 
 def test_criterion_5_subgradient_inequality():
@@ -122,15 +127,30 @@ def test_criterion_5_subgradient_inequality():
                                     n_rbs=1, k_tilde=2, seed=3000 + s)
         weights = [w / 100.0 for w in prob.weights]
         base = rng.random((k_sec, 1))
-        v0, le, ln = oracle.reference_pass(prob, weights, base)
-        grad = co.compute_subgradient(le, ln, prob.neighbors)
+        # the flow solve per subproblem, and the closed-form lane pass of
+        # the master loop
+        groups = co._lane_groups([prob], [weights], [prob.triples])
+
+        def lane_pass(blanking):
+            [(lam_eq, lam_nbr, value, _)] = co._solve_pass(
+                [prob], groups, [blanking], [blanking])
+            return value, lam_eq, lam_nbr
+
+        cuts = []
+        for solve in (lambda b: oracle.reference_pass(prob, weights, b),
+                      lane_pass):
+            v0, le, ln = solve(base)
+            cuts.append((solve, v0,
+                         co.compute_subgradient(le, ln, prob.neighbors)))
         for _ in range(100):
             probe = rng.random((k_sec, 1))
-            v1, _, _ = oracle.reference_pass(prob, weights, probe)
-            assert v1 <= v0 + float(np.sum(grad * (probe - base))) + 1e-6
+            for solve, v0, grad in cuts:
+                v1 = solve(probe)[0]
+                assert v1 <= v0 + float(np.sum(grad * (probe - base))) + 1e-6
             checked += 1
     assert checked == 10_000
-    print(f"PASS criterion 5: {checked} subgradient probes, 0 violations")
+    print(f"PASS criterion 5: {checked} subgradient probes, each on the "
+          f"flow solve and on the closed form, 0 violations")
 
 
 def test_criterion_6_credit_set_equivalence():

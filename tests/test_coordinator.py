@@ -354,41 +354,6 @@ def test_batch_groups_lanes_by_user_count_and_k_tilde(monkeypatch):
     assert counts["solve_lanes"] == 4 * (2 + 1 + 2)
 
 
-@pytest.mark.parametrize("runs", [1, 2])
-@pytest.mark.parametrize("quantize", [False, True],
-                         ids=["plain", "quantized"])
-def test_cached_passes_equal_fresh_passes(monkeypatch, quantize, runs):
-    # a uniform and an uneven problem in one batch: four lane groups
-    problems = [random_desk_instance(n_sectors=6, users_per_sector=2,
-                                     n_rbs=3, k_tilde=2, seed=91),
-                _uneven_problem(92, n_rbs=3)]
-    config = co.IcicConfig(n_iter=4, runs=runs, quantize_exchange=quantize,
-                           quant_bits=6)
-    original_pass, original_lanes = co._solve_pass, lanes.solve_lanes
-    lane_counts = {"cached": 0, "fresh": 0}
-    counting = []
-
-    def counted_lanes(own, *args, at=None, out=None):
-        lane_counts[counting[-1]] += own.shape[0] if at is None else at.size
-        return original_lanes(own, *args, at=at, out=out)
-
-    def checked_pass(problems, groups, blankings, seens, cache=None):
-        assert cache is not None
-        counting.append("fresh")
-        fresh = original_pass(problems, groups, blankings, seens)
-        counting[-1] = "cached"
-        got = original_pass(problems, groups, blankings, seens, cache)
-        counting.pop()
-        assert oracle.bit_equal(got, fresh)
-        return got
-
-    monkeypatch.setattr(lanes, "solve_lanes", counted_lanes)
-    monkeypatch.setattr(co, "_solve_pass", checked_pass)
-    co.run_rounds(problems, config)
-    # some lanes were solved again and some were reused
-    assert 0 < lane_counts["cached"] < lane_counts["fresh"]
-
-
 def test_run_rounds_rejects_mismatched_warm_starts():
     prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                 k_tilde=2, seed=1)
@@ -453,13 +418,17 @@ def test_exchange_pass_matches_standalone_subgradient(monkeypatch):
             [prob], groups, [blanking], [blanking])
         ref_value, ref_eq, ref_nbr = oracle.reference_pass(
             prob, prob.weights, blanking)
-        assert value == ref_value
-        assert np.array_equal(lam_eq, ref_eq)
-        assert np.array_equal(lam_nbr, ref_nbr)
+        tol = oracle.REF_TOL
+        assert value == pytest.approx(ref_value, rel=tol, abs=tol)
+        assert np.allclose(lam_eq, ref_eq, rtol=tol, atol=tol)
+        assert np.allclose(lam_nbr, ref_nbr, rtol=tol, atol=tol)
+        # the master steps along the exchange of the lane pass's duals
         grad = _first_direction(monkeypatch, prob, co.IcicConfig(n_iter=1),
                                 blanking)
+        assert np.array_equal(grad, co.compute_subgradient(
+            lam_eq, lam_nbr, prob.neighbors))
         ref = co.compute_subgradient(ref_eq, ref_nbr, prob.neighbors)
-        assert np.array_equal(grad, ref)
+        assert np.allclose(grad, ref, rtol=tol, atol=tol)
 
 
 def test_quantized_exchange_scales_each_message(monkeypatch):

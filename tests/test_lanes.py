@@ -1,4 +1,4 @@
-"""The lane engine against the per-lane flow solve it replaced."""
+"""The closed-form lane solve against the per-lane flow solve."""
 
 import numpy as np
 import pytest
@@ -9,123 +9,69 @@ from icicsim.instances import random_desk_instance
 
 
 def test_engine_bit_equal_on_random_lanes():
-    # M 1-5, K_tilde 1-9; binary, fractional, mixed and integer-tied lanes
+    # M 1-5, K_tilde 1-9; binary, fractional, mixed and integer-tied
+    # lanes, plus the edge lanes of every shape: each one optimal and
+    # matching the flow solve (see oracle.lane_mismatches)
     assert oracle.lane_engine_check(10_000, seed=3) == 0
 
 
 def test_engine_bit_equal_on_full_default_chunks():
-    # round57's (M, K_tilde); 2,500 lanes fill two default chunks and part
-    # of a third with binary, fractional and mixed levels
-    assert 2 * lanes.CHUNK < 2_500 < 3 * lanes.CHUNK
+    # round57's (M, K_tilde) with binary, fractional and mixed levels:
+    # every lane optimal in one call (see oracle.lane_mismatches)
     inputs = oracle.random_lanes(np.random.default_rng(57), 2_500, 3, 6)
     assert oracle.lane_mismatches(*inputs) == []
 
 
-def test_subset_of_lanes_solved_in_place():
-    # about 1,500 of 2,500 lanes get new levels and are solved again into
-    # the first call's outputs, two chunks of gathered lanes: they equal a
-    # fresh solve, and the other lanes keep their first results
-    rng = np.random.default_rng(58)
-    own, nbr, w, r, rtil = oracle.random_lanes(rng, 2_500, 3, 6)
-    out = lanes.solve_lanes(own, nbr, w, r, rtil)
-    first = [a.copy() for a in out]
-    at = np.flatnonzero(rng.random(own.size) < 0.6)
-    assert lanes.CHUNK < at.size < 2 * lanes.CHUNK
-    own[at] = rng.random(at.size)
-    nbr[at] = rng.integers(0, 2, (at.size, 6))
-    assert lanes.solve_lanes(own, nbr, w, r, rtil, at=at, out=out) is out
-    fresh = lanes.solve_lanes(own, nbr, w, r, rtil)
-    kept = np.setdiff1d(np.arange(own.size), at)
-    for got, ref, old in zip(out, fresh, first):
-        assert got[at].tobytes() == ref[at].tobytes()
-        assert got[kept].tobytes() == old[kept].tobytes()
-    with pytest.raises(ValueError):
-        lanes.solve_lanes(own, nbr, w, r, rtil, at=at)
+@pytest.mark.parametrize("m, kt", [(1, 1), (1, 4), (3, 1), (2, 2), (5, 9)])
+def test_edge_lanes_are_optimal(m, kt):
+    own, nbr, w, r, rtil = oracle.edge_lanes(np.random.default_rng(m + kt),
+                                             m, kt)
+    assert oracle.lane_mismatches(own, nbr, w, r, rtil) == []
+    x, y, phi, _, _ = lanes.solve_lanes(own, nbr, w, r, rtil)
+    # no supply: nothing flows (lanes 0 and 6)
+    for i in (0, 6):
+        assert not x[i].any() and not y[i].any() and phi[i] == 0.0
+    # the supply ends exactly at a neighbor's level: the best neighbors
+    # are full and the others empty (lane 5)
+    assert sorted(y[5].sum(axis=0).tolist()) == \
+        [0.0] * (kt - min(kt, 2)) + [0.25] * min(kt, 2)
 
 
-def test_both_solvers_refuse_negative_reduced_costs(monkeypatch):
-    # all-zero starting potentials leave each RB -> user arc at reduced
-    # cost -w*r, so the first Dijkstra pass meets a negative one
-    own, nbr, w, r, rtil = oracle.random_lanes(np.random.default_rng(6),
-                                               12, 2, 3)
-    own[:] = 0.0            # the RB source has supply to route
-    lanes.solve_lanes(own, nbr, w, r, rtil)     # fine from Bellman-Ford
-    monkeypatch.setattr(mcnf, "_initial_potentials",
-                        lambda net: np.zeros(net.num_nodes))
-    monkeypatch.setattr(lanes, "_initial_potentials",
-                        lambda cost_x, cost_y: np.zeros(
-                            (cost_y.shape[0], sum(cost_y.shape[1:]) + 2)))
-    hit = np.flatnonzero((w * r > 0).any(axis=1))
-    assert hit.size > 6
-    for i in hit:
-        with pytest.raises(AssertionError, match="reduced-cost invariant"):
-            co.solve_subproblem(own[i], nbr[i], w[i], r[i], rtil[i])
-        with pytest.raises(AssertionError, match="reduced-cost invariant"):
-            lanes.solve_lanes(own[i:i + 1], nbr[i:i + 1], w[i:i + 1],
-                              r[i:i + 1], rtil[i:i + 1])
-
-
-SMALL_CHUNK = 8
-
-
-@pytest.mark.parametrize("n_lanes", [SMALL_CHUNK - 1, SMALL_CHUNK,
-                                     SMALL_CHUNK + 1, 2 * SMALL_CHUNK + 1])
-def test_engine_bit_equal_across_chunk_edges(monkeypatch, n_lanes):
-    monkeypatch.setattr(lanes, "CHUNK", SMALL_CHUNK)
-    inputs = oracle.random_lanes(np.random.default_rng(n_lanes), n_lanes,
-                                 3, 4)
-    assert oracle.lane_mismatches(*inputs) == []
+def test_knapsack_by_hand():
+    # c_0 = 10 (user 0); c = [12 (user 1), 15 (user 0), 11 (user 0)], so
+    # the gains are [2, 5, 1]. S = 0.75 fills neighbor 1 (0.5), then a
+    # quarter of neighbor 0, which stays open: t = 2, lam_eq = 12
+    own = np.array([0.25])
+    nbr = np.array([[0.5, 0.5, 1.0]])
+    w = np.array([[1.0, 1.0]])
+    r = np.array([[10.0, 8.0]])
+    rtil = np.array([[[0.0, 5.0, 1.0], [4.0, 0.0, 0.0]]])
+    x, y, phi, lam_eq, lam_nbr = lanes.solve_lanes(own, nbr, w, r, rtil)
+    assert x.tolist() == [[0.5, 0.25]]
+    assert y.tolist() == [[[0.0, 0.5, 0.0], [0.25, 0.0, 0.0]]]
+    assert phi.tolist() == [10.5]           # 0.75 * 12 + 0.5 * 3
+    assert lam_eq.tolist() == [12.0]
+    assert lam_nbr.tolist() == [[0.0, 3.0, 0.0]]
 
 
 def test_engine_rejects_unroutable_supply():
     # a negative neighbor level turns that neighbor into a source, and
-    # no arc leaves a neighbor node
+    # no arc leaves a neighbor node; the lane solve refuses any level
+    # outside [0, 1], NaN included, and names the lowest such lane
     own, nbr, w, r, rtil = oracle.random_lanes(np.random.default_rng(0),
                                                4, 2, 2)
     own[:] = 0.0
     nbr[2] = [-1.0, 0.0]
     with pytest.raises(mcnf.InfeasibleFlowError):
         co.solve_subproblem(own[2], nbr[2], w[2], r[2], rtil[2])
-    with pytest.raises(mcnf.InfeasibleFlowError):
+    with pytest.raises(mcnf.InfeasibleFlowError, match="lane 2:"):
         lanes.solve_lanes(own, nbr, w, r, rtil)
-
-
-@pytest.mark.parametrize("m, kt", [(1, 1), (2, 2), (3, 4)])
-def test_engine_bit_equal_when_lanes_finish_at_different_rounds(
-        monkeypatch, m, kt):
-    # binary lanes finish after few augmentations (own = 1 with no blanked
-    # neighbor after none) and fractional ones after more, so with the
-    # fractional lanes last the chunks drop finished lanes round by round
-    monkeypatch.setattr(lanes, "CHUNK", SMALL_CHUNK)
-    rng = np.random.default_rng(10 * m + kt)
-    n_lanes = 3 * SMALL_CHUNK + 3
-    own, nbr, w, r, rtil = oracle.random_lanes(rng, n_lanes, m, kt)
-    n_bin = 2 * SMALL_CHUNK
-    own[:n_bin] = rng.integers(0, 2, n_bin)
-    nbr[:n_bin] = rng.integers(0, 2, (n_bin, kt))
-    own[n_bin:] = rng.random(n_lanes - n_bin)
-    nbr[n_bin:] = rng.random((n_lanes - n_bin, kt))
-    assert oracle.lane_mismatches(own, nbr, w, r, rtil) == []
-
-
-def test_engine_names_the_lowest_stuck_lane_after_compaction(monkeypatch):
-    # lanes 8-12 of the second chunk have nothing to route and leave
-    # before the first augmentation; lanes 13 and 14 route their RB supply
-    # and then both stick at a neighbor source in the next round, so the
-    # error names lane 13, as the per-lane solver does
-    monkeypatch.setattr(lanes, "CHUNK", SMALL_CHUNK)
-    own, nbr, w, r, rtil = oracle.random_lanes(np.random.default_rng(4),
-                                               2 * SMALL_CHUNK, 2, 2)
-    own[:] = 1.0
-    nbr[:] = 0.0
-    own[13:15] = 0.0
-    nbr[13] = [-1.0, 0.0]
-    nbr[14] = [0.0, -0.5]
-    with pytest.raises(mcnf.InfeasibleFlowError) as ref:
-        co.solve_subproblem(own[13], nbr[13], w[13], r[13], rtil[13])
-    with pytest.raises(mcnf.InfeasibleFlowError) as got:
-        lanes.solve_lanes(own, nbr, w, r, rtil)
-    assert str(got.value) == str(ref.value)
+    nbr[2] = 0.0
+    for lane, level in ((1, np.nan), (3, 1.5)):
+        bad = own.copy()
+        bad[lane] = level
+        with pytest.raises(mcnf.InfeasibleFlowError, match=f"lane {lane}:"):
+            lanes.solve_lanes(bad, nbr, w, r, rtil)
 
 
 @pytest.mark.parametrize("config", [

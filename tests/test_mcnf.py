@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from icicsim import coordinator as co
 from icicsim import mcnf, oracle
 
 
@@ -149,3 +150,19 @@ def test_negative_cycle_detected():
     net = _flow_instance([0, 0], [(0, 1, 1, -2.0), (1, 0, 1, -2.0)])
     with pytest.raises(mcnf.NegativeCycleError):
         mcnf.solve(net)
+
+
+def test_solve_subproblem_refuses_negative_reduced_costs(monkeypatch):
+    # all-zero starting potentials leave each RB -> user arc at reduced
+    # cost -w*r, so the first Dijkstra pass meets a negative one
+    own, nbr, w, r, rtil = oracle.random_lanes(np.random.default_rng(6),
+                                               12, 2, 3)
+    own[:] = 0.0            # the RB source has supply to route
+    co.solve_subproblem(own[0], nbr[0], w[0], r[0], rtil[0])  # fine as is
+    monkeypatch.setattr(mcnf, "_initial_potentials",
+                        lambda net: np.zeros(net.num_nodes))
+    hit = np.flatnonzero((w * r > 0).any(axis=1))
+    assert hit.size > 6
+    for i in hit:
+        with pytest.raises(AssertionError, match="reduced-cost invariant"):
+            co.solve_subproblem(own[i], nbr[i], w[i], r[i], rtil[i])

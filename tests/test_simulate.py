@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from icicsim import lanes
+from icicsim import lanes, simulate
 from icicsim import network as nw
 from icicsim.coordinator import finalize_schedule
 from icicsim.linkadapt import default_amc_table
@@ -278,8 +278,8 @@ def test_scenario_variants_run():
         assert rep.throughput_bps_hz.shape == (24,), extra
 
 
-# 12 sectors x 8 RBs = 96 lanes per drop: the default CHUNK holds all
-# three drops, and a CHUNK of 192 holds two, leaving a ragged last group
+# 12 sectors x 8 RBs = 96 lanes per drop: the default GROUP_LANES holds
+# all three drops, and 192 holds two, leaving a ragged last group
 GROUPED = SMALL.replace("scenario.rbs = 4", "scenario.rbs = 8").replace(
     "scenario.drops = 1", "scenario.drops = 3").replace(
     "scenario.subframes = 6", "scenario.subframes = 4")
@@ -299,9 +299,9 @@ def _emitted(text, out_dir):
 def test_drop_grouping_changes_no_byte(extra, tmp_path, monkeypatch):
     text = GROUPED + extra
     default = _emitted(text, tmp_path / "default")
-    for chunk in (1, 192, 10**6):     # groups of one; two and one; three
-        monkeypatch.setattr(lanes, "CHUNK", chunk)
-        assert _emitted(text, tmp_path / f"chunk{chunk}") == default, chunk
+    for group in (1, 192, 10**6):     # groups of one; two and one; three
+        monkeypatch.setattr(simulate, "GROUP_LANES", group)
+        assert _emitted(text, tmp_path / f"group{group}") == default, group
 
 
 def test_first_drop_rows_do_not_depend_on_drop_count():
@@ -319,7 +319,7 @@ def test_first_drop_rows_do_not_depend_on_drop_count():
 
 
 def test_drops_share_one_engine_call_per_pass(monkeypatch):
-    # desk.cfg: 2 drops of 96 lanes fit one chunk, n_iter = 5, rho = 1;
+    # desk.cfg: 2 drops of 96 lanes fit one group, n_iter = 5, rho = 1;
     # each coordinated sub-frame is one lockstep round over both drops
     path = os.path.join(os.path.dirname(__file__), "..", "demos", "desk.cfg")
     cfg = load_config(path, overrides=["scenario.subframes = 6"])
@@ -327,15 +327,12 @@ def test_drops_share_one_engine_call_per_pass(monkeypatch):
     calls = []
     original = lanes.solve_lanes
 
-    def counted(*args, at=None, **kwargs):
-        calls.append(args[0].shape[0] if at is None else at.size)
-        return original(*args, at=at, **kwargs)
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return original(*args)
 
     monkeypatch.setattr(lanes, "solve_lanes", counted)
     run_simulation(cfg)
-    # n_iter passes plus the closing pass per sub-frame, one call each;
-    # the first pass solves all 2 x 96 lanes, the later ones only the
-    # lanes whose blanking inputs changed
-    assert len(calls) == (5 + 1) * 6
-    assert calls[::5 + 1] == [2 * 96] * 6
-    assert max(calls) == 2 * 96 and min(calls) < 2 * 96
+    # n_iter passes plus the closing pass per sub-frame, one call each,
+    # every call over all 2 x 96 lanes
+    assert calls == [2 * 96] * ((5 + 1) * 6)
