@@ -3,7 +3,8 @@
 
 Runs the same seeded scenario under four schemes and prints the
 cell-edge / median / cell-center throughput table plus outage, then
-writes the full CSV reports for the coordinated run.
+writes the full CSV reports for the coordinated run to a temporary
+directory, which is removed on exit.
 """
 
 import tempfile
@@ -42,6 +43,7 @@ for scheme, rep in reports.items():
     out = dict(rep.outage).get(0.02)
     print(f"  {scheme:>10}: {out:.3f}")
 
-out_dir = tempfile.mkdtemp(prefix="icicsim_demo_")
-files = emit_reports(reports["proposed"], out_dir)
-print(f"\ncoordinated-run reports written to {out_dir}: {', '.join(files)}")
+with tempfile.TemporaryDirectory(prefix="icicsim_demo_") as out_dir:
+    files = emit_reports(reports["proposed"], out_dir)
+    print(f"\ncoordinated-run reports written to {out_dir}: "
+          f"{', '.join(files)}")

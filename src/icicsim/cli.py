@@ -12,6 +12,7 @@ Every config error, including command-line overrides and an unusable
 import argparse
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -36,6 +37,8 @@ def _cmd_simulate(args):
         return _config_error(exc)
     try:
         os.makedirs(args.out, exist_ok=True)
+        with tempfile.TemporaryFile(dir=args.out):   # a writable directory
+            pass
     except OSError as exc:
         return _config_error(f"--out: {exc}")
 
@@ -86,12 +89,10 @@ def _cmd_verify(args):
     check("closed-form lanes optimal against per-lane flow solve",
           oracle.lane_engine_check(300 if quick else 3_000, seed=13) == 0)
 
-    # two uniform instances and one whose sectors have 1, 2 or 3 users
-    probs = [random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
-                                  k_tilde=2, seed=60 + s) for s in range(2)]
-    probs.append(random_desk_instance(n_sectors=6,
-                                      users_per_sector=[3, 1, 2, 3, 2, 1],
-                                      n_rbs=2, k_tilde=2, seed=62))
+    # two 2-user instances and one 3-user instance: two lane shapes
+    probs = [random_desk_instance(n_sectors=6, users_per_sector=m, n_rbs=2,
+                                  k_tilde=2, seed=60 + s)
+             for s, m in enumerate((2, 2, 3))]
     ok = all(not oracle.batch_mismatches(probs, co.IcicConfig(
         n_iter=3 if quick else 5, runs=2, quantize_exchange=quantize,
         quant_bits=6)) for quantize in (False, True))

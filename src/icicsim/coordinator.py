@@ -15,15 +15,16 @@ everyone's (possibly fractional) blanking levels. Its flow form:
         user->coll    cap 1  cost 0         (slack)
         coll->nbr     cap 1  cost 0         (surplus)
 
-Within one master pass all K*N subproblems share this topology, so the
-pass hands them to `lanes.solve_lanes` as array lanes, one call per group
-of sectors with the same user count M_k and neighbor count K_tilde. That
-call solves every lane in closed form, as a fractional knapsack (see the
-lanes module docstring). `solve_subproblem` (one FlowNetwork, solved by
-`mcnf.solve`) is the paper's network-flow method and the per-lane
-reference: every lane of the closed form must be optimal, and its value
-and duals must match the flow solve's within a stated tolerance
-(`oracle.lane_mismatches`). The master loop itself never calls it.
+Every sector has the same user count M, so within one master pass all
+K*N subproblems share this topology, and the pass hands them to
+`lanes.solve_lanes` as array lanes, one call per group of problems with
+the same M and neighbor count K_tilde. That call solves every lane in
+closed form, as a fractional knapsack (see the lanes module docstring).
+`solve_subproblem` (one FlowNetwork, solved by `mcnf.solve`) is the
+paper's network-flow method and the per-lane reference: every lane of
+the closed form must be optimal, and its value and duals must match the
+flow solve's within a stated tolerance (`oracle.lane_mismatches`). The
+master loop itself never calls it.
 
 Independent rounds run as a lockstep batch: `run_rounds` advances the
 master loops of several problems together, including the `runs=2`
@@ -54,7 +55,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lanes, mcnf
-from . import network as nw
 from .fairsched import local_schedule
 from .linkadapt import default_amc_table, precompute_rate_triples
 from .schema import check_fields, rule
@@ -112,8 +112,8 @@ class OverheadReport:
 @dataclass
 class IcicResult:
     blanking: np.ndarray             # (K, N) binary
-    assignments: tuple               # SectorViews, per sector (M, N) int8
-    exact_rates: tuple               # SectorViews, per sector (M, N) kbit/s
+    assignments: np.ndarray          # (K, M, N) int8
+    exact_rates: np.ndarray          # (K, M, N) kbit/s
     realized_objective: float        # exact-rate weighted sum
     gap: GapReport
     overhead: OverheadReport
@@ -122,16 +122,27 @@ class IcicResult:
 
 @dataclass
 class CoordinationProblem:
-    """Everything one coordinated scheduling round needs."""
+    """Everything one coordinated scheduling round needs. Every sector has
+    the same user count M; weights and gains may be given per sector."""
 
     neighbors: object                # NeighborMap
-    weights: list                    # per sector (M_k,)
-    gains: list                      # per sector (M_k, N, K)
+    weights: np.ndarray              # (K, M)
+    gains: np.ndarray                # (K, M, N, K)
     radio: object                    # RadioConfig
     amc: object = None
     triples: object = None
 
     def __post_init__(self):
+        counts = [len(w) for w in self.weights]
+        if len(set(counts)) > 1:
+            raise ValueError(f"every sector needs the same user count, "
+                             f"got weights for {counts} users")
+        self.weights = np.asarray(self.weights, dtype=float)
+        self.gains = np.asarray(self.gains)
+        if self.gains.shape[:2] != self.weights.shape:
+            raise ValueError(
+                f"gains for (K, M) = {self.gains.shape[:2]} users do not "
+                f"match weights for {self.weights.shape}")
         if self.amc is None:
             self.amc = default_amc_table()
         if self.triples is None:
@@ -144,7 +155,7 @@ class CoordinationProblem:
 
     @property
     def N(self):
-        return self.gains[0].shape[1]
+        return self.gains.shape[2]
 
 
 # --- subproblem construction and duals ---
@@ -217,28 +228,18 @@ def bound_objective(weights, triples, blanking, neighbors):
     pattern, which gives a float, or a stack of C patterns (C, K, N),
     which gives (C,) values.
 
-    The sectors with equal user counts M_k are scored together on the
-    stacked triples (products and maxima are exact). Each sector total
-    sums only the live RBs of its pattern: rows with the same live count
-    are summed together, and a row sum adds the same values in the same
-    order as a 1-D sum, so each value equals scoring its pattern alone bit
-    for bit. The sector totals are added one at a time, in sector order.
+    weights: (K, M). All sectors are scored together on the triples
+    (products and maxima are exact). Each sector total sums only the live
+    RBs of its pattern: rows with the same live count are summed
+    together, and a row sum adds the same values in the same order as a
+    1-D sum, so each value equals scoring its pattern alone bit for bit.
+    The sector totals are added one at a time, in sector order.
     """
     blanking = np.asarray(blanking)
     stack = blanking if blanking.ndim == 3 else blanking[None]
-    k_sec, n_rb = neighbors.K, stack.shape[2]
-    sizes = np.array([len(w) for w in weights])
-    owner = np.repeat(np.arange(k_sec), sizes)          # sector of each row
-    best = np.empty((stack.shape[0], k_sec, n_rb))    # best user per RB
-    for m in np.unique(sizes):
-        ks = np.flatnonzero(sizes == m)
-        rows = np.flatnonzero(sizes[owner] == m)
-        w = nw.stack_rows(weights)[rows].reshape(ks.size, m, 1)
-        r = nw.stack_rows(triples.r)[rows].reshape(ks.size, m, n_rb)
-        rtil = nw.stack_rows(triples.rtil)[rows].reshape(ks.size, m, n_rb, -1)
-        nbr_rows = stack[:, neighbors.nbr[ks]].transpose(0, 1, 3, 2)
-        credit = (rtil[None] * nbr_rows[:, :, None]).max(axis=4)
-        best[:, ks] = ((r + credit) * w).max(axis=2)      # (C, G, N)
+    nbr_rows = stack[:, neighbors.nbr].transpose(0, 1, 3, 2)  # (C, K, N, Kt)
+    credit = (triples.rtil[None] * nbr_rows[:, :, None]).max(axis=4)
+    best = ((triples.r + credit) * weights[:, :, None]).max(axis=2)
     live = stack == 0
     counts = live.sum(axis=2)
     sector_total = np.zeros(counts.shape)
@@ -247,7 +248,7 @@ def bound_objective(weights, triples, blanking, neighbors):
         sector_total[rows] = best[rows][live[rows]].reshape(
             -1, n_live).sum(axis=1)
     total = np.zeros(stack.shape[0])
-    for k in range(k_sec):
+    for k in range(neighbors.K):
         total += sector_total[:, k]
     return total if blanking.ndim == 3 else float(total[0])
 
@@ -255,47 +256,34 @@ def bound_objective(weights, triples, blanking, neighbors):
 def finalize_schedule(gains, weights, radio, amc, blanking):
     """Exact rates under a binary blanking, then the per-sector argmax rule.
 
-    gains: per sector (M_k, N, K); weights: per sector (M_k,). With
-    network.SectorViews (as ChannelTensor.gains) the work runs on the
-    stacked (sum of M_k, N, K) array without copying it. The exact SINR
-    and the AMC lookup run once over all users; `local_schedule` runs once
-    per group of sectors with equal M_k, its batch axis over the group.
-    Each user's interference is summed in the same order as for a single
-    sector, so results do not depend on how sectors are grouped.
+    gains: (K, M, N, K); weights: (K, M). The exact SINR and the AMC
+    lookup run on the (K*M, N, K) view of the gains, and `local_schedule`
+    runs once, its batch axis over the sectors. Each user's interference
+    is summed in the same order as for a single sector.
 
-    Returns (assignments, rates, objective): SectorViews of the stacked
-    (sum of M_k, N) int8 assignment and kbit/s rates, and the weighted
-    rate summed sector by sector. Identical code path to the uncoordinated
-    scheduler, so forcing blanking to zero reproduces it bit for bit.
+    Returns (assignments, rates, objective): the (K, M, N) int8 assignment
+    and kbit/s rates, and the weighted rate summed sector by sector.
+    Identical code path to the uncoordinated scheduler, so forcing
+    blanking to zero reproduces it bit for bit.
     """
     blanking = np.asarray(blanking)
-    sizes = np.array([len(w) for w in weights])
-    owner = np.repeat(np.arange(sizes.size), sizes)     # sector of each row
-    g = nw.stack_rows(gains)                            # (sum M, N, K)
-    w = np.asarray(nw.stack_rows(weights), dtype=float)
+    k_sec, m = gains.shape[:2]
+    g = gains.reshape(k_sec * m, *gains.shape[2:])     # a view, no copy
+    w = np.asarray(weights, dtype=float)
+    owner = np.repeat(np.arange(k_sec), m)             # sector of each row
     on = 1.0 - blanking.T.astype(float)                # (N, K)
     own = g[np.arange(owner.size), :, owner]            # serving gain
     interf = np.einsum("mnk,nk->mn", g, on) - own * on[:, owner].T
     sinr = radio.p_c_watts * own \
         / (radio.p_c_watts * interf + radio.p_n_watts)
-    rates = amc.rate_linear(sinr)
-    n_rb = rates.shape[1]
-    assign = np.empty(rates.shape, dtype=np.int8)
-    sector_value = np.empty(sizes.size)
-    for m in np.unique(sizes):
-        ks = np.flatnonzero(sizes == m)
-        rows = np.flatnonzero(sizes[owner] == m)
-        w_g = w[rows].reshape(-1, m)
-        r_g = rates[rows].reshape(-1, m, n_rb)
-        a_g = local_schedule(w_g, r_g, blanking[ks])
-        assign[rows] = a_g.reshape(-1, n_rb)
-        sector_value[ks] = (w_g[:, :, None] * a_g * r_g).reshape(
-            ks.size, -1).sum(axis=1)
+    rates = amc.rate_linear(sinr).reshape(k_sec, m, -1)
+    assign = local_schedule(w, rates, blanking)
+    sector_value = (w[:, :, None] * assign * rates).reshape(
+        k_sec, -1).sum(axis=1)
     objective = 0.0
     for v in sector_value.tolist():     # sequential, in sector order
         objective += v
-    return (nw.SectorViews(assign, sizes), nw.SectorViews(rates, sizes),
-            objective)
+    return assign, rates, objective
 
 
 # --- the simulated sector exchange ---
@@ -357,29 +345,21 @@ def _quantize(values, bits, vmax=None, axis=None):
 def _lane_groups(problems, weights, triples):
     """The fixed lane inputs of a batch of problems.
 
-    Sectors with equal (M_k, K_tilde) form one group, whose lanes are
-    those sectors' (k, n) pairs, problem by problem and in (k, n) order.
-    Returns, per group in (M_k, K_tilde) order, its members, a list of
-    (problem index, sector indices), and the stacked w, r and rtil of its
-    lanes. `triples` is iterated once, alongside `problems` and `weights`.
+    Problems with equal (M, K_tilde) form one group. Each member is one
+    contiguous block of K*N lanes, in (k, n) order. Returns, per group in
+    (M, K_tilde) order, its member problem indices and the stacked w, r
+    and rtil of its lanes. `triples` is iterated once, alongside
+    `problems` and `weights`.
     """
     parts = {}
-    for p, (pr, w_p, tr) in enumerate(zip(problems, weights, triples)):
-        sizes = np.array([w.shape[0] for w in w_p])
-        starts = np.cumsum(sizes) - sizes
-        w_all = np.concatenate(w_p)
-        rbs = np.arange(pr.N)[None, :, None]
-        for m in np.unique(sizes):
-            ks = np.flatnonzero(sizes == m)
-            # [users, rbs] reads (sector, RB, user): one row per lane
-            users = (starts[ks][:, None] + np.arange(m))[:, None, :]
-            parts.setdefault((int(m), pr.neighbors.k_tilde), []).append((
-                (p, ks),
-                w_all[np.broadcast_to(users, (ks.size, pr.N, m))]
-                .reshape(-1, m),
-                tr.r.stacked[users, rbs].reshape(-1, m),
-                tr.rtil.stacked[users, rbs].reshape(
-                    -1, m, pr.neighbors.k_tilde)))
+    for p, (pr, w, tr) in enumerate(zip(problems, weights, triples)):
+        k_sec, m = w.shape
+        kt = pr.neighbors.k_tilde
+        parts.setdefault((m, kt), []).append((
+            p,
+            np.broadcast_to(w[:, None], (k_sec, pr.N, m)).reshape(-1, m),
+            tr.r.transpose(0, 2, 1).reshape(-1, m),
+            tr.rtil.transpose(0, 2, 1, 3).reshape(-1, m, kt)))
     groups = []
     for key in sorted(parts):
         members, w, r, rtil = zip(*parts[key])
@@ -391,48 +371,39 @@ def _lane_groups(problems, weights, triples):
 def _solve_pass(problems, groups, blankings, seens):
     """Solve every (sector, RB) subproblem of one master pass of each
     problem as lanes: one `lanes.solve_lanes` call per lane group (see
-    `_lane_groups`), over the lanes of all problems.
+    `_lane_groups`), over the lanes of all its problems.
 
     `seens[p]` carries problem p's blanking levels as neighbors observe
     them (they differ from `blankings[p]` only when exchanged values are
     quantized). Returns, per problem, the duals lam_eq (K, N) and lam_nbr
     (K, N, K_tilde), the master value summed in (k, n) order, and the
-    lanes' (x, y) arrays, one pair per group of equal-size sectors.
+    lanes' x and y arrays.
     """
-    lam_eq = [np.empty((pr.K, pr.N)) for pr in problems]
-    lam_nbr = [np.empty((pr.K, pr.N, pr.neighbors.k_tilde))
-               for pr in problems]
-    phi = [np.empty((pr.K, pr.N)) for pr in problems]
-    xy = [[] for _ in problems]
+    passes = [None] * len(problems)
     for members, w, r, rtil in groups:
         kt = rtil.shape[2]
-        own = np.concatenate([blankings[p][ks].ravel() for p, ks in members])
+        own = np.concatenate([blankings[p].ravel() for p in members])
         nbr = np.concatenate([
-            seens[p][problems[p].neighbors.nbr[ks]].transpose(0, 2, 1)
-            .reshape(-1, kt) for p, ks in members])
+            seens[p][problems[p].neighbors.nbr].transpose(0, 2, 1)
+            .reshape(-1, kt) for p in members])
         out = lanes.solve_lanes(own, nbr, w, r, rtil)
         lo = 0
-        for p, ks in members:
-            n_rb = problems[p].N
-            c = slice(lo, lo + ks.size * n_rb)
+        for p in members:
+            shape = (problems[p].K, problems[p].N)
+            c = slice(lo, lo + shape[0] * shape[1])
             lo = c.stop
-            x, y, phi_g, lam_eq_g, lam_nbr_g = (a[c] for a in out)
-            phi[p][ks] = phi_g.reshape(-1, n_rb)
-            lam_eq[p][ks] = lam_eq_g.reshape(-1, n_rb)
-            lam_nbr[p][ks] = lam_nbr_g.reshape(-1, n_rb, kt)
-            xy[p].append((x, y))
-    passes = []
-    for p in range(len(problems)):
-        master_value = 0.0
-        for v in phi[p].ravel().tolist():     # sequential, in (k, n) order
-            master_value += v
-        passes.append((lam_eq[p], lam_nbr[p], master_value, xy[p]))
+            x, y, phi, lam_eq, lam_nbr = (a[c] for a in out)
+            master_value = 0.0
+            for v in phi.tolist():            # sequential, in (k, n) order
+                master_value += v
+            passes[p] = (lam_eq.reshape(shape),
+                         lam_nbr.reshape(*shape, kt), master_value, (x, y))
     return passes
 
 
 def _binary_fraction(xy, blanking, tol=1e-6):
     """Share of relaxed variables (x, y and blanking) at 0 or 1."""
-    vals = np.concatenate([a.ravel() for pair in xy for a in pair]
+    vals = np.concatenate([a.ravel() for a in xy]
                           + [np.asarray(blanking, dtype=float).ravel()])
     at_bound = (np.abs(vals) < tol) | (np.abs(1.0 - vals) < tol)
     return int(np.sum(at_bound)) / vals.size
@@ -481,14 +452,11 @@ def _subgradient_run(problems, groups, config, inits, frozen=None):
 def _masked_triples(problem, blank1):
     """The re-run's rate triples: every gain from a sector blanked in
     `blank1` zeroed, serving gains kept."""
-    sizes = [g.shape[0] for g in problem.gains]
-    owner = np.repeat(np.arange(len(sizes)), sizes)     # sector of each row
-    users = np.arange(owner.size)
-    gains = nw.stack_rows(problem.gains)                # (sum M, N, K)
-    masked = gains * (1.0 - blank1.astype(float).T[None, :, :])
-    masked[users, :, owner] = gains[users, :, owner]
-    return precompute_rate_triples(nw.SectorViews(masked, sizes),
-                                   problem.radio, problem.neighbors,
+    gains = problem.gains                               # (K, M, N, K)
+    masked = gains * (1.0 - blank1.astype(float).T)
+    own = np.arange(problem.K)
+    masked[own, :, :, own] = gains[own, :, :, own]
+    return precompute_rate_triples(masked, problem.radio, problem.neighbors,
                                    problem.amc)
 
 
@@ -504,12 +472,11 @@ def _round_start(problem, warm_start):
     """Weight scale, normalised master weights and initial blanking (the
     clipped warm start, else all zeros: reuse-1) of one round."""
     scale = 1.0
-    weights = [np.asarray(w, dtype=float) for w in problem.weights]
-    wr = [w[:, None] * r for w, r in zip(weights, problem.triples.r)]
-    mean = float(np.mean(np.concatenate([v.ravel() for v in wr])))
+    weights = problem.weights
+    mean = float(np.mean(weights[:, :, None] * problem.triples.r))
     if mean > 0:
         scale = mean
-        weights = [w / scale for w in weights]
+        weights = weights / scale
     if warm_start is None:
         init = np.zeros((problem.K, problem.N))
     else:
@@ -579,7 +546,7 @@ def _round_result(problem, weights, scale, candidates, values, final_i,
     """Pick the rounding, schedule it on exact rates, and report."""
     k_sec, n_rb = problem.K, problem.N
     nmap = problem.neighbors
-    m_bar = float(np.mean([w.shape[0] for w in weights]))
+    m_bar = float(weights.shape[1])
     i_star, p_hat = max(candidates, key=lambda c: c[1])
 
     p_hat_hist, best = [], -np.inf

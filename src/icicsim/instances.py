@@ -25,19 +25,21 @@ def random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
     form a decaying ladder (every rung 10..30x above the next), with
     `edge_fraction` of users getting a near-serving-strength dominant
     interferer. Non-neighbor sectors contribute a tiny positive floor.
-    `users_per_sector` is one count for every sector or a sequence of
-    n_sectors counts. Returns a CoordinationProblem with the default AMC
-    table.
+    `users_per_sector` is one count for every sector. Returns a
+    CoordinationProblem with the default AMC table.
     """
+    if np.ndim(users_per_sector) != 0:
+        raise ValueError(f"users_per_sector must be one count, the same "
+                         f"for every sector; got {list(users_per_sector)}")
     rng = np.random.default_rng(seed)
     nmap = ring_neighbor_map(n_sectors, k_tilde)
     kt = nmap.k_tilde
     radio = RadioConfig(p_c_watts=1.0, p_n_watts=10 ** (-SNR_DB / 10.0))
-    counts = np.broadcast_to(users_per_sector, (n_sectors,))
+    users = int(users_per_sector)
 
-    gains, weights = [], []
-    for k, users in enumerate(counts.tolist()):
-        g = np.full((users, n_rbs, n_sectors), 1e-6)
+    gains = np.full((n_sectors, users, n_rbs, n_sectors), 1e-6)
+    weights = np.empty((n_sectors, users))
+    for k, g in enumerate(gains):
         g *= rng.uniform(0.5, 1.5, size=g.shape)
         for m in range(users):
             for n in range(n_rbs):
@@ -50,8 +52,7 @@ def random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
                 order = rng.permutation(kt)
                 g[m, n, nmap.nbr[k][order]] = 10 ** (-ladder_db / 10.0)
         g[:, :, k] = 1.0
-        gains.append(g)
-        weights.append(rng.uniform(0.5, 1.5, size=users))
+        weights[k] = rng.uniform(0.5, 1.5, size=users)
     amc = default_amc_table()
     return CoordinationProblem(
         neighbors=nmap, weights=weights, gains=gains, radio=radio, amc=amc,

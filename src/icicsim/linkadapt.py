@@ -1,10 +1,9 @@
 """SINR and rate computations: exact values, blanking lower bounds, and
 the per-(sector, user, RB) rate triples the coordinator consumes.
 
-The triples are stacked like the channel gains: one (sum of M_k, N)
-array of all-on rates and one (sum of M_k, N, K_tilde) array of extra
-rates, rows in sector order, each read per sector through
-`network.SectorViews`. `precompute_rate_triples` writes every user's
+The triples are laid out like the channel gains, with a leading sector
+axis: one (K, M, N) array of all-on rates and one (K, M, N, K_tilde)
+array of extra rates. `precompute_rate_triples` writes every user's
 SINRs into these buffers sector by sector and then makes one AMC lookup
 for each of the two.
 
@@ -23,8 +22,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-from .network import SectorViews
 
 
 @dataclass(frozen=True)
@@ -163,57 +160,48 @@ def sinr_bound(gains, serving, blanking, neighbors, radio):
 class RateTriples:
     """Cached rates: with everyone on, and the extra rate per blanked neighbor.
 
-    r[k]     (M_k, N)          rate if all sectors use the RB
-    rtil[k]  (M_k, N, K_tilde) additional rate if only that neighbor blanks
-
-    r and rtil are network.SectorViews: r.stacked is one (sum of M_k, N)
-    array and rtil.stacked one (sum of M_k, N, K_tilde) array, the users
-    of all sectors stacked in sector order.
+    r     (K, M, N)          rate if all sectors use the RB
+    rtil  (K, M, N, K_tilde) additional rate if only that neighbor blanks
     """
 
-    r: SectorViews
-    rtil: SectorViews
+    r: np.ndarray
+    rtil: np.ndarray
 
 
-def precompute_rate_triples(gains_per_sector, radio, neighbors, amc):
-    """Build RateTriples from per-sector gain tensors.
+def precompute_rate_triples(gains, radio, neighbors, amc):
+    """Build RateTriples from the (K, M, N, K) gain tensor.
 
-    gains_per_sector: sequence over sectors k of arrays (M_k, N, K);
-    column j holds the gain from sector j, so column k is the serving
-    gain. It may cover fewer sectors than there are gain columns.
-    neighbors: NeighborMap-like with .nbr (K, K_tilde) int array.
+    Column j of the last axis holds the gain from sector j, so column k
+    of gains[k] is the serving gain. neighbors: NeighborMap-like with
+    .nbr (K, K_tilde) int array.
 
     Each denominator sums the same gains in the same order as a boolean
     mask over the columns would: per sector, one gather of every column
     but k and one (K_tilde, K - 2) gather of every column but k and the
-    neighbor. The SINRs go into stacked buffers, so the AMC lookup runs
-    once for r and once for rtil over all users.
+    neighbor. The SINRs go into (K, M, ...) buffers, so the AMC lookup
+    runs once for r and once for rtil over all users.
     """
     p_c, p_n = radio.p_c_watts, radio.p_n_watts
-    sizes = [g.shape[0] for g in gains_per_sector]
-    _, n_rb, n_sec = gains_per_sector[0].shape
-    nbr = np.asarray(neighbors.nbr)[:len(sizes)]
+    n_sec, m, n_rb, _ = gains.shape
+    nbr = np.asarray(neighbors.nbr)
     k_tilde = nbr.shape[1]
     # others[k]: every column but k; removed[k, pos]: also without nbr[k, pos]
     col = np.arange(n_sec - 1)
-    others = col + (col >= np.arange(len(sizes))[:, None])
+    others = col + (col >= np.arange(n_sec)[:, None])
     keep = others[:, None, :] != nbr[:, :, None]
     removed = np.broadcast_to(others[:, None, :], keep.shape)[keep].reshape(
-        len(sizes), k_tilde, n_sec - 2)
-    gamma = np.empty((sum(sizes), n_rb))
-    gamma_t = np.empty((sum(sizes), n_rb, k_tilde))
-    lo = 0
-    for k, g in enumerate(gains_per_sector):
-        rows = slice(lo, lo + g.shape[0])
-        lo = rows.stop
+        n_sec, k_tilde, n_sec - 2)
+    gamma = np.empty((n_sec, m, n_rb))
+    gamma_t = np.empty((n_sec, m, n_rb, k_tilde))
+    for k, g in enumerate(gains):
         serving = p_c * g[:, :, k]
         total_int = p_c * g[:, :, others[k]].sum(axis=2)       # (M, N)
-        gamma[rows] = serving / (total_int + p_n)
+        gamma[k] = serving / (total_int + p_n)
         removed_int = p_c * g[:, :, removed[k]].sum(axis=3)      # (M, N, Kt)
-        gamma_t[rows] = serving[:, :, None] / (removed_int + p_n)
+        gamma_t[k] = serving[:, :, None] / (removed_int + p_n)
     r = amc.rate_linear(gamma)
-    rtil = amc.rate_linear(gamma_t) - r[:, :, None]
-    return RateTriples(r=SectorViews(r, sizes), rtil=SectorViews(rtil, sizes))
+    rtil = amc.rate_linear(gamma_t) - r[..., None]
+    return RateTriples(r=r, rtil=rtil)
 
 
 def rate_bound(r, rtil, blanked_mask):

@@ -11,6 +11,11 @@ geometry model: log-distance pathloss A + B*log10(d), lognormal shadowing
 with cross-site correlation, the standard parabolic sector antenna
 pattern in azimuth and elevation, and optional i.i.d. Rayleigh fast
 fading per RB. Everything is a pure function of (config, seed).
+
+Every sector serves the same number of users M, as in the IMT-Advanced
+scenario, so each per-user quantity is one array with a leading sector
+axis: gains (K, M, N, K), large-scale gains (K, M, K), positions
+(K, M, 2). `NetworkDims` refuses unequal counts.
 """
 
 import math
@@ -27,7 +32,7 @@ NEIGHBOR_MODES = ("nearest", "strongest")
 class NetworkDims:
     K: int                        # sector count
     sites: int
-    M: tuple                      # per-sector user counts
+    M: tuple                      # per-sector user counts, all equal
     N: int                        # RB count
 
     def __post_init__(self):
@@ -36,6 +41,9 @@ class NetworkDims:
             raise ValueError("K, N, sites must all be >= 1")
         if len(self.M) != self.K or any(m < 1 for m in self.M):
             raise ValueError("need one user count >= 1 per sector")
+        if len(set(self.M)) > 1:
+            raise ValueError(f"every sector needs the same user count, "
+                             f"got M={self.M}")
         if self.sites * 3 != self.K:
             raise ValueError(
                 f"tri-sector layout needs K = 3*sites, got K={self.K} "
@@ -320,44 +328,19 @@ def neighbor_map(layout, k_tilde=6, mode="nearest"):
     return NeighborMap(nbr=np.array(rows))
 
 
-class SectorViews(tuple):
-    """Per-sector views of one array whose rows are the users of every
-    sector, stacked in sector order.
-
-    Element k is the view stacked[offsets[k]:offsets[k + 1]] with
-    offsets = cumsum([0] + sizes); `stacked` is the array itself, so code
-    that works on all users at once needs no copy.
-    """
-
-    def __new__(cls, stacked, sizes):
-        stops = np.cumsum(sizes).tolist()
-        views = super().__new__(cls, (stacked[a:b] for a, b in
-                                      zip([0] + stops[:-1], stops)))
-        views.stacked = stacked
-        return views
-
-
-def stack_rows(parts):
-    """The (sum of M_k, ...) array behind per-sector parts: `.stacked` of
-    SectorViews without a copy, one concatenation for any other sequence."""
-    stacked = getattr(parts, "stacked", None)
-    return np.concatenate(parts) if stacked is None else stacked
-
-
 @dataclass
 class ChannelTensor:
     """Linear power gains from every sector to every user, per RB.
 
-    The users of all sectors are stacked in sector order: gains.stacked is
-    one (sum of M_k, N, K) array, row offsets[k] + m is user m of sector
-    k and column j of the last axis is the gain from sector j. gains[k] is
-    the (M_k, N, K) view of sector k's rows. large_scale has the same
-    layout, (M_k, K) per sector, without fast fading (association view).
+    Every sector has M users. gains is one (K, M, N, K) array: gains[k, m]
+    is user m of sector k, and column j of the last axis is the gain from
+    sector j. large_scale is the (K, M, K) gain without fast fading
+    (association view) and user_xy the (K, M, 2) user positions.
     """
 
-    gains: SectorViews
-    large_scale: SectorViews
-    user_xy: SectorViews          # (M_k, 2) per sector
+    gains: np.ndarray
+    large_scale: np.ndarray
+    user_xy: np.ndarray
 
 
 def _large_scale_gain_db(layout, cfg, user_xy, shadow_db):
@@ -445,17 +428,18 @@ def draw_channels(layout, dims, cfg, radio, seed):
     shadow = np.array(shadow)
     owners = np.array(owners)
 
-    # stack the users in sector order, each sector's in drop order
+    # the users in sector order, each sector's in drop order
     order = np.argsort(owners, kind="stable")
+    users = (dims.K, dims.M[0])
     large = 10 ** (_large_scale_gain_db(layout, cfg, flat_xy[order],
                                         shadow[order]) / 10.0)
+    large = large.reshape(*users, dims.K)
     if cfg.fast_fading:
         grid = _faded(large, dims, rng)
     else:
-        grid = np.repeat(large[:, None, :], dims.N, axis=1)
-    return ChannelTensor(gains=SectorViews(grid, dims.M),
-                         large_scale=SectorViews(large, dims.M),
-                         user_xy=SectorViews(flat_xy[order], dims.M))
+        grid = np.repeat(large[:, :, None, :], dims.N, axis=2)
+    return ChannelTensor(gains=grid, large_scale=large,
+                         user_xy=flat_xy[order].reshape(*users, 2))
 
 
 def _tied_sectors(layout, cfg, quota):
@@ -484,25 +468,24 @@ def _tied_sectors(layout, cfg, quota):
 
 
 def _faded(large, dims, rng):
-    """(sum of M_k, N, K) gains: the stacked large-scale gains times one
-    exponential draw. One draw of the stacked shape yields the same numbers
-    as one (M_k, N, K) draw per sector in sector order. numpy draws
+    """(K, M, N, K) gains: the large-scale gains times one exponential
+    draw. One draw of the whole shape yields the same numbers as one
+    (M, N, K) draw per sector in sector order. numpy draws
     exponential(scale) as scale times standard_exponential, so the unit
     draw here gives the same values and leaves the generator in the same
     state, without the scaling pass."""
-    grid = rng.standard_exponential(size=(large.shape[0], dims.N, dims.K))
-    grid *= large[:, None, :]
+    grid = rng.standard_exponential(size=large.shape[:2] + (dims.N, dims.K))
+    grid *= large[:, :, None, :]
     return grid
 
 
 def refade(tensor, dims, rng):
     """Redraw fast fading on top of the existing large-scale gains.
 
-    The returned gains are a new stacked (sum of M_k, N, K) array on every
-    call, so tensors kept from earlier sub-frames never change.
+    The returned gains are a new (K, M, N, K) array on every call, so
+    tensors kept from earlier sub-frames never change.
     """
-    large = tensor.large_scale.stacked
-    return ChannelTensor(gains=SectorViews(_faded(large, dims, rng), dims.M),
+    return ChannelTensor(gains=_faded(tensor.large_scale, dims, rng),
                          large_scale=tensor.large_scale,
                          user_xy=tensor.user_xy)
 

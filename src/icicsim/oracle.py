@@ -107,12 +107,11 @@ def exhaustive_bound(problem):
     for pos in range(kt):
         code |= ((p >> nmap.nbr[:, pos, None]) & 1) << pos
     sub = _all_patterns(kt)                               # (2^Kt, Kt)
-    best = []                           # per sector, (N, 2^Kt) best values
-    for k, w in enumerate(problem.weights):
-        r = problem.triples.r[k][:, :, None]              # (M, N, 1)
-        rtil = problem.triples.rtil[k][:, :, None, :]     # (M, N, 1, Kt)
-        credit = np.max(rtil * sub, axis=3)               # (M, N, 2^Kt)
-        best.append(np.max(w[:, None, None] * (r + credit), axis=0))
+    r = problem.triples.r[..., None]                      # (K, M, N, 1)
+    rtil = problem.triples.rtil[:, :, :, None, :]         # (K, M, N, 1, Kt)
+    credit = np.max(rtil * sub, axis=4)                   # (K, M, N, 2^Kt)
+    w = problem.weights[:, :, None, None]
+    best = np.max(w * (r + credit), axis=1)     # (K, N, 2^Kt) best values
 
     def sector_best(k, n, pats, on):
         return best[k][n][code[k]]
@@ -451,8 +450,8 @@ def lp_flow_reference(net):
 @dataclass
 class RelaxedSolveResult:
     value: float
-    x: list                 # per sector (M,)
-    y: list                 # per sector (M, K_tilde)
+    x: np.ndarray           # (K, M)
+    y: np.ndarray           # (K, M, K_tilde)
     blanking: np.ndarray    # (K,)
     binary_fraction: float
 
@@ -467,48 +466,38 @@ def relaxed_lp_solve(problem, rb, tol=1e-6):
     from scipy.optimize import linprog
 
     weights, triples = problem.weights, problem.triples
-    k_sec = problem.K
+    k_sec, m = weights.shape
     nmap = problem.neighbors
     kt = nmap.k_tilde
-    m_of = [w.shape[0] for w in weights]
-
-    x_off, y_off = [], []
-    off = 0
-    for k in range(k_sec):
-        x_off.append(off)
-        off += m_of[k]
-    for k in range(k_sec):
-        y_off.append(off)
-        off += m_of[k] * kt
-    i_off = off
-    n_var = off + k_sec
+    x_off = m * np.arange(k_sec)
+    y_off = k_sec * m + m * kt * np.arange(k_sec)
+    i_off = k_sec * m * (1 + kt)
+    n_var = i_off + k_sec
 
     cost = np.zeros(n_var)
-    for k in range(k_sec):
-        cost[x_off[k]:x_off[k] + m_of[k]] = \
-            -weights[k] * triples.r[k][:, rb]
-        cost[y_off[k]:y_off[k] + m_of[k] * kt] = \
-            -(weights[k][:, None] * triples.rtil[k][:, rb, :]).ravel()
+    cost[:k_sec * m] = -(weights * triples.r[:, :, rb]).ravel()
+    cost[k_sec * m:i_off] = \
+        -(weights[:, :, None] * triples.rtil[:, :, rb, :]).ravel()
 
     rows_eq, rhs_eq = [], []
     for k in range(k_sec):
         row = np.zeros(n_var)
-        row[x_off[k]:x_off[k] + m_of[k]] = 1.0
+        row[x_off[k]:x_off[k] + m] = 1.0
         row[i_off + k] = 1.0
         rows_eq.append(row)
         rhs_eq.append(1.0)
 
     rows_ub, rhs_ub = [], []
     for k in range(k_sec):
-        for m in range(m_of[k]):
+        for i in range(m):
             row = np.zeros(n_var)
-            row[y_off[k] + m * kt:y_off[k] + (m + 1) * kt] = 1.0
-            row[x_off[k] + m] = -1.0
+            row[y_off[k] + i * kt:y_off[k] + (i + 1) * kt] = 1.0
+            row[x_off[k] + i] = -1.0
             rows_ub.append(row)
             rhs_ub.append(0.0)
         for pos, j in enumerate(nmap.nbr[k]):
             row = np.zeros(n_var)
-            row[y_off[k] + pos:y_off[k] + m_of[k] * kt:kt] = 1.0
+            row[y_off[k] + pos:y_off[k] + m * kt:kt] = 1.0
             row[i_off + j] = -1.0
             rows_ub.append(row)
             rhs_ub.append(0.0)
@@ -521,9 +510,8 @@ def relaxed_lp_solve(problem, rb, tol=1e-6):
 
     sol = res.x
     at_bound = np.sum((np.abs(sol) < tol) | (np.abs(1.0 - sol) < tol))
-    xs = [sol[x_off[k]:x_off[k] + m_of[k]].copy() for k in range(k_sec)]
-    ys = [sol[y_off[k]:y_off[k] + m_of[k] * kt].reshape(m_of[k], kt).copy()
-          for k in range(k_sec)]
-    return RelaxedSolveResult(value=float(-res.fun), x=xs, y=ys,
+    return RelaxedSolveResult(value=float(-res.fun),
+                              x=sol[:k_sec * m].reshape(k_sec, m),
+                              y=sol[k_sec * m:i_off].reshape(k_sec, m, kt),
                               blanking=sol[i_off:].copy(),
                               binary_fraction=float(at_bound) / n_var)

@@ -9,9 +9,12 @@ its fairness weights, the selected scheme runs (the coordinated one every
 rho sub-frames as one lockstep `run_rounds` call over the group's drops,
 holding each drop's blanking in between; or a static reuse pattern), and
 each drop realizes exact rates and folds the scheduled rates back into
-its averages. Output rows stay in drop order. Every random draw descends
-from the configured seed through per-drop streams, so the grouping
-changes no number and identical configs produce identical output bytes.
+its averages. Every sector has the same user count M, so each drop's
+users form one (K, M) grid: gains (K, M, N, K), weights (K, M), and the
+fairness averages flat in the same sector-major order. Output rows stay
+in drop order. Every random draw descends from the configured seed
+through per-drop streams, so the grouping changes no number and
+identical configs produce identical output bytes.
 """
 
 import hashlib
@@ -387,8 +390,8 @@ def run_simulation(config):
             tensors, weights, problems = [], [], []
             for d in batch:
                 tensor, known = d.observe(t, sc, dims)
-                w = nw.SectorViews(
-                    compute_weights(config.scheduler, d.tracker), dims.M)
+                w = compute_weights(config.scheduler,
+                                    d.tracker).reshape(dims.K, -1)
                 tensors.append(tensor)
                 weights.append(w)
                 if coordinate:
@@ -419,7 +422,8 @@ def run_simulation(config):
                 blanking = d.held if static is None else static
                 assigns, rates, _ = finalize_schedule(
                     tensor.gains, w, radio, amc, blanking)
-                scheduled = (assigns.stacked * rates.stacked).sum(axis=1)
+                scheduled = (assigns * rates).reshape(
+                    n_users, dims.N).sum(axis=1)
                 d.tracker.update(scheduled)
                 d.thr_sum += scheduled
 
@@ -430,8 +434,7 @@ def run_simulation(config):
             throughput.extend(user_thr.tolist())
             user_sector.extend(np.repeat(np.arange(dims.K), dims.M).tolist())
             user_drop.extend([d.index] * n_users)
-            sector_thr[d.index] = [float(part.sum()) for part in
-                                   nw.SectorViews(user_thr, dims.M)]
+            sector_thr[d.index] = user_thr.reshape(dims.K, -1).sum(axis=1)
             if static is not None:
                 for k in range(dims.K):
                     blank_counts[int(static[k].sum())] += 1

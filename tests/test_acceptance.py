@@ -125,7 +125,7 @@ def test_criterion_5_subgradient_inequality():
     for s in range(100):
         prob = random_desk_instance(n_sectors=k_sec, users_per_sector=2,
                                     n_rbs=1, k_tilde=2, seed=3000 + s)
-        weights = [w / 100.0 for w in prob.weights]
+        weights = prob.weights / 100.0
         base = rng.random((k_sec, 1))
         # the flow solve per subproblem, and the closed-form lane pass of
         # the master loop

@@ -1,5 +1,7 @@
 """Exit codes and subcommand behavior of the console entry point."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,25 @@ def test_simulate_out_beneath_a_file_exits_2_before_the_run(
     (tmp_path / "file").write_text("")
     assert cli.main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "file" / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out") and "Traceback" not in err
+
+
+@pytest.mark.skipif(os.geteuid() == 0,
+                    reason="root writes through the directory's mode bits")
+def test_simulate_read_only_out_exits_2_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simulate, "run_simulation", _never)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(GOOD)
+    out = tmp_path / "read_only"
+    out.mkdir()
+    out.chmod(0o500)
+    try:
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+    finally:
+        out.chmod(0o700)
     err = capsys.readouterr().err
     assert err.startswith("config error: --out") and "Traceback" not in err
 

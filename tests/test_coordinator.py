@@ -1,5 +1,6 @@
 """Subproblem flow form, duals, master steps, full coordinated rounds."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ from icicsim import coordinator as co
 from icicsim import lanes, mcnf, oracle
 from icicsim.fairsched import local_schedule
 from icicsim.instances import random_desk_instance
-from icicsim.network import ring_neighbor_map
+from icicsim.network import NetworkDims, ring_neighbor_map
 
 
 def test_network_counts_match_closed_form():
@@ -286,7 +287,7 @@ def _count_scored(monkeypatch):
 
 @pytest.mark.parametrize("runs", [1, 2])
 def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
-    # equal M_k: one lane group, so one engine call per master pass
+    # one problem is one lane group, so one engine call per master pass
     prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                 k_tilde=2, seed=3)
     counts = {"solve_lanes": 0, "bound_objective": 0, "post": 0}
@@ -307,22 +308,13 @@ def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
     assert scored == [n + 1] * runs
 
 
-def _uneven_problem(seed, n_rbs=2):
-    """Six sectors of 1, 2 or 3 users: three lane groups."""
-    return random_desk_instance(n_sectors=6,
-                                users_per_sector=[3, 1, 2, 3, 2, 1],
-                                n_rbs=n_rbs, k_tilde=2, seed=seed)
-
-
 def _batch_problems():
-    """Uniform M_k, uneven M_k, other K and N, and K_tilde = 3."""
-    shapes = [(6, 2, 3, 2, 81), (8, 2, 2, 2, 82), (4, 3, 5, 2, 83),
-              (6, 2, 2, 3, 84)]
-    problems = [random_desk_instance(n_sectors=k, users_per_sector=m,
-                                     n_rbs=n, k_tilde=kt, seed=seed)
-                for k, m, n, kt, seed in shapes]
-    problems.insert(1, _uneven_problem(85, n_rbs=3))
-    return problems
+    """M = 1, 2 and 3, other K and N, and K_tilde = 3."""
+    shapes = [(6, 2, 3, 2, 81), (6, 1, 3, 2, 85), (8, 2, 2, 2, 82),
+              (4, 3, 5, 2, 83), (6, 2, 2, 3, 84)]
+    return [random_desk_instance(n_sectors=k, users_per_sector=m,
+                                 n_rbs=n, k_tilde=kt, seed=seed)
+            for k, m, n, kt, seed in shapes]
 
 
 @pytest.mark.parametrize("config", [
@@ -344,14 +336,39 @@ def test_batched_rounds_equal_single_rounds(config, warm):
 
 
 def test_batch_groups_lanes_by_user_count_and_k_tilde(monkeypatch):
-    # K_tilde = 2 problems with M_k in {1, 2, 3} and a K_tilde = 3 problem
-    # with M_k = 2: four groups, so four engine calls per master pass,
+    # K_tilde = 2 problems with M in {1, 2, 3} and a K_tilde = 3 problem
+    # with M = 2: four groups, so four engine calls per master pass,
     # however many problems the batch holds; a different K_tilde gets its
     # own group rather than an error
     counts = {"solve_lanes": 0}
     _count_calls(monkeypatch, lanes, "solve_lanes", counts)
     co.run_rounds(_batch_problems(), co.IcicConfig(n_iter=2, runs=2))
     assert counts["solve_lanes"] == 4 * (2 + 1 + 2)
+
+
+def _ragged_weights():
+    prob = random_desk_instance(n_sectors=6, users_per_sector=2, seed=4)
+    return co.CoordinationProblem(
+        neighbors=prob.neighbors, weights=[np.ones(2)] * 5 + [np.ones(3)],
+        gains=prob.gains, radio=prob.radio)
+
+
+def _gains_of_other_m():
+    prob = random_desk_instance(n_sectors=6, users_per_sector=2, seed=4)
+    return co.CoordinationProblem(
+        neighbors=prob.neighbors, weights=np.ones((6, 3)),
+        gains=prob.gains, radio=prob.radio)
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: NetworkDims(K=3, sites=1, M=(2, 1, 1), N=1), "(2, 1, 1)"),
+    (_ragged_weights, "[2, 2, 2, 2, 2, 3]"),
+    (_gains_of_other_m, "(6, 2) users do not match weights for (6, 3)"),
+    (lambda: random_desk_instance(users_per_sector=[3, 1]), "[3, 1]"),
+], ids=["dims", "weights", "gains", "instance"])
+def test_unequal_user_counts_are_refused(build, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build()
 
 
 def test_run_rounds_rejects_mismatched_warm_starts():
@@ -411,7 +428,9 @@ def test_exchange_pass_matches_standalone_subgradient(monkeypatch):
     uniform = random_desk_instance(n_sectors=6, users_per_sector=2,
                                    n_rbs=2, k_tilde=2, seed=71)
     rng = np.random.default_rng(0)
-    for prob in (uniform, _uneven_problem(72)):
+    for prob in (uniform, *(random_desk_instance(
+            n_sectors=6, users_per_sector=m, n_rbs=2, k_tilde=2,
+            seed=71 + m) for m in (1, 3))):
         blanking = rng.random((6, 2))
         groups = co._lane_groups([prob], [prob.weights], [prob.triples])
         [(lam_eq, lam_nbr, value, _)] = co._solve_pass(

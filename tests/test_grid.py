@@ -1,9 +1,10 @@
-"""The sub-frame step on the stacked user grid against its per-sector form.
+"""The sub-frame step on the (K, M) user grid against its per-sector form.
 
-`finalize_schedule`, `local_schedule`, `refade` and the large-scale gains
-work on all users at once; the references below are the one-sector-at-a-
-time versions they replaced, and the grid versions must equal them bit
-for bit.
+Every sector has the same user count M. `finalize_schedule`,
+`local_schedule`, `refade` and the large-scale gains work on all users at
+once; the references below are the one-sector-at-a-time versions they
+replaced, and the grid versions must equal them bit for bit, with one
+user per sector and with several.
 """
 
 from dataclasses import replace
@@ -47,27 +48,19 @@ def _finalize_per_sector(gains, weights, radio, amc, blanking):
     return assignments, rates_out, objective
 
 
-def _uneven_instance(seed, keep, n_rbs):
-    wide = random_desk_instance(n_sectors=len(keep),
-                                users_per_sector=max(keep), n_rbs=n_rbs,
-                                k_tilde=2, seed=seed)
-    return ([g[:m] for g, m in zip(wide.gains, keep)],
-            [w[:m] for w, m in zip(wide.weights, keep)], wide.radio)
-
-
 def _cases():
-    prob = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=5,
-                                k_tilde=2, seed=81)
-    yield "uniform", prob.gains, prob.weights, prob.radio
-    yield ("uneven",) + _uneven_instance(82, [3, 1, 2, 4, 2, 1], 4)
-    yield ("one RB",) + _uneven_instance(83, [2, 1, 2, 3, 1, 2], 1)
-    dims = nw.NetworkDims(K=21, sites=7, M=(1, 3, 2) * 7, N=6)
+    for name, users, n_rbs, seed in (("three users", 3, 5, 81),
+                                     ("one user", 1, 4, 82),
+                                     ("one RB", 3, 1, 83)):
+        prob = random_desk_instance(n_sectors=6, users_per_sector=users,
+                                    n_rbs=n_rbs, k_tilde=2, seed=seed)
+        yield name, prob.gains, prob.weights, prob.radio
+    dims = nw.NetworkDims.uniform(7, 3, 6)
     lay = nw.generate_layout(dims, 500.0)
     chan = nw.draw_channels(lay, dims, nw.ChannelConfig(), RADIO, seed=84)
     rng = np.random.default_rng(84)
     # equal weights make many weight * rate ties among AMC rates
-    weights = nw.SectorViews(rng.choice([0.5, 1.0], size=sum(dims.M)),
-                             dims.M)
+    weights = rng.choice([0.5, 1.0], size=(dims.K, dims.M[0]))
     yield "drawn channel", chan.gains, weights, RADIO
 
 
@@ -83,29 +76,13 @@ def test_finalize_grid_equals_per_sector_loop(noise_rise_db):
         for p_blank in (0.0, 0.3, 0.7):
             blank = (rng.random((k_sec, n_rb)) < p_blank).astype(np.int8)
             ref = _finalize_per_sector(gains, weights, radio, amc, blank)
-            for layout in (gains, list(gains)):    # stacked views or copies
-                got = co.finalize_schedule(layout, weights, radio, amc,
-                                           blank)
-                for k in range(k_sec):
-                    assert np.array_equal(got[0][k], ref[0][k]), name
-                    assert got[0][k].dtype == np.int8
-                    assert np.array_equal(got[1][k], ref[1][k]), name
-                assert got[2] == ref[2], name
-
-
-def test_stack_rows_reuses_the_stacked_array():
-    dims = nw.NetworkDims(K=3, sites=1, M=(1, 3, 2), N=3)
-    lay = nw.generate_layout(dims, 500.0)
-    chan = nw.draw_channels(lay, dims, nw.ChannelConfig(), RADIO, seed=2)
-    assert nw.stack_rows(chan.gains) is chan.gains.stacked
-    copied = nw.stack_rows(list(chan.gains))
-    assert copied is not chan.gains.stacked
-    assert np.array_equal(copied, chan.gains.stacked)
-    assigns, rates, _ = co.finalize_schedule(
-        chan.gains, [np.ones(m) for m in dims.M], RADIO,
-        default_amc_table(), np.zeros((dims.K, dims.N), dtype=np.int8))
-    assert assigns.stacked.shape == rates.stacked.shape == (6, 3)
-    assert [a.shape[0] for a in assigns] == list(dims.M)
+            got = co.finalize_schedule(gains, weights, radio, amc, blank)
+            assert got[0].dtype == np.int8
+            assert got[0].shape == got[1].shape == gains.shape[:3]
+            for k in range(k_sec):
+                assert np.array_equal(got[0][k], ref[0][k]), name
+                assert np.array_equal(got[1][k], ref[1][k]), name
+            assert got[2] == ref[2], name
 
 
 def test_local_schedule_batch_equals_per_sector_calls():
@@ -131,28 +108,27 @@ def test_local_schedule_ties_go_to_lowest_user_in_batch():
     assert assign[1].tolist() == [[1, 1], [0, 0], [0, 0]]
 
 
-def _uneven_channel():
-    dims = nw.NetworkDims(K=12, sites=4, M=(2, 1, 3) * 4, N=5)
+def _channel():
+    dims = nw.NetworkDims.uniform(4, 3, 5)
     lay = nw.generate_layout(dims, 500.0)
     return dims, lay, nw.draw_channels(lay, dims, nw.ChannelConfig(),
                                        RADIO, seed=9)
 
 
 def test_refade_equals_per_sector_draws():
-    dims, _, chan = _uneven_channel()
+    dims, _, chan = _channel()
     got = nw.refade(chan, dims, np.random.default_rng(3))
     rng = np.random.default_rng(3)
     for k, ls in enumerate(chan.large_scale):
         ref = ls[:, None, :] * rng.exponential(size=(dims.M[k], dims.N,
                                                      dims.K))
         assert np.array_equal(got.gains[k], ref)
-        assert np.shares_memory(got.gains[k], got.gains.stacked)
     assert got.large_scale is chan.large_scale
 
 
 def test_refade_leaves_generator_as_exponential_draws():
     # the unit draw advances the generator exactly as exponential() does
-    dims, _, chan = _uneven_channel()
+    dims, _, chan = _channel()
     rng = np.random.default_rng(4)
     nw.refade(chan, dims, rng)
     ref = np.random.default_rng(4)
@@ -161,27 +137,22 @@ def test_refade_leaves_generator_as_exponential_draws():
 
 
 def test_refade_returns_fresh_memory():
-    dims, _, chan = _uneven_channel()
+    dims, _, chan = _channel()
     rng = np.random.default_rng(4)
     first = nw.refade(chan, dims, rng)
-    kept = first.gains.stacked.copy()
+    kept = first.gains.copy()
     second = nw.refade(first, dims, rng)
     for old in (chan, first):
-        assert not np.shares_memory(second.gains.stacked, old.gains.stacked)
-    assert np.array_equal(first.gains.stacked, kept)
+        assert not np.shares_memory(second.gains, old.gains)
+    assert np.array_equal(first.gains, kept)
 
 
 def test_channel_views_share_the_stacked_arrays():
-    dims, _, chan = _uneven_channel()
-    assert chan.gains.stacked.shape == (sum(dims.M), dims.N, dims.K)
-    assert chan.large_scale.stacked.shape == (sum(dims.M), dims.K)
-    start = 0
+    dims, _, chan = _channel()
     for k, m in enumerate(dims.M):
-        assert np.array_equal(chan.gains[k],
-                              chan.gains.stacked[start:start + m])
-        assert np.shares_memory(chan.gains[k], chan.gains.stacked)
+        assert chan.gains[k].shape == (m, dims.N, dims.K)
+        assert np.shares_memory(chan.gains[k], chan.gains)
         assert chan.user_xy[k].shape == (m, 2)
-        start += m
 
 
 def _large_scale_gain_db_per_sector(layout, cfg, user_xy, shadow_db):

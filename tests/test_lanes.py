@@ -8,14 +8,14 @@ from icicsim import lanes, mcnf, oracle
 from icicsim.instances import random_desk_instance
 
 
-def test_engine_bit_equal_on_random_lanes():
+def test_lanes_optimal_on_random_lanes():
     # M 1-5, K_tilde 1-9; binary, fractional, mixed and integer-tied
     # lanes, plus the edge lanes of every shape: each one optimal and
     # matching the flow solve (see oracle.lane_mismatches)
     assert oracle.lane_engine_check(10_000, seed=3) == 0
 
 
-def test_engine_bit_equal_on_full_default_chunks():
+def test_lanes_optimal_at_round57_shape():
     # round57's (M, K_tilde) with binary, fractional and mixed levels:
     # every lane optimal in one call (see oracle.lane_mismatches)
     inputs = oracle.random_lanes(np.random.default_rng(57), 2_500, 3, 6)

@@ -138,13 +138,20 @@ class _Map:
         self.nbr = np.asarray(nbr)
 
 
+def _rotated(gain, users, n_rb, nbr):
+    """Gains and neighbor map of len(gain) sectors, each with `users`
+    users on `n_rb` RBs. Sector k sees `gain` and the neighbor offsets
+    `nbr` rotated by k, so sector 0 sees them as given, column 0 first."""
+    k_sec = len(gain)
+    gains = np.stack([np.broadcast_to(np.roll(gain, k), (users, n_rb, k_sec))
+                      for k in range(k_sec)])
+    return gains, _Map((np.asarray(nbr) + np.arange(k_sec)[:, None]) % k_sec)
+
+
 def test_triples_nonnegative_and_zero_gain_neighbor():
-    rng = np.random.default_rng(4)
-    gains = [np.stack([
-        np.stack([np.array([1.0, 1e-15, 0.2, 0.3]) for _ in range(2)])
-        for _ in range(2)])]
+    gains, nmap = _rotated([1.0, 1e-15, 0.2, 0.3], 2, 2, [1, 2])
     triples = la.precompute_rate_triples(
-        gains, RADIO, _Map([[1, 2]]), la.default_amc_table())
+        gains, RADIO, nmap, la.default_amc_table())
     assert np.all(triples.r[0] >= 0)
     assert np.all(triples.rtil[0] >= 0)
     # removing the ~zero-gain interferer moves no AMC threshold
@@ -153,10 +160,9 @@ def test_triples_nonnegative_and_zero_gain_neighbor():
 
 def test_triples_noise_limited_user_gains_nothing():
     quiet = la.RadioConfig(p_c_watts=1.0, p_n_watts=100.0)
-    gains = [np.full((1, 1, 3), 1e-6)]
-    gains[0][0, 0, 0] = 1.0
+    gains, nmap = _rotated([1.0, 1e-6, 1e-6], 1, 1, [1, 2])
     triples = la.precompute_rate_triples(
-        gains, quiet, _Map([[1, 2]]), la.default_amc_table())
+        gains, quiet, nmap, la.default_amc_table())
     assert np.all(triples.rtil[0] == 0.0)
 
 
@@ -168,8 +174,8 @@ def test_triples_adjacent_amc_rows_give_exact_step():
     radio = la.RadioConfig(p_c_watts=1.0, p_n_watts=p_n)
     g2 = 10 ** (-3.0 / 10.0) - p_n            # removed SINR = 3 dB
     g1 = 10 ** (-1.0 / 10.0) - g2 - p_n       # all-on SINR = 1 dB
-    gains = [np.array([1.0, g1, g2]).reshape(1, 1, 3)]
-    triples = la.precompute_rate_triples(gains, radio, _Map([[1, 2]]), amc)
+    gains, nmap = _rotated([1.0, g1, g2], 1, 1, [1, 2])
+    triples = la.precompute_rate_triples(gains, radio, nmap, amc)
     assert amc.rate_linear(1.0 / (g1 + g2 + p_n)) == 131.4
     assert amc.rate_linear(1.0 / (g2 + p_n)) == 177.4
     assert triples.rtil[0][0, 0, 0] == 177.4 - 131.4

@@ -179,12 +179,12 @@ def test_drawn_users_keep_min_distance_from_every_site():
     dims, lay, cfg = _desk()
     for seed in range(6):
         t = nw.draw_channels(lay, dims, cfg, RADIO, seed=seed)
-        d = lay.torus_distance(t.user_xy.stacked[:, None], lay.site_xy[None])
+        d = lay.torus_distance(t.user_xy[:, :, None], lay.site_xy)
         assert d.min() >= cfg.min_bs_dist_m
 
 
 def test_symmetric_users_get_equal_gains():
-    dims = nw.NetworkDims(K=3, sites=1, M=(2, 1, 1), N=1)
+    dims = nw.NetworkDims.uniform(1, 1, 1)
     lay = nw.generate_layout(dims, 500.0, wraparound=False)
     cfg = nw.ChannelConfig(shadowing_sigma_db=0.0, fast_fading=False)
     bore = np.radians(lay.boresight_deg[0])
@@ -195,7 +195,7 @@ def test_symmetric_users_get_equal_gains():
 
 
 def test_pathloss_matches_direct_formula():
-    dims = nw.NetworkDims(K=3, sites=1, M=(2, 1, 1), N=1)
+    dims = nw.NetworkDims.uniform(1, 1, 1)
     lay = nw.generate_layout(dims, 500.0, wraparound=False)
     cfg = nw.ChannelConfig(shadowing_sigma_db=0.0, fast_fading=False)
     bore = np.radians(lay.boresight_deg[0])

@@ -74,29 +74,28 @@ def test_algorithm_never_beats_exhaustive():
 
 
 def test_oracles_score_the_problems_own_rates():
-    # sectors keeping 1, 2 or 3 users: the oracles must take the weights
-    # and rates from the problem
+    # problems keeping 1 or 2 of another's 3 users per sector: the oracles
+    # must take the weights and rates from the problem
     wide = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=2,
                                 k_tilde=2, seed=91)
-    keep = [3, 1, 2, 3, 2, 1]
-    prob = co.CoordinationProblem(
-        neighbors=wide.neighbors,
-        weights=[w[:m] for w, m in zip(wide.weights, keep)],
-        gains=[g[:m] for g, m in zip(wide.gains, keep)], radio=wide.radio)
-    bound = oracle.exhaustive_bound(prob)
-    rng = np.random.default_rng(3)
-    for _ in range(64):
-        pattern = rng.integers(0, 2, (prob.K, prob.N))
-        val = co.bound_objective(prob.weights, prob.triples, pattern,
-                                 prob.neighbors)
-        assert bound.value >= val * (1 - 1e-12)
-    assert bound.value == pytest.approx(co.bound_objective(
-        prob.weights, prob.triples, bound.patterns, prob.neighbors),
-        rel=1e-12)
-    exact = oracle.exhaustive_original(prob)
-    assert exact.value == pytest.approx(co.finalize_schedule(
-        prob.gains, prob.weights, prob.radio, prob.amc, exact.patterns)[2],
-        rel=1e-12)
+    for keep in (1, 2):
+        prob = co.CoordinationProblem(
+            neighbors=wide.neighbors, weights=wide.weights[:, :keep],
+            gains=wide.gains[:, :keep], radio=wide.radio)
+        bound = oracle.exhaustive_bound(prob)
+        rng = np.random.default_rng(3)
+        for _ in range(64):
+            pattern = rng.integers(0, 2, (prob.K, prob.N))
+            val = co.bound_objective(prob.weights, prob.triples, pattern,
+                                     prob.neighbors)
+            assert bound.value >= val * (1 - 1e-12)
+        assert bound.value == pytest.approx(co.bound_objective(
+            prob.weights, prob.triples, bound.patterns, prob.neighbors),
+            rel=1e-12)
+        exact = oracle.exhaustive_original(prob)
+        assert exact.value == pytest.approx(co.finalize_schedule(
+            prob.gains, prob.weights, prob.radio, prob.amc,
+            exact.patterns)[2], rel=1e-12)
 
 
 def test_enumeration_budget_guard():

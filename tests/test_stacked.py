@@ -1,15 +1,13 @@
 """Stacked scoring and rate triples against the loops they replaced.
 
-`bound_objective` scores a stack of blankings sector by sector,
-`precompute_rate_triples` writes every user's SINRs into stacked buffers
-before one AMC lookup, the lane inputs and the re-run's masked channel
-are read from the stacked arrays, and `exhaustive_bound` scores each
-neighbor pattern once. The references below are the per-candidate,
+`bound_objective` scores a stack of blankings over all sectors at once,
+`precompute_rate_triples` writes every user's SINRs into (K, M, ...)
+buffers before one AMC lookup, the lane inputs and the re-run's masked
+channel are read from the (K, M, ...) arrays, and `exhaustive_bound`
+scores each neighbor pattern once. The references below are the per-candidate,
 per-sector and per-pattern versions, and the new code must equal them
 bit for bit.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,13 +80,13 @@ def _random_blankings(rng, count, k_sec, n_rb):
     return stack
 
 
-@pytest.mark.parametrize("users", [2, [3, 1, 2, 4, 2, 1]],
-                         ids=["uniform", "uneven"])
+@pytest.mark.parametrize("users", [2, 1, 3],
+                         ids=["uniform", "one_user", "three_users"])
 def test_bound_objective_stack_equals_per_candidate_loop(users):
     prob = random_desk_instance(n_sectors=6, users_per_sector=users,
                                 n_rbs=50, k_tilde=2, seed=31)
     rng = np.random.default_rng(32)
-    weights = [w * rng.uniform(0.1, 3.0) for w in prob.weights]
+    weights = prob.weights * rng.uniform(0.1, 3.0, (6, 1))
     stack = _random_blankings(rng, 40, 6, 50)
     live = (stack == 0).sum(axis=2)
     assert live.min() == 0 and (live < 8).any() and (live >= 8).any()
@@ -102,14 +100,13 @@ def test_bound_objective_stack_equals_per_candidate_loop(users):
 
 
 def _gains(rng, users, n_rb, n_sec):
-    """Per-sector gains spread over 40 dB, the serving column strongest,
+    """(K, M, N, K) gains spread over 40 dB, the serving column strongest,
     so the SINRs cover most AMC rows."""
-    parts = []
-    for k, m in enumerate(users):
-        g = 10 ** rng.uniform(-4.0, -1.0, (m, n_rb, n_sec))
-        g[:, :, k] = 10 ** rng.uniform(-1.5, 0.0, (m, n_rb))
-        parts.append(g)
-    return parts
+    gains = np.empty((n_sec, users, n_rb, n_sec))
+    for k, g in enumerate(gains):
+        g[:] = 10 ** rng.uniform(-4.0, -1.0, g.shape)
+        g[:, :, k] = 10 ** rng.uniform(-1.5, 0.0, (users, n_rb))
+    return gains
 
 
 class _SinrTable:
@@ -127,49 +124,35 @@ class _SinrTable:
 def test_triples_equal_per_sector_masks(n_sec, k_tilde, amc):
     # K - 1 below 8 and at least 8, so the pairwise sums differ in shape
     rng = np.random.default_rng(n_sec)
-    users = rng.integers(1, 5, n_sec).tolist()
+    users = 1 + n_sec % 4                   # 3, 2 or 1 users per sector
     gains = _gains(rng, users, 7, n_sec)
     nmap = nw.ring_neighbor_map(n_sec, k_tilde)
     ref_r, ref_rtil = _triples_per_sector(gains, RADIO, nmap, amc)
-    stacked = nw.SectorViews(np.concatenate(gains), users)
-    for layout in (gains, stacked):
-        got = precompute_rate_triples(layout, RADIO, nmap, amc)
-        assert got.r.stacked.shape == (sum(users), 7)
-        assert got.rtil.stacked.shape == (sum(users), 7, k_tilde)
-        for k in range(n_sec):
-            assert got.r[k].tobytes() == ref_r[k].tobytes()
-            assert got.rtil[k].shape == ref_rtil[k].shape
-            assert got.rtil[k].tobytes() == ref_rtil[k].tobytes()
-
-
-def test_triples_of_fewer_sectors_than_gain_columns():
-    rng = np.random.default_rng(3)
-    gains = _gains(rng, [2, 3], 5, 11)
-    nmap = SimpleNamespace(nbr=np.array([[1, 4, 7], [0, 5, 9]]))
-    ref_r, ref_rtil = _triples_per_sector(gains, RADIO, nmap, _SinrTable())
-    got = precompute_rate_triples(gains, RADIO, nmap, _SinrTable())
-    assert len(got.r) == len(got.rtil) == 2
-    for k in range(2):
+    got = precompute_rate_triples(gains, RADIO, nmap, amc)
+    assert got.r.shape == (n_sec, users, 7)
+    assert got.rtil.shape == (n_sec, users, 7, k_tilde)
+    for k in range(n_sec):
         assert got.r[k].tobytes() == ref_r[k].tobytes()
         assert got.rtil[k].tobytes() == ref_rtil[k].tobytes()
 
 
-def _uneven_desk(seed, k_tilde, n_rbs=3):
-    return random_desk_instance(n_sectors=6,
-                                users_per_sector=[3, 1, 2, 3, 2, 1],
+def _desk(seed, k_tilde, users, n_rbs=3):
+    return random_desk_instance(n_sectors=6, users_per_sector=users,
                                 n_rbs=n_rbs, k_tilde=k_tilde, seed=seed)
 
 
 @pytest.mark.parametrize("k_tilde", [1, 2, 3])
 def test_exhaustive_bound_equals_full_pattern_scoring(k_tilde):
-    prob = _uneven_desk(50 + k_tilde, k_tilde)
-    assert oracle.bit_equal(oracle.exhaustive_bound(prob),
-                            _exhaustive_bound_per_pattern(prob))
+    for users in (1, 3):
+        prob = _desk(50 + k_tilde, k_tilde, users)
+        assert oracle.bit_equal(oracle.exhaustive_bound(prob),
+                                _exhaustive_bound_per_pattern(prob))
 
 
 def test_masked_triples_equal_per_sector_masking():
-    for prob in (_uneven_desk(61, 2, n_rbs=6), random_desk_instance(
-            n_sectors=8, users_per_sector=2, n_rbs=6, k_tilde=3, seed=62)):
+    for prob in (_desk(60, 2, 1, n_rbs=6), _desk(61, 2, 3, n_rbs=6),
+                 random_desk_instance(n_sectors=8, users_per_sector=2,
+                                      n_rbs=6, k_tilde=3, seed=62)):
         rng = np.random.default_rng(63)
         blank1 = (rng.random((prob.K, prob.N)) < 0.4).astype(np.int8)
         off = blank1.astype(float).T[None, :, :]
@@ -187,17 +170,19 @@ def test_masked_triples_equal_per_sector_masking():
 
 
 def test_lane_groups_equal_per_sector_transposes():
-    probs = [_uneven_desk(71, 2), random_desk_instance(
-        n_sectors=6, users_per_sector=2, n_rbs=4, k_tilde=2, seed=72)]
-    weights = [[w * 0.5 for w in pr.weights] for pr in probs]
+    probs = [_desk(71, 2, 3), random_desk_instance(
+        n_sectors=6, users_per_sector=2, n_rbs=4, k_tilde=2, seed=72),
+        _desk(73, 2, 1), _desk(74, 2, 3, n_rbs=2)]
+    weights = [pr.weights * 0.5 for pr in probs]
     groups = co._lane_groups(probs, weights, [pr.triples for pr in probs])
+    assert [members for members, *_ in groups] == [[2], [1], [0, 3]]
     for members, w, r, rtil in groups:
-        ref = [(np.repeat(np.stack([weights[p][k] for k in ks]),
-                          probs[p].N, axis=0),
-                np.concatenate([probs[p].triples.r[k].T for k in ks]),
+        ref = [(np.repeat(weights[p], probs[p].N, axis=0),
+                np.concatenate([probs[p].triples.r[k].T
+                                for k in range(probs[p].K)]),
                 np.concatenate([probs[p].triples.rtil[k].transpose(1, 0, 2)
-                                for k in ks]))
-               for p, ks in members]
+                                for k in range(probs[p].K)]))
+               for p in members]
         for got, want in zip((w, r, rtil), zip(*ref)):
             want = np.concatenate(want)
             assert got.shape == want.shape
