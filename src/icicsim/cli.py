@@ -89,10 +89,9 @@ def _cmd_verify(args):
     check("closed-form lanes optimal against per-lane flow solve",
           oracle.lane_engine_check(300 if quick else 3_000, seed=13) == 0)
 
-    # two 2-user instances and one 3-user instance: two lane shapes
-    probs = [random_desk_instance(n_sectors=6, users_per_sector=m, n_rbs=2,
-                                  k_tilde=2, seed=60 + s)
-             for s, m in enumerate((2, 2, 3))]
+    # three 2-user instances of one shape: one lane call per master pass
+    probs = [random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
+                                  k_tilde=2, seed=60 + s) for s in range(3)]
     ok = all(not oracle.batch_mismatches(probs, co.IcicConfig(
         n_iter=3 if quick else 5, runs=2, quantize_exchange=quantize,
         quant_bits=6)) for quantize in (False, True))
@@ -178,7 +177,10 @@ def _cmd_gapbench(args):
             for runs in (1, 2):
                 for i, g in enumerate(gaps[runs]):
                     out.write(f"{i},{runs},{g!r}\n")
-    ok = np.mean(gaps[1]) <= 8.0 and np.mean(gaps[2]) < np.mean(gaps[1])
+    mean1, mean2 = np.mean(gaps[1]), np.mean(gaps[2])
+    # the re-run must improve on one run, unless one run reaches the
+    # optimum: 1e-9 % allows for their sums in different float orders
+    ok = mean1 <= 8.0 and (mean2 < mean1 or mean1 <= 1e-9)
     return 0 if ok else 3
 
 

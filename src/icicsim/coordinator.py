@@ -16,24 +16,26 @@ everyone's (possibly fractional) blanking levels. Its flow form:
         coll->nbr     cap 1  cost 0         (surplus)
 
 Every sector has the same user count M, so within one master pass all
-K*N subproblems share this topology, and the pass hands them to
-`lanes.solve_lanes` as array lanes, one call per group of problems with
-the same M and neighbor count K_tilde. That call solves every lane in
-closed form, as a fractional knapsack (see the lanes module docstring).
+K*N subproblems share this topology, and the pass hands them, for every
+problem of a batch, to one `lanes.solve_lanes` call as array lanes. That
+call solves every lane in closed form, as a fractional knapsack (see the
+lanes module docstring).
 `solve_subproblem` (one FlowNetwork, solved by `mcnf.solve`) is the
 paper's network-flow method and the per-lane reference: every lane of
 the closed form must be optimal, and its value and duals must match the
 flow solve's within a stated tolerance (`oracle.lane_mismatches`). The
 master loop itself never calls it.
 
-Independent rounds run as a lockstep batch: `run_rounds` advances the
-master loops of several problems together, including the `runs=2`
-re-run, where each problem keeps its own masked channel and frozen set.
-Each pass puts the lanes of every problem into the same lane calls;
-the exchange, master steps, rounding scores and final schedules stay
-per problem, and each master value is summed in its own (k, n) order,
-so a batched result equals the round run alone bit for bit.
-`run_coordination` is a batch of one.
+Independent rounds of one shape (the same K, M, N and neighbor sets)
+run as a lockstep batch: `run_rounds` holds the master state of P
+problems as (P, K, N) arrays and advances them together, including the
+`runs=2` re-run, where each problem keeps its own masked channel and
+frozen set. Each pass is one lane call, one exchange and one master
+step for the whole batch. These steps are elementwise; the master
+values, rounding scores and final schedules stay per problem, and each
+master value is summed in its own (k, n) order, so a batched result
+equals the round run alone bit for bit. `run_coordination` is a batch
+of one.
 
 The master consumes one dual per subproblem balance constraint: the
 subgradient of the summed sector values with respect to I[k] is the
@@ -44,7 +46,8 @@ node potentials with the collector gauge fixed to zero); validity is
 enforced by the subgradient inequality rather than any sign convention
 (see tests). `compute_subgradient` is the one
 place that assembles Lambda: each sector posts its neighbor duals to its
-neighbors' `Mailbox`, and each sector drains its inbox and sums it. The
+neighbors' `Mailbox`, one (P, N) block per message for a batch of P,
+and each sector drains its inbox and sums it. The
 master loop, `icicsim verify` and the tests all go through it. Message
 counts follow from array shapes: per iteration of each run, every sector
 sends K_tilde*N duals and its K_tilde*N blanking levels.
@@ -229,7 +232,8 @@ def bound_objective(weights, triples, blanking, neighbors):
     which gives (C,) values.
 
     weights: (K, M). All sectors are scored together on the triples
-    (products and maxima are exact). Each sector total sums only the live
+    (products and maxima are exact); the credit is a running maximum over
+    the K_tilde neighbor positions. Each sector total sums only the live
     RBs of its pattern: rows with the same live count are summed
     together, and a row sum adds the same values in the same order as a
     1-D sum, so each value equals scoring its pattern alone bit for bit.
@@ -237,8 +241,11 @@ def bound_objective(weights, triples, blanking, neighbors):
     """
     blanking = np.asarray(blanking)
     stack = blanking if blanking.ndim == 3 else blanking[None]
-    nbr_rows = stack[:, neighbors.nbr].transpose(0, 1, 3, 2)  # (C, K, N, Kt)
-    credit = (triples.rtil[None] * nbr_rows[:, :, None]).max(axis=4)
+    nbr_rows = stack[:, neighbors.nbr][:, :, None]         # (C, K, 1, Kt, N)
+    credit = triples.rtil[..., 0] * nbr_rows[..., 0, :]    # (C, K, M, N)
+    for pos in range(1, neighbors.k_tilde):
+        np.maximum(credit, triples.rtil[..., pos] * nbr_rows[..., pos, :],
+                   out=credit)
     best = ((triples.r + credit) * weights[:, :, None]).max(axis=2)
     live = stack == 0
     counts = live.sum(axis=2)
@@ -305,23 +312,26 @@ class Mailbox:
 def compute_subgradient(lam_eq, lam_nbr, neighbors):
     """Assemble the master subgradient by the simulated sector exchange.
 
-    lam_eq: (K, N); lam_nbr: (K, N, K_tilde) in neighbor-position order.
-    Sector k posts lam_nbr[k, :, pos] to sector nbr[k][pos]; each sector
-    then drains its inbox and adds the messages, in its own nbr order, to
-    minus its lam_eq. An inbox that does not hold exactly one message
-    from each neighbor is a ValueError.
+    lam_eq: (..., K, N); lam_nbr: (..., K, N, K_tilde) in neighbor-position
+    order, under any leading batch axes. Sector k posts lam_nbr[..., k, :,
+    pos] to sector nbr[k][pos]; each sector then drains its inbox and adds
+    the messages, in its own nbr order, to minus its lam_eq. The sums are
+    elementwise, so each member of a batch gets the subgradient of a call
+    on its own, bit for bit. An inbox that does not hold exactly one
+    message from each neighbor is a ValueError.
     """
-    k_sec = lam_eq.shape[0]
+    k_sec = lam_eq.shape[-2]
     boxes = [Mailbox() for _ in range(k_sec)]
     for k in range(k_sec):
         for pos, dest in enumerate(neighbors.nbr[k]):
-            boxes[dest].post(k, lam_nbr[k, :, pos])
+            boxes[dest].post(k, lam_nbr[..., k, :, pos])
     grad = np.empty(lam_eq.shape)
     for k in range(k_sec):
         incoming = dict(boxes[k].drain())
         if set(incoming) != set(neighbors.nbr[k].tolist()):
             raise ValueError(f"sector {k}: incomplete dual exchange")
-        grad[k] = -lam_eq[k] + sum(incoming[a] for a in neighbors.nbr[k])
+        grad[..., k, :] = -lam_eq[..., k, :] + sum(
+            incoming[a] for a in neighbors.nbr[k])
     return grad
 
 
@@ -342,111 +352,90 @@ def _quantize(values, bits, vmax=None, axis=None):
                     np.round(v / scale * levels) * (scale / levels))
 
 
-def _lane_groups(problems, weights, triples):
-    """The fixed lane inputs of a batch of problems.
+def _check_one_shape(problems):
+    """Refuse a batch whose problems differ in K, M, N or neighbor sets."""
+    dims = [(*pr.weights.shape, pr.N) for pr in problems]
+    for p, pr in enumerate(problems):
+        if dims[p] != dims[0]:
+            raise ValueError(f"problem {p} has (K, M, N) = {dims[p]}, "
+                             f"problem 0 has {dims[0]}")
+        if not np.array_equal(pr.neighbors.nbr, problems[0].neighbors.nbr):
+            raise ValueError(f"problem {p} has other neighbor sets than "
+                             f"problem 0")
 
-    Problems with equal (M, K_tilde) form one group. Each member is one
-    contiguous block of K*N lanes, in (k, n) order. Returns, per group in
-    (M, K_tilde) order, its member problem indices and the stacked w, r
-    and rtil of its lanes. `triples` is iterated once, alongside
-    `problems` and `weights`.
+
+def _lane_inputs(weights, triples):
+    """The fixed lane inputs of a batch: w and r (L, M) and rtil
+    (L, M, K_tilde), for the L = P*K*N lanes in (p, k, n) order, from
+    the (P, K, M) weights and a list of the problems' rate triples."""
+    r = np.stack([tr.r for tr in triples])              # (P, K, M, N)
+    rtil = np.stack([tr.rtil for tr in triples])        # (P, K, M, N, Kt)
+    m, n_rb, kt = rtil.shape[2:]
+    return (np.repeat(weights, n_rb, axis=1).reshape(-1, m),
+            r.transpose(0, 1, 3, 2).reshape(-1, m),
+            rtil.transpose(0, 1, 3, 2, 4).reshape(-1, m, kt))
+
+
+def _solve_pass(lane_in, nbr, blanking, config):
+    """Solve every (sector, RB) subproblem of one master pass of a batch
+    in one `lanes.solve_lanes` call, on the lanes of `_lane_inputs`.
+
+    blanking: (P, K, N), which neighbors see quantized when the config
+    quantizes the exchange; nbr: the (K, K_tilde) neighbor sets. Returns
+    the duals lam_eq (P, K, N) and lam_nbr (P, K, N, K_tilde), the (P,)
+    master values, each summed in (k, n) order, and the lanes' x and y.
     """
-    parts = {}
-    for p, (pr, w, tr) in enumerate(zip(problems, weights, triples)):
-        k_sec, m = w.shape
-        kt = pr.neighbors.k_tilde
-        parts.setdefault((m, kt), []).append((
-            p,
-            np.broadcast_to(w[:, None], (k_sec, pr.N, m)).reshape(-1, m),
-            tr.r.transpose(0, 2, 1).reshape(-1, m),
-            tr.rtil.transpose(0, 2, 1, 3).reshape(-1, m, kt)))
-    groups = []
-    for key in sorted(parts):
-        members, w, r, rtil = zip(*parts[key])
-        groups.append((list(members), np.concatenate(w), np.concatenate(r),
-                       np.concatenate(rtil)))
-    return groups
+    seen = blanking
+    if config.quantize_exchange:
+        seen = _quantize(blanking, config.quant_bits, vmax=1.0)
+    shape = blanking.shape
+    kt = nbr.shape[1]
+    nbr_levels = seen[:, nbr].transpose(0, 1, 3, 2).reshape(-1, kt)
+    x, y, phi, lam_eq, lam_nbr = lanes.solve_lanes(
+        blanking.ravel(), nbr_levels, *lane_in)
+    # cumsum adds each problem's terms one at a time, as a loop would; a
+    # pairwise sum would move the last bits
+    value = np.cumsum(phi.reshape(shape[0], -1), axis=1)[:, -1]
+    return lam_eq.reshape(shape), lam_nbr.reshape(*shape, kt), value, (x, y)
 
 
-def _solve_pass(problems, groups, blankings, seens):
-    """Solve every (sector, RB) subproblem of one master pass of each
-    problem as lanes: one `lanes.solve_lanes` call per lane group (see
-    `_lane_groups`), over the lanes of all its problems.
-
-    `seens[p]` carries problem p's blanking levels as neighbors observe
-    them (they differ from `blankings[p]` only when exchanged values are
-    quantized). Returns, per problem, the duals lam_eq (K, N) and lam_nbr
-    (K, N, K_tilde), the master value summed in (k, n) order, and the
-    lanes' x and y arrays.
-    """
-    passes = [None] * len(problems)
-    for members, w, r, rtil in groups:
-        kt = rtil.shape[2]
-        own = np.concatenate([blankings[p].ravel() for p in members])
-        nbr = np.concatenate([
-            seens[p][problems[p].neighbors.nbr].transpose(0, 2, 1)
-            .reshape(-1, kt) for p in members])
-        out = lanes.solve_lanes(own, nbr, w, r, rtil)
-        lo = 0
-        for p in members:
-            shape = (problems[p].K, problems[p].N)
-            c = slice(lo, lo + shape[0] * shape[1])
-            lo = c.stop
-            x, y, phi, lam_eq, lam_nbr = (a[c] for a in out)
-            master_value = 0.0
-            for v in phi.tolist():            # sequential, in (k, n) order
-                master_value += v
-            passes[p] = (lam_eq.reshape(shape),
-                         lam_nbr.reshape(*shape, kt), master_value, (x, y))
-    return passes
-
-
-def _binary_fraction(xy, blanking, tol=1e-6):
-    """Share of relaxed variables (x, y and blanking) at 0 or 1."""
-    vals = np.concatenate([a.ravel() for a in xy]
-                          + [np.asarray(blanking, dtype=float).ravel()])
+def _binary_fraction(arrays, tol=1e-6):
+    """Each problem's share of relaxed variables (x, y and blanking) at 0
+    or 1. Every array holds the batch's problems in order along its first
+    axis."""
+    n_prob = arrays[-1].shape[0]
+    vals = np.concatenate([a.reshape(n_prob, -1) for a in arrays], axis=1)
     at_bound = (np.abs(vals) < tol) | (np.abs(1.0 - vals) < tol)
-    return int(np.sum(at_bound)) / vals.size
+    return (at_bound.sum(axis=1) / vals.shape[1]).tolist()
 
 
-def _subgradient_run(problems, groups, config, inits, frozen=None):
-    """Run the master loops of all problems in lockstep, on the lanes of
-    `groups` (see `_lane_groups`).
+def _subgradient_run(lane_in, neighbors, config, init, frozen=None):
+    """Run the master loops of a batch in lockstep, on the lanes of
+    `_lane_inputs`: each pass is one lane call, one exchange and one
+    master step for the whole batch.
 
-    Returns four lists, one entry per problem: the final I, the master
-    value per pass, the rounded iterates and the final I as neighbors
-    see it. `frozen[p]`, when given, marks problem p's entries held at 1.
+    init: (P, K, N). Returns the final I (P, K, N), the (P,) master
+    values of each pass and the rounded iterates (P, n_iter + 1, K, N).
+    `frozen`, when given, is a (P, K, N) mask of the entries held at 1.
     """
-    blankings = [i.copy() for i in inits]
+    blanking = init.copy()
     if frozen is not None:
-        for b, f in zip(blankings, frozen):
-            b[f] = 1.0
-
-    def as_seen(i_mat):
-        if not config.quantize_exchange:
-            return i_mat
-        return _quantize(i_mat, config.quant_bits, vmax=1.0)
-
-    rounded = [[round_blanking(b)] for b in blankings]
-    values = [[] for _ in problems]
-    seens = [as_seen(b) for b in blankings]
+        blanking[frozen] = 1.0
+    rounded = [round_blanking(blanking)]
+    values = []
     for it in range(1, config.n_iter + 1):
-        for p, (lam_eq, lam_nbr, value, _) in enumerate(
-                _solve_pass(problems, groups, blankings, seens)):
-            if config.quantize_exchange:
-                # each (sector, neighbor) message carries its own scale
-                lam_nbr = _quantize(lam_nbr, config.quant_bits, axis=1)
-            grad = compute_subgradient(lam_eq, lam_nbr,
-                                       problems[p].neighbors)
-            values[p].append(value)
-            blanking = master_step(blankings[p], grad, it,
-                                   config.step_constant)
-            if frozen is not None:
-                blanking[frozen[p]] = 1.0
-            blankings[p] = blanking
-            seens[p] = as_seen(blanking)
-            rounded[p].append(round_blanking(blanking))
-    return blankings, values, rounded, seens
+        lam_eq, lam_nbr, value, _ = _solve_pass(lane_in, neighbors.nbr,
+                                                blanking, config)
+        if config.quantize_exchange:
+            # each (sector, neighbor) message carries its own scale
+            lam_nbr = _quantize(lam_nbr, config.quant_bits, axis=-2)
+        grad = compute_subgradient(lam_eq, lam_nbr, neighbors)
+        values.append(value)
+        blanking = master_step(blanking, grad, it, config.step_constant)
+        if frozen is not None:
+            blanking[frozen] = 1.0
+        rounded.append(round_blanking(blanking))
+    return blanking, values, np.stack(rounded, axis=1)
 
 
 def _masked_triples(problem, blank1):
@@ -461,9 +450,9 @@ def _masked_triples(problem, blank1):
 
 
 def _scored(problem, weights, rounded):
-    """(blanking, bound value) of each rounded iterate of one run, all
-    scored by one bound_objective call."""
-    values = bound_objective(weights, problem.triples, np.stack(rounded),
+    """(blanking, bound value) of each rounded iterate (C, K, N) of one
+    run, all scored by one bound_objective call."""
+    values = bound_objective(weights, problem.triples, rounded,
                              problem.neighbors)
     return list(zip(rounded, values.tolist()))
 
@@ -485,13 +474,17 @@ def _round_start(problem, warm_start):
 
 
 def run_rounds(problems, config, warm_starts=None):
-    """Coordinated rounds of independent problems, advanced in lockstep.
+    """Coordinated rounds of independent problems of one shape, advanced
+    in lockstep.
 
-    Every master pass solves the subproblems of all problems together
-    (see `_solve_pass`); the exchange, master steps, rounding scores and
-    final schedules stay per problem, so each result equals a round of
-    that problem alone, bit for bit. Returns one IcicResult per problem,
-    in order.
+    The problems must share K, M, N and the neighbor sets; any other
+    batch is a ValueError that names the mismatch. The master state is
+    held as (P, K, N) arrays, so each master pass is one lane call, one
+    exchange and one master step for the whole batch (see
+    `_subgradient_run`). The master values, rounding scores and final
+    schedules stay per problem, and the batched steps are elementwise,
+    so each result equals a round of that problem alone, bit for bit.
+    Returns one IcicResult per problem, in order.
 
     warm_starts: optional list, per problem None or a (K, N) fractional
     blanking from the previous execution; the default initial point is
@@ -504,34 +497,33 @@ def run_rounds(problems, config, warm_starts=None):
                          f"{len(problems)} problems")
     if not problems:
         return []
+    _check_one_shape(problems)
+    nmap = problems[0].neighbors
     scales, weights, inits = zip(*[
         _round_start(pr, ws) for pr, ws in zip(problems, warm_starts)])
-    groups = _lane_groups(problems, weights,
-                          (pr.triples for pr in problems))
-    finals, values, rounded, seens = _subgradient_run(
-        problems, groups, config, inits)
+    stacked_weights = np.stack(weights)
+    lane_in = _lane_inputs(stacked_weights, [pr.triples for pr in problems])
+    finals, values, rounded = _subgradient_run(lane_in, nmap, config,
+                                               np.stack(inits))
     candidates = [_scored(pr, w, rnd)
                   for pr, w, rnd in zip(problems, weights, rounded)]
     if config.n_iter > 0:
         # bookkeeping only: the final value and x/y, no exchange
-        binary = []
-        for vals, (_, _, final_value, xy), final_i in zip(
-                values, _solve_pass(problems, groups, finals, seens), finals):
-            vals.append(final_value)
-            binary.append(_binary_fraction(xy, final_i))
+        _, _, final_value, xy = _solve_pass(lane_in, nmap.nbr, finals,
+                                            config)
+        values = np.column_stack(values + [final_value]).tolist()
+        binary = _binary_fraction((*xy, finals))
     else:
-        for vals, cands in zip(values, candidates):
-            vals.append(cands[0][1])
+        values = [[cands[0][1]] for cands in candidates]
         binary = [1.0] * len(problems)
 
     if config.runs == 2:
-        blank1 = [max(cands, key=lambda c: c[1])[0] for cands in candidates]
-        # one masked channel alive at a time: only its lanes are kept
-        groups = _lane_groups(problems, weights, (
-            _masked_triples(pr, b) for pr, b in zip(problems, blank1)))
-        _, _, rounded2, _ = _subgradient_run(
-            problems, groups, config, finals,
-            frozen=[b.astype(bool) for b in blank1])
+        blank1 = np.stack([max(cands, key=lambda c: c[1])[0]
+                           for cands in candidates])
+        lane_in = _lane_inputs(stacked_weights, [
+            _masked_triples(pr, b) for pr, b in zip(problems, blank1)])
+        _, _, rounded2 = _subgradient_run(
+            lane_in, nmap, config, finals, frozen=blank1.astype(bool))
         # the re-run's iterates are scored on the true channel
         for pr, w, cands, rnd in zip(problems, weights, candidates,
                                      rounded2):

@@ -33,15 +33,17 @@ ENUM_CAP_BITS = 14       # at most 2^14 blanking patterns per RB
 
 @functools.lru_cache(maxsize=None)
 def _all_patterns(k):
-    """Every binary blanking of k sectors, (2^k, k), built once per k and
-    shared read-only."""
+    """Every binary blanking of k sectors, pats (2^k, k), and its transmit
+    flags 1 - pats as one contiguous row per sector, (k, 2^k); built once
+    per k and shared read-only."""
     if k > ENUM_CAP_BITS:
         raise ValueError(f"{k} sectors exceeds the 2^{ENUM_CAP_BITS} "
                          f"enumeration budget")
     bits = np.arange(2 ** k, dtype=np.int64)
     pats = ((bits[:, None] >> np.arange(k)) & 1).astype(float)
-    pats.flags.writeable = False
-    return pats
+    on_rows = np.ascontiguousarray(1.0 - pats.T)
+    pats.flags.writeable = on_rows.flags.writeable = False
+    return pats, on_rows
 
 
 @dataclass
@@ -53,16 +55,15 @@ class ExhaustiveResult:
 
 def _best_patterns(problem, sector_best):
     """Best blanking pattern per RB by full enumeration. A pattern scores
-    the sum over its live sectors k of sector_best(k, n, pats, on), the
-    (P,) best weighted rates, where on = 1 - pats is the transmit flag."""
-    pats = _all_patterns(problem.K)                  # (P, K)
-    on = 1.0 - pats
+    the sum over its live sectors k of sector_best(k, n), the (P,) best
+    weighted rates of sector k on RB n under each pattern."""
+    pats, on_rows = _all_patterns(problem.K)         # (P, K), (K, P)
     best_val = np.full(problem.N, -np.inf)
     best_pat = np.zeros((problem.K, problem.N))
     for n in range(problem.N):
         total = np.zeros(pats.shape[0])
         for k in range(problem.K):
-            total += on[:, k] * sector_best(k, n, pats, on)
+            total += on_rows[k] * sector_best(k, n)
         arg = int(np.argmax(total))
         best_val[n] = total[arg]
         best_pat[:, n] = pats[arg]
@@ -78,8 +79,9 @@ def exhaustive_original(problem):
     """
     amc, weights = problem.amc, problem.weights
     p_c, p_n = problem.radio.p_c_watts, problem.radio.p_n_watts
+    on = 1.0 - _all_patterns(problem.K)[0]           # (P, K) transmit flags
 
-    def sector_best(k, n, pats, on):
+    def sector_best(k, n):
         g = problem.gains[k][:, n, :]                # (M, K)
         interf = on @ g.T - on[:, [k]] * g[:, k]              # (P, M)
         sinr = p_c * g[:, k] / (p_c * interf + p_n)
@@ -101,19 +103,19 @@ def exhaustive_bound(problem):
     """
     nmap = problem.neighbors
     kt = nmap.k_tilde
-    p = np.arange(_all_patterns(problem.K).shape[0])    # within the budget
+    p = np.arange(_all_patterns(problem.K)[0].shape[0])  # within budget
     # code[k, p]: the neighbor bits of full pattern p, as a row of sub
     code = np.zeros((problem.K, p.size), dtype=np.intp)
     for pos in range(kt):
         code |= ((p >> nmap.nbr[:, pos, None]) & 1) << pos
-    sub = _all_patterns(kt)                               # (2^Kt, Kt)
+    sub = _all_patterns(kt)[0]                            # (2^Kt, Kt)
     r = problem.triples.r[..., None]                      # (K, M, N, 1)
     rtil = problem.triples.rtil[:, :, :, None, :]         # (K, M, N, 1, Kt)
     credit = np.max(rtil * sub, axis=4)                   # (K, M, N, 2^Kt)
     w = problem.weights[:, :, None, None]
     best = np.max(w * (r + credit), axis=1)     # (K, N, 2^Kt) best values
 
-    def sector_best(k, n, pats, on):
+    def sector_best(k, n):
         return best[k][n][code[k]]
 
     return _best_patterns(problem, sector_best)

@@ -129,12 +129,13 @@ def test_criterion_5_subgradient_inequality():
         base = rng.random((k_sec, 1))
         # the flow solve per subproblem, and the closed-form lane pass of
         # the master loop
-        groups = co._lane_groups([prob], [weights], [prob.triples])
+        lane_in = co._lane_inputs(weights[None], [prob.triples])
 
         def lane_pass(blanking):
-            [(lam_eq, lam_nbr, value, _)] = co._solve_pass(
-                [prob], groups, [blanking], [blanking])
-            return value, lam_eq, lam_nbr
+            lam_eq, lam_nbr, value, _ = co._solve_pass(
+                lane_in, prob.neighbors.nbr, blanking[None],
+                co.IcicConfig(n_iter=1))
+            return value[0], lam_eq[0], lam_nbr[0]
 
         cuts = []
         for solve in (lambda b: oracle.reference_pass(prob, weights, b),

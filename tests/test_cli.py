@@ -136,6 +136,14 @@ def test_gapbench_small(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1 + 8
 
 
+def test_gapbench_with_nothing_to_improve_exits_0(capsys):
+    # one run already reaches the exhaustive optimum (a gap of about
+    # -2.4e-14 %), so the re-run cannot improve on it
+    assert cli.main(["gapbench", "--instances", "1", "--seed", "9"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[1] for row in rows] == ["-0.000", "-0.000"]
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--niter", "-1"), ("--seed", "-1"), ("--instances", "0"),
     ("--instances", "-3")])

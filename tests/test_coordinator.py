@@ -10,7 +10,7 @@ from icicsim import coordinator as co
 from icicsim import lanes, mcnf, oracle
 from icicsim.fairsched import local_schedule
 from icicsim.instances import random_desk_instance
-from icicsim.network import NetworkDims, ring_neighbor_map
+from icicsim.network import NeighborMap, NetworkDims, ring_neighbor_map
 
 
 def test_network_counts_match_closed_form():
@@ -112,10 +112,26 @@ def test_subgradient_arithmetic():
 
 def test_subgradient_missing_dual_is_error():
     # asymmetric: both sectors send to sector 1, so sector 0 hears nobody
-    # (NeighborMap itself refuses such a relation)
+    # (NeighborMap itself refuses such a relation); so too in a stack
     fake = SimpleNamespace(nbr=np.array([[1], [1]]))
-    with pytest.raises(ValueError):
-        co.compute_subgradient(np.zeros((2, 1)), np.zeros((2, 1, 1)), fake)
+    for batch in ((), (3,)):
+        with pytest.raises(ValueError, match="sector 0: incomplete"):
+            co.compute_subgradient(np.zeros((*batch, 2, 1)),
+                                   np.zeros((*batch, 2, 1, 1)), fake)
+
+
+def test_subgradient_of_a_stack_equals_single_calls():
+    nmap = random_desk_instance(n_sectors=8, users_per_sector=1,
+                                k_tilde=3, seed=0).neighbors
+    rng = np.random.default_rng(4)
+    lam_eq = rng.normal(size=(5, 8, 3))
+    lam_nbr = rng.normal(size=(5, 8, 3, 3)) * 1e3
+    lam_nbr[1] = 0.0
+    grad = co.compute_subgradient(lam_eq, lam_nbr, nmap)
+    assert grad.shape == (5, 8, 3)
+    for p in range(5):
+        one = co.compute_subgradient(lam_eq[p], lam_nbr[p], nmap)
+        assert grad[p].tobytes() == one.tobytes()
 
 
 def test_subgradient_inequality_random_probes():
@@ -287,7 +303,7 @@ def _count_scored(monkeypatch):
 
 @pytest.mark.parametrize("runs", [1, 2])
 def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
-    # one problem is one lane group, so one engine call per master pass
+    # one engine call per master pass
     prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                 k_tilde=2, seed=3)
     counts = {"solve_lanes": 0, "bound_objective": 0, "post": 0}
@@ -308,13 +324,11 @@ def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
     assert scored == [n + 1] * runs
 
 
-def _batch_problems():
-    """M = 1, 2 and 3, other K and N, and K_tilde = 3."""
-    shapes = [(6, 2, 3, 2, 81), (6, 1, 3, 2, 85), (8, 2, 2, 2, 82),
-              (4, 3, 5, 2, 83), (6, 2, 2, 3, 84)]
-    return [random_desk_instance(n_sectors=k, users_per_sector=m,
-                                 n_rbs=n, k_tilde=kt, seed=seed)
-            for k, m, n, kt, seed in shapes]
+def _batch_problems(count=5):
+    """A batch of one shape: K = 8, M = 3, N = 2 and K_tilde = 3."""
+    return [random_desk_instance(n_sectors=8, users_per_sector=3, n_rbs=2,
+                                 k_tilde=3, seed=81 + s)
+            for s in range(count)]
 
 
 @pytest.mark.parametrize("config", [
@@ -335,15 +349,50 @@ def test_batched_rounds_equal_single_rounds(config, warm):
                                    warm_starts[::-1]) == []
 
 
-def test_batch_groups_lanes_by_user_count_and_k_tilde(monkeypatch):
-    # K_tilde = 2 problems with M in {1, 2, 3} and a K_tilde = 3 problem
-    # with M = 2: four groups, so four engine calls per master pass,
-    # however many problems the batch holds; a different K_tilde gets its
-    # own group rather than an error
-    counts = {"solve_lanes": 0}
+@pytest.mark.parametrize("count", [1, 5])
+def test_one_lane_call_exchange_and_step_per_pass(monkeypatch, count):
+    # however many problems the batch holds: 2 + 1 + 2 lane passes, and
+    # one exchange and one master step per pass that moves the master,
+    # each Mailbox message carrying the whole batch's (P, N) block
+    counts = {"solve_lanes": 0, "compute_subgradient": 0, "master_step": 0,
+              "post": 0}
     _count_calls(monkeypatch, lanes, "solve_lanes", counts)
-    co.run_rounds(_batch_problems(), co.IcicConfig(n_iter=2, runs=2))
-    assert counts["solve_lanes"] == 4 * (2 + 1 + 2)
+    _count_calls(monkeypatch, co, "compute_subgradient", counts)
+    _count_calls(monkeypatch, co, "master_step", counts)
+    _count_calls(monkeypatch, co.Mailbox, "post", counts)
+    co.run_rounds(_batch_problems(count), co.IcicConfig(n_iter=2, runs=2))
+    assert counts == {"solve_lanes": 5, "compute_subgradient": 4,
+                      "master_step": 4, "post": 4 * 8 * 3}
+
+
+def _other_neighbor_sets():
+    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
+                                k_tilde=2, seed=5)
+    # the ring 0-2-4-1-3-5-0: the same (K, K_tilde), other sets
+    ring = [0, 2, 4, 1, 3, 5]
+    nbr = [sorted((ring[(ring.index(k) + d) % 6] for d in (-1, 1)))
+           for k in range(6)]
+    return co.CoordinationProblem(
+        neighbors=NeighborMap(nbr=np.array(nbr)), weights=prob.weights,
+        gains=prob.gains, radio=prob.radio)
+
+
+@pytest.mark.parametrize("other, named", [
+    (lambda: random_desk_instance(n_sectors=8, users_per_sector=2, n_rbs=2,
+                                  k_tilde=2, seed=5), "(K, M, N) = (8, 2, 2)"),
+    (lambda: random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=2,
+                                  k_tilde=2, seed=5), "(K, M, N) = (6, 3, 2)"),
+    (lambda: random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=3,
+                                  k_tilde=2, seed=5), "(K, M, N) = (6, 2, 3)"),
+    (lambda: random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
+                                  k_tilde=3, seed=5), "other neighbor sets"),
+    (_other_neighbor_sets, "other neighbor sets"),
+], ids=["K", "M", "N", "k_tilde", "neighbor_sets"])
+def test_run_rounds_refuses_a_batch_of_mixed_shapes(other, named):
+    first = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
+                                 k_tilde=2, seed=4)
+    with pytest.raises(ValueError, match=re.escape(f"problem 2 has {named}")):
+        co.run_rounds([first, first, other()], co.IcicConfig(n_iter=1))
 
 
 def _ragged_weights():
@@ -408,6 +457,17 @@ def test_quantized_exchange_toggle():
     assert set(np.unique(coarse.blanking)) <= {0, 1}
 
 
+def _lane_inputs(prob):
+    return co._lane_inputs(prob.weights[None], [prob.triples])
+
+
+def _lane_pass(prob, blanking, config):
+    """The duals and master value of one lane pass of `prob` alone."""
+    lam_eq, lam_nbr, value, _ = co._solve_pass(
+        _lane_inputs(prob), prob.neighbors.nbr, blanking[None], config)
+    return lam_eq[0], lam_nbr[0], value[0]
+
+
 def _first_direction(monkeypatch, prob, config, blanking):
     """The ascent direction of the first master iteration from `blanking`."""
     seen = []
@@ -418,10 +478,10 @@ def _first_direction(monkeypatch, prob, config, blanking):
         return step(i_mat, grad, iteration, step_constant)
 
     monkeypatch.setattr(co, "master_step", spy)
-    groups = co._lane_groups([prob], [prob.weights], [prob.triples])
-    co._subgradient_run([prob], groups, config, [blanking])
+    co._subgradient_run(_lane_inputs(prob), prob.neighbors, config,
+                        blanking[None])
     monkeypatch.setattr(co, "master_step", step)
-    return seen[0]
+    return seen[0][0]
 
 
 def test_exchange_pass_matches_standalone_subgradient(monkeypatch):
@@ -432,9 +492,8 @@ def test_exchange_pass_matches_standalone_subgradient(monkeypatch):
             n_sectors=6, users_per_sector=m, n_rbs=2, k_tilde=2,
             seed=71 + m) for m in (1, 3))):
         blanking = rng.random((6, 2))
-        groups = co._lane_groups([prob], [prob.weights], [prob.triples])
-        [(lam_eq, lam_nbr, value, _)] = co._solve_pass(
-            [prob], groups, [blanking], [blanking])
+        lam_eq, lam_nbr, value = _lane_pass(prob, blanking,
+                                            co.IcicConfig(n_iter=1))
         ref_value, ref_eq, ref_nbr = oracle.reference_pass(
             prob, prob.weights, blanking)
         tol = oracle.REF_TOL
@@ -470,10 +529,14 @@ def test_quantized_exchange_scales_each_message(monkeypatch):
                                 k_tilde=2, seed=71)
     blanking = np.random.default_rng(1).random((6, 3))
     cfg = co.IcicConfig(n_iter=1, quantize_exchange=True, quant_bits=bits)
+    lam_eq, lam_nbr, _ = _lane_pass(prob, blanking, cfg)
+    # the pass's neighbors see the quantized levels, its own sector not
     seen = co._quantize(blanking, bits, vmax=1.0)
-    groups = co._lane_groups([prob], [prob.weights], [prob.triples])
-    [(lam_eq, lam_nbr, _, _)] = co._solve_pass([prob], groups, [blanking],
-                                               [seen])
+    ref = lanes.solve_lanes(
+        blanking.ravel(), seen[prob.neighbors.nbr].transpose(0, 2, 1)
+        .reshape(-1, 2), *_lane_inputs(prob))
+    assert np.array_equal(lam_eq.ravel(), ref[3])
+    assert np.array_equal(lam_nbr.reshape(-1, 2), ref[4])
     grad = _first_direction(monkeypatch, prob, cfg, blanking)
     assert np.array_equal(grad, co.compute_subgradient(
         lam_eq, co._quantize(lam_nbr, bits, axis=1), prob.neighbors))

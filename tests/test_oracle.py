@@ -102,10 +102,14 @@ def test_enumeration_budget_guard():
     with pytest.raises(ValueError):
         oracle._all_patterns(20)
     # built once per K and shared, so callers cannot change it
-    pats = oracle._all_patterns(oracle.ENUM_CAP_BITS)
+    arrays = oracle._all_patterns(oracle.ENUM_CAP_BITS)
+    pats, on_rows = arrays
     assert pats.shape == (2 ** oracle.ENUM_CAP_BITS, oracle.ENUM_CAP_BITS)
-    assert oracle._all_patterns(oracle.ENUM_CAP_BITS) is pats
-    assert not pats.flags.writeable
+    assert oracle._all_patterns(oracle.ENUM_CAP_BITS) is arrays
+    # the transmit flags, one contiguous row per sector
+    assert np.array_equal(on_rows, 1.0 - pats.T)
+    assert on_rows.flags.c_contiguous
+    assert not (pats.flags.writeable or on_rows.flags.writeable)
 
 
 def test_subproblem_enumeration_trivial_cases():

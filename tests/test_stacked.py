@@ -61,8 +61,9 @@ def _triples_per_sector(gains_per_sector, radio, neighbors, amc):
 def _exhaustive_bound_per_pattern(problem):
     weights, triples = problem.weights, problem.triples
     nmap = problem.neighbors
+    pats = oracle._all_patterns(problem.K)[0]
 
-    def sector_best(k, n, pats, on):
+    def sector_best(k, n):
         r = triples.r[k][:, n]
         rtil = triples.rtil[k][:, n, :]
         blanked = pats[:, nmap.nbr[k]]
@@ -169,21 +170,15 @@ def test_masked_triples_equal_per_sector_masking():
             assert got.rtil[k].tobytes() == ref_rtil[k].tobytes()
 
 
-def test_lane_groups_equal_per_sector_transposes():
-    probs = [_desk(71, 2, 3), random_desk_instance(
-        n_sectors=6, users_per_sector=2, n_rbs=4, k_tilde=2, seed=72),
-        _desk(73, 2, 1), _desk(74, 2, 3, n_rbs=2)]
-    weights = [pr.weights * 0.5 for pr in probs]
-    groups = co._lane_groups(probs, weights, [pr.triples for pr in probs])
-    assert [members for members, *_ in groups] == [[2], [1], [0, 3]]
-    for members, w, r, rtil in groups:
-        ref = [(np.repeat(weights[p], probs[p].N, axis=0),
-                np.concatenate([probs[p].triples.r[k].T
-                                for k in range(probs[p].K)]),
-                np.concatenate([probs[p].triples.rtil[k].transpose(1, 0, 2)
-                                for k in range(probs[p].K)]))
-               for p in members]
-        for got, want in zip((w, r, rtil), zip(*ref)):
-            want = np.concatenate(want)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+def test_lane_inputs_equal_per_sector_transposes():
+    probs = [_desk(71 + s, 2, 3, n_rbs=4) for s in range(3)]
+    weights = np.stack([pr.weights * 0.5 for pr in probs])
+    got = co._lane_inputs(weights, [pr.triples for pr in probs])
+    want = [np.concatenate([np.repeat(w, 4, axis=0) for w in weights]),
+            np.concatenate([pr.triples.r[k].T
+                            for pr in probs for k in range(pr.K)]),
+            np.concatenate([pr.triples.rtil[k].transpose(1, 0, 2)
+                            for pr in probs for k in range(pr.K)])]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
