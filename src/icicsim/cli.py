@@ -53,7 +53,7 @@ def _cmd_simulate(args):
 def _cmd_verify(args):
     from . import coordinator as co
     from . import mcnf, oracle
-    from .instances import random_desk_instance
+    from .instances import random_desk_instance, random_desk_instances
 
     quick = args.quick
     failures = []
@@ -90,8 +90,8 @@ def _cmd_verify(args):
           oracle.lane_engine_check(300 if quick else 3_000, seed=13) == 0)
 
     # three 2-user instances of one shape: one lane call per master pass
-    probs = [random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
-                                  k_tilde=2, seed=60 + s) for s in range(3)]
+    probs = random_desk_instances([60, 61, 62], n_sectors=6,
+                                  users_per_sector=2, n_rbs=2, k_tilde=2)
     ok = all(not oracle.batch_mismatches(probs, co.IcicConfig(
         n_iter=3 if quick else 5, runs=2, quantize_exchange=quantize,
         quant_bits=6)) for quantize in (False, True))
@@ -137,7 +137,7 @@ def _cmd_verify(args):
 def _cmd_gapbench(args):
     from . import coordinator as co
     from . import oracle
-    from .instances import random_desk_instance
+    from .instances import random_desk_instances
     from .schema import ConfigError
 
     try:
@@ -153,9 +153,9 @@ def _cmd_gapbench(args):
     except OSError as exc:
         return _config_error(f"--out: {exc}")
 
-    probs = [random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
-                                  k_tilde=2, seed=args.seed + s)
-             for s in range(args.instances)]
+    probs = random_desk_instances(
+        range(args.seed, args.seed + args.instances), n_sectors=12,
+        users_per_sector=2, n_rbs=2, k_tilde=2)
     optima = [oracle.exhaustive_bound(p).value for p in probs]
     results = co.run_rounds(probs, icic)
     gaps = {1: [], 2: []}

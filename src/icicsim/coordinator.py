@@ -26,12 +26,13 @@ the closed form must be optimal, and its value and duals must match the
 flow solve's within a stated tolerance (`oracle.lane_mismatches`). The
 master loop itself never calls it.
 
-Independent rounds of one shape (the same K, M, N and neighbor sets)
-run as a lockstep batch: `run_rounds` holds the master state of P
-problems as (P, K, N) arrays and advances them together, including the
-`runs=2` re-run, where each problem keeps its own masked channel and
-frozen set. Each pass is one lane call, one exchange and one master
-step for the whole batch. These steps are elementwise; the master
+Independent rounds of one shape (the same K, M, N, neighbor sets, radio
+and AMC table) run as a lockstep batch: `run_rounds` holds the master
+state of P problems as (P, K, N) arrays and advances them together,
+including the `runs=2` re-run, where each problem keeps its own masked
+channel and frozen set, and the masked rate triples of all P come from
+one stacked call. Each pass is one lane call, one exchange and one
+master step for the whole batch. These steps are elementwise; the master
 values, rounding scores and final schedules stay per problem, and each
 master value is summed in its own (k, n) order, so a batched result
 equals the round run alone bit for bit. `run_coordination` is a batch
@@ -353,23 +354,27 @@ def _quantize(values, bits, vmax=None, axis=None):
 
 
 def _check_one_shape(problems):
-    """Refuse a batch whose problems differ in K, M, N or neighbor sets."""
+    """Refuse a batch whose problems differ in K, M, N, neighbor sets,
+    radio or AMC table."""
+    first = problems[0]
     dims = [(*pr.weights.shape, pr.N) for pr in problems]
     for p, pr in enumerate(problems):
         if dims[p] != dims[0]:
             raise ValueError(f"problem {p} has (K, M, N) = {dims[p]}, "
                              f"problem 0 has {dims[0]}")
-        if not np.array_equal(pr.neighbors.nbr, problems[0].neighbors.nbr):
+        if not np.array_equal(pr.neighbors.nbr, first.neighbors.nbr):
             raise ValueError(f"problem {p} has other neighbor sets than "
                              f"problem 0")
+        if pr.radio != first.radio or pr.amc is not first.amc:
+            raise ValueError(f"problem {p} has another radio or AMC table "
+                             f"than problem 0")
 
 
-def _lane_inputs(weights, triples):
+def _lane_inputs(weights, r, rtil):
     """The fixed lane inputs of a batch: w and r (L, M) and rtil
     (L, M, K_tilde), for the L = P*K*N lanes in (p, k, n) order, from
-    the (P, K, M) weights and a list of the problems' rate triples."""
-    r = np.stack([tr.r for tr in triples])              # (P, K, M, N)
-    rtil = np.stack([tr.rtil for tr in triples])        # (P, K, M, N, Kt)
+    the (P, K, M) weights and the stacked rate triples r (P, K, M, N)
+    and rtil (P, K, M, N, K_tilde)."""
     m, n_rb, kt = rtil.shape[2:]
     return (np.repeat(weights, n_rb, axis=1).reshape(-1, m),
             r.transpose(0, 1, 3, 2).reshape(-1, m),
@@ -438,15 +443,18 @@ def _subgradient_run(lane_in, neighbors, config, init, frozen=None):
     return blanking, values, np.stack(rounded, axis=1)
 
 
-def _masked_triples(problem, blank1):
-    """The re-run's rate triples: every gain from a sector blanked in
-    `blank1` zeroed, serving gains kept."""
-    gains = problem.gains                               # (K, M, N, K)
-    masked = gains * (1.0 - blank1.astype(float).T)
-    own = np.arange(problem.K)
-    masked[own, :, :, own] = gains[own, :, :, own]
-    return precompute_rate_triples(masked, problem.radio, problem.neighbors,
-                                   problem.amc)
+def _masked_triples(problems, blank1):
+    """The re-run's stacked rate triples of a batch of one shape, in one
+    `precompute_rate_triples` call: in problem p every gain from a sector
+    blanked in blank1[p] (P, K, N) is zeroed, serving gains kept."""
+    gains = np.stack([pr.gains for pr in problems])     # (P, K, M, N, K)
+    masked = gains * (1.0 - blank1.astype(float).transpose(0, 2, 1)
+                      [:, None, None])
+    own = np.arange(gains.shape[1])
+    masked[:, own, :, :, own] = gains[:, own, :, :, own]
+    first = problems[0]
+    return precompute_rate_triples(masked, first.radio, first.neighbors,
+                                   first.amc)
 
 
 def _scored(problem, weights, rounded):
@@ -477,13 +485,14 @@ def run_rounds(problems, config, warm_starts=None):
     """Coordinated rounds of independent problems of one shape, advanced
     in lockstep.
 
-    The problems must share K, M, N and the neighbor sets; any other
-    batch is a ValueError that names the mismatch. The master state is
-    held as (P, K, N) arrays, so each master pass is one lane call, one
-    exchange and one master step for the whole batch (see
-    `_subgradient_run`). The master values, rounding scores and final
-    schedules stay per problem, and the batched steps are elementwise,
-    so each result equals a round of that problem alone, bit for bit.
+    The problems must share K, M, N, the neighbor sets, the radio and
+    the AMC table; any other batch is a ValueError that names the
+    mismatch. The master state is held as (P, K, N) arrays, so each
+    master pass is one lane call, one exchange and one master step for
+    the whole batch (see `_subgradient_run`). The master values,
+    rounding scores and final schedules stay per problem, and the
+    batched steps are elementwise, so each result equals a round of
+    that problem alone, bit for bit.
     Returns one IcicResult per problem, in order.
 
     warm_starts: optional list, per problem None or a (K, N) fractional
@@ -502,7 +511,9 @@ def run_rounds(problems, config, warm_starts=None):
     scales, weights, inits = zip(*[
         _round_start(pr, ws) for pr, ws in zip(problems, warm_starts)])
     stacked_weights = np.stack(weights)
-    lane_in = _lane_inputs(stacked_weights, [pr.triples for pr in problems])
+    lane_in = _lane_inputs(stacked_weights,
+                           np.stack([pr.triples.r for pr in problems]),
+                           np.stack([pr.triples.rtil for pr in problems]))
     finals, values, rounded = _subgradient_run(lane_in, nmap, config,
                                                np.stack(inits))
     candidates = [_scored(pr, w, rnd)
@@ -520,8 +531,8 @@ def run_rounds(problems, config, warm_starts=None):
     if config.runs == 2:
         blank1 = np.stack([max(cands, key=lambda c: c[1])[0]
                            for cands in candidates])
-        lane_in = _lane_inputs(stacked_weights, [
-            _masked_triples(pr, b) for pr, b in zip(problems, blank1)])
+        masked = _masked_triples(problems, blank1)
+        lane_in = _lane_inputs(stacked_weights, masked.r, masked.rtil)
         _, _, rounded2 = _subgradient_run(
             lane_in, nmap, config, finals, frozen=blank1.astype(bool))
         # the re-run's iterates are scored on the true channel

@@ -3,9 +3,9 @@ the per-(sector, user, RB) rate triples the coordinator consumes.
 
 The triples are laid out like the channel gains, with a leading sector
 axis: one (K, M, N) array of all-on rates and one (K, M, N, K_tilde)
-array of extra rates. `precompute_rate_triples` writes every user's
-SINRs into these buffers sector by sector and then makes one AMC lookup
-for each of the two.
+array of extra rates, behind any leading axes of a stack of problems.
+`precompute_rate_triples` writes every user's SINRs into these buffers
+sector by sector and then makes one AMC lookup for each of the two.
 
 All channel gains are linear power gains. Blanking indicators are 1 when
 a sector leaves the RB unused. The exact SINR sums interference over
@@ -162,6 +162,8 @@ class RateTriples:
 
     r     (K, M, N)          rate if all sectors use the RB
     rtil  (K, M, N, K_tilde) additional rate if only that neighbor blanks
+
+    A stack of problems puts its leading axes in front of both.
     """
 
     r: np.ndarray
@@ -169,20 +171,22 @@ class RateTriples:
 
 
 def precompute_rate_triples(gains, radio, neighbors, amc):
-    """Build RateTriples from the (K, M, N, K) gain tensor.
+    """Build RateTriples from the (..., K, M, N, K) gain tensor.
 
     Column j of the last axis holds the gain from sector j, so column k
-    of gains[k] is the serving gain. neighbors: NeighborMap-like with
+    of gains[..., k, :, :, :] is the serving gain. Leading axes, if any,
+    hold a stack of problems with the same neighbor sets, and the
+    triples get the same leading axes. neighbors: NeighborMap-like with
     .nbr (K, K_tilde) int array.
 
     Each denominator sums the same gains in the same order as a boolean
     mask over the columns would: per sector, one gather of every column
     but k and one (K_tilde, K - 2) gather of every column but k and the
-    neighbor. The SINRs go into (K, M, ...) buffers, so the AMC lookup
-    runs once for r and once for rtil over all users.
+    neighbor. The SINRs go into (..., K, M, ...) buffers, so the AMC
+    lookup runs once for r and once for rtil over all users.
     """
     p_c, p_n = radio.p_c_watts, radio.p_n_watts
-    n_sec, m, n_rb, _ = gains.shape
+    *batch, n_sec, m, n_rb, _ = gains.shape
     nbr = np.asarray(neighbors.nbr)
     k_tilde = nbr.shape[1]
     # others[k]: every column but k; removed[k, pos]: also without nbr[k, pos]
@@ -191,14 +195,15 @@ def precompute_rate_triples(gains, radio, neighbors, amc):
     keep = others[:, None, :] != nbr[:, :, None]
     removed = np.broadcast_to(others[:, None, :], keep.shape)[keep].reshape(
         n_sec, k_tilde, n_sec - 2)
-    gamma = np.empty((n_sec, m, n_rb))
-    gamma_t = np.empty((n_sec, m, n_rb, k_tilde))
-    for k, g in enumerate(gains):
-        serving = p_c * g[:, :, k]
-        total_int = p_c * g[:, :, others[k]].sum(axis=2)       # (M, N)
-        gamma[k] = serving / (total_int + p_n)
-        removed_int = p_c * g[:, :, removed[k]].sum(axis=3)      # (M, N, Kt)
-        gamma_t[k] = serving[:, :, None] / (removed_int + p_n)
+    gamma = np.empty((*batch, n_sec, m, n_rb))
+    gamma_t = np.empty((*batch, n_sec, m, n_rb, k_tilde))
+    for k in range(n_sec):
+        g = gains[..., k, :, :, :]
+        serving = p_c * g[..., k]
+        total_int = p_c * g[..., others[k]].sum(axis=-1)       # (.., M, N)
+        gamma[..., k, :, :] = serving / (total_int + p_n)
+        removed_int = p_c * g[..., removed[k]].sum(axis=-1)     # (.., M, N, Kt)
+        gamma_t[..., k, :, :, :] = serving[..., None] / (removed_int + p_n)
     r = amc.rate_linear(gamma)
     rtil = amc.rate_linear(gamma_t) - r[..., None]
     return RateTriples(r=r, rtil=rtil)

@@ -129,7 +129,8 @@ def test_criterion_5_subgradient_inequality():
         base = rng.random((k_sec, 1))
         # the flow solve per subproblem, and the closed-form lane pass of
         # the master loop
-        lane_in = co._lane_inputs(weights[None], [prob.triples])
+        lane_in = co._lane_inputs(weights[None], prob.triples.r[None],
+                                  prob.triples.rtil[None])
 
         def lane_pass(blanking):
             lam_eq, lam_nbr, value, _ = co._solve_pass(

@@ -9,7 +9,8 @@ import pytest
 from icicsim import coordinator as co
 from icicsim import lanes, mcnf, oracle
 from icicsim.fairsched import local_schedule
-from icicsim.instances import random_desk_instance
+from icicsim.instances import random_desk_instance, random_desk_instances
+from icicsim.linkadapt import DEFAULT_AMC_ROWS, AmcTable, RadioConfig
 from icicsim.network import NeighborMap, NetworkDims, ring_neighbor_map
 
 
@@ -326,9 +327,8 @@ def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
 
 def _batch_problems(count=5):
     """A batch of one shape: K = 8, M = 3, N = 2 and K_tilde = 3."""
-    return [random_desk_instance(n_sectors=8, users_per_sector=3, n_rbs=2,
-                                 k_tilde=3, seed=81 + s)
-            for s in range(count)]
+    return random_desk_instances(range(81, 81 + count), n_sectors=8,
+                                 users_per_sector=3, n_rbs=2, k_tilde=3)
 
 
 @pytest.mark.parametrize("config", [
@@ -377,6 +377,14 @@ def _other_neighbor_sets():
         gains=prob.gains, radio=prob.radio)
 
 
+def _other_link(radio=None, amc=None):
+    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
+                                k_tilde=2, seed=5)
+    return co.CoordinationProblem(
+        neighbors=prob.neighbors, weights=prob.weights, gains=prob.gains,
+        radio=radio or prob.radio, amc=amc)
+
+
 @pytest.mark.parametrize("other, named", [
     (lambda: random_desk_instance(n_sectors=8, users_per_sector=2, n_rbs=2,
                                   k_tilde=2, seed=5), "(K, M, N) = (8, 2, 2)"),
@@ -387,7 +395,11 @@ def _other_neighbor_sets():
     (lambda: random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                   k_tilde=3, seed=5), "other neighbor sets"),
     (_other_neighbor_sets, "other neighbor sets"),
-], ids=["K", "M", "N", "k_tilde", "neighbor_sets"])
+    (lambda: _other_link(radio=RadioConfig(p_c_watts=2.0, p_n_watts=0.01)),
+     "another radio or AMC table"),
+    (lambda: _other_link(amc=AmcTable(DEFAULT_AMC_ROWS)),
+     "another radio or AMC table"),
+], ids=["K", "M", "N", "k_tilde", "neighbor_sets", "radio", "amc"])
 def test_run_rounds_refuses_a_batch_of_mixed_shapes(other, named):
     first = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                  k_tilde=2, seed=4)
@@ -458,7 +470,8 @@ def test_quantized_exchange_toggle():
 
 
 def _lane_inputs(prob):
-    return co._lane_inputs(prob.weights[None], [prob.triples])
+    return co._lane_inputs(prob.weights[None], prob.triples.r[None],
+                           prob.triples.rtil[None])
 
 
 def _lane_pass(prob, blanking, config):

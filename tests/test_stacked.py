@@ -1,10 +1,11 @@
 """Stacked scoring and rate triples against the loops they replaced.
 
 `bound_objective` scores a stack of blankings over all sectors at once,
-`precompute_rate_triples` writes every user's SINRs into (K, M, ...)
-buffers before one AMC lookup, the lane inputs and the re-run's masked
-channel are read from the (K, M, ...) arrays, and `exhaustive_bound`
-scores each neighbor pattern once. The references below are the per-candidate,
+`precompute_rate_triples` writes every user's SINRs into (..., K, M, ...)
+buffers before one AMC lookup, also for a stack of problems, the lane
+inputs and the re-run's masked channel are read from the stacked
+(P, K, M, ...) arrays, and `exhaustive_bound` scores each neighbor
+pattern once. The references below are the per-candidate,
 per-sector and per-pattern versions, and the new code must equal them
 bit for bit.
 """
@@ -15,7 +16,7 @@ import pytest
 from icicsim import coordinator as co
 from icicsim import network as nw
 from icicsim import oracle
-from icicsim.instances import random_desk_instance
+from icicsim.instances import random_desk_instance, random_desk_instances
 from icicsim.linkadapt import (RadioConfig, default_amc_table,
                                precompute_rate_triples)
 
@@ -151,29 +152,59 @@ def test_exhaustive_bound_equals_full_pattern_scoring(k_tilde):
 
 
 def test_masked_triples_equal_per_sector_masking():
-    for prob in (_desk(60, 2, 1, n_rbs=6), _desk(61, 2, 3, n_rbs=6),
-                 random_desk_instance(n_sectors=8, users_per_sector=2,
-                                      n_rbs=6, k_tilde=3, seed=62)):
+    # one stacked call for a batch of three, each with its own blanking
+    for probs in (random_desk_instances([60, 61, 62], n_sectors=6,
+                                        users_per_sector=1, n_rbs=6),
+                  random_desk_instances([63, 64, 65], n_sectors=6,
+                                        users_per_sector=3, n_rbs=6),
+                  random_desk_instances([66, 67, 68], n_sectors=8,
+                                        users_per_sector=2, n_rbs=6,
+                                        k_tilde=3)):
+        prob = probs[0]
         rng = np.random.default_rng(63)
-        blank1 = (rng.random((prob.K, prob.N)) < 0.4).astype(np.int8)
-        off = blank1.astype(float).T[None, :, :]
-        masked = []
-        for k, g in enumerate(prob.gains):
-            masked.append(g * (1.0 - off))
-            masked[k][:, :, k] = g[:, :, k]
-        ref_r, ref_rtil = _triples_per_sector(masked, prob.radio,
-                                              prob.neighbors, _SinrTable())
-        prob.amc = _SinrTable()
-        got = co._masked_triples(prob, blank1)
-        for k in range(prob.K):
-            assert got.r[k].tobytes() == ref_r[k].tobytes()
-            assert got.rtil[k].tobytes() == ref_rtil[k].tobytes()
+        blank1 = (rng.random((3, prob.K, prob.N)) < 0.4).astype(np.int8)
+        for pr in probs:
+            pr.amc = _SinrTable()
+        got = co._masked_triples(probs, blank1)
+        assert got.r.shape == (3, *prob.triples.r.shape)
+        for p, pr in enumerate(probs):
+            off = blank1[p].astype(float).T[None, :, :]
+            masked = []
+            for k, g in enumerate(pr.gains):
+                masked.append(g * (1.0 - off))
+                masked[k][:, :, k] = g[:, :, k]
+            ref_r, ref_rtil = _triples_per_sector(masked, pr.radio,
+                                                  pr.neighbors, _SinrTable())
+            for k in range(pr.K):
+                assert got.r[p, k].tobytes() == ref_r[k].tobytes()
+                assert got.rtil[p, k].tobytes() == ref_rtil[k].tobytes()
+
+
+@pytest.mark.parametrize("amc", [default_amc_table(), _SinrTable()],
+                         ids=["amc", "sinr"])
+@pytest.mark.parametrize("n_sec, k_tilde", [(6, 2), (9, 4), (12, 4)])
+def test_stacked_triples_equal_single_calls(n_sec, k_tilde, amc):
+    # K - 1 below 8 and at least 8, so the pairwise sums differ in shape
+    rng = np.random.default_rng(100 + n_sec)
+    users = 1 + n_sec % 4
+    stack = np.stack([_gains(rng, users, 5, n_sec) for _ in range(4)])
+    nmap = nw.ring_neighbor_map(n_sec, k_tilde)
+    got = precompute_rate_triples(stack, RADIO, nmap, amc)
+    assert got.r.shape == (4, n_sec, users, 5)
+    assert got.rtil.shape == (4, n_sec, users, 5, k_tilde)
+    for p, gains in enumerate(stack):
+        one = precompute_rate_triples(gains, RADIO, nmap, amc)
+        assert got.r[p].tobytes() == one.r.tobytes()
+        assert got.rtil[p].tobytes() == one.rtil.tobytes()
 
 
 def test_lane_inputs_equal_per_sector_transposes():
-    probs = [_desk(71 + s, 2, 3, n_rbs=4) for s in range(3)]
+    probs = random_desk_instances([71, 72, 73], n_sectors=6,
+                                  users_per_sector=3, n_rbs=4)
     weights = np.stack([pr.weights * 0.5 for pr in probs])
-    got = co._lane_inputs(weights, [pr.triples for pr in probs])
+    got = co._lane_inputs(weights,
+                          np.stack([pr.triples.r for pr in probs]),
+                          np.stack([pr.triples.rtil for pr in probs]))
     want = [np.concatenate([np.repeat(w, 4, axis=0) for w in weights]),
             np.concatenate([pr.triples.r[k].T
                             for pr in probs for k in range(pr.K)]),
