@@ -32,11 +32,13 @@ state of P problems as (P, K, N) arrays and advances them together,
 including the `runs=2` re-run, where each problem keeps its own masked
 channel and frozen set, and the masked rate triples of all P come from
 one stacked call. Each pass is one lane call, one exchange and one
-master step for the whole batch. These steps are elementwise; the master
-values, rounding scores and final schedules stay per problem, and each
-master value is summed in its own (k, n) order, so a batched result
-equals the round run alone bit for bit. `run_coordination` is a batch
-of one.
+master step for the whole batch, and each run's rounded iterates of all
+P are scored by one `bound_objective` call and picked by argmax over the
+(P, C) scores. These steps are elementwise or keep each problem's own
+float order (each master value and score is summed in its own (k, n)
+order), so a batched result equals the round run alone bit for bit; only
+the final schedules and the reports are built per problem.
+`run_coordination` is a batch of one.
 
 The master consumes one dual per subproblem balance constraint: the
 subgradient of the summed sector values with respect to I[k] is the
@@ -60,7 +62,8 @@ import numpy as np
 
 from . import lanes, mcnf
 from .fairsched import local_schedule
-from .linkadapt import default_amc_table, precompute_rate_triples
+from .linkadapt import (RateTriples, default_amc_table,
+                        precompute_rate_triples)
 from .schema import check_fields, rule
 
 
@@ -228,37 +231,40 @@ def bound_objective(weights, triples, blanking, neighbors):
     """Bound-problem value of a binary blanking with optimal local picks.
 
     For each live (sector, RB): the best user counting the single
-    strongest blanked neighbor's extra rate. `blanking` is one (K, N)
-    pattern, which gives a float, or a stack of C patterns (C, K, N),
-    which gives (C,) values.
+    strongest blanked neighbor's extra rate. `blanking` is (..., K, N)
+    under any leading axes, and the value has those leading axes; a
+    single (K, N) pattern gives a float. weights (..., K, M) and the
+    triples r (..., K, M, N) and rtil (..., K, M, N, K_tilde) broadcast
+    over the same leading axes, so a batch of P problems scores its
+    (P, C, K, N) candidates with weights (P, 1, K, M) and triples
+    (P, 1, ...).
 
-    weights: (K, M). All sectors are scored together on the triples
-    (products and maxima are exact); the credit is a running maximum over
-    the K_tilde neighbor positions. Each sector total sums only the live
-    RBs of its pattern: rows with the same live count are summed
-    together, and a row sum adds the same values in the same order as a
-    1-D sum, so each value equals scoring its pattern alone bit for bit.
-    The sector totals are added one at a time, in sector order.
+    All sectors are scored together on the triples (products and maxima
+    are exact); the credit is a running maximum over the K_tilde
+    neighbor positions. Each sector total sums only the live RBs of its
+    pattern: rows with the same live count are summed together, and a
+    row sum adds the same values in the same order as a 1-D sum, so each
+    value equals scoring its pattern alone bit for bit. The sector
+    totals are added one at a time, in sector order.
     """
     blanking = np.asarray(blanking)
-    stack = blanking if blanking.ndim == 3 else blanking[None]
-    nbr_rows = stack[:, neighbors.nbr][:, :, None]         # (C, K, 1, Kt, N)
-    credit = triples.rtil[..., 0] * nbr_rows[..., 0, :]    # (C, K, M, N)
+    nbr_rows = blanking[..., neighbors.nbr, :][..., None, :, :]
+    credit = triples.rtil[..., 0] * nbr_rows[..., 0, :]  # (..., K, M, N)
     for pos in range(1, neighbors.k_tilde):
         np.maximum(credit, triples.rtil[..., pos] * nbr_rows[..., pos, :],
                    out=credit)
-    best = ((triples.r + credit) * weights[:, :, None]).max(axis=2)
-    live = stack == 0
-    counts = live.sum(axis=2)
+    best = ((triples.r + credit) * weights[..., None]).max(axis=-2)
+    live = blanking == 0
+    counts = live.sum(axis=-1)                          # (..., K)
     sector_total = np.zeros(counts.shape)
     for n_live in np.unique(counts[counts > 0]).tolist():
         rows = counts == n_live
         sector_total[rows] = best[rows][live[rows]].reshape(
             -1, n_live).sum(axis=1)
-    total = np.zeros(stack.shape[0])
+    total = np.zeros(counts.shape[:-1])
     for k in range(neighbors.K):
-        total += sector_total[:, k]
-    return total if blanking.ndim == 3 else float(total[0])
+        total += sector_total[..., k]
+    return total if total.ndim else float(total)
 
 
 def finalize_schedule(gains, weights, radio, amc, blanking):
@@ -457,30 +463,6 @@ def _masked_triples(problems, blank1):
                                    first.amc)
 
 
-def _scored(problem, weights, rounded):
-    """(blanking, bound value) of each rounded iterate (C, K, N) of one
-    run, all scored by one bound_objective call."""
-    values = bound_objective(weights, problem.triples, rounded,
-                             problem.neighbors)
-    return list(zip(rounded, values.tolist()))
-
-
-def _round_start(problem, warm_start):
-    """Weight scale, normalised master weights and initial blanking (the
-    clipped warm start, else all zeros: reuse-1) of one round."""
-    scale = 1.0
-    weights = problem.weights
-    mean = float(np.mean(weights[:, :, None] * problem.triples.r))
-    if mean > 0:
-        scale = mean
-        weights = weights / scale
-    if warm_start is None:
-        init = np.zeros((problem.K, problem.N))
-    else:
-        init = np.clip(np.asarray(warm_start, dtype=float), 0.0, 1.0)
-    return scale, weights, init
-
-
 def run_rounds(problems, config, warm_starts=None):
     """Coordinated rounds of independent problems of one shape, advanced
     in lockstep.
@@ -489,10 +471,13 @@ def run_rounds(problems, config, warm_starts=None):
     the AMC table; any other batch is a ValueError that names the
     mismatch. The master state is held as (P, K, N) arrays, so each
     master pass is one lane call, one exchange and one master step for
-    the whole batch (see `_subgradient_run`). The master values,
-    rounding scores and final schedules stay per problem, and the
-    batched steps are elementwise, so each result equals a round of
-    that problem alone, bit for bit.
+    the whole batch (see `_subgradient_run`), and each run's rounded
+    iterates of every problem are scored by one `bound_objective` call,
+    as a (P, C) array from which the picks are argmax and running-max
+    reductions along C. Only the final schedules and the reports are
+    built per problem. Every step is elementwise or keeps each problem's
+    own float order, so each result equals a round of that problem
+    alone, bit for bit.
     Returns one IcicResult per problem, in order.
 
     warm_starts: optional list, per problem None or a (K, N) fractional
@@ -507,73 +492,60 @@ def run_rounds(problems, config, warm_starts=None):
     if not problems:
         return []
     _check_one_shape(problems)
-    nmap = problems[0].neighbors
-    scales, weights, inits = zip(*[
-        _round_start(pr, ws) for pr, ws in zip(problems, warm_starts)])
-    stacked_weights = np.stack(weights)
-    lane_in = _lane_inputs(stacked_weights,
-                           np.stack([pr.triples.r for pr in problems]),
-                           np.stack([pr.triples.rtil for pr in problems]))
-    finals, values, rounded = _subgradient_run(lane_in, nmap, config,
-                                               np.stack(inits))
-    candidates = [_scored(pr, w, rnd)
-                  for pr, w, rnd in zip(problems, weights, rounded)]
+    first = problems[0]
+    nmap, k_sec, n_rb = first.neighbors, first.K, first.N
+    r = np.stack([pr.triples.r for pr in problems])         # (P, K, M, N)
+    rtil = np.stack([pr.triples.rtil for pr in problems])
+    # master weights are normalised by each problem's mean weighted rate
+    mean = np.array([np.mean(pr.weights[:, :, None] * r_p)
+                     for pr, r_p in zip(problems, r)])
+    scale = np.where(mean > 0, mean, 1.0)
+    weights = np.stack([pr.weights for pr in problems]) / scale[:, None, None]
+    # the clipped warm start, else all zeros: reuse-1
+    init = np.stack([np.zeros((k_sec, n_rb)) if ws is None else
+                     np.clip(np.asarray(ws, dtype=float), 0.0, 1.0)
+                     for ws in warm_starts])
+    # a run's rounded iterates (P, C, K, N) are scored on the true channel;
+    # the weights and triples broadcast over C
+    true_channel = RateTriples(r=r[:, None], rtil=rtil[:, None])
+
+    def score(rounded):
+        return bound_objective(weights[:, None], true_channel, rounded, nmap)
+
+    lane_in = _lane_inputs(weights, r, rtil)
+    finals, values, rounded = _subgradient_run(lane_in, nmap, config, init)
+    scores = score(rounded)
     if config.n_iter > 0:
         # bookkeeping only: the final value and x/y, no exchange
         _, _, final_value, xy = _solve_pass(lane_in, nmap.nbr, finals,
                                             config)
-        values = np.column_stack(values + [final_value]).tolist()
+        values = np.column_stack(values + [final_value])
         binary = _binary_fraction((*xy, finals))
     else:
-        values = [[cands[0][1]] for cands in candidates]
+        values = scores[:, :1]
         binary = [1.0] * len(problems)
+    # best rounded value after each iterate of the first run
+    p_hat_hist = (np.maximum.accumulate(scores, axis=1)
+                  * scale[:, None]).tolist()
+    batch = np.arange(len(problems))
 
     if config.runs == 2:
-        blank1 = np.stack([max(cands, key=lambda c: c[1])[0]
-                           for cands in candidates])
+        blank1 = rounded[batch, scores.argmax(axis=1)]
         masked = _masked_triples(problems, blank1)
-        lane_in = _lane_inputs(stacked_weights, masked.r, masked.rtil)
+        lane_in = _lane_inputs(weights, masked.r, masked.rtil)
         _, _, rounded2 = _subgradient_run(
             lane_in, nmap, config, finals, frozen=blank1.astype(bool))
-        # the re-run's iterates are scored on the true channel
-        for pr, w, cands, rnd in zip(problems, weights, candidates,
-                                     rounded2):
-            cands += _scored(pr, w, rnd)
+        rounded = np.concatenate([rounded, rounded2], axis=1)
+        scores = np.concatenate([scores, score(rounded2)], axis=1)
 
-    return [_round_result(*args, config) for args in zip(
-        problems, weights, scales, candidates, values, finals, binary)]
+    # argmax takes the first maximum, as max() over the iterates would
+    pick = scores.argmax(axis=1)
+    i_star = rounded[batch, pick]
+    p_hat = scores[batch, pick]
+    p_relaxed = np.maximum(values.max(axis=1), p_hat)
 
-
-def _round_result(problem, weights, scale, candidates, values, final_i,
-                  binary_fraction, config):
-    """Pick the rounding, schedule it on exact rates, and report."""
-    k_sec, n_rb = problem.K, problem.N
-    nmap = problem.neighbors
-    m_bar = float(weights.shape[1])
-    i_star, p_hat = max(candidates, key=lambda c: c[1])
-
-    p_hat_hist, best = [], -np.inf
-    for _, v in candidates[:config.n_iter + 1]:
-        best = max(best, v)
-        p_hat_hist.append(best * scale)
-    p_relaxed = max(max(values), p_hat)
-    gap_hist = [optimality_gap(p_relaxed, v / scale) if p_relaxed > 0
-                else 0.0 for v in p_hat_hist]
-
-    gap = GapReport(
-        p_relaxed=p_relaxed * scale,
-        p_hat=p_hat * scale,
-        gap_bound_percent=optimality_gap(p_relaxed, p_hat)
-        if p_relaxed > 0 else 0.0,
-        binary_fraction=binary_fraction,
-        binary_guarantee_percent=binary_share_guarantee(m_bar, nmap.k_tilde),
-        gap_history=gap_hist,
-        p_hat_history=p_hat_hist,
-    )
-
-    assignments, rates, objective = finalize_schedule(
-        problem.gains, problem.weights, problem.radio, problem.amc, i_star)
-
+    m_bar = float(first.weights.shape[1])
+    guarantee = binary_share_guarantee(m_bar, nmap.k_tilde)
     overhead = overhead_report(m_bar, nmap.k_tilde, n_rb, config)
     # per iteration of each run every sector sends K_tilde*N duals and
     # its K_tilde*N blanking levels
@@ -581,9 +553,27 @@ def _round_result(problem, weights, scale, candidates, values, final_i,
         config.runs * 2 * config.n_iter * k_sec * nmap.k_tilde * n_rb
     overhead.simulated_bits = overhead.simulated_values * config.quant_bits
 
-    return IcicResult(blanking=i_star, assignments=assignments,
-                      exact_rates=rates, realized_objective=objective,
-                      gap=gap, overhead=overhead, warm_start=final_i)
+    results = []
+    for pr, rel, hat, s, hist, frac, blank, final in zip(
+            problems, p_relaxed.tolist(), p_hat.tolist(), scale.tolist(),
+            p_hat_hist, binary, i_star, finals):
+        gap = GapReport(
+            p_relaxed=rel * s,
+            p_hat=hat * s,
+            gap_bound_percent=optimality_gap(rel, hat) if rel > 0 else 0.0,
+            binary_fraction=frac,
+            binary_guarantee_percent=guarantee,
+            gap_history=[optimality_gap(rel, v / s) if rel > 0 else 0.0
+                         for v in hist],
+            p_hat_history=hist,
+        )
+        assignments, rates, objective = finalize_schedule(
+            pr.gains, pr.weights, pr.radio, pr.amc, blank)
+        results.append(IcicResult(
+            blanking=blank, assignments=assignments, exact_rates=rates,
+            realized_objective=objective, gap=gap, overhead=overhead,
+            warm_start=final))
+    return results
 
 
 def run_coordination(problem, config, warm_start=None):

@@ -5,7 +5,7 @@ A field built with ``rule(default, ge=..., gt=..., le=..., lt=...,
 choices=...)`` carries its rule in the field metadata. ``check_fields``
 checks every field of a dataclass instance against its rule and raises
 ``ConfigError`` naming the first bad one. Every float value must be
-finite, ruled or not; tuple values are checked element by element.
+finite, ruled or not.
 """
 
 import math
@@ -54,7 +54,6 @@ def check_fields(obj):
     """Raise ConfigError for the first field of ``obj`` breaking its rule."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        for v in value if isinstance(value, tuple) else (value,):
-            why = _violation(v, f.metadata)
-            if why:
-                raise ConfigError(f"{f.name} = {value!r}: {why}", key=f.name)
+        why = _violation(value, f.metadata)
+        if why:
+            raise ConfigError(f"{f.name} = {value!r}: {why}", key=f.name)

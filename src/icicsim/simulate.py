@@ -38,6 +38,8 @@ from .schema import ConfigError, check_fields, rule, rule_of
 
 
 SCHEMES = ("proposed", "reuse1", "reuse3", "pfr")
+PERCENTILES = (5.0, 50.0, 95.0)     # reported user throughput percentiles
+RMIN_GRID = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07)  # outage, bit/s/Hz
 GROUP_LANES = 1024      # subproblems per lockstep round of a drop group
 
 
@@ -81,20 +83,10 @@ class ScenarioConfig:
 
 
 @dataclass
-class MetricsConfig:
-    percentiles: tuple = rule((5.0, 50.0, 95.0), gt=0, lt=100)
-    rmin_grid: tuple = (0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07)
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-@dataclass
 class SimConfig:
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     scheduler: WeightPolicy = field(default_factory=WeightPolicy)
     icic: IcicConfig = field(default_factory=IcicConfig)
-    metrics: MetricsConfig = field(default_factory=MetricsConfig)
     scheme: str = rule("proposed", choices=SCHEMES)
 
     def __post_init__(self):
@@ -111,8 +103,7 @@ class SimConfig:
         parts = []
         for section, obj in (("scenario", self.scenario),
                              ("scheduler", self.scheduler),
-                             ("icic", self.icic),
-                             ("metrics", self.metrics)):
+                             ("icic", self.icic)):
             for f in fields(obj):
                 parts.append(f"{section}.{f.name} = {getattr(obj, f.name)!r}")
         parts.append(f"run.scheme = {self.scheme!r}")
@@ -121,7 +112,7 @@ class SimConfig:
 
 # config section -> dataclass; "run" holds SimConfig's own keys
 _SECTIONS = {"scenario": ScenarioConfig, "scheduler": WeightPolicy,
-             "icic": IcicConfig, "metrics": MetricsConfig, "run": SimConfig}
+             "icic": IcicConfig, "run": SimConfig}
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
@@ -129,16 +120,13 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
 
 def _kind(ann):
     name = ann if isinstance(ann, str) else getattr(ann, "__name__", "")
-    return {"tuple": tuple, "bool": bool, "int": int,
-            "str": str}.get(name, float)
+    return {"bool": bool, "int": int, "str": str}.get(name, float)
 
 
 def _convert(raw, kind, where):
     try:
         if kind is bool:
             return _BOOL[raw.strip().lower()]
-        if kind is tuple:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
         return kind(raw.strip())
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"{where}: cannot parse {raw!r}") from exc
@@ -415,8 +403,7 @@ def run_simulation(config):
                         "gap_pct": res.gap.gap_bound_percent,
                         "binary_frac": res.gap.binary_fraction,
                         "prop1_bound": res.gap.binary_guarantee_percent})
-                    for k in range(dims.K):
-                        blank_counts[int(d.held[k].sum())] += 1
+                    np.add.at(blank_counts, d.held.sum(axis=1), 1)
 
             for d, tensor, w in zip(batch, tensors, weights):
                 blanking = d.held if static is None else static
@@ -436,12 +423,11 @@ def run_simulation(config):
             user_drop.extend([d.index] * n_users)
             sector_thr[d.index] = user_thr.reshape(dims.K, -1).sum(axis=1)
             if static is not None:
-                for k in range(dims.K):
-                    blank_counts[int(static[k].sum())] += 1
+                np.add.at(blank_counts, static.sum(axis=1), 1)
 
     throughput = np.array(throughput)
     outage = [(float(rmin), float(np.mean(throughput < rmin)))
-              for rmin in config.metrics.rmin_grid]
+              for rmin in RMIN_GRID]
     pmf = blank_counts / blank_counts.sum() if blank_counts.sum() > 0 \
         else blank_counts
     if overhead is None:
@@ -455,7 +441,7 @@ def run_simulation(config):
         throughput_bps_hz=throughput,
         user_sector=np.array(user_sector),
         user_drop=np.array(user_drop),
-        percentiles=_percentiles(throughput, config.metrics.percentiles),
+        percentiles=_percentiles(throughput, PERCENTILES),
         sector_throughput=sector_thr,
         outage=outage,
         blanked_pmf=pmf,
@@ -499,11 +485,8 @@ def emit_reports(report, out_dir):
     # one fairness-setting point per run; sweep runs concatenate rows
     trade = []
     if report.throughput_bps_hz.size:
-        flat = np.sort(report.throughput_bps_hz.ravel())
         trade.append((report.scheme, report.fairness_label,
-                      float(np.percentile(flat, 5)),
-                      float(np.percentile(flat, 50)),
-                      float(np.percentile(flat, 95)),
+                      *(report.percentiles[p] for p in PERCENTILES),
                       float(report.sector_throughput.mean())))
     _write_rows(os.path.join(out_dir, "tradeoff.csv"),
                 ["scheme", "fairness", "cell_edge_bps_hz", "median_bps_hz",

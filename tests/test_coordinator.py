@@ -290,12 +290,12 @@ def _count_calls(monkeypatch, owner, name, counts):
 
 
 def _count_scored(monkeypatch):
-    """The number of stacked patterns of each bound_objective call."""
+    """The shape of the blanking stack of each bound_objective call."""
     scored = []
     original = co.bound_objective
 
     def counted(weights, triples, blanking, neighbors):
-        scored.append(np.shape(blanking)[0])
+        scored.append(np.shape(blanking))
         return original(weights, triples, blanking, neighbors)
 
     monkeypatch.setattr(co, "bound_objective", counted)
@@ -316,13 +316,14 @@ def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
     co.run_coordination(prob, co.IcicConfig(n_iter=n, runs=runs))
     # run 1: n passes plus the closing pass; the re-run has no closing
     # pass. Each run's n + 1 rounded iterates are scored once, by one
-    # call, on the true channel. Only the passes that feed a master step
-    # exchange duals: each sector posts to its K_tilde = 2 neighbors.
+    # call on a (P, n + 1, K, N) stack, on the true channel. Only the
+    # passes that feed a master step exchange duals: each sector posts to
+    # its K_tilde = 2 neighbors.
     passes = {1: n + 1, 2: 2 * n + 1}[runs]
     assert counts == {"solve_lanes": passes,
                       "bound_objective": runs,
                       "post": runs * n * 6 * 2}
-    assert scored == [n + 1] * runs
+    assert scored == [(1, n + 1, 6, 2)] * runs
 
 
 def _batch_problems(count=5):

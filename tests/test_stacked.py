@@ -1,13 +1,15 @@
 """Stacked scoring and rate triples against the loops they replaced.
 
 `bound_objective` scores a stack of blankings over all sectors at once,
+also one stack per problem of a batch, `run_rounds` picks every
+problem's rounding from the batch's (P, C) scores,
 `precompute_rate_triples` writes every user's SINRs into (..., K, M, ...)
 buffers before one AMC lookup, also for a stack of problems, the lane
 inputs and the re-run's masked channel are read from the stacked
 (P, K, M, ...) arrays, and `exhaustive_bound` scores each neighbor
 pattern once. The references below are the per-candidate,
-per-sector and per-pattern versions, and the new code must equal them
-bit for bit.
+per-problem, per-sector and per-pattern versions, and the new code must
+equal them bit for bit.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from icicsim import coordinator as co
 from icicsim import network as nw
 from icicsim import oracle
 from icicsim.instances import random_desk_instance, random_desk_instances
-from icicsim.linkadapt import (RadioConfig, default_amc_table,
+from icicsim.linkadapt import (RadioConfig, RateTriples, default_amc_table,
                                precompute_rate_triples)
 
 RADIO = RadioConfig(p_c_watts=1.0, p_n_watts=0.01)
@@ -99,6 +101,24 @@ def test_bound_objective_stack_equals_per_candidate_loop(users):
     assert got.tobytes() == ref.tobytes()
     one = co.bound_objective(weights, prob.triples, stack[3], prob.neighbors)
     assert type(one) is float and one == ref[3]
+
+    # a (P, C, K, N) stack, each problem with its own weights and triples
+    probs = random_desk_instances([31, 33, 34], n_sectors=6,
+                                  users_per_sector=users, n_rbs=50,
+                                  k_tilde=2)
+    weights = np.stack([pr.weights * rng.uniform(0.1, 3.0, (6, 1))
+                        for pr in probs])
+    stack = _random_blankings(rng, 3 * 7, 6, 50).reshape(3, 7, 6, 50)
+    triples = RateTriples(
+        r=np.stack([pr.triples.r for pr in probs])[:, None],
+        rtil=np.stack([pr.triples.rtil for pr in probs])[:, None])
+    got = co.bound_objective(weights[:, None], triples, stack,
+                             prob.neighbors)
+    ref = np.array([[_bound_objective_one(w, pr.triples, b, pr.neighbors)
+                     for b in cands]
+                    for w, pr, cands in zip(weights, probs, stack)])
+    assert got.shape == (3, 7)
+    assert got.tobytes() == ref.tobytes()
 
 
 def _gains(rng, users, n_rb, n_sec):
@@ -213,3 +233,104 @@ def test_lane_inputs_equal_per_sector_transposes():
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()
+
+
+def _reference_rounds(problems, config, warm_starts):
+    """The per-problem selection `run_rounds` replaced: each problem's
+    weight scale and start, its candidates as (blanking, value) pairs
+    scored one pattern per call, and Python max and a running max for
+    the picks. The master runs themselves are `run_rounds`' own."""
+    nmap = problems[0].neighbors
+    scales, weights, inits = [], [], []
+    for pr, ws in zip(problems, warm_starts):
+        scale, w = 1.0, pr.weights
+        mean = float(np.mean(w[:, :, None] * pr.triples.r))
+        if mean > 0:
+            scale, w = mean, w / mean
+        scales.append(scale)
+        weights.append(w)
+        inits.append(np.zeros((pr.K, pr.N)) if ws is None else
+                     np.clip(np.asarray(ws, dtype=float), 0.0, 1.0))
+
+    def scored(pr, w, rounded):
+        return [(b, co.bound_objective(w, pr.triples, b, nmap))
+                for b in rounded]
+
+    lane_in = co._lane_inputs(np.stack(weights),
+                              np.stack([pr.triples.r for pr in problems]),
+                              np.stack([pr.triples.rtil for pr in problems]))
+    finals, values, rounded = co._subgradient_run(lane_in, nmap, config,
+                                                  np.stack(inits))
+    candidates = [scored(pr, w, rnd)
+                  for pr, w, rnd in zip(problems, weights, rounded)]
+    if config.n_iter > 0:
+        _, _, final_value, _ = co._solve_pass(lane_in, nmap.nbr, finals,
+                                              config)
+        values = np.column_stack(values + [final_value]).tolist()
+    else:
+        values = [[cands[0][1]] for cands in candidates]
+    if config.runs == 2:
+        blank1 = np.stack([max(cands, key=lambda c: c[1])[0]
+                           for cands in candidates])
+        masked = co._masked_triples(problems, blank1)
+        lane_in = co._lane_inputs(np.stack(weights), masked.r, masked.rtil)
+        _, _, rounded2 = co._subgradient_run(
+            lane_in, nmap, config, finals, frozen=blank1.astype(bool))
+        for pr, w, cands, rnd in zip(problems, weights, candidates,
+                                     rounded2):
+            cands += scored(pr, w, rnd)
+
+    picks = []
+    for scale, cands, vals in zip(scales, candidates, values):
+        i_star, p_hat = max(cands, key=lambda c: c[1])
+        hist, best = [], -np.inf
+        for _, v in cands[:config.n_iter + 1]:
+            best = max(best, v)
+            hist.append(best * scale)
+        p_relaxed = max(max(vals), p_hat)
+        gaps = [co.optimality_gap(p_relaxed, v / scale) if p_relaxed > 0
+                else 0.0 for v in hist]
+        picks.append((i_star, p_hat * scale, p_relaxed * scale, hist, gaps))
+    return picks
+
+
+def _coarse_scores(monkeypatch):
+    """Round every bound value down to a multiple of 4 (the values are
+    about 20 to 30 here), so that distinct blankings tie and the pick
+    must take the first of them."""
+    exact = co.bound_objective
+
+    def coarse(*args):
+        value = exact(*args)
+        floored = np.floor(np.divide(value, 4.0)) * 4.0
+        return floored if np.ndim(value) else float(floored)
+
+    monkeypatch.setattr(co, "bound_objective", coarse)
+
+
+@pytest.mark.parametrize("coarse", [False, True], ids=["exact", "ties"])
+@pytest.mark.parametrize("runs", [1, 2])
+@pytest.mark.parametrize("n_iter", [0, 5])
+def test_batch_picks_equal_per_problem_selection(runs, n_iter, coarse,
+                                                 monkeypatch):
+    if coarse:
+        _coarse_scores(monkeypatch)
+    problems = random_desk_instances(range(81, 86), n_sectors=8,
+                                     users_per_sector=3, n_rbs=2, k_tilde=3)
+    rng = np.random.default_rng(11)
+    # warm starts outside [0, 1] are clipped; the others start cold
+    warm_starts = [rng.uniform(-0.2, 1.2, (pr.K, pr.N)) if p % 2 else None
+                   for p, pr in enumerate(problems)]
+    config = co.IcicConfig(n_iter=n_iter, runs=runs)
+    results = co.run_rounds(problems, config, warm_starts)
+    ref = _reference_rounds(problems, config, warm_starts)
+    for res, (i_star, p_hat, p_relaxed, hist, gaps) in zip(results, ref):
+        assert res.blanking.dtype == i_star.dtype
+        assert res.blanking.tobytes() == i_star.tobytes()
+        assert type(res.gap.p_hat) is float and res.gap.p_hat == p_hat
+        assert type(res.gap.p_relaxed) is float \
+            and res.gap.p_relaxed == p_relaxed
+        assert res.gap.p_hat_history == hist
+        assert res.gap.gap_history == gaps
+        assert all(type(v) is float for v in res.gap.p_hat_history
+                   + res.gap.gap_history)
