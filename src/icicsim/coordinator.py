@@ -16,10 +16,14 @@ everyone's (possibly fractional) blanking levels. Its flow form:
         coll->nbr     cap 1  cost 0         (surplus)
 
 Every sector has the same user count M, so within one master pass all
-K*N subproblems share this topology, and the pass hands them, for every
-problem of a batch, to one `lanes.solve_lanes` call as array lanes. That
-call solves every lane in closed form, as a fractional knapsack (see the
-lanes module docstring).
+K*N subproblems share this topology, and the pass solves them, for every
+problem of a batch, as the array lanes of one `lanes.LaneSet`, in closed
+form, as a fractional knapsack (see the lanes module docstring). The set
+is built once per master run from the run's fixed weights and rate
+triples: it holds each lane's best users, gains and gain order, so a
+pass's `LaneSet.solve` call only fills the knapsacks at that pass's
+blanking levels. The `runs=2` re-run, whose masked triples differ, gets
+a set of its own.
 `solve_subproblem` (one FlowNetwork, solved by `mcnf.solve`) is the
 paper's network-flow method and the per-lane reference: every lane of
 the closed form must be optimal, and its value and duals must match the
@@ -377,19 +381,19 @@ def _check_one_shape(problems):
 
 
 def _lane_inputs(weights, r, rtil):
-    """The fixed lane inputs of a batch: w and r (L, M) and rtil
-    (L, M, K_tilde), for the L = P*K*N lanes in (p, k, n) order, from
-    the (P, K, M) weights and the stacked rate triples r (P, K, M, N)
-    and rtil (P, K, M, N, K_tilde)."""
+    """The lane set of one master run of a batch: a `lanes.LaneSet` on
+    w and r (L, M) and rtil (L, M, K_tilde), for the L = P*K*N lanes in
+    (p, k, n) order, from the (P, K, M) weights and the stacked rate
+    triples r (P, K, M, N) and rtil (P, K, M, N, K_tilde)."""
     m, n_rb, kt = rtil.shape[2:]
-    return (np.repeat(weights, n_rb, axis=1).reshape(-1, m),
-            r.transpose(0, 1, 3, 2).reshape(-1, m),
-            rtil.transpose(0, 1, 3, 2, 4).reshape(-1, m, kt))
+    return lanes.LaneSet(np.repeat(weights, n_rb, axis=1).reshape(-1, m),
+                         r.transpose(0, 1, 3, 2).reshape(-1, m),
+                         rtil.transpose(0, 1, 3, 2, 4).reshape(-1, m, kt))
 
 
-def _solve_pass(lane_in, nbr, blanking, config):
+def _solve_pass(lane_set, nbr, blanking, config):
     """Solve every (sector, RB) subproblem of one master pass of a batch
-    in one `lanes.solve_lanes` call, on the lanes of `_lane_inputs`.
+    in one `solve` call of the run's lane set (see `_lane_inputs`).
 
     blanking: (P, K, N), which neighbors see quantized when the config
     quantizes the exchange; nbr: the (K, K_tilde) neighbor sets. Returns
@@ -402,8 +406,8 @@ def _solve_pass(lane_in, nbr, blanking, config):
     shape = blanking.shape
     kt = nbr.shape[1]
     nbr_levels = seen[:, nbr].transpose(0, 1, 3, 2).reshape(-1, kt)
-    x, y, phi, lam_eq, lam_nbr = lanes.solve_lanes(
-        blanking.ravel(), nbr_levels, *lane_in)
+    x, y, phi, lam_eq, lam_nbr = lane_set.solve(blanking.ravel(),
+                                                nbr_levels)
     # cumsum adds each problem's terms one at a time, as a loop would; a
     # pairwise sum would move the last bits
     value = np.cumsum(phi.reshape(shape[0], -1), axis=1)[:, -1]
@@ -420,10 +424,10 @@ def _binary_fraction(arrays, tol=1e-6):
     return (at_bound.sum(axis=1) / vals.shape[1]).tolist()
 
 
-def _subgradient_run(lane_in, neighbors, config, init, frozen=None):
-    """Run the master loops of a batch in lockstep, on the lanes of
-    `_lane_inputs`: each pass is one lane call, one exchange and one
-    master step for the whole batch.
+def _subgradient_run(lane_set, neighbors, config, init, frozen=None):
+    """Run the master loops of a batch in lockstep, on the run's lane set
+    (see `_lane_inputs`; None when n_iter is 0): each pass is one lane
+    call, one exchange and one master step for the whole batch.
 
     init: (P, K, N). Returns the final I (P, K, N), the (P,) master
     values of each pass and the rounded iterates (P, n_iter + 1, K, N).
@@ -435,7 +439,7 @@ def _subgradient_run(lane_in, neighbors, config, init, frozen=None):
     rounded = [round_blanking(blanking)]
     values = []
     for it in range(1, config.n_iter + 1):
-        lam_eq, lam_nbr, value, _ = _solve_pass(lane_in, neighbors.nbr,
+        lam_eq, lam_nbr, value, _ = _solve_pass(lane_set, neighbors.nbr,
                                                 blanking, config)
         if config.quantize_exchange:
             # each (sector, neighbor) message carries its own scale
@@ -471,13 +475,14 @@ def run_rounds(problems, config, warm_starts=None):
     the AMC table; any other batch is a ValueError that names the
     mismatch. The master state is held as (P, K, N) arrays, so each
     master pass is one lane call, one exchange and one master step for
-    the whole batch (see `_subgradient_run`), and each run's rounded
-    iterates of every problem are scored by one `bound_objective` call,
-    as a (P, C) array from which the picks are argmax and running-max
-    reductions along C. Only the final schedules and the reports are
-    built per problem. Every step is elementwise or keeps each problem's
-    own float order, so each result equals a round of that problem
-    alone, bit for bit.
+    the whole batch (see `_subgradient_run`) on a lane set built once
+    per run (see `_lane_inputs`), and each run's rounded iterates of
+    every problem are scored by one `bound_objective` call, as a (P, C)
+    array from which the picks are argmax and running-max reductions
+    along C. Only the final schedules and the reports are built per
+    problem. Every step is elementwise or keeps each problem's own float
+    order, so each result equals a round of that problem alone, bit for
+    bit.
     Returns one IcicResult per problem, in order.
 
     warm_starts: optional list, per problem None or a (K, N) fractional
@@ -512,13 +517,17 @@ def run_rounds(problems, config, warm_starts=None):
     def score(rounded):
         return bound_objective(weights[:, None], true_channel, rounded, nmap)
 
-    lane_in = _lane_inputs(weights, r, rtil)
-    finals, values, rounded = _subgradient_run(lane_in, nmap, config, init)
+    # one lane set per master run; a run without a master pass solves no
+    # lane and builds none
+    run1 = _lane_inputs(weights, r, rtil) if config.n_iter > 0 else None
+    finals, values, rounded = _subgradient_run(run1, nmap, config, init)
     scores = score(rounded)
     if config.n_iter > 0:
         # bookkeeping only: the final value and x/y, no exchange
-        _, _, final_value, xy = _solve_pass(lane_in, nmap.nbr, finals,
-                                            config)
+        _, _, final_value, xy = _solve_pass(run1, nmap.nbr, finals, config)
+        # run 1 has no pass left: free its lane set before the round's
+        # largest arrays, the binary share's, are built
+        del run1
         values = np.column_stack(values + [final_value])
         binary = _binary_fraction((*xy, finals))
     else:
@@ -531,10 +540,12 @@ def run_rounds(problems, config, warm_starts=None):
 
     if config.runs == 2:
         blank1 = rounded[batch, scores.argmax(axis=1)]
-        masked = _masked_triples(problems, blank1)
-        lane_in = _lane_inputs(weights, masked.r, masked.rtil)
-        _, _, rounded2 = _subgradient_run(
-            lane_in, nmap, config, finals, frozen=blank1.astype(bool))
+        run2 = None
+        if config.n_iter > 0:
+            masked = _masked_triples(problems, blank1)
+            run2 = _lane_inputs(weights, masked.r, masked.rtil)
+        _, _, rounded2 = _subgradient_run(run2, nmap, config, finals,
+                                          frozen=blank1.astype(bool))
         rounded = np.concatenate([rounded, rounded2], axis=1)
         scores = np.concatenate([scores, score(rounded2)], axis=1)
 

@@ -1,7 +1,7 @@
 """The (sector, RB) subproblems of a master pass, solved in closed form.
 
 All subproblems of one master pass share one flow topology (see the
-coordinator module docstring), so `solve_lanes` solves many of them at
+coordinator module docstring), so a `LaneSet` solves many of them at
 once, every array with a leading lane axis. The RB source supplies
 S = 1 - I_own <= 1 and every user arc has capacity 1, so no user arc
 binds, and a unit of supply is worth
@@ -20,6 +20,13 @@ first neighbor in that order that has positive gain and is not full, or
 max(c_j - c_0 - t, 0), dual feasible and complementary slack by
 construction, whatever the tie rule.
 
+Within one master run only the blanking levels change from pass to
+pass; w, r and rtil are fixed, and so are the best users, the gains and
+their order. So the solve is split in two: a `LaneSet` is built once per
+run from w, r and rtil, and each pass calls its `solve` with that pass's
+levels, which only fills the knapsack. `solve_lanes` is a set built and
+solved once.
+
 `coordinator.solve_subproblem` (one `mcnf.solve` per subproblem) stays
 as the reference that `oracle.lane_mismatches` checks every lane against.
 Ties (equal gains, a zero gain, users of equal value) leave several
@@ -34,60 +41,108 @@ import numpy as np
 from . import mcnf
 
 
+class LaneSet:
+    """The level-free part of L subproblems that share M users and Kt
+    neighbours: w (L, M), r (L, M) and rtil (L, M, Kt), as in
+    `coordinator.solve_subproblem` stacked along a leading lane axis."""
+
+    def __init__(self, w, r, rtil):
+        w, r, rtil = (np.asarray(a, dtype=float) for a in (w, r, rtil))
+        self.w, self.r, self.rtil = w, r, rtil
+        n_lanes, m, kt = rtil.shape
+        lane = np.arange(n_lanes)
+
+        wr = w * r                              # a unit to the collector
+        via = wr[:, :, None] + w[:, :, None] * rtil     # a unit to neighbor j
+        self.c_0, user_0 = _best_user(wr)
+        best, user_j = _best_user(via)          # (L, Kt)
+        self.gain = best - self.c_0[:, None]
+
+        # the knapsack order: decreasing gain, lowest index on ties. The
+        # knapsack runs rank by rank, so its arrays are (Kt, L), one row
+        # per rank; sorted_at gathers a (L, Kt) array in that order, and
+        # its inverse, unsort, puts a rank-major fill back in neighbor
+        # order
+        order = np.argsort(-self.gain, axis=1, kind="stable")
+        sorted_at = (lane[:, None] * kt + order).T.ravel()
+        self.unsort = np.empty_like(sorted_at)
+        self.unsort[sorted_at] = np.arange(n_lanes * kt)
+        gain_sorted = self.gain.ravel()[sorted_at].reshape(kt, n_lanes)
+        positive = gain_sorted > 0.0
+        # a neighbor without positive gain takes no fill: its capacity is
+        # gathered from a zero appended to the levels, and its gain counts
+        # as 0 when the first open neighbor is sought
+        self.cap_at = np.where(positive.ravel(), sorted_at, n_lanes * kt)
+        self.gain_open = np.where(positive, gain_sorted, 0.0)
+        # each neighbor's fill into y through its best user, and the rest
+        # into x through the collector's best user
+        self.y_at = ((lane[:, None] * m + user_j) * kt
+                     + np.arange(kt)).ravel()
+        self.x_at = lane * m + user_0
+
+    def solve(self, own, nbr):
+        """The subproblems at blanking levels own (L,) and nbr (L, Kt).
+
+        Returns x (L, M), y (L, M, Kt), phi (L,), lam_eq (L,) and lam_nbr
+        (L, Kt). A blanking level outside [0, 1] (or NaN) is an
+        mcnf.InfeasibleFlowError naming the lowest such lane.
+        """
+        own, nbr = (np.asarray(a, dtype=float) for a in (own, nbr))
+        w, r, rtil = self.w, self.r, self.rtil
+        n_lanes, m, kt = rtil.shape
+        levels = np.column_stack((own, nbr))
+        bad = ~((levels >= 0.0) & (levels <= 1.0))
+        if bad.any():
+            lane, col = np.argwhere(bad)[0]
+            raise mcnf.InfeasibleFlowError(
+                f"lane {lane}: blanking level {float(levels[lane, col])!r} "
+                f"outside [0, 1]")
+
+        # the knapsack, rank by rank in decreasing gain order; start adds
+        # the capacities one rank at a time, in np.cumsum's order
+        cap = np.append(nbr, 0.0)[self.cap_at].reshape(kt, n_lanes)
+        supply = 1.0 - own
+        start = np.zeros((kt, n_lanes))
+        for j in range(kt - 1):
+            np.add(start[j], cap[j], out=start[j + 1])
+        fill_sorted = np.minimum(cap, np.maximum(supply - start, 0.0))
+        fill = fill_sorted.ravel()[self.unsort].reshape(n_lanes, kt)
+
+        # each neighbor's fill through its best user, the rest to the
+        # collector
+        y = np.zeros((n_lanes, m, kt))
+        y.ravel()[self.y_at] = fill.ravel()
+        x = y.sum(axis=2)
+        x.ravel()[self.x_at] += np.maximum(supply - fill.sum(axis=1), 0.0)
+
+        # coordinator.subproblem_objective, lane by lane
+        phi = np.matmul(w[:, None, :], (x * r)[:, :, None])[:, 0, 0] \
+            + (w[:, :, None] * y * rtil).sum(axis=(1, 2))
+
+        # the first open neighbor has the largest gain of the open ones;
+        # cap is 0 where the gain is not positive, so such a neighbor is
+        # full
+        t = (self.gain_open * (fill_sorted < cap)).max(axis=0)
+        lam_eq = self.c_0 + t
+        lam_nbr = np.maximum(self.gain - t[:, None], 0.0)
+        return x, y, phi, lam_eq, lam_nbr
+
+
+def _best_user(values):
+    """The max and argmax (lowest index on ties) of values (L, M, ...)
+    over the user axis 1, one user at a time, which is faster than a
+    reduction over a short axis."""
+    best = values[:, 0].copy()
+    user = np.zeros(best.shape, dtype=np.intp)
+    for i in range(1, values.shape[1]):
+        user = np.where(values[:, i] > best, i, user)
+        np.maximum(best, values[:, i], out=best)
+    return best, user
+
+
 def solve_lanes(own, nbr, w, r, rtil):
-    """Solve L subproblems that share M users and Kt neighbours.
-
-    The arguments are those of `coordinator.solve_subproblem` stacked
+    """Solve L subproblems in one pass: `LaneSet(w, r, rtil).solve(own,
+    nbr)`, with the arguments of `coordinator.solve_subproblem` stacked
     along a leading lane axis: own (L,), nbr (L, Kt), w (L, M), r (L, M),
-    rtil (L, M, Kt). Returns x (L, M), y (L, M, Kt), phi (L,),
-    lam_eq (L,) and lam_nbr (L, Kt). A blanking level outside [0, 1]
-    (or NaN) is an mcnf.InfeasibleFlowError naming the lowest such lane.
-    """
-    own, nbr, w, r, rtil = (np.asarray(a, dtype=float)
-                            for a in (own, nbr, w, r, rtil))
-    n_lanes, m = w.shape
-    kt = nbr.shape[1]
-    levels = np.column_stack((own, nbr))
-    bad = ~((levels >= 0.0) & (levels <= 1.0))
-    if bad.any():
-        lane, col = np.argwhere(bad)[0]
-        raise mcnf.InfeasibleFlowError(
-            f"lane {lane}: blanking level {float(levels[lane, col])!r} "
-            f"outside [0, 1]")
-    lane = np.arange(n_lanes)
-
-    wr = w * r                              # a unit to the collector
-    via = wr[:, :, None] + w[:, :, None] * rtil     # a unit to neighbor j
-    user_0 = wr.argmax(axis=1)              # lowest index on ties
-    user_j = via.argmax(axis=1)             # (L, Kt)
-    c_0 = wr.max(axis=1)
-    gain = via.max(axis=1) - c_0[:, None]
-
-    # the knapsack, in decreasing gain order (lowest index on ties)
-    order = np.argsort(-gain, axis=1, kind="stable")
-    gain_sorted = np.take_along_axis(gain, order, axis=1)
-    cap = np.where(gain_sorted > 0.0,
-                   np.take_along_axis(nbr, order, axis=1), 0.0)
-    supply = 1.0 - own
-    start = np.zeros((n_lanes, kt))
-    np.cumsum(cap[:, :-1], axis=1, out=start[:, 1:])
-    fill_sorted = np.minimum(cap, np.maximum(supply[:, None] - start, 0.0))
-    fill = np.empty((n_lanes, kt))
-    np.put_along_axis(fill, order, fill_sorted, axis=1)
-
-    # each neighbor's fill through its best user, the rest to the collector
-    y = np.zeros((n_lanes, m, kt))
-    y[lane[:, None], user_j, np.arange(kt)] = fill
-    x = y.sum(axis=2)
-    x[lane, user_0] += np.maximum(supply - fill.sum(axis=1), 0.0)
-
-    # coordinator.subproblem_objective, lane by lane
-    phi = np.matmul(w[:, None, :], (x * r)[:, :, None])[:, 0, 0] \
-        + (w[:, :, None] * y * rtil).sum(axis=(1, 2))
-
-    # the first open neighbor has the largest gain of the open ones; cap
-    # is 0 where the gain is not positive, so such a neighbor is full
-    t = np.where(fill_sorted < cap, gain_sorted, 0.0).max(axis=1)
-    lam_eq = c_0 + t
-    lam_nbr = np.maximum(gain - t[:, None], 0.0)
-    return x, y, phi, lam_eq, lam_nbr
+    rtil (L, M, Kt)."""
+    return LaneSet(w, r, rtil).solve(own, nbr)

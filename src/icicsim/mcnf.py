@@ -7,7 +7,7 @@ Negative arc costs are absorbed by a Bellman-Ford initialization pass
 are tiny (a few dozen nodes), so everything is plain Python + numpy.
 
 This solver takes one network at a time and is the reference: the master
-loop solves its subproblems in closed form with `lanes.solve_lanes`, and
+loop solves its subproblems in closed form with a `lanes.LaneSet`, and
 tests/test_lanes.py and `icicsim verify` check each of its lanes against
 `solve` (see `oracle.lane_mismatches`).
 

@@ -129,12 +129,12 @@ def test_criterion_5_subgradient_inequality():
         base = rng.random((k_sec, 1))
         # the flow solve per subproblem, and the closed-form lane pass of
         # the master loop
-        lane_in = co._lane_inputs(weights[None], prob.triples.r[None],
-                                  prob.triples.rtil[None])
+        lane_set = co._lane_inputs(weights[None], prob.triples.r[None],
+                                   prob.triples.rtil[None])
 
         def lane_pass(blanking):
             lam_eq, lam_nbr, value, _ = co._solve_pass(
-                lane_in, prob.neighbors.nbr, blanking[None],
+                lane_set, prob.neighbors.nbr, blanking[None],
                 co.IcicConfig(n_iter=1))
             return value[0], lam_eq[0], lam_nbr[0]
 

@@ -106,11 +106,11 @@ def test_verify_quick():
 
 
 def test_gapbench_small(tmp_path, capsys, monkeypatch):
-    calls = {"solve_lanes": 0}
+    calls = {"solve": 0}
     scored = []
 
-    def solve_lanes(*args, _f=lanes.solve_lanes, **kwargs):
-        calls["solve_lanes"] += 1
+    def solve(*args, _f=lanes.LaneSet.solve, **kwargs):
+        calls["solve"] += 1
         return _f(*args, **kwargs)
 
     def bound_objective(weights, triples, blanking, neighbors,
@@ -118,16 +118,16 @@ def test_gapbench_small(tmp_path, capsys, monkeypatch):
         scored.append(np.shape(blanking))
         return _f(weights, triples, blanking, neighbors)
 
-    monkeypatch.setattr(lanes, "solve_lanes", solve_lanes)
+    monkeypatch.setattr(lanes.LaneSet, "solve", solve)
     monkeypatch.setattr(coordinator, "bound_objective", bound_objective)
     out = tmp_path / "gaps.csv"
     assert cli.main(["gapbench", "--instances", "4", "--seed", "3",
                      "--out", str(out)]) == 0
     # one runs=2 round per instance (n_iter=5) serves both columns, and
-    # the rounds run in lockstep: 5 + 1 + 5 master passes, each one engine
-    # call for the whole batch. Each run scores the 6 roundings of all 4
+    # the rounds run in lockstep: 5 + 1 + 5 master passes, each one lane
+    # set solve for the whole batch. Each run scores the 6 roundings of all 4
     # instances (12 sectors, 2 RBs) in one call.
-    assert calls == {"solve_lanes": 11}
+    assert calls == {"solve": 11}
     assert scored == [(4, 6, 12, 2)] * 2
     text = capsys.readouterr().out
     assert "mean_gap_pct" in text
@@ -154,8 +154,8 @@ def test_gapbench_with_nothing_to_improve_exits_0(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--niter", "-1"), ("--seed", "-1"), ("--instances", "0"),
-    ("--instances", "-3")])
+    ("--niter", "-1"), ("--niter", "0"), ("--seed", "-1"),
+    ("--instances", "0"), ("--instances", "-3")])
 def test_gapbench_bad_argument_exits_2(flag, value, tmp_path, capsys):
     out = tmp_path / "gaps.csv"
     assert cli.main(["gapbench", flag, value, "--out", str(out)]) == 2

@@ -307,8 +307,8 @@ def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
     # one engine call per master pass
     prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
                                 k_tilde=2, seed=3)
-    counts = {"solve_lanes": 0, "bound_objective": 0, "post": 0}
-    _count_calls(monkeypatch, lanes, "solve_lanes", counts)
+    counts = {"solve": 0, "bound_objective": 0, "post": 0}
+    _count_calls(monkeypatch, lanes.LaneSet, "solve", counts)
     _count_calls(monkeypatch, co, "bound_objective", counts)
     _count_calls(monkeypatch, co.Mailbox, "post", counts)
     scored = _count_scored(monkeypatch)
@@ -320,7 +320,7 @@ def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
     # passes that feed a master step exchange duals: each sector posts to
     # its K_tilde = 2 neighbors.
     passes = {1: n + 1, 2: 2 * n + 1}[runs]
-    assert counts == {"solve_lanes": passes,
+    assert counts == {"solve": passes,
                       "bound_objective": runs,
                       "post": runs * n * 6 * 2}
     assert scored == [(1, n + 1, 6, 2)] * runs
@@ -355,15 +355,43 @@ def test_one_lane_call_exchange_and_step_per_pass(monkeypatch, count):
     # however many problems the batch holds: 2 + 1 + 2 lane passes, and
     # one exchange and one master step per pass that moves the master,
     # each Mailbox message carrying the whole batch's (P, N) block
-    counts = {"solve_lanes": 0, "compute_subgradient": 0, "master_step": 0,
+    counts = {"solve": 0, "compute_subgradient": 0, "master_step": 0,
               "post": 0}
-    _count_calls(monkeypatch, lanes, "solve_lanes", counts)
+    _count_calls(monkeypatch, lanes.LaneSet, "solve", counts)
     _count_calls(monkeypatch, co, "compute_subgradient", counts)
     _count_calls(monkeypatch, co, "master_step", counts)
     _count_calls(monkeypatch, co.Mailbox, "post", counts)
     co.run_rounds(_batch_problems(count), co.IcicConfig(n_iter=2, runs=2))
-    assert counts == {"solve_lanes": 5, "compute_subgradient": 4,
+    assert counts == {"solve": 5, "compute_subgradient": 4,
                       "master_step": 4, "post": 4 * 8 * 3}
+
+
+@pytest.mark.parametrize("config, solves", [
+    (co.IcicConfig(n_iter=4), [0] * 5),
+    (co.IcicConfig(n_iter=4, runs=2), [0] * 5 + [1] * 4),
+    (co.IcicConfig(n_iter=0), []),
+    (co.IcicConfig(n_iter=0, runs=2), []),
+], ids=["runs1", "runs2", "no_master", "no_master_runs2"])
+def test_one_lane_set_per_master_run(monkeypatch, config, solves):
+    # run 1 builds a lane set and solves its n_iter passes and the
+    # closing pass on it; the re-run, on masked triples, builds its own
+    # for its n_iter passes; a round without a master pass builds none
+    built, solved = [], []
+    init, solve = lanes.LaneSet.__init__, lanes.LaneSet.solve
+
+    def counted_init(lane_set, *args):
+        built.append(lane_set)
+        init(lane_set, *args)
+
+    def counted_solve(lane_set, *args):
+        solved.append(built.index(lane_set))
+        return solve(lane_set, *args)
+
+    monkeypatch.setattr(lanes.LaneSet, "__init__", counted_init)
+    monkeypatch.setattr(lanes.LaneSet, "solve", counted_solve)
+    co.run_rounds(_batch_problems(), config)
+    assert len(built) == len(set(solves))
+    assert solved == solves
 
 
 def _other_neighbor_sets():
@@ -470,7 +498,7 @@ def test_quantized_exchange_toggle():
     assert set(np.unique(coarse.blanking)) <= {0, 1}
 
 
-def _lane_inputs(prob):
+def _lane_set(prob):
     return co._lane_inputs(prob.weights[None], prob.triples.r[None],
                            prob.triples.rtil[None])
 
@@ -478,7 +506,7 @@ def _lane_inputs(prob):
 def _lane_pass(prob, blanking, config):
     """The duals and master value of one lane pass of `prob` alone."""
     lam_eq, lam_nbr, value, _ = co._solve_pass(
-        _lane_inputs(prob), prob.neighbors.nbr, blanking[None], config)
+        _lane_set(prob), prob.neighbors.nbr, blanking[None], config)
     return lam_eq[0], lam_nbr[0], value[0]
 
 
@@ -492,7 +520,7 @@ def _first_direction(monkeypatch, prob, config, blanking):
         return step(i_mat, grad, iteration, step_constant)
 
     monkeypatch.setattr(co, "master_step", spy)
-    co._subgradient_run(_lane_inputs(prob), prob.neighbors, config,
+    co._subgradient_run(_lane_set(prob), prob.neighbors, config,
                         blanking[None])
     monkeypatch.setattr(co, "master_step", step)
     return seen[0][0]
@@ -546,9 +574,10 @@ def test_quantized_exchange_scales_each_message(monkeypatch):
     lam_eq, lam_nbr, _ = _lane_pass(prob, blanking, cfg)
     # the pass's neighbors see the quantized levels, its own sector not
     seen = co._quantize(blanking, bits, vmax=1.0)
+    lane_set = _lane_set(prob)
     ref = lanes.solve_lanes(
         blanking.ravel(), seen[prob.neighbors.nbr].transpose(0, 2, 1)
-        .reshape(-1, 2), *_lane_inputs(prob))
+        .reshape(-1, 2), lane_set.w, lane_set.r, lane_set.rtil)
     assert np.array_equal(lam_eq.ravel(), ref[3])
     assert np.array_equal(lam_nbr.reshape(-1, 2), ref[4])
     grad = _first_direction(monkeypatch, prob, cfg, blanking)

@@ -37,6 +37,38 @@ def test_edge_lanes_are_optimal(m, kt):
         [0.0] * (kt - min(kt, 2)) + [0.25] * min(kt, 2)
 
 
+def _level_draws(rng, n_lanes, kt):
+    """Binary, fractional and mixed (own, nbr) levels for n_lanes lanes."""
+    def draw(shape, kind):
+        binary = rng.integers(0, 2, shape).astype(float)
+        if kind == "binary":
+            return binary
+        frac = rng.random(shape)
+        if kind == "fractional":
+            return frac
+        return np.where(rng.random(shape) < 0.5, binary, frac)
+    return [(draw(n_lanes, kind), draw((n_lanes, kt), kind))
+            for kind in ("binary", "fractional", "mixed")]
+
+
+@pytest.mark.parametrize("inputs", [
+    lambda rng: oracle.random_lanes(rng, 300, 3, 6),
+    lambda rng: oracle.edge_lanes(rng, 2, 3),
+], ids=["round57_shape", "edge_lanes"])
+def test_lane_set_is_reused_across_levels(inputs):
+    # one set solved at several level draws, as a master run solves its
+    # passes: each result equals a fresh solve_lanes call bit for bit and
+    # is optimal, whatever the set solved before
+    rng = np.random.default_rng(21)
+    own, nbr, w, r, rtil = inputs(rng)
+    lane_set = lanes.LaneSet(w, r, rtil)
+    draws = [(own, nbr)] + _level_draws(rng, *nbr.shape)
+    for levels in draws + draws[::-1]:
+        got = lane_set.solve(*levels)
+        assert oracle.bit_equal(got, lanes.solve_lanes(*levels, w, r, rtil))
+        assert oracle.lane_mismatches(*levels, w, r, rtil) == []
+
+
 def test_knapsack_by_hand():
     # c_0 = 10 (user 0); c = [12 (user 1), 15 (user 0), 11 (user 0)], so
     # the gains are [2, 5, 1]. S = 0.75 fills neighbor 1 (0.5), then a

@@ -325,13 +325,13 @@ def test_drops_share_one_engine_call_per_pass(monkeypatch):
     cfg = load_config(path, overrides=["scenario.subframes = 6"])
     assert (cfg.scenario.drops, cfg.icic.n_iter, cfg.icic.rho) == (2, 5, 1)
     calls = []
-    original = lanes.solve_lanes
+    original = lanes.LaneSet.solve
 
-    def counted(*args):
-        calls.append(args[0].shape[0])
-        return original(*args)
+    def counted(lane_set, own, nbr):
+        calls.append(own.shape[0])
+        return original(lane_set, own, nbr)
 
-    monkeypatch.setattr(lanes, "solve_lanes", counted)
+    monkeypatch.setattr(lanes.LaneSet, "solve", counted)
     run_simulation(cfg)
     # n_iter passes plus the closing pass per sub-frame, one call each,
     # every call over all 2 x 96 lanes

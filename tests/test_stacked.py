@@ -230,7 +230,7 @@ def test_lane_inputs_equal_per_sector_transposes():
                             for pr in probs for k in range(pr.K)]),
             np.concatenate([pr.triples.rtil[k].transpose(1, 0, 2)
                             for pr in probs for k in range(pr.K)])]
-    for g, w in zip(got, want):
+    for g, w in zip((got.w, got.r, got.rtil), want):
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()
 
@@ -256,15 +256,15 @@ def _reference_rounds(problems, config, warm_starts):
         return [(b, co.bound_objective(w, pr.triples, b, nmap))
                 for b in rounded]
 
-    lane_in = co._lane_inputs(np.stack(weights),
-                              np.stack([pr.triples.r for pr in problems]),
-                              np.stack([pr.triples.rtil for pr in problems]))
-    finals, values, rounded = co._subgradient_run(lane_in, nmap, config,
+    lane_set = co._lane_inputs(np.stack(weights),
+                               np.stack([pr.triples.r for pr in problems]),
+                               np.stack([pr.triples.rtil for pr in problems]))
+    finals, values, rounded = co._subgradient_run(lane_set, nmap, config,
                                                   np.stack(inits))
     candidates = [scored(pr, w, rnd)
                   for pr, w, rnd in zip(problems, weights, rounded)]
     if config.n_iter > 0:
-        _, _, final_value, _ = co._solve_pass(lane_in, nmap.nbr, finals,
+        _, _, final_value, _ = co._solve_pass(lane_set, nmap.nbr, finals,
                                               config)
         values = np.column_stack(values + [final_value]).tolist()
     else:
@@ -273,9 +273,9 @@ def _reference_rounds(problems, config, warm_starts):
         blank1 = np.stack([max(cands, key=lambda c: c[1])[0]
                            for cands in candidates])
         masked = co._masked_triples(problems, blank1)
-        lane_in = co._lane_inputs(np.stack(weights), masked.r, masked.rtil)
+        lane_set = co._lane_inputs(np.stack(weights), masked.r, masked.rtil)
         _, _, rounded2 = co._subgradient_run(
-            lane_in, nmap, config, finals, frozen=blank1.astype(bool))
+            lane_set, nmap, config, finals, frozen=blank1.astype(bool))
         for pr, w, cands, rnd in zip(problems, weights, candidates,
                                      rounded2):
             cands += scored(pr, w, rnd)
