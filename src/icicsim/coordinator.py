@@ -41,8 +41,8 @@ P are scored by one `bound_objective` call and picked by argmax over the
 (P, C) scores. These steps are elementwise or keep each problem's own
 float order (each master value and score is summed in its own (k, n)
 order), so a batched result equals the round run alone bit for bit; only
-the final schedules and the reports are built per problem.
-`run_coordination` is a batch of one.
+the reports are built per problem. `run_coordination` is a batch of one
+that also schedules its blanking.
 
 The master consumes one dual per subproblem balance constraint: the
 subgradient of the summed sector values with respect to I[k] is the
@@ -51,13 +51,13 @@ Lambda[k] = -lambda_own[k] + sum over neighbors of lambda_from[nbr -> k].
 The lane solve returns these multipliers (for the flow solve they are
 node potentials with the collector gauge fixed to zero); validity is
 enforced by the subgradient inequality rather than any sign convention
-(see tests). `compute_subgradient` is the one
-place that assembles Lambda: each sector posts its neighbor duals to its
-neighbors' `Mailbox`, one (P, N) block per message for a batch of P,
-and each sector drains its inbox and sums it. The
-master loop, `icicsim verify` and the tests all go through it. Message
-counts follow from array shapes: per iteration of each run, every sector
-sends K_tilde*N duals and its K_tilde*N blanking levels.
+(see tests). `compute_subgradient` is the one place that assembles
+Lambda: a pass posts all its (..., K, N, K_tilde) duals to a `Mailbox`
+once, and one gather through a fixed (sender, position) index drains
+every inbox. The master loop, `icicsim verify` and the tests all go
+through it. Message counts follow from array shapes: per iteration of
+each run, every sector sends K_tilde*N duals and its K_tilde*N blanking
+levels.
 """
 
 from dataclasses import dataclass, field
@@ -123,12 +123,12 @@ class OverheadReport:
 @dataclass
 class IcicResult:
     blanking: np.ndarray             # (K, N) binary
-    assignments: np.ndarray          # (K, M, N) int8
-    exact_rates: np.ndarray          # (K, M, N) kbit/s
-    realized_objective: float        # exact-rate weighted sum
     gap: GapReport
     overhead: OverheadReport
     warm_start: np.ndarray           # final fractional iterate (K, N)
+    assignments: np.ndarray = None   # (K, M, N) int8, run_coordination only
+    exact_rates: np.ndarray = None   # (K, M, N) kbit/s
+    realized_objective: float = None  # exact-rate weighted sum
 
 
 @dataclass
@@ -307,43 +307,42 @@ def finalize_schedule(gains, weights, radio, amc, blanking):
 # --- the simulated sector exchange ---
 
 class Mailbox:
-    """Per-sector inbox."""
+    """Every sector's inbox. The message to k from s = nbr[k][i] is s's
+    post at the j where nbr[s][j] == k, a fixed (sender, position) index:
+    `NeighborMap` ensures each sector hears once from each neighbor."""
 
-    def __init__(self):
-        self._msgs = []
+    def __init__(self, neighbors):
+        nbr = neighbors.nbr
+        back = (nbr[nbr] == np.arange(len(nbr))[:, None, None]).argmax(2)
+        self._slot = nbr * nbr.shape[1] + back      # (K, K_tilde), flat
 
-    def post(self, sender, payload):
-        self._msgs.append((sender, payload))
+    def post(self, lam_nbr):
+        """All of a pass's messages, lam_nbr (..., K, N, K_tilde)."""
+        self._posted = lam_nbr
 
     def drain(self):
-        msgs, self._msgs = self._msgs, []
-        return msgs
+        """Every inbox, (..., K, K_tilde, N) in its sector's nbr order."""
+        sent = np.swapaxes(self._posted, -1, -2)    # (..., K, K_tilde, N)
+        sent = sent.reshape(*sent.shape[:-3], -1, sent.shape[-1])
+        return sent[..., self._slot, :]
 
 
 def compute_subgradient(lam_eq, lam_nbr, neighbors):
     """Assemble the master subgradient by the simulated sector exchange.
 
     lam_eq: (..., K, N); lam_nbr: (..., K, N, K_tilde) in neighbor-position
-    order, under any leading batch axes. Sector k posts lam_nbr[..., k, :,
-    pos] to sector nbr[k][pos]; each sector then drains its inbox and adds
-    the messages, in its own nbr order, to minus its lam_eq. The sums are
-    elementwise, so each member of a batch gets the subgradient of a call
-    on its own, bit for bit. An inbox that does not hold exactly one
-    message from each neighbor is a ValueError.
+    order, under any leading batch axes. One `Mailbox` post and drain
+    give every inbox; each sector adds its messages onto zero in its nbr
+    order, as a sum over them would, then to minus its lam_eq, so each
+    batch member's subgradient equals its own call's, bit for bit.
     """
-    k_sec = lam_eq.shape[-2]
-    boxes = [Mailbox() for _ in range(k_sec)]
-    for k in range(k_sec):
-        for pos, dest in enumerate(neighbors.nbr[k]):
-            boxes[dest].post(k, lam_nbr[..., k, :, pos])
-    grad = np.empty(lam_eq.shape)
-    for k in range(k_sec):
-        incoming = dict(boxes[k].drain())
-        if set(incoming) != set(neighbors.nbr[k].tolist()):
-            raise ValueError(f"sector {k}: incomplete dual exchange")
-        grad[..., k, :] = -lam_eq[..., k, :] + sum(
-            incoming[a] for a in neighbors.nbr[k])
-    return grad
+    box = Mailbox(neighbors)
+    box.post(lam_nbr)
+    inbox = box.drain()
+    total = np.zeros(lam_eq.shape)
+    for i in range(inbox.shape[-2]):
+        total += inbox[..., i, :]
+    return -lam_eq + total
 
 
 def _quantize(values, bits, vmax=None, axis=None):
@@ -418,10 +417,10 @@ def _binary_fraction(arrays, tol=1e-6):
     """Each problem's share of relaxed variables (x, y and blanking) at 0
     or 1. Every array holds the batch's problems in order along its first
     axis."""
-    n_prob = arrays[-1].shape[0]
-    vals = np.concatenate([a.reshape(n_prob, -1) for a in arrays], axis=1)
-    at_bound = (np.abs(vals) < tol) | (np.abs(1.0 - vals) < tol)
-    return (at_bound.sum(axis=1) / vals.shape[1]).tolist()
+    flat = [a.reshape(arrays[-1].shape[0], -1) for a in arrays]  # no copy
+    at_bound = sum(((np.abs(v) < tol) | (np.abs(1.0 - v) < tol)).sum(axis=1)
+                   for v in flat)
+    return (at_bound / sum(v.shape[1] for v in flat)).tolist()
 
 
 def _subgradient_run(lane_set, neighbors, config, init, frozen=None):
@@ -479,11 +478,10 @@ def run_rounds(problems, config, warm_starts=None):
     per run (see `_lane_inputs`), and each run's rounded iterates of
     every problem are scored by one `bound_objective` call, as a (P, C)
     array from which the picks are argmax and running-max reductions
-    along C. Only the final schedules and the reports are built per
-    problem. Every step is elementwise or keeps each problem's own float
-    order, so each result equals a round of that problem alone, bit for
-    bit.
-    Returns one IcicResult per problem, in order.
+    along C. Only the reports are built per problem. Every step is
+    elementwise or keeps each problem's own float order, so each result
+    equals a round of that problem alone, bit for bit.
+    Returns one IcicResult per problem, in order, with no schedule.
 
     warm_starts: optional list, per problem None or a (K, N) fractional
     blanking from the previous execution; the default initial point is
@@ -565,8 +563,8 @@ def run_rounds(problems, config, warm_starts=None):
     overhead.simulated_bits = overhead.simulated_values * config.quant_bits
 
     results = []
-    for pr, rel, hat, s, hist, frac, blank, final in zip(
-            problems, p_relaxed.tolist(), p_hat.tolist(), scale.tolist(),
+    for rel, hat, s, hist, frac, blank, final in zip(
+            p_relaxed.tolist(), p_hat.tolist(), scale.tolist(),
             p_hat_hist, binary, i_star, finals):
         gap = GapReport(
             p_relaxed=rel * s,
@@ -578,12 +576,8 @@ def run_rounds(problems, config, warm_starts=None):
                          for v in hist],
             p_hat_history=hist,
         )
-        assignments, rates, objective = finalize_schedule(
-            pr.gains, pr.weights, pr.radio, pr.amc, blank)
-        results.append(IcicResult(
-            blanking=blank, assignments=assignments, exact_rates=rates,
-            realized_objective=objective, gap=gap, overhead=overhead,
-            warm_start=final))
+        results.append(IcicResult(blanking=blank, gap=gap,
+                                  overhead=overhead, warm_start=final))
     return results
 
 
@@ -591,11 +585,15 @@ def run_coordination(problem, config, warm_start=None):
     """Full coordinated round: subgradient master, rounding, local
     scheduling with exact rates, gap and overhead reports.
 
-    A batch of one `run_rounds`. warm_start: optional (K, N) fractional
-    blanking from the previous execution; the default initial point is
-    all zeros (reuse-1).
+    A batch of one `run_rounds` plus `finalize_schedule` on its blanking.
+    warm_start: optional (K, N) fractional blanking from the previous
+    execution; the default initial point is all zeros (reuse-1).
     """
-    return run_rounds([problem], config, [warm_start])[0]
+    res = run_rounds([problem], config, [warm_start])[0]
+    res.assignments, res.exact_rates, res.realized_objective = \
+        finalize_schedule(problem.gains, problem.weights, problem.radio,
+                          problem.amc, res.blanking)
+    return res
 
 
 # --- closed-form reports ---

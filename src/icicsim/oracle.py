@@ -421,14 +421,14 @@ def bit_equal(a, b):
 
 def batch_mismatches(problems, config, warm_starts=None):
     """Indices of the problems whose coordinator.run_rounds result is not
-    bit_equal to coordinator.run_coordination on that problem alone."""
+    bit_equal to coordinator.run_rounds on that problem alone."""
     if warm_starts is None:
         warm_starts = [None] * len(problems)
     batch = coordinator.run_rounds(problems, config, warm_starts)
     return [p for p, (prob, ws, res)
             in enumerate(zip(problems, warm_starts, batch))
-            if not bit_equal(res, coordinator.run_coordination(prob, config,
-                                                               ws))]
+            if not bit_equal(res, coordinator.run_rounds([prob], config,
+                                                         [ws])[0])]
 
 
 # --- dense LP references (HiGHS) ---

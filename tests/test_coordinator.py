@@ -1,7 +1,6 @@
 """Subproblem flow form, duals, master steps, full coordinated rounds."""
 
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +10,9 @@ from icicsim import lanes, mcnf, oracle
 from icicsim.fairsched import local_schedule
 from icicsim.instances import random_desk_instance, random_desk_instances
 from icicsim.linkadapt import DEFAULT_AMC_ROWS, AmcTable, RadioConfig
-from icicsim.network import NeighborMap, NetworkDims, ring_neighbor_map
+from icicsim.network import (NEIGHBOR_MODES, NeighborMap, NetworkDims,
+                             generate_layout, neighbor_map,
+                             ring_neighbor_map)
 
 
 def test_network_counts_match_closed_form():
@@ -111,28 +112,65 @@ def test_subgradient_arithmetic():
     assert np.array_equal(grad0, np.zeros((4, 1)))
 
 
-def test_subgradient_missing_dual_is_error():
-    # asymmetric: both sectors send to sector 1, so sector 0 hears nobody
-    # (NeighborMap itself refuses such a relation); so too in a stack
-    fake = SimpleNamespace(nbr=np.array([[1], [1]]))
-    for batch in ((), (3,)):
-        with pytest.raises(ValueError, match="sector 0: incomplete"):
-            co.compute_subgradient(np.zeros((*batch, 2, 1)),
-                                   np.zeros((*batch, 2, 1, 1)), fake)
+def _exchange_by_sector(lam_eq, lam_nbr, neighbors):
+    """The exchange sector by sector, the gather's reference: every sector
+    posts each of its messages to that neighbor's inbox, and each sector
+    adds up its inbox with a Python sum in its own nbr order."""
+    k_sec = lam_eq.shape[-2]
+    inbox = [{} for _ in range(k_sec)]
+    for k in range(k_sec):
+        for pos, dest in enumerate(neighbors.nbr[k].tolist()):
+            inbox[dest][k] = lam_nbr[..., k, :, pos]
+    grad = np.empty(lam_eq.shape)
+    for k in range(k_sec):
+        grad[..., k, :] = -lam_eq[..., k, :] + sum(
+            inbox[k][s] for s in neighbors.nbr[k].tolist())
+    return grad
+
+
+def _messages(kind, rng, shape):
+    """lam_eq and lam_nbr (shape + (K_tilde,)) of one kind of message."""
+    if kind == "zero":
+        return np.zeros(shape[:-1]), np.zeros(shape)
+    if kind == "negative_zero":
+        # a sum that starts from the first message, not from zero, would
+        # give -0.0 here
+        return np.zeros(shape[:-1]), np.full(shape, -0.0)
+    lam_eq = rng.normal(size=shape[:-1])
+    lam_eq[rng.random(shape[:-1]) < 0.2] = 0.0
+    lam_nbr = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    lam_nbr[rng.random(shape) < 0.2] = -0.0
+    if kind == "quantized":
+        lam_nbr = co._quantize(lam_nbr, 6, axis=-2)
+    return lam_eq, lam_nbr
+
+
+def _exchange_maps():
+    """Neighbor maps of every builder, K_tilde from 1 to 6."""
+    lay = generate_layout(NetworkDims.uniform(4, 1, 1), 500.0)
+    for kt in range(1, 7):
+        yield ring_neighbor_map(14, kt)
+        for mode in NEIGHBOR_MODES:
+            yield neighbor_map(lay, kt, mode=mode)
 
 
 def test_subgradient_of_a_stack_equals_single_calls():
-    nmap = random_desk_instance(n_sectors=8, users_per_sector=1,
-                                k_tilde=3, seed=0).neighbors
+    # the gather equals the per-sector exchange byte for byte, -0.0
+    # included, and a stack equals its members' single calls
     rng = np.random.default_rng(4)
-    lam_eq = rng.normal(size=(5, 8, 3))
-    lam_nbr = rng.normal(size=(5, 8, 3, 3)) * 1e3
-    lam_nbr[1] = 0.0
-    grad = co.compute_subgradient(lam_eq, lam_nbr, nmap)
-    assert grad.shape == (5, 8, 3)
-    for p in range(5):
-        one = co.compute_subgradient(lam_eq[p], lam_nbr[p], nmap)
-        assert grad[p].tobytes() == one.tobytes()
+    for nmap in _exchange_maps():
+        for kind in ("random", "zero", "negative_zero", "quantized"):
+            for batch in ((), (3,), (2, 2)):
+                shape = (*batch, nmap.K, 3, nmap.k_tilde)
+                lam_eq, lam_nbr = _messages(kind, rng, shape)
+                grad = co.compute_subgradient(lam_eq, lam_nbr, nmap)
+                ref = _exchange_by_sector(lam_eq, lam_nbr, nmap)
+                assert grad.shape == ref.shape == shape[:-1]
+                assert grad.tobytes() == ref.tobytes()
+                for p in np.ndindex(batch):
+                    one = co.compute_subgradient(lam_eq[p], lam_nbr[p],
+                                                 nmap)
+                    assert grad[p].tobytes() == one.tobytes()
 
 
 def test_subgradient_inequality_random_probes():
@@ -317,12 +355,11 @@ def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
     # run 1: n passes plus the closing pass; the re-run has no closing
     # pass. Each run's n + 1 rounded iterates are scored once, by one
     # call on a (P, n + 1, K, N) stack, on the true channel. Only the
-    # passes that feed a master step exchange duals: each sector posts to
-    # its K_tilde = 2 neighbors.
+    # passes that feed a master step exchange duals, each in one post.
     passes = {1: n + 1, 2: 2 * n + 1}[runs]
     assert counts == {"solve": passes,
                       "bound_objective": runs,
-                      "post": runs * n * 6 * 2}
+                      "post": runs * n}
     assert scored == [(1, n + 1, 6, 2)] * runs
 
 
@@ -354,7 +391,7 @@ def test_batched_rounds_equal_single_rounds(config, warm):
 def test_one_lane_call_exchange_and_step_per_pass(monkeypatch, count):
     # however many problems the batch holds: 2 + 1 + 2 lane passes, and
     # one exchange and one master step per pass that moves the master,
-    # each Mailbox message carrying the whole batch's (P, N) block
+    # each exchange one Mailbox post of the whole batch's duals
     counts = {"solve": 0, "compute_subgradient": 0, "master_step": 0,
               "post": 0}
     _count_calls(monkeypatch, lanes.LaneSet, "solve", counts)
@@ -363,7 +400,7 @@ def test_one_lane_call_exchange_and_step_per_pass(monkeypatch, count):
     _count_calls(monkeypatch, co.Mailbox, "post", counts)
     co.run_rounds(_batch_problems(count), co.IcicConfig(n_iter=2, runs=2))
     assert counts == {"solve": 5, "compute_subgradient": 4,
-                      "master_step": 4, "post": 4 * 8 * 3}
+                      "master_step": 4, "post": 4}
 
 
 @pytest.mark.parametrize("config, solves", [
@@ -467,6 +504,23 @@ def test_run_rounds_rejects_mismatched_warm_starts():
     with pytest.raises(ValueError):
         co.run_rounds([prob, prob], co.IcicConfig(n_iter=1), [None])
     assert co.run_rounds([], co.IcicConfig(n_iter=1)) == []
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+def test_only_run_coordination_schedules(runs):
+    # a batch result carries no schedule; run_coordination schedules its
+    # blanking on the problem's channel, as finalize_schedule alone does
+    problems = _batch_problems(3)
+    config = co.IcicConfig(n_iter=3, runs=runs)
+    for res in co.run_rounds(problems, config):
+        assert res.assignments is None and res.exact_rates is None
+        assert res.realized_objective is None
+    for prob in problems:
+        res = co.run_coordination(prob, config)
+        assert oracle.bit_equal(
+            (res.assignments, res.exact_rates, res.realized_objective),
+            co.finalize_schedule(prob.gains, prob.weights, prob.radio,
+                                 prob.amc, res.blanking))
 
 
 def test_finalize_respects_blanking():
