@@ -89,10 +89,10 @@ def _cmd_verify(args):
     check("closed-form lanes optimal against per-lane flow solve",
           oracle.lane_engine_check(300 if quick else 3_000, seed=13) == 0)
 
-    # three 2-user instances of one shape: one lane call per master pass
-    probs = random_desk_instances([60, 61, 62], n_sectors=6,
+    # a batch of three 2-user instances: one lane call per master pass
+    batch = random_desk_instances([60, 61, 62], n_sectors=6,
                                   users_per_sector=2, n_rbs=2, k_tilde=2)
-    ok = all(not oracle.batch_mismatches(probs, co.IcicConfig(
+    ok = all(not oracle.batch_mismatches(batch, co.IcicConfig(
         n_iter=3 if quick else 5, runs=2, quantize_exchange=quantize,
         quant_bits=6)) for quantize in (False, True))
     check("batched rounds equal single rounds", ok)
@@ -156,11 +156,12 @@ def _cmd_gapbench(args):
     except OSError as exc:
         return _config_error(f"--out: {exc}")
 
-    probs = random_desk_instances(
+    batch = random_desk_instances(
         range(args.seed, args.seed + args.instances), n_sectors=12,
         users_per_sector=2, n_rbs=2, k_tilde=2)
-    optima = [oracle.exhaustive_bound(p).value for p in probs]
-    results = co.run_rounds(probs, icic)
+    optima = [oracle.exhaustive_bound(batch[p]).value
+              for p in range(batch.rounds)]
+    results = co.run_rounds(batch, icic)
     gaps = {1: [], 2: []}
     for opt, res in zip(optima, results):
         # the runs=1 column: a runs=2 round starts with the whole runs=1

@@ -30,19 +30,19 @@ the closed form must be optimal, and its value and duals must match the
 flow solve's within a stated tolerance (`oracle.lane_mismatches`). The
 master loop itself never calls it.
 
-Independent rounds of one shape (the same K, M, N, neighbor sets, radio
-and AMC table) run as a lockstep batch: `run_rounds` holds the master
-state of P problems as (P, K, N) arrays and advances them together,
-including the `runs=2` re-run, where each problem keeps its own masked
-channel and frozen set, and the masked rate triples of all P come from
-one stacked call. Each pass is one lane call, one exchange and one
-master step for the whole batch, and each run's rounded iterates of all
-P are scored by one `bound_objective` call and picked by argmax over the
-(P, C) scores. These steps are elementwise or keep each problem's own
-float order (each master value and score is summed in its own (k, n)
-order), so a batched result equals the round run alone bit for bit; only
-the reports are built per problem. `run_coordination` is a batch of one
-that also schedules its blanking.
+A lockstep batch of independent rounds on one network is one
+`CoordinationProblem` with a leading round axis. `run_rounds` holds the
+master state of its P rounds as (P, K, N) arrays and advances them
+together, including the `runs=2` re-run, where each round keeps its own
+masked channel and frozen set, and the masked rate triples of all P
+come from one call on the batch's gains. Each pass is one lane call, one
+exchange and one master step for the whole batch, and each run's rounded
+iterates of all P are scored by one `bound_objective` call and picked by
+argmax over the (P, C) scores. These steps are elementwise or keep each
+round's own float order (each master value and score is summed in its
+own (k, n) order), so a batched result equals the round run alone bit
+for bit; only the reports are built per round. `run_coordination` is a
+batch of one that also schedules its blanking.
 
 The master consumes one dual per subproblem balance constraint: the
 subgradient of the summed sector values with respect to I[k] is the
@@ -134,14 +134,19 @@ class IcicResult:
 @dataclass
 class CoordinationProblem:
     """Everything one coordinated scheduling round needs. Every sector has
-    the same user count M; weights and gains may be given per sector."""
+    the same user count M; weights and gains may be given per sector.
+    A batch of P rounds on one network puts a round axis in front of the
+    weights, gains and triples; `rounds` is P (None for one round), and
+    `batch[p]` is round p as views, walked by index, not iteration."""
 
     neighbors: object                # NeighborMap
-    weights: np.ndarray              # (K, M)
-    gains: np.ndarray                # (K, M, N, K)
+    weights: np.ndarray              # (..., K, M)
+    gains: np.ndarray                # (..., K, M, N, K)
     radio: object                    # RadioConfig
     amc: object = None
-    triples: object = None
+    triples: object = None           # RateTriples, stacked like the gains
+
+    __iter__ = None
 
     def __post_init__(self):
         counts = [len(w) for w in self.weights]
@@ -150,10 +155,11 @@ class CoordinationProblem:
                              f"got weights for {counts} users")
         self.weights = np.asarray(self.weights, dtype=float)
         self.gains = np.asarray(self.gains)
-        if self.gains.shape[:2] != self.weights.shape:
+        users = self.gains.shape[:self.weights.ndim]
+        if users != self.weights.shape:
             raise ValueError(
-                f"gains for (K, M) = {self.gains.shape[:2]} users do not "
-                f"match weights for {self.weights.shape}")
+                f"gains for (..., K, M) = {users} users do not match "
+                f"weights for {self.weights.shape}")
         if self.amc is None:
             self.amc = default_amc_table()
         if self.triples is None:
@@ -166,7 +172,22 @@ class CoordinationProblem:
 
     @property
     def N(self):
-        return self.gains.shape[2]
+        return self.gains.shape[-2]
+
+    @property
+    def rounds(self):
+        return len(self.weights) if self.weights.ndim == 3 else None
+
+    def __getitem__(self, p):
+        """Round p of a batch; a slice is a sub-batch, and None makes a
+        single round a batch of one."""
+        if self.rounds is None and p is not None:
+            raise TypeError("a single round has no rounds to index")
+        return CoordinationProblem(
+            neighbors=self.neighbors, weights=self.weights[p],
+            gains=self.gains[p], radio=self.radio, amc=self.amc,
+            triples=RateTriples(r=self.triples.r[p],
+                                rtil=self.triples.rtil[p]))
 
 
 # --- subproblem construction and duals ---
@@ -362,23 +383,6 @@ def _quantize(values, bits, vmax=None, axis=None):
                     np.round(v / scale * levels) * (scale / levels))
 
 
-def _check_one_shape(problems):
-    """Refuse a batch whose problems differ in K, M, N, neighbor sets,
-    radio or AMC table."""
-    first = problems[0]
-    dims = [(*pr.weights.shape, pr.N) for pr in problems]
-    for p, pr in enumerate(problems):
-        if dims[p] != dims[0]:
-            raise ValueError(f"problem {p} has (K, M, N) = {dims[p]}, "
-                             f"problem 0 has {dims[0]}")
-        if not np.array_equal(pr.neighbors.nbr, first.neighbors.nbr):
-            raise ValueError(f"problem {p} has other neighbor sets than "
-                             f"problem 0")
-        if pr.radio != first.radio or pr.amc is not first.amc:
-            raise ValueError(f"problem {p} has another radio or AMC table "
-                             f"than problem 0")
-
-
 def _lane_inputs(weights, r, rtil):
     """The lane set of one master run of a batch: a `lanes.LaneSet` on
     w and r (L, M) and rtil (L, M, K_tilde), for the L = P*K*N lanes in
@@ -452,62 +456,56 @@ def _subgradient_run(lane_set, neighbors, config, init, frozen=None):
     return blanking, values, np.stack(rounded, axis=1)
 
 
-def _masked_triples(problems, blank1):
-    """The re-run's stacked rate triples of a batch of one shape, in one
-    `precompute_rate_triples` call: in problem p every gain from a sector
+def _masked_triples(batch, blank1):
+    """The re-run's rate triples of a batch, in one
+    `precompute_rate_triples` call: in round p every gain from a sector
     blanked in blank1[p] (P, K, N) is zeroed, serving gains kept."""
-    gains = np.stack([pr.gains for pr in problems])     # (P, K, M, N, K)
+    gains = batch.gains                                 # (P, K, M, N, K)
     masked = gains * (1.0 - blank1.astype(float).transpose(0, 2, 1)
                       [:, None, None])
     own = np.arange(gains.shape[1])
     masked[:, own, :, :, own] = gains[:, own, :, :, own]
-    first = problems[0]
-    return precompute_rate_triples(masked, first.radio, first.neighbors,
-                                   first.amc)
+    return precompute_rate_triples(masked, batch.radio, batch.neighbors,
+                                   batch.amc)
 
 
-def run_rounds(problems, config, warm_starts=None):
-    """Coordinated rounds of independent problems of one shape, advanced
-    in lockstep.
+def run_rounds(batch, config, warm_start=None):
+    """Coordinated rounds of a batch (see `CoordinationProblem`),
+    advanced in lockstep; a single round runs as a batch of one.
 
-    The problems must share K, M, N, the neighbor sets, the radio and
-    the AMC table; any other batch is a ValueError that names the
-    mismatch. The master state is held as (P, K, N) arrays, so each
-    master pass is one lane call, one exchange and one master step for
-    the whole batch (see `_subgradient_run`) on a lane set built once
-    per run (see `_lane_inputs`), and each run's rounded iterates of
-    every problem are scored by one `bound_objective` call, as a (P, C)
-    array from which the picks are argmax and running-max reductions
-    along C. Only the reports are built per problem. Every step is
-    elementwise or keeps each problem's own float order, so each result
-    equals a round of that problem alone, bit for bit.
-    Returns one IcicResult per problem, in order, with no schedule.
+    The master state is held as (P, K, N) arrays, so each master pass is
+    one lane call, one exchange and one master step for the whole batch
+    (see `_subgradient_run`) on a lane set built once per run (see
+    `_lane_inputs`), and each run's rounded iterates of every round are
+    scored by one `bound_objective` call, as a (P, C) array from which
+    the picks are argmax and running-max reductions along C. Only the
+    reports are built per round. Every step is elementwise or keeps each
+    round's own float order, so each result equals that round run alone,
+    bit for bit. Returns one IcicResult per round, in order, with no
+    schedule.
 
-    warm_starts: optional list, per problem None or a (K, N) fractional
-    blanking from the previous execution; the default initial point is
-    all zeros (reuse-1).
+    warm_start: optional fractional blanking from the previous execution,
+    shaped (..., K, N) like the batch's blankings, else a ValueError; the
+    default initial point is all zeros (reuse-1).
     """
-    if warm_starts is None:
-        warm_starts = [None] * len(problems)
-    if len(warm_starts) != len(problems):
-        raise ValueError(f"{len(warm_starts)} warm starts for "
-                         f"{len(problems)} problems")
-    if not problems:
-        return []
-    _check_one_shape(problems)
-    first = problems[0]
-    nmap, k_sec, n_rb = first.neighbors, first.K, first.N
-    r = np.stack([pr.triples.r for pr in problems])         # (P, K, M, N)
-    rtil = np.stack([pr.triples.rtil for pr in problems])
-    # master weights are normalised by each problem's mean weighted rate
-    mean = np.array([np.mean(pr.weights[:, :, None] * r_p)
-                     for pr, r_p in zip(problems, r)])
-    scale = np.where(mean > 0, mean, 1.0)
-    weights = np.stack([pr.weights for pr in problems]) / scale[:, None, None]
+    shape = (*batch.weights.shape[:-1], batch.N)
     # the clipped warm start, else all zeros: reuse-1
-    init = np.stack([np.zeros((k_sec, n_rb)) if ws is None else
-                     np.clip(np.asarray(ws, dtype=float), 0.0, 1.0)
-                     for ws in warm_starts])
+    init = np.zeros(shape) if warm_start is None else \
+        np.clip(np.asarray(warm_start, dtype=float), 0.0, 1.0)
+    if init.shape != shape:
+        raise ValueError(f"a warm start of shape {init.shape} for "
+                         f"blankings of shape {shape}")
+    if batch.rounds is None:
+        batch, init = batch[None], init[None]
+    if not batch.rounds:
+        return []
+    nmap, k_sec, n_rb = batch.neighbors, batch.K, batch.N
+    r, rtil = batch.triples.r, batch.triples.rtil       # (P, K, M, N, ...)
+    # master weights are normalised by each round's mean weighted rate
+    mean = np.array([np.mean(w[:, :, None] * r_p)
+                     for w, r_p in zip(batch.weights, r)])
+    scale = np.where(mean > 0, mean, 1.0)
+    weights = batch.weights / scale[:, None, None]
     # a run's rounded iterates (P, C, K, N) are scored on the true channel;
     # the weights and triples broadcast over C
     true_channel = RateTriples(r=r[:, None], rtil=rtil[:, None])
@@ -530,17 +528,17 @@ def run_rounds(problems, config, warm_starts=None):
         binary = _binary_fraction((*xy, finals))
     else:
         values = scores[:, :1]
-        binary = [1.0] * len(problems)
+        binary = [1.0] * batch.rounds
     # best rounded value after each iterate of the first run
     p_hat_hist = (np.maximum.accumulate(scores, axis=1)
                   * scale[:, None]).tolist()
-    batch = np.arange(len(problems))
+    rows = np.arange(batch.rounds)
 
     if config.runs == 2:
-        blank1 = rounded[batch, scores.argmax(axis=1)]
+        blank1 = rounded[rows, scores.argmax(axis=1)]
         run2 = None
         if config.n_iter > 0:
-            masked = _masked_triples(problems, blank1)
+            masked = _masked_triples(batch, blank1)
             run2 = _lane_inputs(weights, masked.r, masked.rtil)
         _, _, rounded2 = _subgradient_run(run2, nmap, config, finals,
                                           frozen=blank1.astype(bool))
@@ -549,11 +547,11 @@ def run_rounds(problems, config, warm_starts=None):
 
     # argmax takes the first maximum, as max() over the iterates would
     pick = scores.argmax(axis=1)
-    i_star = rounded[batch, pick]
-    p_hat = scores[batch, pick]
+    i_star = rounded[rows, pick]
+    p_hat = scores[rows, pick]
     p_relaxed = np.maximum(values.max(axis=1), p_hat)
 
-    m_bar = float(first.weights.shape[1])
+    m_bar = float(batch.weights.shape[-1])
     guarantee = binary_share_guarantee(m_bar, nmap.k_tilde)
     overhead = overhead_report(m_bar, nmap.k_tilde, n_rb, config)
     # per iteration of each run every sector sends K_tilde*N duals and
@@ -589,7 +587,7 @@ def run_coordination(problem, config, warm_start=None):
     warm_start: optional (K, N) fractional blanking from the previous
     execution; the default initial point is all zeros (reuse-1).
     """
-    res = run_rounds([problem], config, [warm_start])[0]
+    res = run_rounds(problem, config, warm_start)[0]
     res.assignments, res.exact_rates, res.realized_objective = \
         finalize_schedule(problem.gains, problem.weights, problem.radio,
                           problem.amc, res.blanking)

@@ -4,15 +4,14 @@ These bypass the geometric channel model: gains are drawn directly so a
 dominant-interference regime can be dialed in (each interferer well above
 the aggregate of all weaker ones), which is where the single-blanked-
 neighbor rate bound is tight and exhaustive search stays affordable.
-Each instance is a `coordinator.CoordinationProblem`, so the coordinator
-and the oracles score the same weights, rates and AMC table.
+A batch of instances is one `coordinator.CoordinationProblem`, so the
+coordinator and the oracles score the same weights, rates and AMC table.
 """
 
 import numpy as np
 
 from .coordinator import CoordinationProblem
-from .linkadapt import (RadioConfig, RateTriples, default_amc_table,
-                        precompute_rate_triples)
+from .linkadapt import RadioConfig, default_amc_table, precompute_rate_triples
 from .network import ring_neighbor_map
 
 SNR_DB = 20.0      # serving gain 1 over noise, in dB
@@ -28,7 +27,7 @@ def random_desk_instances(seeds, n_sectors=12, users_per_sector=2, n_rbs=2,
     the next), with `edge_fraction` of users getting a near-serving-
     strength dominant interferer. Non-neighbor sectors contribute a tiny
     positive floor. `users_per_sector` is one count for every sector.
-    Returns a list of CoordinationProblems with the default AMC table.
+    Returns the batch, round p from seeds[p], with the default AMC table.
 
     A Python loop only draws the random numbers, in one fixed order per
     seed: per sector the floor gains, then per (user, RB) cell the edge
@@ -76,15 +75,13 @@ def random_desk_instances(seeds, n_sectors=12, users_per_sector=2, n_rbs=2,
 
     amc = default_amc_table()
     triples = precompute_rate_triples(gains, radio, nmap, amc)
-    return [CoordinationProblem(
-        neighbors=nmap, weights=weights[p], gains=gains[p], radio=radio,
-        amc=amc, triples=RateTriples(r=triples.r[p], rtil=triples.rtil[p]))
-        for p in range(n_prob)]
+    return CoordinationProblem(neighbors=nmap, weights=weights, gains=gains,
+                               radio=radio, amc=amc, triples=triples)
 
 
 def random_desk_instance(n_sectors=12, users_per_sector=2, n_rbs=2,
                          k_tilde=2, seed=0, edge_fraction=0.5):
-    """One `random_desk_instances` instance: a batch of one seed."""
+    """One `random_desk_instances` instance: round 0 of a one-seed batch."""
     return random_desk_instances(
         [seed], n_sectors=n_sectors, users_per_sector=users_per_sector,
         n_rbs=n_rbs, k_tilde=k_tilde, edge_fraction=edge_fraction)[0]

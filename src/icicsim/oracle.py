@@ -419,16 +419,15 @@ def bit_equal(a, b):
     return type(a) is type(b) and repr(a) == repr(b)
 
 
-def batch_mismatches(problems, config, warm_starts=None):
-    """Indices of the problems whose coordinator.run_rounds result is not
-    bit_equal to coordinator.run_rounds on that problem alone."""
-    if warm_starts is None:
-        warm_starts = [None] * len(problems)
-    batch = coordinator.run_rounds(problems, config, warm_starts)
-    return [p for p, (prob, ws, res)
-            in enumerate(zip(problems, warm_starts, batch))
-            if not bit_equal(res, coordinator.run_rounds([prob], config,
-                                                         [ws])[0])]
+def batch_mismatches(batch, config, warm_start=None):
+    """Indices of the rounds whose coordinator.run_rounds result on the
+    batch is not bit_equal to coordinator.run_rounds on that round
+    alone. warm_start: None or the batch's (P, K, N) warm start."""
+    results = coordinator.run_rounds(batch, config, warm_start)
+    return [p for p, res in enumerate(results)
+            if not bit_equal(res, coordinator.run_rounds(
+                batch[p], config,
+                None if warm_start is None else warm_start[p])[0])]
 
 
 # --- dense LP references (HiGHS) ---

@@ -6,15 +6,15 @@ Drops run in groups of consecutive drops, as many as fit GROUP_LANES
 of a group draws its channel (positions, shadowing, fading); then the
 sub-frames run in order, and per sub-frame every drop refades and updates
 its fairness weights, the selected scheme runs (the coordinated one every
-rho sub-frames as one lockstep `run_rounds` call over the group's drops,
-holding each drop's blanking in between; or a static reuse pattern), and
-each drop realizes exact rates and folds the scheduled rates back into
-its averages. Every sector has the same user count M, so each drop's
-users form one (K, M) grid: gains (K, M, N, K), weights (K, M), and the
-fairness averages flat in the same sector-major order. Output rows stay
-in drop order. Every random draw descends from the configured seed
-through per-drop streams, so the grouping changes no number and
-identical configs produce identical output bytes.
+rho sub-frames as one lockstep `run_rounds` call on one problem that
+stacks the group's drops, holding each drop's blanking in between; or a
+static reuse pattern), and each drop realizes exact rates and folds the
+scheduled rates back into its averages. Every sector has the same user
+count M, so each drop's users form one (K, M) grid: gains (K, M, N, K),
+weights (K, M), and the fairness averages flat in the same sector-major
+order. Output rows stay in drop order. Every random draw descends from
+the configured seed through per-drop streams, so the grouping changes no
+number and identical configs produce identical output bytes.
 """
 
 import hashlib
@@ -157,12 +157,16 @@ def _check_feasible(cfg):
     group = _drop_group(k * sc.rbs, sc.drops)
     kept = min(sc.subframes, sc.estimation_delay_subframes + 1)
     memory = _physical_memory_bytes()
-    if group * 2 * tensor_bytes > memory:
+    copies = ("channel", "sub-frame") + (
+        ("stacked known gains",) if cfg.scheme == "proposed" else ())
+    tensors = group * len(copies)
+    if tensors * tensor_bytes > memory:
         raise bad("scenario.users_per_sector", sc.users_per_sector,
-                  f"with {sc.sites} sites and {sc.rbs} RBs the "
-                  f"{2 * group} gain tensors of {group} drops run together "
-                  f"need {group * 2 * tensor_bytes / 2**30:.1f} GiB, more "
-                  f"than physical memory")
+                  f"with {sc.sites} sites and {sc.rbs} RBs the {tensors} "
+                  f"gain tensors of {group} drops run together "
+                  f"({', '.join(copies)}) need "
+                  f"{tensors * tensor_bytes / 2**30:.1f} GiB, more than "
+                  f"physical memory")
     if group * (1 + kept) * tensor_bytes > memory:
         raise bad("scenario.estimation_delay_subframes",
                   sc.estimation_delay_subframes,
@@ -327,7 +331,6 @@ class _Drop:
                                         seed=ch_seed)
         self.fade_rng = np.random.default_rng(fade_seed)
         self.tracker = AverageRateTracker(num_users=n_users, t_c=sc.t_c)
-        self.warm = None
         self.held = np.zeros((dims.K, dims.N), dtype=np.int8)
         # this and the past estimation_delay_subframes channels, oldest first
         self.history = deque(maxlen=sc.estimation_delay_subframes + 1)
@@ -371,28 +374,24 @@ def run_simulation(config):
     group = _drop_group(dims.K * dims.N, sc.drops)
 
     for first in range(0, sc.drops, group):
-        batch = [_Drop(d, sc, layout, dims, chcfg, radio)
+        drops = [_Drop(d, sc, layout, dims, chcfg, radio)
                  for d in range(first, min(first + group, sc.drops))]
+        warm = None     # the group's (drops, K, N) fractional blanking
         for t in range(sc.subframes):
-            coordinate = static is None and t % config.icic.rho == 0
-            tensors, weights, problems = [], [], []
-            for d in batch:
-                tensor, known = d.observe(t, sc, dims)
-                w = compute_weights(config.scheduler,
-                                    d.tracker).reshape(dims.K, -1)
-                tensors.append(tensor)
-                weights.append(w)
-                if coordinate:
-                    problems.append(CoordinationProblem(
-                        neighbors=nmap, weights=w, gains=known.gains,
-                        radio=radio, amc=amc))
+            tensors, known = zip(*(d.observe(t, sc, dims) for d in drops))
+            weights = [compute_weights(config.scheduler,
+                                       d.tracker).reshape(dims.K, -1)
+                       for d in drops]
 
-            if coordinate:
-                # one lockstep round over the group's drops
-                results = run_rounds(problems, config.icic,
-                                     [d.warm for d in batch])
-                for d, res in zip(batch, results):
-                    d.warm = res.warm_start
+            if static is None and t % config.icic.rho == 0:
+                # one lockstep round on one problem stacking the group's
+                # drops, unbound so its gains are freed when it returns
+                results = run_rounds(CoordinationProblem(
+                    neighbors=nmap, weights=np.stack(weights),
+                    gains=np.stack([k.gains for k in known]), radio=radio,
+                    amc=amc), config.icic, warm)
+                warm = np.stack([res.warm_start for res in results])
+                for d, res in zip(drops, results):
                     d.held = res.blanking
                     overhead = res.overhead
                     d.gap_rows.append({
@@ -405,7 +404,7 @@ def run_simulation(config):
                         "prop1_bound": res.gap.binary_guarantee_percent})
                     np.add.at(blank_counts, d.held.sum(axis=1), 1)
 
-            for d, tensor, w in zip(batch, tensors, weights):
+            for d, tensor, w in zip(drops, tensors, weights):
                 blanking = d.held if static is None else static
                 assigns, rates, _ = finalize_schedule(
                     tensor.gains, w, radio, amc, blanking)
@@ -415,7 +414,7 @@ def run_simulation(config):
                 d.thr_sum += scheduled
 
         # rows stay in drop order
-        for d in batch:
+        for d in drops:
             gap_rows.extend(d.gap_rows)
             user_thr = d.thr_sum / sc.subframes * 1e3 / sc.bandwidth_hz
             throughput.extend(user_thr.tolist())

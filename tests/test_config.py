@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from icicsim import cli
+from icicsim import cli, simulate
 from icicsim.simulate import _SECTIONS
 
 DESK = """
@@ -82,6 +82,28 @@ def test_bad_value_exits_2_naming_key(extra, key, tmp_path, capsys):
         named = f"unknown section {key.split('.')[0]!r}"
     assert err.startswith("config error: ") and named in err, err
     assert ("unknown key" in err) == ((extra, key) in REMOVED), err
+
+
+# DESK's gain tensor: 12 sectors x 2 users x 8 RBs x 12 sectors, float64
+DESK_TENSOR_BYTES = 12 * 2 * 8 * 12 * 8
+
+
+@pytest.mark.parametrize("tensors, extra, key, named", [
+    # the drop's channel, its sub-frame tensor and the coordinated
+    # round's stacked copy of the known gains: three tensors, not two
+    (2.5, "", "scenario.users_per_sector", "3 gain tensors"),
+    # room for the three tensors of a round, not for the channel and
+    # ten kept past tensors
+    (4, "scenario.subframes = 10\nscenario.estimation_delay_subframes = 9",
+     "scenario.estimation_delay_subframes", "keeps 10 past gain tensors"),
+], ids=["stacked_gains", "delay_history"])
+def test_memory_refusals_exit_2(tensors, extra, key, named, tmp_path, capsys,
+                                monkeypatch):
+    monkeypatch.setattr(simulate, "_physical_memory_bytes",
+                        lambda: tensors * DESK_TENSOR_BYTES)
+    assert _simulate(DESK + extra + "\n", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert key in err and named in err and "physical memory" in err, err
 
 
 @pytest.mark.parametrize("flags,key", [

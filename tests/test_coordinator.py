@@ -9,10 +9,8 @@ from icicsim import coordinator as co
 from icicsim import lanes, mcnf, oracle
 from icicsim.fairsched import local_schedule
 from icicsim.instances import random_desk_instance, random_desk_instances
-from icicsim.linkadapt import DEFAULT_AMC_ROWS, AmcTable, RadioConfig
-from icicsim.network import (NEIGHBOR_MODES, NeighborMap, NetworkDims,
-                             generate_layout, neighbor_map,
-                             ring_neighbor_map)
+from icicsim.network import (NEIGHBOR_MODES, NetworkDims, generate_layout,
+                             neighbor_map, ring_neighbor_map)
 
 
 def test_network_counts_match_closed_form():
@@ -364,7 +362,7 @@ def test_each_pass_and_rounding_computed_once(monkeypatch, runs):
 
 
 def _batch_problems(count=5):
-    """A batch of one shape: K = 8, M = 3, N = 2 and K_tilde = 3."""
+    """A batch of `count` rounds: K = 8, M = 3, N = 2 and K_tilde = 3."""
     return random_desk_instances(range(81, 81 + count), n_sectors=8,
                                  users_per_sector=3, n_rbs=2, k_tilde=3)
 
@@ -377,14 +375,18 @@ def _batch_problems(count=5):
 ], ids=["runs1", "runs2", "quantized", "no_master"])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_batched_rounds_equal_single_rounds(config, warm):
-    problems = _batch_problems()
-    rng = np.random.default_rng(7)
-    warm_starts = [rng.random((pr.K, pr.N)) if warm and p % 2 == 0 else None
-                   for p, pr in enumerate(problems)]
-    assert oracle.batch_mismatches(problems, config, warm_starts) == []
+    batch = _batch_problems()
+    warm_start = None
+    if warm:
+        # the even rounds start warm, the odd ones from zero
+        warm_start = np.random.default_rng(7).random(
+            (batch.rounds, batch.K, batch.N))
+        warm_start[1::2] = 0.0
+    assert oracle.batch_mismatches(batch, config, warm_start) == []
     # so reversing the batch reverses the results
-    assert oracle.batch_mismatches(problems[::-1], config,
-                                   warm_starts[::-1]) == []
+    assert oracle.batch_mismatches(
+        batch[::-1], config,
+        None if warm_start is None else warm_start[::-1]) == []
 
 
 @pytest.mark.parametrize("count", [1, 5])
@@ -431,48 +433,6 @@ def test_one_lane_set_per_master_run(monkeypatch, config, solves):
     assert solved == solves
 
 
-def _other_neighbor_sets():
-    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
-                                k_tilde=2, seed=5)
-    # the ring 0-2-4-1-3-5-0: the same (K, K_tilde), other sets
-    ring = [0, 2, 4, 1, 3, 5]
-    nbr = [sorted((ring[(ring.index(k) + d) % 6] for d in (-1, 1)))
-           for k in range(6)]
-    return co.CoordinationProblem(
-        neighbors=NeighborMap(nbr=np.array(nbr)), weights=prob.weights,
-        gains=prob.gains, radio=prob.radio)
-
-
-def _other_link(radio=None, amc=None):
-    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
-                                k_tilde=2, seed=5)
-    return co.CoordinationProblem(
-        neighbors=prob.neighbors, weights=prob.weights, gains=prob.gains,
-        radio=radio or prob.radio, amc=amc)
-
-
-@pytest.mark.parametrize("other, named", [
-    (lambda: random_desk_instance(n_sectors=8, users_per_sector=2, n_rbs=2,
-                                  k_tilde=2, seed=5), "(K, M, N) = (8, 2, 2)"),
-    (lambda: random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=2,
-                                  k_tilde=2, seed=5), "(K, M, N) = (6, 3, 2)"),
-    (lambda: random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=3,
-                                  k_tilde=2, seed=5), "(K, M, N) = (6, 2, 3)"),
-    (lambda: random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
-                                  k_tilde=3, seed=5), "other neighbor sets"),
-    (_other_neighbor_sets, "other neighbor sets"),
-    (lambda: _other_link(radio=RadioConfig(p_c_watts=2.0, p_n_watts=0.01)),
-     "another radio or AMC table"),
-    (lambda: _other_link(amc=AmcTable(DEFAULT_AMC_ROWS)),
-     "another radio or AMC table"),
-], ids=["K", "M", "N", "k_tilde", "neighbor_sets", "radio", "amc"])
-def test_run_rounds_refuses_a_batch_of_mixed_shapes(other, named):
-    first = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
-                                 k_tilde=2, seed=4)
-    with pytest.raises(ValueError, match=re.escape(f"problem 2 has {named}")):
-        co.run_rounds([first, first, other()], co.IcicConfig(n_iter=1))
-
-
 def _ragged_weights():
     prob = random_desk_instance(n_sectors=6, users_per_sector=2, seed=4)
     return co.CoordinationProblem(
@@ -487,35 +447,53 @@ def _gains_of_other_m():
         gains=prob.gains, radio=prob.radio)
 
 
+def _stacked_gains_of_other_m():
+    batch = random_desk_instances([4, 5, 6], n_sectors=6, users_per_sector=2)
+    return co.CoordinationProblem(
+        neighbors=batch.neighbors, weights=np.ones((3, 6, 3)),
+        gains=batch.gains, radio=batch.radio)
+
+
 @pytest.mark.parametrize("build, named", [
     (lambda: NetworkDims(K=3, sites=1, M=(2, 1, 1), N=1), "(2, 1, 1)"),
     (_ragged_weights, "[2, 2, 2, 2, 2, 3]"),
     (_gains_of_other_m, "(6, 2) users do not match weights for (6, 3)"),
+    (_stacked_gains_of_other_m,
+     "(3, 6, 2) users do not match weights for (3, 6, 3)"),
     (lambda: random_desk_instance(users_per_sector=[3, 1]), "[3, 1]"),
-], ids=["dims", "weights", "gains", "instance"])
+], ids=["dims", "weights", "gains", "stacked_gains", "instance"])
 def test_unequal_user_counts_are_refused(build, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         build()
 
 
 def test_run_rounds_rejects_mismatched_warm_starts():
-    prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
-                                k_tilde=2, seed=1)
-    with pytest.raises(ValueError):
-        co.run_rounds([prob, prob], co.IcicConfig(n_iter=1), [None])
-    assert co.run_rounds([], co.IcicConfig(n_iter=1)) == []
+    # a warm start is shaped like the blankings: (K, N) for one round,
+    # (P, K, N) for a batch of P
+    batch = random_desk_instances([1, 2], n_sectors=6, users_per_sector=2,
+                                  n_rbs=2, k_tilde=2)
+    config = co.IcicConfig(n_iter=1)
+    for prob, warm in ((batch, np.zeros((6, 2))),
+                       (batch, np.zeros((1, 6, 2))),
+                       (batch, np.zeros((2, 6, 3))),
+                       (batch[0], np.zeros((2, 6, 2))),
+                       (batch[0], np.zeros((6, 1)))):
+        with pytest.raises(ValueError, match="warm start of shape"):
+            co.run_rounds(prob, config, warm)
+    assert co.run_rounds(batch[:0], config) == []
 
 
 @pytest.mark.parametrize("runs", [1, 2])
 def test_only_run_coordination_schedules(runs):
     # a batch result carries no schedule; run_coordination schedules its
     # blanking on the problem's channel, as finalize_schedule alone does
-    problems = _batch_problems(3)
+    batch = _batch_problems(3)
     config = co.IcicConfig(n_iter=3, runs=runs)
-    for res in co.run_rounds(problems, config):
+    for res in co.run_rounds(batch, config):
         assert res.assignments is None and res.exact_rates is None
         assert res.realized_objective is None
-    for prob in problems:
+    for p in range(batch.rounds):
+        prob = batch[p]
         res = co.run_coordination(prob, config)
         assert oracle.bit_equal(
             (res.assignments, res.exact_rates, res.realized_objective),

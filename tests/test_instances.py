@@ -62,8 +62,9 @@ def test_batch_equals_per_cell_loop(k_tilde, edge_fraction):
         batch = random_desk_instances(
             seeds, n_sectors=n_sectors, users_per_sector=users,
             n_rbs=n_rbs, k_tilde=k_tilde, edge_fraction=edge_fraction)
-        assert len(batch) == len(seeds)
-        for seed, got in zip(seeds, batch):
+        assert batch.rounds == len(seeds)
+        for p, seed in enumerate(seeds):
+            got = batch[p]
             gains, weights, triples = _instance_per_cell(
                 seed, n_sectors, users, n_rbs, k_tilde, edge_fraction)
             _assert_bit_equal(got.gains, gains)
@@ -76,10 +77,19 @@ def test_mixed_seed_batch_equals_single_seed_calls():
     seeds = [7, 0, 395950, 7, 12]
     batch = random_desk_instances(seeds, n_sectors=8, users_per_sector=2,
                                   n_rbs=3, k_tilde=4, edge_fraction=0.3)
-    for seed, got in zip(seeds, batch):
+    assert batch.rounds == len(seeds)
+    for p, seed in enumerate(seeds):
+        got = batch[p]
         one = random_desk_instance(n_sectors=8, users_per_sector=2, n_rbs=3,
                                    k_tilde=4, seed=seed, edge_fraction=0.3)
         for a, b in ((got.gains, one.gains), (got.weights, one.weights),
                      (got.triples.r, one.triples.r),
                      (got.triples.rtil, one.triples.rtil)):
             _assert_bit_equal(a, b)
+    # a round is views of the batch; a single round has no rounds, and
+    # neither is walked by iteration
+    assert np.shares_memory(batch[2].gains, batch.gains)
+    assert one.rounds is None
+    for bad in (lambda: one[0], lambda: iter(batch), lambda: iter(one)):
+        with pytest.raises(TypeError):
+            bad()

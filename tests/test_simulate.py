@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from icicsim import lanes, simulate
+from icicsim import coordinator, lanes, simulate
 from icicsim import network as nw
 from icicsim.coordinator import finalize_schedule
 from icicsim.linkadapt import default_amc_table
@@ -332,7 +332,18 @@ def test_drops_share_one_engine_call_per_pass(monkeypatch):
         return original(lane_set, own, nbr)
 
     monkeypatch.setattr(lanes.LaneSet, "solve", counted)
+    stacks = []
+    triples = coordinator.precompute_rate_triples
+
+    def counted_triples(gains, *args):
+        stacks.append(gains.shape[0])
+        return triples(gains, *args)
+
+    monkeypatch.setattr(coordinator, "precompute_rate_triples",
+                        counted_triples)
     run_simulation(cfg)
     # n_iter passes plus the closing pass per sub-frame, one call each,
     # every call over all 2 x 96 lanes
     assert calls == [2 * 96] * ((5 + 1) * 6)
+    # one stacked problem per sub-frame: one rate-triple call for both drops
+    assert stacks == [2] * 6

@@ -103,20 +103,20 @@ def test_bound_objective_stack_equals_per_candidate_loop(users):
     assert type(one) is float and one == ref[3]
 
     # a (P, C, K, N) stack, each problem with its own weights and triples
-    probs = random_desk_instances([31, 33, 34], n_sectors=6,
+    batch = random_desk_instances([31, 33, 34], n_sectors=6,
                                   users_per_sector=users, n_rbs=50,
                                   k_tilde=2)
-    weights = np.stack([pr.weights * rng.uniform(0.1, 3.0, (6, 1))
-                        for pr in probs])
+    weights = np.stack([w * rng.uniform(0.1, 3.0, (6, 1))
+                        for w in batch.weights])
     stack = _random_blankings(rng, 3 * 7, 6, 50).reshape(3, 7, 6, 50)
-    triples = RateTriples(
-        r=np.stack([pr.triples.r for pr in probs])[:, None],
-        rtil=np.stack([pr.triples.rtil for pr in probs])[:, None])
+    triples = RateTriples(r=batch.triples.r[:, None],
+                          rtil=batch.triples.rtil[:, None])
     got = co.bound_objective(weights[:, None], triples, stack,
                              prob.neighbors)
-    ref = np.array([[_bound_objective_one(w, pr.triples, b, pr.neighbors)
+    ref = np.array([[_bound_objective_one(w, batch[p].triples, b,
+                                          batch.neighbors)
                      for b in cands]
-                    for w, pr, cands in zip(weights, probs, stack)])
+                    for p, (w, cands) in enumerate(zip(weights, stack))])
     assert got.shape == (3, 7)
     assert got.tobytes() == ref.tobytes()
 
@@ -173,21 +173,20 @@ def test_exhaustive_bound_equals_full_pattern_scoring(k_tilde):
 
 def test_masked_triples_equal_per_sector_masking():
     # one stacked call for a batch of three, each with its own blanking
-    for probs in (random_desk_instances([60, 61, 62], n_sectors=6,
+    for batch in (random_desk_instances([60, 61, 62], n_sectors=6,
                                         users_per_sector=1, n_rbs=6),
                   random_desk_instances([63, 64, 65], n_sectors=6,
                                         users_per_sector=3, n_rbs=6),
                   random_desk_instances([66, 67, 68], n_sectors=8,
                                         users_per_sector=2, n_rbs=6,
                                         k_tilde=3)):
-        prob = probs[0]
         rng = np.random.default_rng(63)
-        blank1 = (rng.random((3, prob.K, prob.N)) < 0.4).astype(np.int8)
-        for pr in probs:
-            pr.amc = _SinrTable()
-        got = co._masked_triples(probs, blank1)
-        assert got.r.shape == (3, *prob.triples.r.shape)
-        for p, pr in enumerate(probs):
+        blank1 = (rng.random((3, batch.K, batch.N)) < 0.4).astype(np.int8)
+        batch.amc = _SinrTable()
+        got = co._masked_triples(batch, blank1)
+        assert got.r.shape == batch.triples.r.shape
+        for p in range(batch.rounds):
+            pr = batch[p]
             off = blank1[p].astype(float).T[None, :, :]
             masked = []
             for k, g in enumerate(pr.gains):
@@ -219,38 +218,36 @@ def test_stacked_triples_equal_single_calls(n_sec, k_tilde, amc):
 
 
 def test_lane_inputs_equal_per_sector_transposes():
-    probs = random_desk_instances([71, 72, 73], n_sectors=6,
+    batch = random_desk_instances([71, 72, 73], n_sectors=6,
                                   users_per_sector=3, n_rbs=4)
-    weights = np.stack([pr.weights * 0.5 for pr in probs])
-    got = co._lane_inputs(weights,
-                          np.stack([pr.triples.r for pr in probs]),
-                          np.stack([pr.triples.rtil for pr in probs]))
+    weights = batch.weights * 0.5
+    got = co._lane_inputs(weights, batch.triples.r, batch.triples.rtil)
     want = [np.concatenate([np.repeat(w, 4, axis=0) for w in weights]),
-            np.concatenate([pr.triples.r[k].T
-                            for pr in probs for k in range(pr.K)]),
-            np.concatenate([pr.triples.rtil[k].transpose(1, 0, 2)
-                            for pr in probs for k in range(pr.K)])]
+            np.concatenate([batch[p].triples.r[k].T
+                            for p in range(3) for k in range(batch.K)]),
+            np.concatenate([batch[p].triples.rtil[k].transpose(1, 0, 2)
+                            for p in range(3) for k in range(batch.K)])]
     for g, w in zip((got.w, got.r, got.rtil), want):
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()
 
 
-def _reference_rounds(problems, config, warm_starts):
-    """The per-problem selection `run_rounds` replaced: each problem's
+def _reference_rounds(batch, config, warm_start):
+    """The per-problem selection `run_rounds` replaced: each round's
     weight scale and start, its candidates as (blanking, value) pairs
     scored one pattern per call, and Python max and a running max for
     the picks. The master runs themselves are `run_rounds`' own."""
-    nmap = problems[0].neighbors
+    nmap = batch.neighbors
+    problems = [batch[p] for p in range(batch.rounds)]
     scales, weights, inits = [], [], []
-    for pr, ws in zip(problems, warm_starts):
+    for pr, ws in zip(problems, warm_start):
         scale, w = 1.0, pr.weights
         mean = float(np.mean(w[:, :, None] * pr.triples.r))
         if mean > 0:
             scale, w = mean, w / mean
         scales.append(scale)
         weights.append(w)
-        inits.append(np.zeros((pr.K, pr.N)) if ws is None else
-                     np.clip(np.asarray(ws, dtype=float), 0.0, 1.0))
+        inits.append(np.clip(ws, 0.0, 1.0))
 
     def scored(pr, w, rounded):
         return [(b, co.bound_objective(w, pr.triples, b, nmap))
@@ -272,7 +269,7 @@ def _reference_rounds(problems, config, warm_starts):
     if config.runs == 2:
         blank1 = np.stack([max(cands, key=lambda c: c[1])[0]
                            for cands in candidates])
-        masked = co._masked_triples(problems, blank1)
+        masked = co._masked_triples(batch, blank1)
         lane_set = co._lane_inputs(np.stack(weights), masked.r, masked.rtil)
         _, _, rounded2 = co._subgradient_run(
             lane_set, nmap, config, finals, frozen=blank1.astype(bool))
@@ -315,15 +312,15 @@ def test_batch_picks_equal_per_problem_selection(runs, n_iter, coarse,
                                                  monkeypatch):
     if coarse:
         _coarse_scores(monkeypatch)
-    problems = random_desk_instances(range(81, 86), n_sectors=8,
-                                     users_per_sector=3, n_rbs=2, k_tilde=3)
+    batch = random_desk_instances(range(81, 86), n_sectors=8,
+                                  users_per_sector=3, n_rbs=2, k_tilde=3)
     rng = np.random.default_rng(11)
-    # warm starts outside [0, 1] are clipped; the others start cold
-    warm_starts = [rng.uniform(-0.2, 1.2, (pr.K, pr.N)) if p % 2 else None
-                   for p, pr in enumerate(problems)]
+    # warm starts outside [0, 1] are clipped; the even rounds start cold
+    warm_start = rng.uniform(-0.2, 1.2, (batch.rounds, batch.K, batch.N))
+    warm_start[::2] = 0.0
     config = co.IcicConfig(n_iter=n_iter, runs=runs)
-    results = co.run_rounds(problems, config, warm_starts)
-    ref = _reference_rounds(problems, config, warm_starts)
+    results = co.run_rounds(batch, config, warm_start)
+    ref = _reference_rounds(batch, config, warm_start)
     for res, (i_star, p_hat, p_relaxed, hist, gaps) in zip(results, ref):
         assert res.blanking.dtype == i_star.dtype
         assert res.blanking.tobytes() == i_star.tobytes()
