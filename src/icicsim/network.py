@@ -435,7 +435,8 @@ def draw_channels(layout, dims, cfg, radio, seed):
                                         shadow[order]) / 10.0)
     large = large.reshape(*users, dims.K)
     if cfg.fast_fading:
-        grid = _faded(large, dims, rng)
+        grid = rng.standard_exponential(size=users + (dims.N, dims.K))
+        grid *= large[:, :, None, :]
     else:
         grid = np.repeat(large[:, :, None, :], dims.N, axis=2)
     return ChannelTensor(gains=grid, large_scale=large,
@@ -467,27 +468,23 @@ def _tied_sectors(layout, cfg, quota):
             if sites.index(site) != k and quota[k] > 0]
 
 
-def _faded(large, dims, rng):
-    """(K, M, N, K) gains: the large-scale gains times one exponential
-    draw. One draw of the whole shape yields the same numbers as one
-    (M, N, K) draw per sector in sector order. numpy draws
-    exponential(scale) as scale times standard_exponential, so the unit
-    draw here gives the same values and leaves the generator in the same
-    state, without the scaling pass."""
-    grid = rng.standard_exponential(size=large.shape[:2] + (dims.N, dims.K))
-    grid *= large[:, :, None, :]
-    return grid
+def refade(large_scale, dims, rngs):
+    """Redraw the fast fading of a drop group on its large-scale gains.
 
-
-def refade(tensor, dims, rng):
-    """Redraw fast fading on top of the existing large-scale gains.
-
-    The returned gains are a new (K, M, N, K) array on every call, so
-    tensors kept from earlier sub-frames never change.
+    large_scale: (D, K, M, K), one drop per leading row; rngs: one
+    generator per drop. Returns a new (D, K, M, N, K) array on every
+    call, so gains kept from earlier sub-frames never change. Drop d's
+    slice is one standard exponential draw from rngs[d] times its
+    large-scale gains: numpy draws exponential(scale) as scale times
+    standard_exponential, so these are the numbers that one (M, N, K)
+    `exponential` draw per sector in sector order gives, and each
+    generator ends in the state those draws leave.
     """
-    return ChannelTensor(gains=_faded(tensor.large_scale, dims, rng),
-                         large_scale=tensor.large_scale,
-                         user_xy=tensor.user_xy)
+    grid = np.empty(large_scale.shape[:-1] + (dims.N, dims.K))
+    for d, rng in enumerate(rngs):
+        rng.standard_exponential(out=grid[d])
+    grid *= large_scale[..., None, :]
+    return grid
 
 
 def _drop_region(layout):

@@ -2,19 +2,23 @@
 reuse baselines, metrics, and CSV emission.
 
 Drops run in groups of consecutive drops, as many as fit GROUP_LANES
-(K*N subproblems per drop) in one lockstep round, at least one. Each drop
-of a group draws its channel (positions, shadowing, fading); then the
-sub-frames run in order, and per sub-frame every drop refades and updates
-its fairness weights, the selected scheme runs (the coordinated one every
-rho sub-frames as one lockstep `run_rounds` call on one problem that
-stacks the group's drops, holding each drop's blanking in between; or a
-static reuse pattern), and each drop realizes exact rates and folds the
-scheduled rates back into its averages. Every sector has the same user
-count M, so each drop's users form one (K, M) grid: gains (K, M, N, K),
-weights (K, M), and the fairness averages flat in the same sector-major
-order. Output rows stay in drop order. Every random draw descends from
-the configured seed through per-drop streams, so the grouping changes no
-number and identical configs produce identical output bytes.
+(K*N subproblems per drop) in one lockstep round, at least one. A group
+is one stacked state with its drops on a leading axis D: each drop draws
+its channel (positions, shadowing, fading) from its own streams, and the
+group keeps the (D, K, M, K) large-scale gains and a history of
+(D, K, M, N, K) gains, this sub-frame's and the past
+estimation_delay_subframes ones. Per sub-frame one `refade` call redraws
+the group's fading, one `compute_weights` call over the D*K*M users gives
+the (D, K, M) weights, and the selected scheme runs: the coordinated one
+every rho sub-frames as one lockstep `run_rounds` call on the history's
+oldest gains, holding the (D, K, N) blanking in between, or a static
+reuse pattern. Each drop then realizes exact rates with its own
+`finalize_schedule` call, and one tracker update folds the scheduled
+rates of all D*K*M users, flat in drop, sector, user order, back into
+the averages. Output rows stay in drop order. Every random draw
+descends from the configured seed through per-drop streams, so the
+grouping changes no number and identical configs produce identical
+output bytes.
 """
 
 import hashlib
@@ -153,27 +157,25 @@ def _check_feasible(cfg):
         raise bad("scenario.sites", sc.sites, exc) from None
     k = 3 * sc.sites
     tensor_bytes = k * sc.users_per_sector * sc.rbs * k * 8
-    # every drop of a group keeps its channel plus the delay history
+    # each drop of a group keeps `kept` gain tensors and, at the peak, one
+    # more: at sub-frame 0 its drawn channel beside the stacked copy, or a
+    # two-run round's masked copy (refade draws after the oldest is freed)
     group = _drop_group(k * sc.rbs, sc.drops)
     kept = min(sc.subframes, sc.estimation_delay_subframes + 1)
     memory = _physical_memory_bytes()
-    copies = ("channel", "sub-frame") + (
-        ("stacked known gains",) if cfg.scheme == "proposed" else ())
-    tensors = group * len(copies)
-    if tensors * tensor_bytes > memory:
+    if 2 * group * tensor_bytes > memory:
         raise bad("scenario.users_per_sector", sc.users_per_sector,
-                  f"with {sc.sites} sites and {sc.rbs} RBs the {tensors} "
-                  f"gain tensors of {group} drops run together "
-                  f"({', '.join(copies)}) need "
-                  f"{tensors * tensor_bytes / 2**30:.1f} GiB, more than "
-                  f"physical memory")
-    if group * (1 + kept) * tensor_bytes > memory:
+                  f"with {sc.sites} sites and {sc.rbs} RBs the {group} "
+                  f"drops run together hold {2 * group} gain tensors at "
+                  f"once, {2 * group * tensor_bytes / 2**30:.1f} GiB, more "
+                  f"than physical memory")
+    if group * (kept + 1) * tensor_bytes > memory:
         raise bad("scenario.estimation_delay_subframes",
                   sc.estimation_delay_subframes,
                   f"each of the {group} drops run together keeps {kept} "
-                  f"past gain tensors of {tensor_bytes / 2**20:.1f} MiB "
-                  f"besides its channel, "
-                  f"{group * (1 + kept) * tensor_bytes / 2**30:.1f} GiB in "
+                  f"gain tensors of {tensor_bytes / 2**20:.1f} MiB and one "
+                  f"more at its peak, "
+                  f"{group * (kept + 1) * tensor_bytes / 2**30:.1f} GiB in "
                   f"all, more than physical memory")
     if cfg.scheme != "proposed":
         try:
@@ -315,36 +317,6 @@ def _drop_group(lanes_per_drop, drops):
     return min(drops, max(1, GROUP_LANES // lanes_per_drop))
 
 
-class _Drop:
-    """One drop of a group: its channel, random streams and running state.
-
-    Each drop draws from its own seeds, so drops advanced side by side get
-    the same numbers as drops run one after another.
-    """
-
-    def __init__(self, index, sc, layout, dims, chcfg, radio):
-        root = np.random.SeedSequence(entropy=(sc.seed, index))
-        ch_seed, fade_seed = root.spawn(2)
-        n_users = sum(dims.M)
-        self.index = index
-        self.channel = nw.draw_channels(layout, dims, chcfg, radio,
-                                        seed=ch_seed)
-        self.fade_rng = np.random.default_rng(fade_seed)
-        self.tracker = AverageRateTracker(num_users=n_users, t_c=sc.t_c)
-        self.held = np.zeros((dims.K, dims.N), dtype=np.int8)
-        # this and the past estimation_delay_subframes channels, oldest first
-        self.history = deque(maxlen=sc.estimation_delay_subframes + 1)
-        self.thr_sum = np.zeros(n_users)  # every user, in sector order
-        self.gap_rows = []
-
-    def observe(self, t, sc, dims):
-        """Sub-frame t's true channel and the one the scheme knows."""
-        tensor = nw.refade(self.channel, dims, self.fade_rng) \
-            if t > 0 and sc.fast_fading else self.channel
-        self.history.append(tensor)
-        return tensor, self.history[0]
-
-
 def run_simulation(config):
     """Execute the configured Monte Carlo and aggregate the metrics."""
     sc = config.scenario
@@ -365,66 +337,77 @@ def run_simulation(config):
     if config.scheme != "proposed":
         static = baseline_reuse(config.scheme, dims.K, dims.N)
 
-    throughput, user_sector, user_drop = [], [], []
     n_users = sum(dims.M)
-    sector_thr = np.zeros((sc.drops, dims.K))
+    thr_sum = np.zeros((sc.drops, n_users))    # every user, in sector order
     blank_counts = np.zeros(dims.N + 1)
     gap_rows = []
     overhead = None
     group = _drop_group(dims.K * dims.N, sc.drops)
 
     for first in range(0, sc.drops, group):
-        drops = [_Drop(d, sc, layout, dims, chcfg, radio)
-                 for d in range(first, min(first + group, sc.drops))]
-        warm = None     # the group's (drops, K, N) fractional blanking
+        drops = range(first, min(first + group, sc.drops))
+        # each drop draws from its own seeds, so drops advanced side by
+        # side get the same numbers as drops run one after another
+        seeds = [np.random.SeedSequence(entropy=(sc.seed, d)).spawn(2)
+                 for d in drops]
+        channels = [nw.draw_channels(layout, dims, chcfg, radio, seed=ch)
+                    for ch, _ in seeds]
+        fade_rngs = [np.random.default_rng(fade) for _, fade in seeds]
+        large_scale = np.stack([c.large_scale for c in channels])
+        # this and the past estimation_delay_subframes (D, K, M, N, K)
+        # gains, oldest first
+        history = deque([np.stack([c.gains for c in channels])])
+        del channels
+        tracker = AverageRateTracker(num_users=len(drops) * n_users,
+                                     t_c=sc.t_c)
+        # the (D, K, N) blanking each drop schedules under
+        held = None if static is None else \
+            np.broadcast_to(static, (len(drops), dims.K, dims.N))
+        warm = None     # the last round's (D, K, N) fractional blanking
+        rows = []
         for t in range(sc.subframes):
-            tensors, known = zip(*(d.observe(t, sc, dims) for d in drops))
-            weights = [compute_weights(config.scheduler,
-                                       d.tracker).reshape(dims.K, -1)
-                       for d in drops]
+            if t > 0 and sc.fast_fading:
+                if len(history) > sc.estimation_delay_subframes:
+                    history.popleft()       # freed before the next is drawn
+                history.append(nw.refade(large_scale, dims, fade_rngs))
+            weights = compute_weights(config.scheduler, tracker).reshape(
+                len(drops), dims.K, -1)
 
             if static is None and t % config.icic.rho == 0:
-                # one lockstep round on one problem stacking the group's
-                # drops, unbound so its gains are freed when it returns
+                # one lockstep round over the group, on the gains known
+                # estimation_delay_subframes sub-frames late
                 results = run_rounds(CoordinationProblem(
-                    neighbors=nmap, weights=np.stack(weights),
-                    gains=np.stack([k.gains for k in known]), radio=radio,
-                    amc=amc), config.icic, warm)
+                    neighbors=nmap, weights=weights, gains=history[0],
+                    radio=radio, amc=amc), config.icic, warm)
+                held = np.stack([res.blanking for res in results])
                 warm = np.stack([res.warm_start for res in results])
-                for d, res in zip(drops, results):
-                    d.held = res.blanking
-                    overhead = res.overhead
-                    d.gap_rows.append({
-                        "drop": d.index, "subframe": t,
-                        "rb_set": f"0-{dims.N - 1}",
-                        "p_relaxed": res.gap.p_relaxed,
-                        "p_hat": res.gap.p_hat,
-                        "gap_pct": res.gap.gap_bound_percent,
-                        "binary_frac": res.gap.binary_fraction,
-                        "prop1_bound": res.gap.binary_guarantee_percent})
-                    np.add.at(blank_counts, d.held.sum(axis=1), 1)
+                overhead = results[0].overhead
+                rows += [{"drop": d, "subframe": t,
+                          "rb_set": f"0-{dims.N - 1}",
+                          "p_relaxed": res.gap.p_relaxed,
+                          "p_hat": res.gap.p_hat,
+                          "gap_pct": res.gap.gap_bound_percent,
+                          "binary_frac": res.gap.binary_fraction,
+                          "prop1_bound": res.gap.binary_guarantee_percent}
+                         for d, res in zip(drops, results)]
+                np.add.at(blank_counts, held.sum(axis=-1), 1)
 
-            for d, tensor, w in zip(drops, tensors, weights):
-                blanking = d.held if static is None else static
+            scheduled = np.empty((len(drops), n_users))
+            for i in range(len(drops)):
                 assigns, rates, _ = finalize_schedule(
-                    tensor.gains, w, radio, amc, blanking)
-                scheduled = (assigns * rates).reshape(
+                    history[-1][i], weights[i], radio, amc, held[i])
+                scheduled[i] = (assigns * rates).reshape(
                     n_users, dims.N).sum(axis=1)
-                d.tracker.update(scheduled)
-                d.thr_sum += scheduled
+            tracker.update(scheduled.ravel())
+            thr_sum[first:drops.stop] += scheduled
 
-        # rows stay in drop order
-        for d in drops:
-            gap_rows.extend(d.gap_rows)
-            user_thr = d.thr_sum / sc.subframes * 1e3 / sc.bandwidth_hz
-            throughput.extend(user_thr.tolist())
-            user_sector.extend(np.repeat(np.arange(dims.K), dims.M).tolist())
-            user_drop.extend([d.index] * n_users)
-            sector_thr[d.index] = user_thr.reshape(dims.K, -1).sum(axis=1)
-            if static is not None:
-                np.add.at(blank_counts, static.sum(axis=1), 1)
+        gap_rows += sorted(rows, key=lambda row: row["drop"])
+        del history      # before the next group draws its channels
 
-    throughput = np.array(throughput)
+    if static is not None:
+        np.add.at(blank_counts, static.sum(axis=1), sc.drops)
+    user_thr = thr_sum / sc.subframes * 1e3 / sc.bandwidth_hz
+    throughput = user_thr.ravel()
     outage = [(float(rmin), float(np.mean(throughput < rmin)))
               for rmin in RMIN_GRID]
     pmf = blank_counts / blank_counts.sum() if blank_counts.sum() > 0 \
@@ -438,10 +421,10 @@ def run_simulation(config):
         else f"beta={config.scheduler.beta}"
     return MetricsReport(
         throughput_bps_hz=throughput,
-        user_sector=np.array(user_sector),
-        user_drop=np.array(user_drop),
+        user_sector=np.tile(np.repeat(np.arange(dims.K), dims.M), sc.drops),
+        user_drop=np.repeat(np.arange(sc.drops), n_users),
         percentiles=_percentiles(throughput, PERCENTILES),
-        sector_throughput=sector_thr,
+        sector_throughput=user_thr.reshape(sc.drops, dims.K, -1).sum(axis=2),
         outage=outage,
         blanked_pmf=pmf,
         gap_rows=gap_rows,

@@ -89,13 +89,12 @@ DESK_TENSOR_BYTES = 12 * 2 * 8 * 12 * 8
 
 
 @pytest.mark.parametrize("tensors, extra, key, named", [
-    # the drop's channel, its sub-frame tensor and the coordinated
-    # round's stacked copy of the known gains: three tensors, not two
-    (2.5, "", "scenario.users_per_sector", "3 gain tensors"),
-    # room for the three tensors of a round, not for the channel and
-    # ten kept past tensors
+    # the drop's drawn channel and its stacked copy at sub-frame 0: two
+    # tensors
+    (1.5, "", "scenario.users_per_sector", "2 gain tensors"),
+    # room for those two tensors, not for ten kept tensors and one more
     (4, "scenario.subframes = 10\nscenario.estimation_delay_subframes = 9",
-     "scenario.estimation_delay_subframes", "keeps 10 past gain tensors"),
+     "scenario.estimation_delay_subframes", "keeps 10 gain tensors"),
 ], ids=["stacked_gains", "delay_history"])
 def test_memory_refusals_exit_2(tensors, extra, key, named, tmp_path, capsys,
                                 monkeypatch):

@@ -115,36 +115,58 @@ def _channel():
                                        RADIO, seed=9)
 
 
+FADE_SEEDS = (3, 5)
+
+
+def _group():
+    """Two drops on one layout: their stacked sub-frame-0 gains and
+    (D, K, M, K) large-scale gains, as a drop group holds them."""
+    dims = nw.NetworkDims.uniform(4, 3, 5)
+    lay = nw.generate_layout(dims, 500.0)
+    chans = [nw.draw_channels(lay, dims, nw.ChannelConfig(), RADIO, seed=s)
+             for s in (9, 10)]
+    return (dims, np.stack([c.gains for c in chans]),
+            np.stack([c.large_scale for c in chans]))
+
+
+def _rngs():
+    return [np.random.default_rng(s) for s in FADE_SEEDS]
+
+
 def test_refade_equals_per_sector_draws():
-    dims, _, chan = _channel()
-    got = nw.refade(chan, dims, np.random.default_rng(3))
-    rng = np.random.default_rng(3)
-    for k, ls in enumerate(chan.large_scale):
-        ref = ls[:, None, :] * rng.exponential(size=(dims.M[k], dims.N,
-                                                     dims.K))
-        assert np.array_equal(got.gains[k], ref)
-    assert got.large_scale is chan.large_scale
+    dims, _, large = _group()
+    kept = large.copy()
+    got = nw.refade(large, dims, _rngs())
+    assert got.shape == large.shape[:3] + (dims.N, dims.K)
+    for d, seed in enumerate(FADE_SEEDS):
+        rng = np.random.default_rng(seed)
+        for k, ls in enumerate(large[d]):
+            ref = ls[:, None, :] * rng.exponential(size=(dims.M[k], dims.N,
+                                                         dims.K))
+            assert np.array_equal(got[d, k], ref)
+    assert np.array_equal(large, kept)
 
 
 def test_refade_leaves_generator_as_exponential_draws():
-    # the unit draw advances the generator exactly as exponential() does
-    dims, _, chan = _channel()
-    rng = np.random.default_rng(4)
-    nw.refade(chan, dims, rng)
-    ref = np.random.default_rng(4)
-    ref.exponential(size=(sum(dims.M), dims.N, dims.K))
-    assert rng.random() == ref.random()
+    # the unit draw advances each generator exactly as exponential() does
+    dims, _, large = _group()
+    rngs = _rngs()
+    nw.refade(large, dims, rngs)
+    for rng, seed in zip(rngs, FADE_SEEDS):
+        ref = np.random.default_rng(seed)
+        ref.exponential(size=(sum(dims.M), dims.N, dims.K))
+        assert rng.random() == ref.random()
 
 
 def test_refade_returns_fresh_memory():
-    dims, _, chan = _channel()
-    rng = np.random.default_rng(4)
-    first = nw.refade(chan, dims, rng)
-    kept = first.gains.copy()
-    second = nw.refade(first, dims, rng)
-    for old in (chan, first):
-        assert not np.shares_memory(second.gains, old.gains)
-    assert np.array_equal(first.gains, kept)
+    dims, gains, large = _group()
+    rngs = _rngs()
+    first = nw.refade(large, dims, rngs)
+    kept = first.copy()
+    second = nw.refade(large, dims, rngs)
+    for old in (gains, first, large):
+        assert not np.shares_memory(second, old)
+    assert np.array_equal(first, kept)
 
 
 def test_channel_views_share_the_stacked_arrays():

@@ -248,7 +248,8 @@ def test_tie_check_spares_every_parsed_tilt():
 def test_refade_keeps_large_scale():
     dims, lay, cfg = _desk()
     t = nw.draw_channels(lay, dims, cfg, RADIO, seed=5)
-    t2 = nw.refade(t, dims, np.random.default_rng(0))
-    for a, b in zip(t.large_scale, t2.large_scale):
-        assert np.array_equal(a, b)
-    assert not np.array_equal(t.gains[0], t2.gains[0])
+    t2 = nw.refade(t.large_scale[None], dims, [np.random.default_rng(0)])
+    fading = np.random.default_rng(0).standard_exponential(t2.shape)
+    for a, b, f in zip(t.large_scale, t2[0], fading[0]):
+        assert np.array_equal(b, a[:, None, :] * f)
+    assert not np.array_equal(t.gains[0], t2[0, 0])

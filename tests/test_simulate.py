@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from icicsim import coordinator, lanes, simulate
+from icicsim import coordinator, fairsched, lanes, simulate
 from icicsim import network as nw
 from icicsim.coordinator import finalize_schedule
 from icicsim.linkadapt import default_amc_table
@@ -347,3 +347,41 @@ def test_drops_share_one_engine_call_per_pass(monkeypatch):
     assert calls == [2 * 96] * ((5 + 1) * 6)
     # one stacked problem per sub-frame: one rate-triple call for both drops
     assert stacks == [2] * 6
+
+
+@pytest.mark.parametrize("delay", [0, 2])
+def test_round_gets_the_array_refade_returned_delay_earlier(delay,
+                                                            monkeypatch):
+    # desk.cfg: 2 drops in one group, 40 sub-frames, rho = 1; the group
+    # is one stacked state, so each sub-frame makes one refade, one
+    # weights and one tracker call for both drops, and the round reads
+    # the kept array itself, not a copy
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "desk.cfg")
+    cfg = load_config(path, overrides=[
+        f"scenario.estimation_delay_subframes = {delay}"])
+    assert (cfg.scenario.drops, cfg.scenario.subframes) == (2, 40)
+    refaded, known, calls = [], [], []
+
+    def spy(owner, name, record):
+        original = getattr(owner, name)
+
+        def wrapped(*args):
+            out = original(*args)
+            record(args, out)
+            return out
+        monkeypatch.setattr(owner, name, wrapped)
+
+    spy(nw, "refade", lambda args, out: refaded.append(out))
+    spy(simulate, "run_rounds", lambda args, out: known.append(args[0].gains))
+    spy(simulate, "compute_weights",
+        lambda args, out: calls.append(("weights", out.shape)))
+    spy(fairsched.AverageRateTracker, "update",
+        lambda args, out: calls.append(("update", args[1].shape)))
+    run_simulation(cfg)
+    users = 2 * 12 * 2
+    assert calls == [("weights", (users,)), ("update", (users,))] * 40
+    assert len(refaded) == 39 and len(known) == 40
+    assert known[0].shape == (2, 12, 2, 8, 12)
+    for t, gains in enumerate(known):
+        # refade call i draws sub-frame i + 1; before that, sub-frame 0
+        assert gains is (refaded[t - delay - 1] if t > delay else known[0])
