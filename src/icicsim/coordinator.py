@@ -22,8 +22,8 @@ form, as a fractional knapsack (see the lanes module docstring). The set
 is built once per master run from the run's fixed weights and rate
 triples: it holds each lane's best users, gains and gain order, so a
 pass's `LaneSet.solve` call only fills the knapsacks at that pass's
-blanking levels. The `runs=2` re-run, whose masked triples differ, gets
-a set of its own.
+blanking levels. The `runs=2` re-run, whose triples leave out the
+frozen sectors' interference, gets a set of its own.
 `solve_subproblem` (one FlowNetwork, solved by `mcnf.solve`) is the
 paper's network-flow method and the per-lane reference: every lane of
 the closed form must be optimal, and its value and duals must match the
@@ -34,15 +34,15 @@ A lockstep batch of independent rounds on one network is one
 `CoordinationProblem` with a leading round axis. `run_rounds` holds the
 master state of its P rounds as (P, K, N) arrays and advances them
 together, including the `runs=2` re-run, where each round keeps its own
-masked channel and frozen set, and the masked rate triples of all P
-come from one call on the batch's gains. Each pass is one lane call, one
-exchange and one master step for the whole batch, and each run's rounded
-iterates of all P are scored by one `bound_objective` call and picked by
-argmax over the (P, C) scores. These steps are elementwise or keep each
-round's own float order (each master value and score is summed in its
-own (k, n) order), so a batched result equals the round run alone bit
-for bit; only the reports are built per round. `run_coordination` is a
-batch of one that also schedules its blanking.
+frozen set, and the re-run's rate triples of all P come from one call on
+the batch's gains, with each round's frozen sectors silenced. Each pass
+is one lane call, one exchange and one master step for the batch, and
+each run's rounded iterates of all P are scored by one `bound_objective`
+call and picked by argmax over the (P, C) scores. These steps are
+elementwise or keep each round's own float order (each master value and
+score is summed in its own (k, n) order), so a batched result equals the
+round run alone bit for bit; only the reports are built per round.
+`run_coordination` is a batch of one that also schedules its blanking.
 
 The master consumes one dual per subproblem balance constraint: the
 subgradient of the summed sector values with respect to I[k] is the
@@ -456,19 +456,6 @@ def _subgradient_run(lane_set, neighbors, config, init, frozen=None):
     return blanking, values, np.stack(rounded, axis=1)
 
 
-def _masked_triples(batch, blank1):
-    """The re-run's rate triples of a batch, in one
-    `precompute_rate_triples` call: in round p every gain from a sector
-    blanked in blank1[p] (P, K, N) is zeroed, serving gains kept."""
-    gains = batch.gains                                 # (P, K, M, N, K)
-    masked = gains * (1.0 - blank1.astype(float).transpose(0, 2, 1)
-                      [:, None, None])
-    own = np.arange(gains.shape[1])
-    masked[:, own, :, :, own] = gains[:, own, :, :, own]
-    return precompute_rate_triples(masked, batch.radio, batch.neighbors,
-                                   batch.amc)
-
-
 def run_rounds(batch, config, warm_start=None):
     """Coordinated rounds of a batch (see `CoordinationProblem`),
     advanced in lockstep; a single round runs as a batch of one.
@@ -538,8 +525,9 @@ def run_rounds(batch, config, warm_start=None):
         blank1 = rounded[rows, scores.argmax(axis=1)]
         run2 = None
         if config.n_iter > 0:
-            masked = _masked_triples(batch, blank1)
-            run2 = _lane_inputs(weights, masked.r, masked.rtil)
+            rerun = precompute_rate_triples(batch.gains, batch.radio, nmap,
+                                            batch.amc, silenced=blank1)
+            run2 = _lane_inputs(weights, rerun.r, rerun.rtil)
         _, _, rounded2 = _subgradient_run(run2, nmap, config, finals,
                                           frozen=blank1.astype(bool))
         rounded = np.concatenate([rounded, rounded2], axis=1)

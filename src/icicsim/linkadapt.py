@@ -5,7 +5,8 @@ The triples are laid out like the channel gains, with a leading sector
 axis: one (K, M, N) array of all-on rates and one (K, M, N, K_tilde)
 array of extra rates, behind any leading axes of a stack of problems.
 `precompute_rate_triples` writes every user's SINRs into these buffers
-sector by sector and then makes one AMC lookup for each of the two.
+sector by sector and then makes one AMC lookup for each of the two,
+also for the `runs=2` re-run, whose frozen sectors it silences.
 
 All channel gains are linear power gains. Blanking indicators are 1 when
 a sector leaves the RB unused. The exact SINR sums interference over
@@ -170,7 +171,7 @@ class RateTriples:
     rtil: np.ndarray
 
 
-def precompute_rate_triples(gains, radio, neighbors, amc):
+def precompute_rate_triples(gains, radio, neighbors, amc, silenced=None):
     """Build RateTriples from the (..., K, M, N, K) gain tensor.
 
     Column j of the last axis holds the gain from sector j, so column k
@@ -182,8 +183,11 @@ def precompute_rate_triples(gains, radio, neighbors, amc):
     Each denominator sums the same gains in the same order as a boolean
     mask over the columns would: per sector, one gather of every column
     but k and one (K_tilde, K - 2) gather of every column but k and the
-    neighbor. The SINRs go into (..., K, M, ...) buffers, so the AMC
-    lookup runs once for r and once for rtil over all users.
+    neighbor. `silenced`, an optional (..., K, N) binary mask, zeroes
+    the gathered gains of the sectors it marks on each RB, where a zeroed
+    copy of the gains would; serving gains are never gathered. The SINRs
+    go into (..., K, M, ...) buffers, so the AMC lookup runs once for r
+    and once for rtil over all users.
     """
     p_c, p_n = radio.p_c_watts, radio.p_n_watts
     *batch, n_sec, m, n_rb, _ = gains.shape
@@ -195,14 +199,23 @@ def precompute_rate_triples(gains, radio, neighbors, amc):
     keep = others[:, None, :] != nbr[:, :, None]
     removed = np.broadcast_to(others[:, None, :], keep.shape)[keep].reshape(
         n_sec, k_tilde, n_sec - 2)
+    if silenced is not None:       # (..., 1, N, K), over the users
+        on = np.swapaxes(1.0 - silenced, -1, -2)[..., None, :, :]
     gamma = np.empty((*batch, n_sec, m, n_rb))
     gamma_t = np.empty((*batch, n_sec, m, n_rb, k_tilde))
+
+    def interference(g, cols):
+        picked = g[..., cols]                       # a gather, so a copy
+        if silenced is not None:
+            picked *= on[..., cols]
+        return p_c * picked.sum(axis=-1)
+
     for k in range(n_sec):
         g = gains[..., k, :, :, :]
         serving = p_c * g[..., k]
-        total_int = p_c * g[..., others[k]].sum(axis=-1)       # (.., M, N)
+        total_int = interference(g, others[k])                 # (.., M, N)
         gamma[..., k, :, :] = serving / (total_int + p_n)
-        removed_int = p_c * g[..., removed[k]].sum(axis=-1)     # (.., M, N, Kt)
+        removed_int = interference(g, removed[k])              # (.., M, N, Kt)
         gamma_t[..., k, :, :, :] = serving[..., None] / (removed_int + p_n)
     r = amc.rate_linear(gamma)
     rtil = amc.rate_linear(gamma_t) - r[..., None]

@@ -111,22 +111,19 @@ def generate_layout(dims, isd, tilt_deg=12.0, wraparound=True):
     a2 = np.array([0.5 * isd, 0.5 * math.sqrt(3.0) * isd])
     t1 = i * a1 + j * a2
     # 60-degree rotation stays inside the lattice, giving the second
-    # translation vector of the wraparound group
+    # translation vector t2 = rot @ t1 of the wraparound group
     rot = np.array([[0.5, -0.5 * math.sqrt(3.0)],
                     [0.5 * math.sqrt(3.0), 0.5]])
-    t2 = rot @ t1
 
-    # lattice points inside the fundamental parallelogram of (t1, t2)
-    basis = np.column_stack([t1, t2])
-    inv = np.linalg.inv(basis)
+    # lattice points u*a1 + v*a2 in the fundamental parallelogram of
+    # t1 = (i, j) and t2 = (-j, i + j), in (a1, a2) coordinates, whose
+    # determinant is the site count; the box holds its four corners
     pts = []
-    span = i + j + 2
-    for u in range(-span, span + 1):
-        for v in range(-span, span + 1):
-            p = u * a1 + v * a2
-            s, t = inv @ p
-            if -1e-9 <= s < 1 - 1e-9 and -1e-9 <= t < 1 - 1e-9:
-                pts.append(p)
+    for u in range(-j, i + 1):
+        for v in range(0, i + 2 * j + 1):
+            if 0 <= (i + j) * u + j * v < dims.sites \
+                    and 0 <= i * v - j * u < dims.sites:
+                pts.append(u * a1 + v * a2)
     if len(pts) != dims.sites:
         raise AssertionError(
             f"cluster enumeration found {len(pts)} sites, expected {dims.sites}")

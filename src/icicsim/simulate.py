@@ -158,8 +158,8 @@ def _check_feasible(cfg):
     k = 3 * sc.sites
     tensor_bytes = k * sc.users_per_sector * sc.rbs * k * 8
     # each drop of a group keeps `kept` gain tensors and, at the peak, one
-    # more: at sub-frame 0 its drawn channel beside the stacked copy, or a
-    # two-run round's masked copy (refade draws after the oldest is freed)
+    # more: at sub-frame 0 its drawn channel beside the stacked copy
+    # (refade draws after the oldest is freed)
     group = _drop_group(k * sc.rbs, sc.drops)
     kept = min(sc.subframes, sc.estimation_delay_subframes + 1)
     memory = _physical_memory_bytes()

@@ -27,6 +27,17 @@ def test_simulate_ok(tmp_path):
     assert (tmp_path / "out" / "user_throughput.csv").exists()
 
 
+def test_simulate_48_sites(tmp_path):
+    # 48 = 4^2 + 4*4 + 4^2 is a cluster shape whose sites lie outside
+    # a search window of i + j + 2 lattice steps
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(GOOD.replace("scenario.sites = 1", "scenario.sites = 48")
+                   .replace("reuse1", "reuse3")
+                   .replace("subframes = 4", "subframes = 1"))
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+
+
 def test_simulate_overrides(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(GOOD)

@@ -1,6 +1,7 @@
 """Subproblem flow form, duals, master steps, full coordinated rounds."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,7 +414,7 @@ def test_one_lane_call_exchange_and_step_per_pass(monkeypatch, count):
 ], ids=["runs1", "runs2", "no_master", "no_master_runs2"])
 def test_one_lane_set_per_master_run(monkeypatch, config, solves):
     # run 1 builds a lane set and solves its n_iter passes and the
-    # closing pass on it; the re-run, on masked triples, builds its own
+    # closing pass on it; the re-run, on silenced triples, builds its own
     # for its n_iter passes; a round without a master pass builds none
     built, solved = [], []
     init, solve = lanes.LaneSet.__init__, lanes.LaneSet.solve
@@ -431,6 +432,25 @@ def test_one_lane_set_per_master_run(monkeypatch, config, solves):
     co.run_rounds(_batch_problems(), config)
     assert len(built) == len(set(solves))
     assert solved == solves
+
+
+def test_rerun_holds_no_copy_of_the_gains():
+    # at demos/imt57.cfg's round shape the re-run's triples silence run
+    # 1's blanked sectors in place of a masked copy of the gain tensor,
+    # so a two-run round peaks less than half a tensor above a one-run
+    # round; a warm-up call first keeps one-time allocations out
+    batch = random_desk_instances([5], n_sectors=57, users_per_sector=10,
+                                  n_rbs=50, k_tilde=6)
+    co.run_rounds(batch, co.IcicConfig(runs=2))
+    peaks = {}
+    for runs in (1, 2):
+        tracemalloc.start()
+        try:
+            co.run_rounds(batch, co.IcicConfig(runs=runs))
+            peaks[runs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] - peaks[1] < batch.gains.nbytes / 2
 
 
 def _ragged_weights():

@@ -74,6 +74,21 @@ def test_cluster_shape_beyond_twelve():
     assert parse_config("scenario.sites = 144\n").scenario.sites == 144
 
 
+def test_every_cluster_shape_below_400_lays_out_all_its_sites():
+    counts = []
+    for sites in range(1, 400):
+        try:
+            nw._cluster_shape(sites)
+        except ValueError:
+            continue
+        counts.append(sites)
+    assert len(counts) == 121 and 48 in counts
+    for sites in counts:
+        lay = nw.generate_layout(nw.NetworkDims.uniform(sites, 1, 1), 500.0)
+        assert lay.site_xy.shape == (sites, 2)
+        assert len(np.unique(lay.site_xy.round(6), axis=0)) == sites
+
+
 def test_antenna_pattern_values():
     assert nw.antenna_gain(0.0, 12.0, 12.0) == 0.0
     assert nw.antenna_gain(70.0, 12.0, 12.0) == -12.0

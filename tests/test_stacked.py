@@ -5,11 +5,12 @@ also one stack per problem of a batch, `run_rounds` picks every
 problem's rounding from the batch's (P, C) scores,
 `precompute_rate_triples` writes every user's SINRs into (..., K, M, ...)
 buffers before one AMC lookup, also for a stack of problems, the lane
-inputs and the re-run's masked channel are read from the stacked
-(P, K, M, ...) arrays, and `exhaustive_bound` scores each neighbor
-pattern once. The references below are the per-candidate,
-per-problem, per-sector and per-pattern versions, and the new code must
-equal them bit for bit.
+inputs are read from the stacked (P, K, M, ...) arrays, the re-run's
+triples silence the frozen sectors instead of reading a masked copy of
+the gains, and `exhaustive_bound` scores each neighbor pattern once.
+The references below are the per-candidate, per-problem, per-sector,
+masked-copy and per-pattern versions, and the new code must equal them
+bit for bit.
 """
 
 import numpy as np
@@ -171,8 +172,21 @@ def test_exhaustive_bound_equals_full_pattern_scoring(k_tilde):
                                 _exhaustive_bound_per_pattern(prob))
 
 
+def _masked_gains(gains, blank1):
+    """The re-run's channel as a copy of the (P, K, M, N, K) gains: in
+    round p every gain from a sector blanked in blank1[p] (P, K, N) is
+    zeroed, sector by sector, and the serving gains are kept."""
+    masked = np.empty_like(gains)
+    for p, off in enumerate(blank1.astype(float).transpose(0, 2, 1)):
+        for k, g in enumerate(gains[p]):
+            masked[p, k] = g * (1.0 - off[None, :, :])
+            masked[p, k, :, :, k] = g[:, :, k]
+    return masked
+
+
 def test_masked_triples_equal_per_sector_masking():
-    # one stacked call for a batch of three, each with its own blanking
+    # one silenced call for a batch of three, each with its own blanking,
+    # against one plain call on the masked copy of the gains
     for batch in (random_desk_instances([60, 61, 62], n_sectors=6,
                                         users_per_sector=1, n_rbs=6),
                   random_desk_instances([63, 64, 65], n_sectors=6,
@@ -182,21 +196,20 @@ def test_masked_triples_equal_per_sector_masking():
                                         k_tilde=3)):
         rng = np.random.default_rng(63)
         blank1 = (rng.random((3, batch.K, batch.N)) < 0.4).astype(np.int8)
-        batch.amc = _SinrTable()
-        got = co._masked_triples(batch, blank1)
-        assert got.r.shape == batch.triples.r.shape
-        for p in range(batch.rounds):
-            pr = batch[p]
-            off = blank1[p].astype(float).T[None, :, :]
-            masked = []
-            for k, g in enumerate(pr.gains):
-                masked.append(g * (1.0 - off))
-                masked[k][:, :, k] = g[:, :, k]
-            ref_r, ref_rtil = _triples_per_sector(masked, pr.radio,
-                                                  pr.neighbors, _SinrTable())
-            for k in range(pr.K):
-                assert got.r[p, k].tobytes() == ref_r[k].tobytes()
-                assert got.rtil[p, k].tobytes() == ref_rtil[k].tobytes()
+        masked = _masked_gains(batch.gains, blank1)
+        for amc in (default_amc_table(), _SinrTable()):
+            got = precompute_rate_triples(batch.gains, batch.radio,
+                                          batch.neighbors, amc,
+                                          silenced=blank1)
+            ref = precompute_rate_triples(masked, batch.radio,
+                                          batch.neighbors, amc)
+            assert got.r.shape == batch.triples.r.shape
+            assert got.r.tobytes() == ref.r.tobytes()
+            assert got.rtil.tobytes() == ref.rtil.tobytes()
+        # the silenced interference raised every SINR it touched
+        plain = precompute_rate_triples(batch.gains, batch.radio,
+                                        batch.neighbors, _SinrTable())
+        assert (got.r >= plain.r).all() and (got.r > plain.r).any()
 
 
 @pytest.mark.parametrize("amc", [default_amc_table(), _SinrTable()],
@@ -269,7 +282,8 @@ def _reference_rounds(batch, config, warm_start):
     if config.runs == 2:
         blank1 = np.stack([max(cands, key=lambda c: c[1])[0]
                            for cands in candidates])
-        masked = co._masked_triples(batch, blank1)
+        masked = precompute_rate_triples(_masked_gains(batch.gains, blank1),
+                                         batch.radio, nmap, batch.amc)
         lane_set = co._lane_inputs(np.stack(weights), masked.r, masked.rtil)
         _, _, rounded2 = co._subgradient_run(
             lane_set, nmap, config, finals, frozen=blank1.astype(bool))
