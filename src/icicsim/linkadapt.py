@@ -4,19 +4,20 @@ the per-(sector, user, RB) rate triples the coordinator consumes.
 The triples are laid out like the channel gains, with a leading sector
 axis: one (K, M, N) array of all-on rates and one (K, M, N, K_tilde)
 array of extra rates, behind any leading axes of a stack of problems.
-`precompute_rate_triples` writes every user's SINRs into these buffers
-sector by sector and then makes one AMC lookup for each of the two,
-also for the `runs=2` re-run, whose frozen sectors it silences.
+`precompute_rate_triples` builds both from one interference total per
+user and RB, also for the `runs=2` re-run, whose frozen sectors it
+silences.
 
 All channel gains are linear power gains. Blanking indicators are 1 when
 a sector leaves the RB unused. The exact SINR sums interference over
 every other sector; the bound only ever credits the removal of a single
 blanked neighbor, which is what makes the downstream problem linear.
 
-Masked sums are deliberate in the reference paths: the "bound is exact
-when at most one neighbor blanks" cases must match bit for bit, so both
-sides compute their denominator as a sum over the same index set instead
-of subtracting terms from a precomputed total.
+Masked sums are the reference: the "bound is exact when at most one
+neighbor blanks" cases must match bit for bit, so each denominator is a
+sum over its own index set (`oracle.masked_sum_triples`). The triples
+take a total less the removed gains instead, and keep an AMC rate only
+where it provably equals the masked sum's.
 """
 
 import functools
@@ -60,6 +61,13 @@ class AmcTable:
         if self.rates[0] != 0.0:
             raise ValueError("lowest AMC interval must map to rate 0")
         self.lows = lows
+        # linear cut points, widened by 1e-12 for the rounding of the cuts,
+        # of log10 and of an SINR (edges within +-3000 dB): an SINR up to
+        # _ceils[i] is in row i or below, one above _floors[i] in i or above
+        cuts = 10.0 ** (self.uppers[:-1] / 10.0)
+        self._ceils = cuts * (1.0 - 1e-12)
+        self._floors = np.concatenate([[-np.inf], cuts * (1.0 + 1e-12)])
+        self._ceils.flags.writeable = self._floors.flags.writeable = False
 
     def __len__(self):
         return len(self.rates)
@@ -70,17 +78,27 @@ class AmcTable:
         return self.rates[idx]
 
     def rate_linear(self, sinr_linear):
-        """Rate (kbit/s) for linear SINR >= 0; scalar or array."""
-        s = np.asarray(sinr_linear, dtype=float)
-        db = np.full(s.shape, -np.inf)
-        np.log10(s, out=db, where=s > 0)
-        # in place, and freed before the lookup allocates its output: the
-        # same operations with one full-size temporary fewer
-        db *= 10.0
-        idx = np.searchsorted(self.uppers, db, side="left")
-        del db
-        out = self.rates[idx]
+        """Rate (kbit/s) for linear SINR >= 0; scalar or array. Equals
+        rate_db(10 log10 SINR); the log is taken only near a cut point."""
+        s = np.asarray(sinr_linear, dtype=float).reshape(-1)
+        out, near = self.certify(s, s)
+        if near.any():
+            db = np.full(near.sum(), -np.inf)
+            np.log10(s[near], out=db, where=s[near] > 0)
+            out[near] = self.rate_db(10.0 * db)
+        out = out.reshape(np.shape(sinr_linear))[()]
         return float(out) if np.isscalar(sinr_linear) else out
+
+    def certify(self, lo, hi):
+        """Rates for linear SINR intervals [lo, hi] (arrays), and a mask of
+        the intervals not certified to lie in one row, whose rates are
+        only placeholders. NaN is never certified."""
+        row = np.zeros(np.shape(hi), np.min_scalar_type(len(self._ceils)))
+        for cut in self._ceils:        # faster than a binary search
+            row += hi > cut
+        row = row.astype(np.intp)      # faster to index with than uint8
+        near = ~(self._floors[row] < lo)   # its gather freed before the next
+        return self.rates[row], near
 
 
 # 14-row default lookup. Two published rows were malformed (a gap at
@@ -130,18 +148,12 @@ def sinr_exact(gains, serving, blanking, radio):
 
 def sinr_all_on(gains, serving, radio):
     """SINR when every sector transmits (no blanking anywhere)."""
-    gains = np.asarray(gains, dtype=float)
-    idx = [j for j in range(gains.shape[0]) if j != serving]
-    interference = radio.p_c_watts * float(np.sum(gains[idx])) if idx else 0.0
-    return radio.p_c_watts * gains[serving] / (interference + radio.p_n_watts)
+    return sinr_exact(gains, serving, np.zeros(len(gains)), radio)
 
 
 def sinr_one_blanked(gains, serving, blanked, radio):
     """SINR when exactly one sector (`blanked`) leaves the RB unused."""
-    gains = np.asarray(gains, dtype=float)
-    idx = [j for j in range(gains.shape[0]) if j != serving and j != blanked]
-    interference = radio.p_c_watts * float(np.sum(gains[idx])) if idx else 0.0
-    return radio.p_c_watts * gains[serving] / (interference + radio.p_n_watts)
+    return sinr_exact(gains, serving, np.arange(len(gains)) == blanked, radio)
 
 
 def sinr_bound(gains, serving, blanking, neighbors, radio):
@@ -178,47 +190,55 @@ def precompute_rate_triples(gains, radio, neighbors, amc, silenced=None):
     of gains[..., k, :, :, :] is the serving gain. Leading axes, if any,
     hold a stack of problems with the same neighbor sets, and the
     triples get the same leading axes. neighbors: NeighborMap-like with
-    .nbr (K, K_tilde) int array.
+    .nbr (K, K_tilde) int array. `silenced`, an optional (..., K, N)
+    binary mask, zeroes the interference of the sectors it marks on each
+    RB, as a zeroed copy of the gains would.
 
-    Each denominator sums the same gains in the same order as a boolean
-    mask over the columns would: per sector, one gather of every column
-    but k and one (K_tilde, K - 2) gather of every column but k and the
-    neighbor. `silenced`, an optional (..., K, N) binary mask, zeroes
-    the gathered gains of the sectors it marks on each RB, where a zeroed
-    copy of the gains would; serving gains are never gathered. The SINRs
-    go into (..., K, M, ...) buffers, so the AMC lookup runs once for r
-    and once for rtil over all users.
+    Every rate equals the masked-sum one (`oracle.masked_sum_triples`)
+    bit for bit. A denominator here is the user's total gain S less the
+    serving and the removed neighbor's gain, within 4 (K + 2) u S of the
+    masked sum (u the unit roundoff, gains non-negative). `amc.certify`
+    keeps the rate of each SINR interval inside one AMC row, and the
+    rest, none in typical drops, are taken from the masked-sum triples.
     """
-    p_c, p_n = radio.p_c_watts, radio.p_n_watts
+    q = radio.p_n_watts / radio.p_c_watts
     *batch, n_sec, m, n_rb, _ = gains.shape
     nbr = np.asarray(neighbors.nbr)
-    k_tilde = nbr.shape[1]
-    # others[k]: every column but k; removed[k, pos]: also without nbr[k, pos]
-    col = np.arange(n_sec - 1)
-    others = col + (col >= np.arange(n_sec)[:, None])
-    keep = others[:, None, :] != nbr[:, :, None]
-    removed = np.broadcast_to(others[:, None, :], keep.shape)[keep].reshape(
-        n_sec, k_tilde, n_sec - 2)
-    if silenced is not None:       # (..., 1, N, K), over the users
-        on = np.swapaxes(1.0 - silenced, -1, -2)[..., None, :, :]
-    gamma = np.empty((*batch, n_sec, m, n_rb))
-    gamma_t = np.empty((*batch, n_sec, m, n_rb, k_tilde))
-
-    def interference(g, cols):
-        picked = g[..., cols]                       # a gather, so a copy
-        if silenced is not None:
-            picked *= on[..., cols]
-        return p_c * picked.sum(axis=-1)
-
-    for k in range(n_sec):
-        g = gains[..., k, :, :, :]
-        serving = p_c * g[..., k]
-        total_int = interference(g, others[k])                 # (.., M, N)
-        gamma[..., k, :, :] = serving / (total_int + p_n)
-        removed_int = interference(g, removed[k])              # (.., M, N, Kt)
-        gamma_t[..., k, :, :, :] = serving[..., None] / (removed_int + p_n)
-    r = amc.rate_linear(gamma)
-    rtil = amc.rate_linear(gamma_t) - r[..., None]
+    # (..., 1 + K_tilde, K, M, N): each row's serving gain, then its
+    # neighbors' gains, gathered off the flat gains
+    cols = np.concatenate([np.arange(n_sec)[None], nbr.T])
+    at = np.arange(n_sec * m * n_rb).reshape(n_sec, m, n_rb) * n_sec
+    picked = gains.reshape(*batch, -1).take(at + cols[..., None, None], -1)
+    own = picked[..., :1, :, :, :].copy()
+    if silenced is None:        # one matrix-vector product, no mask
+        total = gains.reshape(-1, n_sec) @ np.ones(n_sec)
+    else:   # one matrix-vector product per RB over a (K M, K) view
+        on = 1.0 - silenced                                   # (..., K, N)
+        per_rb = np.moveaxis(gains, -2, -4).reshape(*batch, n_rb, -1, n_sec)
+        total = np.moveaxis((per_rb @ np.swapaxes(on, -1, -2)[..., None])
+                            .reshape(*batch, n_rb, n_sec, m), -3, -1)
+        picked *= on[..., cols, None, :]
+    total = total.reshape(own.shape)
+    picked[..., 1:, :, :, :] += picked[..., :1, :, :, :]
+    # the SINR over p_c lies in own / (den -+ tol), and den >= q
+    den = np.subtract(total + q, picked, out=picked)
+    tol = total * (4 * (n_sec + 2) * np.finfo(float).eps / 2)
+    lo = np.add(den, tol)
+    np.divide(own, lo, out=lo)
+    den -= tol
+    np.maximum(den, q, out=den)
+    rate, near = amc.certify(lo, np.divide(own, den, out=den))
+    del picked, den, lo                 # freed before the outputs are built
+    # C-ordered outputs of their own, so the stacked rates can be freed
+    r = rate[..., 0, :, :, :].copy()
+    rtil = np.empty((*r.shape, nbr.shape[1]))
+    np.subtract(np.moveaxis(rate, -4, -1)[..., 1:], r[..., None], out=rtil)
+    if near.any():      # none in typical drops
+        from .oracle import masked_sum_triples
+        ref = masked_sum_triples(gains, radio, neighbors, amc, silenced)
+        near_r = near[..., 0, :, :, :]
+        near_t = np.moveaxis(near, -4, -1)[..., 1:] | near_r[..., None]
+        r[near_r], rtil[near_t] = ref.r[near_r], ref.rtil[near_t]
     return RateTriples(r=r, rtil=rtil)
 
 

@@ -3,13 +3,13 @@
 Everything here recomputes from first principles: exhaustive search over
 blanking patterns (exact rates and bounded rates), binary enumeration of
 the per-sector subproblem, set-equivalence checks for the linearization,
-a master pass solved one subproblem at a time, the closed-form lanes
-against the per-lane flow solve, lockstep batches of rounds against single
-rounds, the SINR-bound factor identity, and dense LP
-solves via scipy's HiGHS for real-valued cross-checks. scipy is imported
-inside the two LP functions, so the rest of the module loads without it.
-RBs decouple once the per-RB blanking is fixed, so enumeration runs per
-RB and sums.
+the rate triples as masked sums, a master pass solved one subproblem at a
+time, the closed-form lanes against the per-lane flow solve, lockstep
+batches of rounds against single rounds, the SINR-bound factor identity,
+and dense LP solves via scipy's HiGHS for real-valued cross-checks. scipy
+is imported inside the two LP functions, so the rest of the module loads
+without it. RBs decouple once the per-RB blanking is fixed, so
+enumeration runs per RB and sums.
 
 The problem-level oracles (`exhaustive_original`, `exhaustive_bound`,
 `relaxed_lp_solve`) take a `coordinator.CoordinationProblem` and read
@@ -26,7 +26,8 @@ import numpy as np
 
 from . import coordinator, lanes
 from .coordinator import subproblem_objective
-from .linkadapt import RadioConfig, sinr_all_on, sinr_exact, sinr_one_blanked
+from .linkadapt import (RadioConfig, RateTriples, sinr_all_on, sinr_exact,
+                        sinr_one_blanked)
 
 ENUM_CAP_BITS = 14       # at most 2^14 blanking patterns per RB
 
@@ -240,6 +241,50 @@ def sinr_bound_factor_check(n_samples=10_000, seed=0):
         if blank.sum() <= 1 and exact != bound:
             report.exactness_violations += 1
     return report
+
+
+# --- the rate triples as masked sums ---
+
+def masked_sum_triples(gains, radio, neighbors, amc, silenced=None):
+    """The reference for `linkadapt.precompute_rate_triples`, same
+    arguments: each denominator is a masked sum, per sector one gather of
+    every column but k and one (K_tilde, K - 2) gather of every column
+    but k and the neighbor, summed in numpy's order for that gather.
+    `silenced` zeroes the gathered gains of the sectors it marks on each
+    RB. The SINRs go into (..., K, M, ...) buffers, so the AMC lookup
+    runs once for r and once for rtil over all users.
+    """
+    p_c, p_n = radio.p_c_watts, radio.p_n_watts
+    *batch, n_sec, m, n_rb, _ = gains.shape
+    nbr = np.asarray(neighbors.nbr)
+    k_tilde = nbr.shape[1]
+    # others[k]: every column but k; removed[k, pos]: also without nbr[k, pos]
+    col = np.arange(n_sec - 1)
+    others = col + (col >= np.arange(n_sec)[:, None])
+    keep = others[:, None, :] != nbr[:, :, None]
+    removed = np.broadcast_to(others[:, None, :], keep.shape)[keep].reshape(
+        n_sec, k_tilde, n_sec - 2)
+    if silenced is not None:       # (..., 1, N, K), over the users
+        on = np.swapaxes(1.0 - silenced, -1, -2)[..., None, :, :]
+    gamma = np.empty((*batch, n_sec, m, n_rb))
+    gamma_t = np.empty((*batch, n_sec, m, n_rb, k_tilde))
+
+    def interference(g, cols):
+        picked = g[..., cols]                       # a gather, so a copy
+        if silenced is not None:
+            picked *= on[..., cols]
+        return p_c * picked.sum(axis=-1)
+
+    for k in range(n_sec):
+        g = gains[..., k, :, :, :]
+        serving = p_c * g[..., k]
+        total_int = interference(g, others[k])                 # (.., M, N)
+        gamma[..., k, :, :] = serving / (total_int + p_n)
+        removed_int = interference(g, removed[k])              # (.., M, N, Kt)
+        gamma_t[..., k, :, :, :] = serving[..., None] / (removed_int + p_n)
+    r = amc.rate_linear(gamma)
+    rtil = amc.rate_linear(gamma_t) - r[..., None]
+    return RateTriples(r=r, rtil=rtil)
 
 
 # --- the master pass and the closed-form lanes against the flow solve ---

@@ -28,7 +28,7 @@ def test_default_table_has_all_rows():
 def test_default_table_is_shared_and_read_only():
     amc = la.default_amc_table()
     assert la.default_amc_table() is amc
-    for arr in (amc.lows, amc.uppers, amc.rates):
+    for arr in (amc.lows, amc.uppers, amc.rates, amc._ceils, amc._floors):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     fresh = la.AmcTable(la.DEFAULT_AMC_ROWS)
@@ -59,6 +59,34 @@ def test_rate_is_monotone_and_zero_at_zero():
     s = np.sort(10 ** rng.uniform(-3, 3, 500))
     rates = amc.rate_linear(s)
     assert np.all(np.diff(rates) >= 0)
+
+
+def _rate_by_log10(amc, s):
+    """The lookup rate_linear certifies against: 10 log10 of every SINR,
+    then a binary search over the upper edges."""
+    db = np.full(s.shape, -np.inf)
+    np.log10(s, out=db, where=s > 0)
+    db *= 10.0
+    return amc.rates[np.searchsorted(amc.uppers, db, side="left")]
+
+
+def test_rate_linear_equals_log10_lookup():
+    amc = la.default_amc_table()
+    # +-10,000 ulps around every cut point: where the log decides, and
+    # on both sides of the 1e-12 margin that hands an SINR to the log
+    cuts = 10.0 ** (amc.uppers[:-1] / 10.0)
+    ulps = (cuts.view(np.int64)[:, None] + np.arange(-10_000, 10_001)).ravel()
+    s = np.concatenate([ulps.view(float), [0.0, 1e-300, 1e300]])
+    got = amc.rate_linear(s)
+    assert got.tobytes() == _rate_by_log10(amc, s).tobytes()
+    for x in (0.0, 1e-300, 1e300, *cuts):
+        assert amc.rate_linear(x) == float(_rate_by_log10(amc, np.array(x)))
+    rng = np.random.default_rng(12)
+    for _ in range(4):                 # 2M log-uniform samples in all
+        s = 10 ** rng.uniform(-4.0, 4.0, (500, 1000))
+        got = amc.rate_linear(s)
+        assert got.shape == s.shape
+        assert got.tobytes() == _rate_by_log10(amc, s).tobytes()
 
 
 def test_bad_tables_rejected():

@@ -3,14 +3,16 @@
 `bound_objective` scores a stack of blankings over all sectors at once,
 also one stack per problem of a batch, `run_rounds` picks every
 problem's rounding from the batch's (P, C) scores,
-`precompute_rate_triples` writes every user's SINRs into (..., K, M, ...)
-buffers before one AMC lookup, also for a stack of problems, the lane
+`precompute_rate_triples` takes each rate from a certified AMC row of a
+total less the removed gains, also for a stack of problems, the lane
 inputs are read from the stacked (P, K, M, ...) arrays, the re-run's
 triples silence the frozen sectors instead of reading a masked copy of
 the gains, and `exhaustive_bound` scores each neighbor pattern once.
 The references below are the per-candidate, per-problem, per-sector,
 masked-copy and per-pattern versions, and the new code must equal them
-bit for bit.
+bit for bit. Tables whose edges sit on the reference SINRs, and one
+interferer 1e16 times the rest, send the triples to their masked-sum
+fallback.
 """
 
 import numpy as np
@@ -20,7 +22,8 @@ from icicsim import coordinator as co
 from icicsim import network as nw
 from icicsim import oracle
 from icicsim.instances import random_desk_instance, random_desk_instances
-from icicsim.linkadapt import (RadioConfig, RateTriples, default_amc_table,
+from icicsim.linkadapt import (DEFAULT_AMC_ROWS, AmcTable, RadioConfig,
+                               RateTriples, default_amc_table,
                                precompute_rate_triples)
 
 RADIO = RadioConfig(p_c_watts=1.0, p_n_watts=0.01)
@@ -134,11 +137,16 @@ def _gains(rng, users, n_rb, n_sec):
 
 class _SinrTable:
     """Stands in for an AMC table and returns the SINR, so the SINR
-    arithmetic itself is compared bit for bit."""
+    arithmetic itself is compared bit for bit. It certifies no interval,
+    so every entry of the triples takes the masked-sum fallback."""
 
     @staticmethod
     def rate_linear(sinr_linear):
         return np.asarray(sinr_linear)
+
+    @staticmethod
+    def certify(lo, hi):
+        return np.zeros(np.shape(hi)), np.ones(np.shape(hi), dtype=bool)
 
 
 @pytest.mark.parametrize("amc", [default_amc_table(), _SinrTable()],
@@ -182,6 +190,98 @@ def _masked_gains(gains, blank1):
             masked[p, k] = g * (1.0 - off[None, :, :])
             masked[p, k, :, :, k] = g[:, :, k]
     return masked
+
+
+class _WatchedTable(AmcTable):
+    """An AmcTable that keeps the uncertain mask of every SINR interval
+    it certifies (rate_linear certifies points, as intervals lo is hi)."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.near = []
+
+    def certify(self, lo, hi):
+        rate, near = super().certify(lo, hi)
+        if lo is not hi:
+            self.near.append(near)
+        return rate, near
+
+
+class _SinrRecorder(_SinrTable):
+    """Returns the SINRs, as _SinrTable does, and keeps them."""
+
+    def __init__(self):
+        self.seen = []
+
+    def rate_linear(self, sinr_linear):
+        self.seen.append(np.array(sinr_linear).ravel())
+        return np.asarray(sinr_linear)
+
+
+def _reference_triples(gains, nmap, amc, silenced):
+    """The per-sector masks on each problem of (P, K, M, N, K) gains,
+    zeroed where silenced, as stacked (P, ...) arrays."""
+    if silenced is not None:
+        gains = _masked_gains(gains, silenced)
+    per = [_triples_per_sector(g, RADIO, nmap, amc) for g in gains]
+    return (np.stack([np.stack(r) for r, _ in per]),
+            np.stack([np.stack(rtil) for _, rtil in per]))
+
+
+@pytest.mark.parametrize("every", [True, False], ids=["every", "r_only"])
+@pytest.mark.parametrize("silence", [False, True],
+                         ids=["all_on", "silenced"])
+def test_triples_fallback_on_edges_at_the_reference_sinrs(silence, every):
+    # a table whose edges are the instance's own reference SINRs in dB
+    # leaves every entry uncertain, so each is recomputed as a masked sum;
+    # with edges at the all-on SINRs only, r is uncertain where most of
+    # the one-blanked rates are certified, and rtil must use r's fallback
+    rng = np.random.default_rng(91)
+    gains = np.stack([_gains(rng, 2, 3, 12) for _ in range(2)])
+    nmap = nw.ring_neighbor_map(12, 4)
+    silenced = (rng.random((2, 12, 3)) < 0.4).astype(np.int8) \
+        if silence else None
+    recorder = _SinrRecorder()
+    sinr_r = _reference_triples(gains, nmap, recorder, silenced)[0]
+    edges = np.unique(10.0 * np.log10(
+        np.concatenate(recorder.seen) if every else sinr_r.ravel()))
+    amc = _WatchedTable([(-np.inf, edges[0], 0.0)]
+                        + [(lo, hi, float(i + 1)) for i, (lo, hi)
+                           in enumerate(zip(edges[:-1], edges[1:]))]
+                        + [(edges[-1], np.inf, float(len(edges)))])
+    got = precompute_rate_triples(gains, RADIO, nmap, amc, silenced)
+    assert len(amc.near) == 1
+    near = amc.near[0]                    # (P, 1 + K_tilde, K, M, N)
+    assert near.all() if every else \
+        near[:, 0].all() and near[:, 1:].mean() < 0.5
+    ref_r, ref_rtil = _reference_triples(gains, nmap, amc, silenced)
+    assert got.r.tobytes() == ref_r.tobytes()
+    assert got.rtil.tobytes() == ref_rtil.tobytes()
+    # the rates took many rows, so a wrong SINR bit would show
+    assert len(np.unique(got.r)) > 20
+
+
+@pytest.mark.parametrize("silence", [False, True],
+                         ids=["all_on", "silenced"])
+def test_triples_fallback_under_cancellation(silence):
+    # one neighbor 1e16 times the other interferers: the total less that
+    # neighbor cancels to noise, and no interval it gives is certified
+    rng = np.random.default_rng(92)
+    gains = np.stack([_gains(rng, 3, 4, 12) for _ in range(2)])
+    nmap = nw.ring_neighbor_map(12, 4)
+    for k in range(12):
+        gains[:, k, :, :, nmap.nbr[k, 1]] = 1e16 * gains[:, k].max()
+    silenced = (rng.random((2, 12, 4)) < 0.4).astype(np.int8) \
+        if silence else None
+    watched = _WatchedTable(DEFAULT_AMC_ROWS)
+    for amc in (watched, _SinrTable()):
+        got = precompute_rate_triples(gains, RADIO, nmap, amc, silenced)
+        ref_r, ref_rtil = _reference_triples(gains, nmap, amc, silenced)
+        assert got.r.tobytes() == ref_r.tobytes()
+        assert got.rtil.tobytes() == ref_rtil.tobytes()
+        if amc is watched:         # removing the giant raised some rates
+            assert (got.rtil > 0).any()
+    assert any(near.any() for near in watched.near)
 
 
 def test_masked_triples_equal_per_sector_masking():
