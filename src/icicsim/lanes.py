@@ -24,10 +24,9 @@ Within one master run only the blanking levels change from pass to
 pass; w, r and rtil are fixed, and so are the best users, the gains and
 their order. So the solve is split in two: a `LaneSet` is built once per
 run from w, r and rtil, and each pass calls its `solve` with that pass's
-levels, which only fills the knapsack. `solve_lanes` is a set built and
-solved once.
+levels, which only fills the knapsack.
 
-`coordinator.solve_subproblem` (one `mcnf.solve` per subproblem) stays
+`coordinator.solve_subproblem` (one flow solve per subproblem) stays
 as the reference that `oracle.lane_mismatches` checks every lane against.
 Ties (equal gains, a zero gain, users of equal value) leave several
 optima, and the two may return different ones; their float orders
@@ -37,8 +36,6 @@ computes it.
 """
 
 import numpy as np
-
-from . import mcnf
 
 
 class LaneSet:
@@ -84,8 +81,8 @@ class LaneSet:
         """The subproblems at blanking levels own (L,) and nbr (L, Kt).
 
         Returns x (L, M), y (L, M, Kt), phi (L,), lam_eq (L,) and lam_nbr
-        (L, Kt). A blanking level outside [0, 1] (or NaN) is an
-        mcnf.InfeasibleFlowError naming the lowest such lane.
+        (L, Kt). A blanking level outside [0, 1] (or NaN) is a ValueError
+        naming the lowest such lane.
         """
         own, nbr = (np.asarray(a, dtype=float) for a in (own, nbr))
         w, r, rtil = self.w, self.r, self.rtil
@@ -94,7 +91,7 @@ class LaneSet:
         bad = ~((levels >= 0.0) & (levels <= 1.0))
         if bad.any():
             lane, col = np.argwhere(bad)[0]
-            raise mcnf.InfeasibleFlowError(
+            raise ValueError(
                 f"lane {lane}: blanking level {float(levels[lane, col])!r} "
                 f"outside [0, 1]")
 
@@ -138,11 +135,3 @@ def _best_user(values):
         user = np.where(values[:, i] > best, i, user)
         np.maximum(best, values[:, i], out=best)
     return best, user
-
-
-def solve_lanes(own, nbr, w, r, rtil):
-    """Solve L subproblems in one pass: `LaneSet(w, r, rtil).solve(own,
-    nbr)`, with the arguments of `coordinator.solve_subproblem` stacked
-    along a leading lane axis: own (L,), nbr (L, Kt), w (L, M), r (L, M),
-    rtil (L, M, Kt)."""
-    return LaneSet(w, r, rtil).solve(own, nbr)

@@ -192,7 +192,7 @@ def precompute_rate_triples(gains, radio, neighbors, amc, silenced=None):
     triples get the same leading axes. neighbors: NeighborMap-like with
     .nbr (K, K_tilde) int array. `silenced`, an optional (..., K, N)
     binary mask, zeroes the interference of the sectors it marks on each
-    RB, as a zeroed copy of the gains would.
+    RB, as a zeroed copy of the gains would; a plain call silences none.
 
     Every rate equals the masked-sum one (`oracle.masked_sum_triples`)
     bit for bit. A denominator here is the user's total gain S less the
@@ -210,15 +210,14 @@ def precompute_rate_triples(gains, radio, neighbors, amc, silenced=None):
     at = np.arange(n_sec * m * n_rb).reshape(n_sec, m, n_rb) * n_sec
     picked = gains.reshape(*batch, -1).take(at + cols[..., None, None], -1)
     own = picked[..., :1, :, :, :].copy()
-    if silenced is None:        # one matrix-vector product, no mask
-        total = gains.reshape(-1, n_sec) @ np.ones(n_sec)
-    else:   # one matrix-vector product per RB over a (K M, K) view
-        on = 1.0 - silenced                                   # (..., K, N)
-        per_rb = np.moveaxis(gains, -2, -4).reshape(*batch, n_rb, -1, n_sec)
-        total = np.moveaxis((per_rb @ np.swapaxes(on, -1, -2)[..., None])
-                            .reshape(*batch, n_rb, n_sec, m), -3, -1)
-        picked *= on[..., cols, None, :]
-    total = total.reshape(own.shape)
+    on = np.ones((*batch, n_sec, n_rb)) if silenced is None \
+        else 1.0 - silenced                                   # (..., K, N)
+    # one matrix-vector product per RB over a (K M, K) view, into C order
+    total = np.empty(own.shape)
+    np.matmul(np.moveaxis(gains, -2, -4).reshape(*batch, n_rb, -1, n_sec),
+              np.swapaxes(on, -1, -2)[..., None],
+              out=np.moveaxis(total, -1, -3).reshape(*batch, n_rb, -1, 1))
+    picked *= on[..., cols, None, :]
     picked[..., 1:, :, :, :] += picked[..., :1, :, :, :]
     # the SINR over p_c lies in own / (den -+ tol), and den >= q
     den = np.subtract(total + q, picked, out=picked)

@@ -189,9 +189,11 @@ class NeighborMap:
         if kt == 0:
             raise ValueError("k_tilde = 0: every sector needs a neighbor")
         sets = [set(row.tolist()) for row in self.nbr]
+        sectors = set(range(k))
         for a in range(k):
-            if len(sets[a]) != kt or a in sets[a]:
+            if len(sets[a]) != kt or a in sets[a] or not sets[a] <= sectors:
                 raise ValueError(f"sector {a}: bad neighbor row {self.nbr[a]}")
+        for a in range(k):
             for b in self.nbr[a]:
                 if a not in sets[b]:
                     raise ValueError(f"neighbor relation not symmetric: "

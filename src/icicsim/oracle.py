@@ -26,8 +26,7 @@ import numpy as np
 
 from . import coordinator, lanes
 from .coordinator import subproblem_objective
-from .linkadapt import (RadioConfig, RateTriples, sinr_all_on, sinr_exact,
-                        sinr_one_blanked)
+from .linkadapt import RadioConfig, RateTriples, sinr_bound, sinr_exact
 
 ENUM_CAP_BITS = 14       # at most 2^14 blanking patterns per RB
 
@@ -213,22 +212,11 @@ def sinr_bound_factor_check(n_samples=10_000, seed=0):
         blank[1:] = rng.integers(0, 2, size=k - 1)
 
         exact = sinr_exact(gains, serving, blank, radio)
-        base = sinr_all_on(gains, serving, radio)
-        bound = base
-        dominant = None
-        for j in neighbors:
-            if blank[j]:
-                cand = sinr_one_blanked(gains, serving, j, radio)
-                if cand > bound:
-                    bound = cand
-                    dominant = j
-        if blank[1:].sum() > 0 and dominant is None:
-            # all blanked neighbors are weaker than keeping everyone on
-            dominant = max((j for j in neighbors if blank[j]),
-                           key=lambda j: gains[j])
-
-        others = [j for j in neighbors
-                  if blank[j] and j != dominant]
+        bound = sinr_bound(gains, serving, blank, neighbors, radio)
+        # the bound credits the strongest blanked neighbor
+        blanked = [j for j in neighbors if blank[j]]
+        dominant = max(blanked, key=lambda j: gains[j], default=None)
+        others = [j for j in blanked if j != dominant]
         removed = p_c * float(np.sum(gains[others])) if others else 0.0
         live = [j for j in range(k) if j != serving and not blank[j]]
         denom = p_c * float(np.sum(gains[live])) + p_n if live else p_n
@@ -391,7 +379,8 @@ def _unique_optimum(w, r, rtil):
 
 
 def lane_mismatches(own, nbr, w, r, rtil):
-    """Indices of the lanes where lanes.solve_lanes fails to be optimal.
+    """Indices of the lanes where `lanes.LaneSet(w, r, rtil).solve(own,
+    nbr)` fails to be optimal.
 
     Every lane must be primal feasible (x, y >= 0, sum x = 1 - own, the
     neighbor columns of y within nbr, each user's row of y within x) and
@@ -403,7 +392,7 @@ def lane_mismatches(own, nbr, w, r, rtil):
     solve's; ties leave several optima, and the two may differ there.
     Float-order comparisons use LANE_TOL relative to max(1, |value|).
     """
-    x, y, phi, lam_eq, lam_nbr = lanes.solve_lanes(own, nbr, w, r, rtil)
+    x, y, phi, lam_eq, lam_nbr = lanes.LaneSet(w, r, rtil).solve(own, nbr)
     sols = [coordinator.solve_subproblem(own[i], nbr[i], w[i], r[i], rtil[i])
             for i in range(own.shape[0])]
     ref = {name: np.array([getattr(s, name) for s in sols])

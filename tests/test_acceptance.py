@@ -99,8 +99,8 @@ def test_criterion_4_flow_equals_enumeration():
         ref = oracle.subproblem_enumeration(own, nbr, w, r, rtil)
         assert got.phi == ref[2]
         # the closed form the master loop uses, on the same subproblem
-        closed = lanes.solve_lanes(np.array([own]), nbr[None], w[None],
-                                   r[None], rtil[None])
+        closed = lanes.LaneSet(w[None], r[None], rtil[None]).solve(
+            np.array([own]), nbr[None])
         assert closed[2][0] == ref[2]
         exact_matches += 1
     from icicsim import mcnf

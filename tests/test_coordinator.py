@@ -627,9 +627,9 @@ def test_quantized_exchange_scales_each_message(monkeypatch):
     # the pass's neighbors see the quantized levels, its own sector not
     seen = co._quantize(blanking, bits, vmax=1.0)
     lane_set = _lane_set(prob)
-    ref = lanes.solve_lanes(
+    ref = lane_set.solve(
         blanking.ravel(), seen[prob.neighbors.nbr].transpose(0, 2, 1)
-        .reshape(-1, 2), lane_set.w, lane_set.r, lane_set.rtil)
+        .reshape(-1, 2))
     assert np.array_equal(lam_eq.ravel(), ref[3])
     assert np.array_equal(lam_nbr.reshape(-1, 2), ref[4])
     grad = _first_direction(monkeypatch, prob, cfg, blanking)

@@ -27,7 +27,7 @@ def test_edge_lanes_are_optimal(m, kt):
     own, nbr, w, r, rtil = oracle.edge_lanes(np.random.default_rng(m + kt),
                                              m, kt)
     assert oracle.lane_mismatches(own, nbr, w, r, rtil) == []
-    x, y, phi, _, _ = lanes.solve_lanes(own, nbr, w, r, rtil)
+    x, y, phi, _, _ = lanes.LaneSet(w, r, rtil).solve(own, nbr)
     # no supply: nothing flows (lanes 0 and 6)
     for i in (0, 6):
         assert not x[i].any() and not y[i].any() and phi[i] == 0.0
@@ -57,7 +57,7 @@ def _level_draws(rng, n_lanes, kt):
 ], ids=["round57_shape", "edge_lanes"])
 def test_lane_set_is_reused_across_levels(inputs):
     # one set solved at several level draws, as a master run solves its
-    # passes: each result equals a fresh solve_lanes call bit for bit and
+    # passes: each result equals a fresh set's solve bit for bit and
     # is optimal, whatever the set solved before
     rng = np.random.default_rng(21)
     own, nbr, w, r, rtil = inputs(rng)
@@ -65,7 +65,7 @@ def test_lane_set_is_reused_across_levels(inputs):
     draws = [(own, nbr)] + _level_draws(rng, *nbr.shape)
     for levels in draws + draws[::-1]:
         got = lane_set.solve(*levels)
-        assert oracle.bit_equal(got, lanes.solve_lanes(*levels, w, r, rtil))
+        assert oracle.bit_equal(got, lanes.LaneSet(w, r, rtil).solve(*levels))
         assert oracle.lane_mismatches(*levels, w, r, rtil) == []
 
 
@@ -78,7 +78,7 @@ def test_knapsack_by_hand():
     w = np.array([[1.0, 1.0]])
     r = np.array([[10.0, 8.0]])
     rtil = np.array([[[0.0, 5.0, 1.0], [4.0, 0.0, 0.0]]])
-    x, y, phi, lam_eq, lam_nbr = lanes.solve_lanes(own, nbr, w, r, rtil)
+    x, y, phi, lam_eq, lam_nbr = lanes.LaneSet(w, r, rtil).solve(own, nbr)
     assert x.tolist() == [[0.5, 0.25]]
     assert y.tolist() == [[[0.0, 0.5, 0.0], [0.25, 0.0, 0.0]]]
     assert phi.tolist() == [10.5]           # 0.75 * 12 + 0.5 * 3
@@ -89,21 +89,22 @@ def test_knapsack_by_hand():
 def test_engine_rejects_unroutable_supply():
     # a negative neighbor level turns that neighbor into a source, and
     # no arc leaves a neighbor node; the lane solve refuses any level
-    # outside [0, 1], NaN included, and names the lowest such lane
+    # outside [0, 1], NaN included, as a ValueError naming the lowest
+    # such lane
     own, nbr, w, r, rtil = oracle.random_lanes(np.random.default_rng(0),
                                                4, 2, 2)
     own[:] = 0.0
     nbr[2] = [-1.0, 0.0]
     with pytest.raises(mcnf.InfeasibleFlowError):
         co.solve_subproblem(own[2], nbr[2], w[2], r[2], rtil[2])
-    with pytest.raises(mcnf.InfeasibleFlowError, match="lane 2:"):
-        lanes.solve_lanes(own, nbr, w, r, rtil)
+    with pytest.raises(ValueError, match="lane 2:"):
+        lanes.LaneSet(w, r, rtil).solve(own, nbr)
     nbr[2] = 0.0
     for lane, level in ((1, np.nan), (3, 1.5)):
         bad = own.copy()
         bad[lane] = level
-        with pytest.raises(mcnf.InfeasibleFlowError, match=f"lane {lane}:"):
-            lanes.solve_lanes(bad, nbr, w, r, rtil)
+        with pytest.raises(ValueError, match=f"lane {lane}:"):
+            lanes.LaneSet(w, r, rtil).solve(bad, nbr)
 
 
 @pytest.mark.parametrize("config", [

@@ -125,6 +125,11 @@ def test_neighbor_map_validation():
         nw.NeighborMap(nbr=np.array([[0], [0]]))       # self loop
     with pytest.raises(ValueError):
         nw.NeighborMap(nbr=np.array([[1], [2], [0]]))  # asymmetric
+    # an index outside [0, K) is a bad row, before any symmetry check
+    with pytest.raises(ValueError, match="sector 2: bad neighbor row"):
+        nw.NeighborMap(nbr=[[1], [0], [5]])
+    with pytest.raises(ValueError, match="sector 0: bad neighbor row"):
+        nw.NeighborMap(nbr=[[1, -1], [0, 2], [1, -1], [0, 2]])
 
 
 def test_k_tilde_0_is_refused():

@@ -7,7 +7,8 @@ problem's rounding from the batch's (P, C) scores,
 total less the removed gains, also for a stack of problems, the lane
 inputs are read from the stacked (P, K, M, ...) arrays, the re-run's
 triples silence the frozen sectors instead of reading a masked copy of
-the gains, and `exhaustive_bound` scores each neighbor pattern once.
+the gains (a plain call silencing none), and `exhaustive_bound` scores
+each neighbor pattern once.
 The references below are the per-candidate, per-problem, per-sector,
 masked-copy and per-pattern versions, and the new code must equal them
 bit for bit. Tables whose edges sit on the reference SINRs, and one
@@ -25,6 +26,7 @@ from icicsim.instances import random_desk_instance, random_desk_instances
 from icicsim.linkadapt import (DEFAULT_AMC_ROWS, AmcTable, RadioConfig,
                                RateTriples, default_amc_table,
                                precompute_rate_triples)
+from icicsim.simulate import SimConfig
 
 RADIO = RadioConfig(p_c_watts=1.0, p_n_watts=0.01)
 
@@ -328,6 +330,35 @@ def test_stacked_triples_equal_single_calls(n_sec, k_tilde, amc):
         one = precompute_rate_triples(gains, RADIO, nmap, amc)
         assert got.r[p].tobytes() == one.r.tobytes()
         assert got.rtil[p].tobytes() == one.rtil.tobytes()
+
+
+def _round57_drop():
+    """A 57-sector, 3-user, 50-RB drop on the nearest-6 neighbor map."""
+    cfg = SimConfig()
+    cfg.scenario.rbs = 50
+    dims = nw.NetworkDims.uniform(19, 3, 50)
+    layout = nw.generate_layout(dims, cfg.scenario.isd_m)
+    radio = cfg.radio()
+    gains = nw.draw_channels(layout, dims, nw.ChannelConfig(), radio,
+                             np.random.SeedSequence(0).spawn(2)[0]).gains
+    return gains, radio, nw.neighbor_map(layout, 6), default_amc_table()
+
+
+def _gapbench_batch():
+    gap = random_desk_instances(range(50), n_sectors=12, users_per_sector=2,
+                                n_rbs=2, k_tilde=2)
+    return gap.gains, gap.radio, gap.neighbors, gap.amc
+
+
+@pytest.mark.parametrize("inputs", [_round57_drop, _gapbench_batch],
+                         ids=["round57", "gapbench"])
+def test_plain_triples_equal_all_zero_silenced(inputs):
+    # a plain call is the call that silences no sector
+    gains, radio, nmap, amc = inputs()
+    silenced = np.zeros((*gains.shape[:-4], nmap.K, gains.shape[-2]))
+    assert oracle.bit_equal(
+        precompute_rate_triples(gains, radio, nmap, amc),
+        precompute_rate_triples(gains, radio, nmap, amc, silenced))
 
 
 def test_lane_inputs_equal_per_sector_transposes():
