@@ -7,10 +7,18 @@ a lattice cluster of size sites = i^2 + i*j + j^2 (1, 3, 4, 7, 9, 12, 13,
 images, so every sector sees the same geometry.
 
 The channel is a deliberately simple stand-in for a full stochastic
-geometry model: log-distance pathloss A + B*log10(d), lognormal shadowing
-with cross-site correlation, the standard parabolic sector antenna
-pattern in azimuth and elevation, and optional i.i.d. Rayleigh fast
-fading per RB. Everything is a pure function of (config, seed).
+geometry model, with the fixed physics of the IMT-Advanced deployment:
+- 46 dBm per sector, split evenly over the RBs, 10 MHz of bandwidth and
+  -114.45 dBm of noise per RB (the radio `simulate` builds);
+- pathloss 15.3 + 37.6*log10(d), d in meters;
+- lognormal shadowing of 8 dB with 0.5 correlation across sites;
+- users at least 25 m from every site;
+- the standard parabolic sector pattern in azimuth and in elevation
+  about a 12 degree downtilt;
+- i.i.d. Rayleigh fast fading per RB.
+The powers, noise, bandwidth and tilt are the constants below; the
+pathloss, shadowing and distance are `ChannelConfig`'s defaults.
+Everything is a pure function of (config, seed).
 
 Every sector serves the same number of users M, as in the IMT-Advanced
 scenario, so each per-user quantity is one array with a leading sector
@@ -25,6 +33,10 @@ import numpy as np
 
 
 BORESIGHTS_DEG = (30.0, 150.0, 270.0)
+TILT_DEG = 12.0                 # electrical downtilt of every sector
+BS_POWER_DBM = 46.0             # per sector, over all RBs
+NOISE_PER_RB_DBM = -114.45
+BANDWIDTH_HZ = 10e6
 NEIGHBOR_MODES = ("nearest", "strongest")
 
 
@@ -61,7 +73,6 @@ class Layout:
     sector_site: np.ndarray       # (K,) site index of each sector
     boresight_deg: np.ndarray     # (K,)
     isd: float
-    tilt_deg: float
     images: np.ndarray            # (n_images, 2) torus translation vectors
 
     def sector_xy(self):
@@ -98,7 +109,7 @@ def _cluster_shape(sites):
         f"form i^2+ij+j^2 (1, 3, 4, 7, 9, 12, 13, 16, 19, 21, 25, ...)")
 
 
-def generate_layout(dims, isd, tilt_deg=12.0, wraparound=True):
+def generate_layout(dims, isd, wraparound=True):
     """Hexagonal-lattice site cluster with tri-sector boresights.
 
     Deterministic: the geometry has no random component.
@@ -143,8 +154,7 @@ def generate_layout(dims, isd, tilt_deg=12.0, wraparound=True):
         images = np.zeros((1, 2))
 
     return Layout(site_xy=site_xy, sector_site=sector_site,
-                  boresight_deg=boresight, isd=float(isd),
-                  tilt_deg=float(tilt_deg), images=images)
+                  boresight_deg=boresight, isd=float(isd), images=images)
 
 
 def antenna_gain(theta_deg, phi_deg, tilt_deg):
@@ -162,7 +172,8 @@ def antenna_gain(theta_deg, phi_deg, tilt_deg):
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Large-scale model knobs; defaults follow urban-macro practice."""
+    """Large-scale model; the defaults are the IMT-Advanced deployment
+    that every run uses."""
 
     pathloss_a_db: float = 15.3
     pathloss_b_db: float = 37.6           # dB per decade of distance
@@ -173,7 +184,6 @@ class ChannelConfig:
     min_bs_dist_m: float = 25.0
     boresight_gain_dbi: float = 17.0
     feeder_loss_db: float = 2.0
-    fast_fading: bool = True
 
 
 @dataclass
@@ -231,14 +241,21 @@ def _coupling_scores(layout, mode):
         np.cos(np.radians(layout.boresight_deg)),
         np.sin(np.radians(layout.boresight_deg))])
     score = np.full((k, k), -np.inf)
+    if mode == "nearest":
+        # elementwise, so each entry is the float of the one-pair call;
+        # a -> b and b -> a may differ in the last bit, so mirror a < b
+        upper = np.triu_indices(k, 1)
+        dist = layout.torus_distance(ref[:, None], ref[None, :])
+        score[upper] = -dist[upper]
+        score[upper[::-1]] = score[upper]
+        return score
+    # strongest average coupling, pathloss + pattern, no shadowing; scalar
+    # math calls, since numpy's SIMD arctan2 and log10 need not match them
+    # bit for bit, and these scores order near-ties
     for a in range(k):
         for b in range(a + 1, k):
-            if mode == "nearest":
-                s = -layout.torus_distance(ref[a], ref[b])
-            else:  # strongest average coupling, pathloss + pattern, no shadowing
-                s = (_mean_gain_db(layout, a, ref[b])
-                     + _mean_gain_db(layout, b, ref[a]))
-            score[a, b] = score[b, a] = s
+            score[a, b] = score[b, a] = (_mean_gain_db(layout, a, ref[b])
+                                         + _mean_gain_db(layout, b, ref[a]))
     return score
 
 
@@ -248,7 +265,7 @@ def _mean_gain_db(layout, from_sector, to_xy):
     d = max(np.linalg.norm(delta), 1.0)
     theta = math.degrees(math.atan2(delta[1], delta[0])) \
         - layout.boresight_deg[from_sector]
-    return float(antenna_gain(theta, layout.tilt_deg, layout.tilt_deg)
+    return float(antenna_gain(theta, TILT_DEG, TILT_DEG)
                  - 37.6 * math.log10(d))
 
 
@@ -258,8 +275,7 @@ def neighbor_map(layout, k_tilde=6, mode="nearest"):
     Greedy b-matching on the coupling scores with a deterministic repair
     pass; raises if the requested regular relation cannot be completed.
     mode: one of NEIGHBOR_MODES. "strongest" ranks pairs by
-    `_mean_gain_db`, whose pathloss slope is a fixed 37.6 dB/decade, not
-    the channel config's `pathloss_b_db` (scenario.pathloss_b_db).
+    `_mean_gain_db`.
     """
     k = layout.sector_site.shape[0]
     if k_tilde >= k:
@@ -268,11 +284,12 @@ def neighbor_map(layout, k_tilde=6, mode="nearest"):
         raise ValueError(f"unknown neighbor mode {mode!r}; "
                          f"use one of {', '.join(NEIGHBOR_MODES)}")
     score = _coupling_scores(layout, mode)
-    order = sorted(((a, b) for a in range(k) for b in range(a + 1, k)),
-                   key=lambda p: (-score[p], p))
+    # pairs a < b by score, high first, ties by (a, b)
+    first, second = np.triu_indices(k, 1)
+    order = np.lexsort((second, first, -score[first, second]))
     deg = np.zeros(k, dtype=int)
     adj = [set() for _ in range(k)]
-    for a, b in order:
+    for a, b in zip(first[order].tolist(), second[order].tolist()):
         if deg[a] < k_tilde and deg[b] < k_tilde:
             adj[a].add(b)
             adj[b].add(a)
@@ -356,7 +373,7 @@ def _large_scale_gain_db(layout, cfg, user_xy, shadow_db):
     theta = np.degrees(np.arctan2(delta[..., 1], delta[..., 0])) \
         - layout.boresight_deg
     phi = np.degrees(np.arctan2(dh, dist_h))
-    pattern = antenna_gain(theta, phi, layout.tilt_deg)
+    pattern = antenna_gain(theta, phi, TILT_DEG)
     pl = cfg.pathloss_a_db + cfg.pathloss_b_db * np.log10(dist)
     return (-pl + pattern + cfg.boresight_gain_dbi - cfg.feeder_loss_db
             + shadow_db[:, layout.sector_site])
@@ -386,13 +403,6 @@ def draw_channels(layout, dims, cfg, radio, seed):
     wideband-SINR sector still has quota, so the association invariant
     holds by construction. Deterministic for a given (config, seed).
     """
-    tied = _tied_sectors(layout, cfg, dims.M)
-    if tied:
-        raise RuntimeError(
-            f"user drop cannot fill sectors {tied}: every elevation a user "
-            f"can have lies in the -20 dB floor of the "
-            f"{layout.tilt_deg:g} deg tilt, so the sectors of a site tie "
-            f"for every user and the first one wins them all")
     rng = np.random.default_rng(seed)
     origin, t1, t2 = _drop_region(layout)
 
@@ -413,8 +423,7 @@ def draw_channels(layout, dims, cfg, radio, seed):
                 < cfg.min_bs_dist_m:
             continue
         sh = _draw_shadowing(rng, cfg.shadowing_sigma_db,
-                             cfg.shadowing_cross_corr, dims.sites) \
-            if cfg.shadowing_sigma_db > 0 else np.zeros(dims.sites)
+                             cfg.shadowing_cross_corr, dims.sites)
         g_db = _large_scale_gain_db(layout, cfg, pos[None, :], sh[None, :])
         best = int(associate_users(10 ** (g_db / 10.0), radio)[0])
         if quota[best] <= 0:
@@ -433,38 +442,10 @@ def draw_channels(layout, dims, cfg, radio, seed):
     large = 10 ** (_large_scale_gain_db(layout, cfg, flat_xy[order],
                                         shadow[order]) / 10.0)
     large = large.reshape(*users, dims.K)
-    if cfg.fast_fading:
-        grid = rng.standard_exponential(size=users + (dims.N, dims.K))
-        grid *= large[:, :, None, :]
-    else:
-        grid = np.repeat(large[:, :, None, :], dims.N, axis=2)
+    grid = rng.standard_exponential(size=users + (dims.N, dims.K))
+    grid *= large[:, :, None, :]
     return ChannelTensor(gains=grid, large_scale=large,
                          user_xy=flat_xy[order].reshape(*users, 2))
-
-
-def _tied_sectors(layout, cfg, quota):
-    """The sectors with quota that no user can ever choose, because the
-    antenna pattern sits at its -20 dB floor for every reachable user.
-
-    Co-sited sectors share pathloss and shadowing and differ only in the
-    pattern. Users lie at least max(min_bs_dist_m, 1) m from every site,
-    so their elevation phi runs between 0 (far away) and the angle at
-    that distance. If 12 * ((phi - tilt) / 15)^2 >= 20 over that whole
-    range, the pattern is -20 dB toward every user, the sectors of a site
-    tie exactly, and association gives every user to the lowest one.
-    The range runs to 0 rather than to the farthest user's angle, so the
-    check never calls a drop tied that is not; a tilt that floors all but
-    the farthest users still runs to the try cap.
-    """
-    dh = cfg.bs_height_m - cfg.ut_height_m
-    phi_near = math.degrees(math.atan2(dh, max(cfg.min_bs_dist_m, 1.0)))
-    lo, hi = min(0.0, phi_near), max(0.0, phi_near)
-    closest = min(max(layout.tilt_deg, lo), hi)     # the phi nearest tilt
-    if 12.0 * ((closest - layout.tilt_deg) / 15.0) ** 2 < 20.0:
-        return []
-    sites = layout.sector_site.tolist()
-    return [k for k, site in enumerate(sites)
-            if sites.index(site) != k and quota[k] > 0]
 
 
 def refade(large_scale, dims, rngs):

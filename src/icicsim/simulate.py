@@ -49,37 +49,27 @@ GROUP_LANES = 1024      # subproblems per lockstep round of a drop group
 
 @dataclass
 class ScenarioConfig:
-    """Deployment, channel and run length.
+    """Deployment size and run length; the physics are the constants
+    of `network`'s IMT-Advanced deployment.
 
-    Ranges are physical; outside them linear powers overflow or the user
-    drop cannot fill every sector. Under the 25 m masts, isd_m >= 200 and
-    tilt_deg <= 15 keep the antenna pattern above its -20 dB floor in part
-    of every cell, and pathloss_b_db >= 20 (free space) keeps nearer sites
-    stronger; otherwise the sectors of a site, or the sites, tie for every
-    user and the tie always goes to the same one.
+    Under the 25 m masts, isd_m >= 200 keeps the antenna pattern above
+    its -20 dB floor in part of every cell, where otherwise the sectors
+    of a site tie for every user and the first one wins them all. It
+    also keeps the 25 m minimum distance below isd_m / 2, the cell's
+    inradius, so the drop area around every site stays open.
     """
 
     sites: int = rule(4, ge=1)
     users_per_sector: int = rule(2, ge=1)
     rbs: int = rule(6, ge=1)
     isd_m: float = rule(500.0, ge=200, le=1e5)
-    shadowing_sigma_db: float = rule(8.0, ge=0, le=30)
-    shadowing_cross_corr: float = rule(0.5, ge=0, le=1)
-    pathloss_a_db: float = rule(15.3, ge=0, le=200)
-    pathloss_b_db: float = rule(37.6, ge=20, le=100)
     drops: int = rule(2, ge=1)
     subframes: int = rule(50, ge=1)
     t_c: float = rule_of(AverageRateTracker, "t_c")
     seed: int = rule(1, ge=0)
-    total_bs_power_dbm: float = rule(46.0, ge=0, le=80)
-    noise_per_rb_dbm: float = rule(-114.45, ge=-200, le=0)
-    bandwidth_hz: float = rule(10e6, gt=0)
     k_tilde: int = rule(6, ge=1)           # clamped to K - 1 at run time
     neighbor_mode: str = rule("nearest", choices=nw.NEIGHBOR_MODES)
-    fast_fading: bool = True
     estimation_delay_subframes: int = rule(0, ge=0)
-    min_bs_dist_m: float = rule(25.0, ge=0)
-    tilt_deg: float = rule(12.0, ge=0, le=15)
     wraparound: bool = True
 
     def __post_init__(self):
@@ -97,11 +87,10 @@ class SimConfig:
         check_fields(self)
 
     def radio(self):
-        p_total = 10 ** ((self.scenario.total_bs_power_dbm - 30.0) / 10.0)
-        p_n = 10 ** ((self.scenario.noise_per_rb_dbm - 30.0) / 10.0)
+        p_total = 10 ** ((nw.BS_POWER_DBM - 30.0) / 10.0)
+        p_n = 10 ** ((nw.NOISE_PER_RB_DBM - 30.0) / 10.0)
         return RadioConfig(p_c_watts=p_total / self.scenario.rbs,
-                           p_n_watts=p_n,
-                           bandwidth_hz=self.scenario.bandwidth_hz)
+                           p_n_watts=p_n, bandwidth_hz=nw.BANDWIDTH_HZ)
 
     def canonical_text(self):
         parts = []
@@ -187,11 +176,6 @@ def _check_feasible(cfg):
         raise bad("scenario.k_tilde", sc.k_tilde,
                   f"{k} sectors cannot each have {k_tilde} mutual "
                   f"neighbors (sectors * k_tilde must be even)")
-    # isd/2 is the cell's inradius: every corner of the hexagon, 9 % of
-    # its area, stays open; nearer isd/sqrt(3) the drop runs out of tries
-    if not sc.min_bs_dist_m < sc.isd_m / 2:
-        raise bad("scenario.min_bs_dist_m", sc.min_bs_dist_m,
-                  f"must be < isd_m / 2 = {sc.isd_m / 2:g}")
 
 
 def parse_config(text, path="<config>", overrides=()):
@@ -323,15 +307,9 @@ def run_simulation(config):
     radio = config.radio()
     amc = default_amc_table()
     dims = nw.NetworkDims.uniform(sc.sites, sc.users_per_sector, sc.rbs)
-    layout = nw.generate_layout(dims, sc.isd_m, tilt_deg=sc.tilt_deg,
-                                wraparound=sc.wraparound)
+    layout = nw.generate_layout(dims, sc.isd_m, wraparound=sc.wraparound)
     k_tilde = min(sc.k_tilde, dims.K - 1)
     nmap = nw.neighbor_map(layout, k_tilde, mode=sc.neighbor_mode)
-    chcfg = nw.ChannelConfig(
-        pathloss_a_db=sc.pathloss_a_db, pathloss_b_db=sc.pathloss_b_db,
-        shadowing_sigma_db=sc.shadowing_sigma_db,
-        shadowing_cross_corr=sc.shadowing_cross_corr,
-        min_bs_dist_m=sc.min_bs_dist_m, fast_fading=sc.fast_fading)
 
     static = None
     if config.scheme != "proposed":
@@ -350,7 +328,8 @@ def run_simulation(config):
         # side get the same numbers as drops run one after another
         seeds = [np.random.SeedSequence(entropy=(sc.seed, d)).spawn(2)
                  for d in drops]
-        channels = [nw.draw_channels(layout, dims, chcfg, radio, seed=ch)
+        channels = [nw.draw_channels(layout, dims, nw.ChannelConfig(), radio,
+                                     seed=ch)
                     for ch, _ in seeds]
         fade_rngs = [np.random.default_rng(fade) for _, fade in seeds]
         large_scale = np.stack([c.large_scale for c in channels])
@@ -366,7 +345,7 @@ def run_simulation(config):
         warm = None     # the last round's (D, K, N) fractional blanking
         rows = []
         for t in range(sc.subframes):
-            if t > 0 and sc.fast_fading:
+            if t > 0:
                 if len(history) > sc.estimation_delay_subframes:
                     history.popleft()       # freed before the next is drawn
                 history.append(nw.refade(large_scale, dims, fade_rngs))
@@ -406,7 +385,7 @@ def run_simulation(config):
 
     if static is not None:
         np.add.at(blank_counts, static.sum(axis=1), sc.drops)
-    user_thr = thr_sum / sc.subframes * 1e3 / sc.bandwidth_hz
+    user_thr = thr_sum / sc.subframes * 1e3 / radio.bandwidth_hz
     throughput = user_thr.ravel()
     outage = [(float(rmin), float(np.mean(throughput < rmin)))
               for rmin in RMIN_GRID]

@@ -34,16 +34,11 @@ PROBES = [
     ("scenario.sites = 3\nscenario.k_tilde = 3", "scenario.k_tilde"),
     ("scenario.t_c = 0.5", "scenario.t_c"),
     ("scenario.isd_m = nan", "scenario.isd_m"),
-    ("scenario.shadowing_cross_corr = 2", "scenario.shadowing_cross_corr"),
-    ("scenario.min_bs_dist_m = 5000", "scenario.min_bs_dist_m"),
-    ("scenario.bandwidth_hz = 0", "scenario.bandwidth_hz"),
     ("scheduler.alpha = inf", "scheduler.alpha"),
     ("icic.quantize_exchange = true\nicic.quant_bits = 2000",
      "icic.quant_bits"),
     ("icic.step_constant = nan", "icic.step_constant"),
     ("scenario.neighbor_mode = bogus", "scenario.neighbor_mode"),
-    ("scenario.noise_per_rb_dbm = inf", "scenario.noise_per_rb_dbm"),
-    ("scenario.tilt_deg = nan", "scenario.tilt_deg"),
     ("scenario.users_per_sector = 200000000", "scenario.users_per_sector"),
     # the delay history, not one tensor, is what outgrows memory here
     ("scenario.subframes = 100000000\n"
@@ -59,6 +54,18 @@ REMOVED = [
     ("scenario.sinr_margin_db = nan", "scenario.sinr_margin_db"),
     ("scenario.refade_each_subframe = false",
      "scenario.refade_each_subframe"),
+    # the deployment physics are constants: each key is refused, even at
+    # its old default
+    ("scenario.shadowing_sigma_db = 8", "scenario.shadowing_sigma_db"),
+    ("scenario.shadowing_cross_corr = 0.5", "scenario.shadowing_cross_corr"),
+    ("scenario.pathloss_a_db = 15.3", "scenario.pathloss_a_db"),
+    ("scenario.pathloss_b_db = 37.6", "scenario.pathloss_b_db"),
+    ("scenario.total_bs_power_dbm = 46", "scenario.total_bs_power_dbm"),
+    ("scenario.noise_per_rb_dbm = -114.45", "scenario.noise_per_rb_dbm"),
+    ("scenario.bandwidth_hz = 10e6", "scenario.bandwidth_hz"),
+    ("scenario.min_bs_dist_m = 25", "scenario.min_bs_dist_m"),
+    ("scenario.tilt_deg = 12", "scenario.tilt_deg"),
+    ("scenario.fast_fading = true", "scenario.fast_fading"),
 ]
 # a removed section is an unknown section, which the message names
 GONE_SECTIONS = [("metrics.rmin_grid = nan", "metrics.rmin_grid")]

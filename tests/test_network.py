@@ -49,6 +49,23 @@ def test_strongest_coupling_mode():
             assert k in nmap.nbr[j]
 
 
+@pytest.mark.parametrize("wraparound", [True, False], ids=["wrapped", "flat"])
+@pytest.mark.parametrize("sites", [1, 4, 7, 19])
+def test_nearest_scores_equal_per_pair_distances(sites, wraparound):
+    lay = nw.generate_layout(nw.NetworkDims.uniform(sites, 1, 1), 500.0,
+                             wraparound=wraparound)
+    k = 3 * sites
+    bore = np.radians(lay.boresight_deg)
+    ref = lay.sector_xy() + (lay.isd / 3.0) * np.column_stack(
+        [np.cos(bore), np.sin(bore)])
+    expected = np.full((k, k), -np.inf)
+    for a in range(k):
+        for b in range(a + 1, k):
+            expected[a, b] = expected[b, a] = \
+                -lay.torus_distance(ref[a], ref[b])
+    assert np.array_equal(nw._coupling_scores(lay, "nearest"), expected)
+
+
 def test_dims_reject_non_tri_sector():
     with pytest.raises(ValueError):
         nw.NetworkDims(K=4, sites=1, M=(1, 1, 1, 1), N=2)
@@ -206,7 +223,7 @@ def test_drawn_users_keep_min_distance_from_every_site():
 def test_symmetric_users_get_equal_gains():
     dims = nw.NetworkDims.uniform(1, 1, 1)
     lay = nw.generate_layout(dims, 500.0, wraparound=False)
-    cfg = nw.ChannelConfig(shadowing_sigma_db=0.0, fast_fading=False)
+    cfg = nw.ChannelConfig()
     bore = np.radians(lay.boresight_deg[0])
     offset = 120.0 * np.array([np.cos(bore), np.sin(bore)])
     xy = np.array([offset, offset, [300.0, 10.0]])
@@ -217,7 +234,7 @@ def test_symmetric_users_get_equal_gains():
 def test_pathloss_matches_direct_formula():
     dims = nw.NetworkDims.uniform(1, 1, 1)
     lay = nw.generate_layout(dims, 500.0, wraparound=False)
-    cfg = nw.ChannelConfig(shadowing_sigma_db=0.0, fast_fading=False)
+    cfg = nw.ChannelConfig()
     bore = np.radians(lay.boresight_deg[0])
     direction = np.array([np.cos(bore), np.sin(bore)])
     d1, d2 = 100.0, 200.0
@@ -228,41 +245,12 @@ def test_pathloss_matches_direct_formula():
         dh = cfg.bs_height_m - cfg.ut_height_m
         dist = np.hypot(d, dh)
         phi = np.degrees(np.arctan2(dh, d))
-        pattern = nw.antenna_gain(0.0, phi, lay.tilt_deg)
+        pattern = nw.antenna_gain(0.0, phi, nw.TILT_DEG)
         return (-(cfg.pathloss_a_db + cfg.pathloss_b_db * np.log10(dist))
                 + pattern + cfg.boresight_gain_dbi - cfg.feeder_loss_db)
 
     assert gain_db[0, 0] == pytest.approx(expected_db(d1), abs=1e-9)
     assert gain_db[1, 0] == pytest.approx(expected_db(d2), abs=1e-9)
-
-
-def test_drop_that_cannot_fill_names_sectors_and_tries():
-    # tilted straight down, every user sits in the -20 dB pattern floor of
-    # all three sectors of the site: they tie and sector 0 wins them all,
-    # which is refused before the first try
-    dims = nw.NetworkDims.uniform(1, 1, 2)
-    lay = nw.generate_layout(dims, 500.0, tilt_deg=-90)
-    with pytest.raises(RuntimeError, match=r"sectors \[1, 2\].*tie"):
-        nw.draw_channels(lay, dims, nw.ChannelConfig(), RADIO, seed=0)
-
-
-def test_tie_check_spares_every_parsed_tilt():
-    # parsed configs allow tilts of 0-15 deg, where the pattern still
-    # separates co-sited sectors; the tie needs the elevation floor for
-    # every phi in [0, atan(23.5 / 25)] = [0, 43.2] deg, whose edge sits
-    # 15 * sqrt(20 / 12) = 19.36 deg from the tilt
-    dims = nw.NetworkDims.uniform(1, 1, 2)
-    cfg = nw.ChannelConfig()
-    for tilt in range(0, 16):
-        lay = nw.generate_layout(dims, 500.0, tilt_deg=tilt)
-        assert nw._tied_sectors(lay, cfg, dims.M) == []
-    for tilt, tied in ((-19.3, []), (-19.4, [1, 2]), (62.5, []),
-                       (62.6, [1, 2])):
-        lay = nw.generate_layout(dims, 500.0, tilt_deg=tilt)
-        assert nw._tied_sectors(lay, cfg, dims.M) == tied
-    # a sector without quota is no obstacle
-    lay = nw.generate_layout(dims, 500.0, tilt_deg=-90)
-    assert nw._tied_sectors(lay, cfg, (1, 0, 2)) == [2]
 
 
 def test_refade_keeps_large_scale():

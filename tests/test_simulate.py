@@ -118,12 +118,8 @@ run.scheme = reuse1
     sc = cfg.scenario
     radio = cfg.radio()
     dims = nw.NetworkDims.uniform(1, 1, 3)
-    layout = nw.generate_layout(dims, sc.isd_m, tilt_deg=sc.tilt_deg)
-    chcfg = nw.ChannelConfig(
-        pathloss_a_db=sc.pathloss_a_db, pathloss_b_db=sc.pathloss_b_db,
-        shadowing_sigma_db=sc.shadowing_sigma_db,
-        shadowing_cross_corr=sc.shadowing_cross_corr,
-        min_bs_dist_m=sc.min_bs_dist_m, fast_fading=sc.fast_fading)
+    layout = nw.generate_layout(dims, sc.isd_m)
+    chcfg = nw.ChannelConfig()
     root = np.random.SeedSequence(entropy=(sc.seed, 0))
     ch_seed, _ = root.spawn(2)
     chan = nw.draw_channels(layout, dims, chcfg, radio, seed=ch_seed)
@@ -132,7 +128,7 @@ run.scheme = reuse1
                                     default_amc_table(),
                                     np.zeros((3, 3), dtype=np.int8))
     for k in range(3):
-        expected = rates[k][0].sum() * 1e3 / sc.bandwidth_hz
+        expected = rates[k][0].sum() * 1e3 / radio.bandwidth_hz
         got = rep.throughput_bps_hz[rep.user_sector == k][0]
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -266,7 +262,6 @@ def test_full_scale_coordination_smoke():
 def test_scenario_variants_run():
     variants = (
         "scenario.wraparound = false\n",
-        "scenario.fast_fading = false\n",
         "icic.runs = 2\n",
         "icic.quantize_exchange = true\nicic.quant_bits = 12\n",
         "scenario.neighbor_mode = strongest\n",
