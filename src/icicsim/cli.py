@@ -26,7 +26,6 @@ def _cmd_simulate(args):
     from .simulate import ConfigError, emit_reports, load_config, run_simulation
 
     flags = (("scenario.seed", args.seed), ("run.scheme", args.scheme),
-             ("scheduler.mode", None if args.alpha is None else "alpha_fair"),
              ("scheduler.alpha", args.alpha), ("icic.n_iter", args.niter),
              ("icic.rho", args.rho))
     overrides = [f"{key} = {value}" for key, value in flags
@@ -158,12 +157,6 @@ def _cmd_gapbench(args):
     from . import coordinator as co
     from . import oracle
     from .instances import random_desk_instances
-    from .schema import ConfigError
-
-    try:
-        icic = co.IcicConfig(n_iter=args.niter, runs=2)
-    except ConfigError as exc:
-        return _config_error(f"--niter: {exc}")
     # with no master step the re-run repeats run 1 and cannot improve
     # on it, so the gate below could never pass
     for flag, value, low in (("--niter", args.niter, 1),
@@ -171,6 +164,7 @@ def _cmd_gapbench(args):
                              ("--seed", args.seed, 0)):
         if value < low:
             return _config_error(f"{flag} = {value}: must be >= {low}")
+    icic = co.IcicConfig(n_iter=args.niter, runs=2)
     try:
         out = open(args.out, "w") if args.out else None
     except OSError as exc:

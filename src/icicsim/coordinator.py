@@ -73,11 +73,10 @@ from .schema import check_fields, rule
 
 @dataclass
 class IcicConfig:
-    """The `icic` config section: n_iter, step_constant, rho, runs,
-    quant_bits and quantize_exchange."""
+    """The `icic` config section: n_iter, rho, runs, quant_bits and
+    quantize_exchange. The master's step at iteration t is 1 / t."""
 
     n_iter: int = rule(5, ge=0)               # 0 skips the master
-    step_constant: float = rule(1.0, gt=0)    # delta = c / iteration_index
     rho: int = rule(1, ge=1)                  # execution period, sub-frames
     runs: int = rule(1, choices=(1, 2))       # 2 = the zeroed-channel re-run
     # message width for overhead accounting; capped so that 2^bits, the
@@ -240,11 +239,13 @@ def solve_subproblem(own_blank, nbr_blank, weights, r, rtil):
                               lam_eq=lam_eq, lam_nbr=lam_nbr)
 
 
-def master_step(blanking, grad, iteration, step_constant):
-    """One projected subgradient ascent step, elementwise clip to [0, 1]."""
+def master_step(blanking, grad, iteration):
+    """One projected subgradient ascent step of size 1 / iteration,
+    elementwise clip to [0, 1]."""
     if iteration < 1:
         raise ValueError("iteration index is 1-based")
-    return np.clip(blanking + (step_constant / iteration) * grad, 0.0, 1.0)
+    # (1 / t) * grad, not grad / t: the two round differently
+    return np.clip(blanking + (1.0 / iteration) * grad, 0.0, 1.0)
 
 
 def round_blanking(blanking):
@@ -449,7 +450,7 @@ def _subgradient_run(lane_set, neighbors, config, init, frozen=None):
             lam_nbr = _quantize(lam_nbr, config.quant_bits, axis=-2)
         grad = compute_subgradient(lam_eq, lam_nbr, neighbors)
         values.append(value)
-        blanking = master_step(blanking, grad, it, config.step_constant)
+        blanking = master_step(blanking, grad, it)
         if frozen is not None:
             blanking[frozen] = 1.0
         rounded.append(round_blanking(blanking))

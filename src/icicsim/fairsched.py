@@ -1,10 +1,10 @@
 """Per-sector fairness state and the local scheduling rule.
 
 Average rates run through an exponentially-weighted low-pass filter with
-window t_c; weights follow either the alpha-fair family (w = Rbar^-alpha)
-or the linear mode (w = max(beta - Rbar, 0)). The local rule assigns each
-non-blanked RB to the user maximizing weight * rate, ties to the lowest
-user index so regression runs are reproducible.
+window t_c; weights follow the alpha-fair family, w = Rbar^-alpha
+(alpha = 0 gives equal weights, 1 proportional fairness). The local rule
+assigns each non-blanked RB to the user maximizing weight * rate, ties to
+the lowest user index so regression runs are reproducible.
 """
 
 from dataclasses import dataclass, field
@@ -18,12 +18,9 @@ RATE_FLOOR = 1e-3     # kbit/s, the floor of every tracked average rate
 
 @dataclass
 class WeightPolicy:
-    mode: str = rule("alpha_fair", choices=("alpha_fair", "linear"))
-    # the caps keep weights finite: RATE_FLOOR raised to -alpha,
-    # and beta (kbit/s) times any rate; alpha = 20 already approximates
-    # max-min fairness
+    # the cap keeps RATE_FLOOR raised to -alpha finite; alpha = 20
+    # already approximates max-min fairness
     alpha: float = rule(1.0, ge=0, le=20)
-    beta: float = rule(0.0, ge=0, le=1e9)
 
     def __post_init__(self):
         check_fields(self)
@@ -54,11 +51,7 @@ class AverageRateTracker:
 
 def compute_weights(policy, tracker):
     """Marginal-utility weights from the current average rates."""
-    if policy.mode == "alpha_fair":
-        if policy.alpha == 0:
-            return np.ones_like(tracker.rbar)
-        return tracker.rbar ** (-policy.alpha)
-    return np.maximum(policy.beta - tracker.rbar, 0.0)
+    return tracker.rbar ** (-policy.alpha)
 
 
 def local_schedule(weights, rates, blanking):

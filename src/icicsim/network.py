@@ -16,8 +16,9 @@ geometry model, with the fixed physics of the IMT-Advanced deployment:
 - the standard parabolic sector pattern in azimuth and in elevation
   about a 12 degree downtilt;
 - i.i.d. Rayleigh fast fading per RB.
-The powers, noise, bandwidth and tilt are the constants below; the
-pathloss, shadowing and distance are `ChannelConfig`'s defaults.
+The powers, noise, bandwidth and tilt are the constants below, and
+`antenna_gain` reads the tilt from TILT_DEG; the pathloss, shadowing and
+distance are `ChannelConfig`'s defaults.
 Everything is a pure function of (config, seed).
 
 Every sector serves the same number of users M, as in the IMT-Advanced
@@ -157,15 +158,15 @@ def generate_layout(dims, isd, wraparound=True):
                   boresight_deg=boresight, isd=float(isd), images=images)
 
 
-def antenna_gain(theta_deg, phi_deg, tilt_deg):
+def antenna_gain(theta_deg, phi_deg):
     """Combined sector pattern in dB (boresight gain applied separately).
 
-    Azimuth: -min(12*(theta/70)^2, 20); elevation: -min(12*((phi-tilt)/15)^2, 20);
-    combined: -min(-(A + A_e), 20).
+    Azimuth: -min(12*(theta/70)^2, 20); elevation: -min(12*((phi-tilt)/15)^2, 20)
+    with tilt = TILT_DEG; combined: -min(-(A + A_e), 20).
     """
     theta = np.abs(((np.asarray(theta_deg, dtype=float) + 180.0) % 360.0) - 180.0)
     a_h = -np.minimum(12.0 * (theta / 70.0) ** 2, 20.0)
-    a_v = -np.minimum(12.0 * ((np.asarray(phi_deg, dtype=float) - tilt_deg)
+    a_v = -np.minimum(12.0 * ((np.asarray(phi_deg, dtype=float) - TILT_DEG)
                               / 15.0) ** 2, 20.0)
     return -np.minimum(-(a_h + a_v), 20.0)
 
@@ -265,7 +266,7 @@ def _mean_gain_db(layout, from_sector, to_xy):
     d = max(np.linalg.norm(delta), 1.0)
     theta = math.degrees(math.atan2(delta[1], delta[0])) \
         - layout.boresight_deg[from_sector]
-    return float(antenna_gain(theta, TILT_DEG, TILT_DEG)
+    return float(antenna_gain(theta, TILT_DEG)
                  - 37.6 * math.log10(d))
 
 
@@ -373,7 +374,7 @@ def _large_scale_gain_db(layout, cfg, user_xy, shadow_db):
     theta = np.degrees(np.arctan2(delta[..., 1], delta[..., 0])) \
         - layout.boresight_deg
     phi = np.degrees(np.arctan2(dh, dist_h))
-    pattern = antenna_gain(theta, phi, TILT_DEG)
+    pattern = antenna_gain(theta, phi)
     pl = cfg.pathloss_a_db + cfg.pathloss_b_db * np.log10(dist)
     return (-pl + pattern + cfg.boresight_gain_dbi - cfg.feeder_loss_db
             + shadow_db[:, layout.sector_site])

@@ -93,14 +93,16 @@ class SimConfig:
                            p_n_watts=p_n, bandwidth_hz=nw.BANDWIDTH_HZ)
 
     def canonical_text(self):
-        parts = []
-        for section, obj in (("scenario", self.scenario),
-                             ("scheduler", self.scheduler),
-                             ("icic", self.icic)):
-            for f in fields(obj):
-                parts.append(f"{section}.{f.name} = {getattr(obj, f.name)!r}")
-        parts.append(f"run.scheme = {self.scheme!r}")
-        return "\n".join(parts) + "\n"
+        """Every key as a `section.key = value` line, strings bare and
+        the rest as repr, so `parse_config` reads it back to this config."""
+        items = [(f"{section}.{f.name}", getattr(obj, f.name))
+                 for section, obj in (("scenario", self.scenario),
+                                      ("scheduler", self.scheduler),
+                                      ("icic", self.icic))
+                 for f in fields(obj)]
+        items.append(("run.scheme", self.scheme))
+        return "".join(f"{key} = {v if isinstance(v, str) else repr(v)}\n"
+                       for key, v in items)
 
 
 # config section -> dataclass; "run" holds SimConfig's own keys
@@ -278,7 +280,7 @@ class MetricsReport:
     gap_rows: list                      # dict rows: subframe metrics
     overhead: object                    # OverheadReport or None
     scheme: str = ""
-    fairness_label: str = ""            # e.g. alpha=2.0 or beta=500
+    fairness_label: str = ""            # e.g. alpha=2.0
     config_text: str = ""
     seeds: tuple = ()
 
@@ -395,9 +397,6 @@ def run_simulation(config):
         overhead = overhead_report(sc.users_per_sector, k_tilde, dims.N,
                                    config.icic)
 
-    fairness = f"alpha={config.scheduler.alpha}" \
-        if config.scheduler.mode == "alpha_fair" \
-        else f"beta={config.scheduler.beta}"
     return MetricsReport(
         throughput_bps_hz=throughput,
         user_sector=np.tile(np.repeat(np.arange(dims.K), dims.M), sc.drops),
@@ -409,7 +408,7 @@ def run_simulation(config):
         gap_rows=gap_rows,
         overhead=overhead,
         scheme=config.scheme,
-        fairness_label=fairness,
+        fairness_label=f"alpha={config.scheduler.alpha}",
         config_text=config.canonical_text(),
         seeds=(sc.seed,),
     )

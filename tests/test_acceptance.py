@@ -246,7 +246,6 @@ scenario.subframes = 60
 scenario.seed = 11
 scenario.k_tilde = 4
 scenario.t_c = 30
-scheduler.mode = alpha_fair
 icic.n_iter = 5
 """
 

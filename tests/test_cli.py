@@ -172,5 +172,7 @@ def test_gapbench_bad_argument_exits_2(flag, value, tmp_path, capsys):
     assert cli.main(["gapbench", flag, value, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and flag in err
+    bound = 0 if flag == "--seed" else 1
+    assert f"{flag} = {value}: must be >= {bound}" in err, err
     assert "Traceback" not in err
     assert not out.exists()

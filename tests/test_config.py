@@ -37,7 +37,6 @@ PROBES = [
     ("scheduler.alpha = inf", "scheduler.alpha"),
     ("icic.quantize_exchange = true\nicic.quant_bits = 2000",
      "icic.quant_bits"),
-    ("icic.step_constant = nan", "icic.step_constant"),
     ("scenario.neighbor_mode = bogus", "scenario.neighbor_mode"),
     ("scenario.users_per_sector = 200000000", "scenario.users_per_sector"),
     # the delay history, not one tensor, is what outgrows memory here
@@ -66,6 +65,10 @@ REMOVED = [
     ("scenario.min_bs_dist_m = 25", "scenario.min_bs_dist_m"),
     ("scenario.tilt_deg = 12", "scenario.tilt_deg"),
     ("scenario.fast_fading = true", "scenario.fast_fading"),
+    # the alpha-fair weights and the 1 / t master step are the only ones
+    ("scheduler.mode = linear", "scheduler.mode"),
+    ("scheduler.beta = 500", "scheduler.beta"),
+    ("icic.step_constant = 0.5", "icic.step_constant"),
 ]
 # a removed section is an unknown section, which the message names
 GONE_SECTIONS = [("metrics.rmin_grid = nan", "metrics.rmin_grid")]

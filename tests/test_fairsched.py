@@ -48,25 +48,17 @@ def test_floor_keeps_rates_positive():
 
 def test_weights_alpha_zero_is_max_sinr():
     tr = AverageRateTracker(num_users=4, rbar=np.array([1.0, 2.0, 4.0, 9.0]))
-    w = compute_weights(WeightPolicy(mode="alpha_fair", alpha=0.0), tr)
+    w = compute_weights(WeightPolicy(alpha=0.0), tr)
     assert np.array_equal(w, np.ones(4))
 
 
 def test_weights_alpha_one():
     tr = AverageRateTracker(num_users=1, rbar=np.array([2.0]))
-    w = compute_weights(WeightPolicy(mode="alpha_fair", alpha=1.0), tr)
+    w = compute_weights(WeightPolicy(alpha=1.0), tr)
     assert w[0] == 0.5
 
 
-def test_weights_linear_clamped():
-    tr = AverageRateTracker(num_users=2, rbar=np.array([7.0, 3.0]))
-    w = compute_weights(WeightPolicy(mode="linear", beta=5.0), tr)
-    assert np.array_equal(w, np.array([0.0, 2.0]))
-
-
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        WeightPolicy(mode="quadratic")
     with pytest.raises(ValueError):
         WeightPolicy(alpha=-1.0)
 

@@ -193,7 +193,7 @@ def _large_scale_gain_db_per_sector(layout, cfg, user_xy, shadow_db):
         theta = np.degrees(np.arctan2(delta[:, 1], delta[:, 0])) \
             - layout.boresight_deg[j]
         phi = np.degrees(np.arctan2(dh, dist_h))
-        pattern = nw.antenna_gain(theta, phi, nw.TILT_DEG)
+        pattern = nw.antenna_gain(theta, phi)
         pl = cfg.pathloss_a_db + cfg.pathloss_b_db * np.log10(dist)
         out[:, j] = (-pl + pattern + cfg.boresight_gain_dbi
                      - cfg.feeder_loss_db

@@ -107,11 +107,11 @@ def test_every_cluster_shape_below_400_lays_out_all_its_sites():
 
 
 def test_antenna_pattern_values():
-    assert nw.antenna_gain(0.0, 12.0, 12.0) == 0.0
-    assert nw.antenna_gain(70.0, 12.0, 12.0) == -12.0
-    assert nw.antenna_gain(180.0, 12.0, 12.0) == -20.0
-    assert nw.antenna_gain(0.0, 12.0 + 15.0, 12.0) == -12.0
-    assert nw.antenna_gain(70.0, 12.0 + 15.0, 12.0) == -20.0
+    assert nw.antenna_gain(0.0, 12.0) == 0.0
+    assert nw.antenna_gain(70.0, 12.0) == -12.0
+    assert nw.antenna_gain(180.0, 12.0) == -20.0
+    assert nw.antenna_gain(0.0, 12.0 + 15.0) == -12.0
+    assert nw.antenna_gain(70.0, 12.0 + 15.0) == -20.0
 
 
 def test_ring_map_shapes():
@@ -245,7 +245,7 @@ def test_pathloss_matches_direct_formula():
         dh = cfg.bs_height_m - cfg.ut_height_m
         dist = np.hypot(d, dh)
         phi = np.degrees(np.arctan2(dh, d))
-        pattern = nw.antenna_gain(0.0, phi, nw.TILT_DEG)
+        pattern = nw.antenna_gain(0.0, phi)
         return (-(cfg.pathloss_a_db + cfg.pathloss_b_db * np.log10(dist))
                 + pattern + cfg.boresight_gain_dbi - cfg.feeder_loss_db)
 
