@@ -45,5 +45,7 @@ for scheme, rep in reports.items():
 
 with tempfile.TemporaryDirectory(prefix="icicsim_demo_") as out_dir:
     files = emit_reports(reports["proposed"], out_dir)
-    print(f"\ncoordinated-run reports written to {out_dir}: "
+    # the directory's name is random: print the files, not the path, so
+    # the demo's output is the same on every run
+    print(f"\ncoordinated-run reports written to a temporary directory: "
           f"{', '.join(files)}")

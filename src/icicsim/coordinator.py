@@ -22,8 +22,12 @@ form, as a fractional knapsack (see the lanes module docstring). The set
 is built once per master run from the run's fixed weights and rate
 triples: it holds each lane's best users, gains and gain order, so a
 pass's `LaneSet.solve` call only fills the knapsacks at that pass's
-blanking levels. The `runs=2` re-run, whose triples leave out the
-frozen sectors' interference, gets a set of its own.
+blanking levels and reads each lane's value and duals off the fill. No
+master pass builds x or y: run 1 ends with a bookkeeping pass at its
+final iterate, which gives the last master value and is the one call
+of `LaneSet.primal` per round, for the binary share. The `runs=2`
+re-run, whose triples leave out the frozen sectors' interference, gets
+a set of its own and has no bookkeeping pass.
 `solve_subproblem` (one FlowNetwork, solved by `mcnf.solve`) is the
 paper's network-flow method and the per-lane reference: every lane of
 the closed form must be optimal, and its value and duals must match the
@@ -395,14 +399,15 @@ def _lane_inputs(weights, r, rtil):
                          rtil.transpose(0, 1, 3, 2, 4).reshape(-1, m, kt))
 
 
-def _solve_pass(lane_set, nbr, blanking, config):
+def _solve_pass(lane_set, nbr, blanking, config, primal=False):
     """Solve every (sector, RB) subproblem of one master pass of a batch
     in one `solve` call of the run's lane set (see `_lane_inputs`).
 
     blanking: (P, K, N), which neighbors see quantized when the config
     quantizes the exchange; nbr: the (K, K_tilde) neighbor sets. Returns
     the duals lam_eq (P, K, N) and lam_nbr (P, K, N, K_tilde), the (P,)
-    master values, each summed in (k, n) order, and the lanes' x and y.
+    master values, each summed in (k, n) order from the lanes' closed-
+    form phi, and, when `primal` is set, the lanes' x and y (else None).
     """
     seen = blanking
     if config.quantize_exchange:
@@ -410,12 +415,13 @@ def _solve_pass(lane_set, nbr, blanking, config):
     shape = blanking.shape
     kt = nbr.shape[1]
     nbr_levels = seen[:, nbr].transpose(0, 1, 3, 2).reshape(-1, kt)
-    x, y, phi, lam_eq, lam_nbr = lane_set.solve(blanking.ravel(),
-                                                nbr_levels)
+    sol = lane_set.solve(blanking.ravel(), nbr_levels)
     # cumsum adds each problem's terms one at a time, as a loop would; a
     # pairwise sum would move the last bits
-    value = np.cumsum(phi.reshape(shape[0], -1), axis=1)[:, -1]
-    return lam_eq.reshape(shape), lam_nbr.reshape(*shape, kt), value, (x, y)
+    value = np.cumsum(sol.phi.reshape(shape[0], -1), axis=1)[:, -1]
+    xy = lane_set.primal(sol) if primal else None
+    return (sol.lam_eq.reshape(shape), sol.lam_nbr.reshape(*shape, kt),
+            value, xy)
 
 
 def _binary_fraction(arrays, tol=1e-6):
@@ -507,8 +513,10 @@ def run_rounds(batch, config, warm_start=None):
     finals, values, rounded = _subgradient_run(run1, nmap, config, init)
     scores = score(rounded)
     if config.n_iter > 0:
-        # bookkeeping only: the final value and x/y, no exchange
-        _, _, final_value, xy = _solve_pass(run1, nmap.nbr, finals, config)
+        # bookkeeping only: the final value and the run's one x and y,
+        # for the binary share; no exchange
+        _, _, final_value, xy = _solve_pass(run1, nmap.nbr, finals, config,
+                                            primal=True)
         # run 1 has no pass left: free its lane set before the round's
         # largest arrays, the binary share's, are built
         del run1

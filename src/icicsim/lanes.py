@@ -24,18 +24,43 @@ Within one master run only the blanking levels change from pass to
 pass; w, r and rtil are fixed, and so are the best users, the gains and
 their order. So the solve is split in two: a `LaneSet` is built once per
 run from w, r and rtil, and each pass calls its `solve` with that pass's
-levels, which only fills the knapsack.
+levels, which only fills the knapsack. A pass needs no primal: with
+fill_j the supply sent to neighbor j and rest = max(S - the summed
+levels of the neighbors of positive gain, 0) the supply left for the
+collector, its value is
+
+  phi = rest * c_0 + sum_j fill_j * c_j,
+
+added up from rest * c_0 one neighbor at a time in decreasing gain
+order, and its duals follow from t. Only a caller that reads x and y
+asks `primal` to route that pass's fill through the best users; in the
+master loop that is the bookkeeping pass, once per round.
 
 `coordinator.solve_subproblem` (one flow solve per subproblem) stays
 as the reference that `oracle.lane_mismatches` checks every lane against.
 Ties (equal gains, a zero gain, users of equal value) leave several
 optima, and the two may return different ones; their float orders
-differ too, so values agree to rounding, not bit for bit. phi is
-computed from the returned x and y as `coordinator.subproblem_objective`
-computes it.
+differ too, so values agree to rounding, not bit for bit. The closed-
+form phi and `coordinator.subproblem_objective` of the primal sum the
+same terms in different orders, so they too agree to rounding.
 """
 
+from typing import NamedTuple
+
 import numpy as np
+
+
+class LanePass(NamedTuple):
+    """One `LaneSet.solve`: phi (L,), lam_eq (L,) and lam_nbr (L, Kt),
+    and the knapsack it filled, fill (Kt, L) with one row per rank in
+    decreasing gain order and rest (L,) the supply left for the
+    collector, from which `LaneSet.primal` builds x and y."""
+
+    phi: np.ndarray
+    lam_eq: np.ndarray
+    lam_nbr: np.ndarray
+    fill: np.ndarray
+    rest: np.ndarray
 
 
 class LaneSet:
@@ -45,48 +70,36 @@ class LaneSet:
 
     def __init__(self, w, r, rtil):
         w, r, rtil = (np.asarray(a, dtype=float) for a in (w, r, rtil))
-        self.w, self.r, self.rtil = w, r, rtil
-        n_lanes, m, kt = rtil.shape
-        lane = np.arange(n_lanes)
+        n_lanes, self.m, kt = rtil.shape
 
         wr = w * r                              # a unit to the collector
         via = wr[:, :, None] + w[:, :, None] * rtil     # a unit to neighbor j
-        self.c_0, user_0 = _best_user(wr)
-        best, user_j = _best_user(via)          # (L, Kt)
+        self.c_0, self.user_0 = _best_user(wr)
+        best, self.user_j = _best_user(via)     # (L, Kt)
         self.gain = best - self.c_0[:, None]
 
         # the knapsack order: decreasing gain, lowest index on ties. The
         # knapsack runs rank by rank, so its arrays are (Kt, L), one row
-        # per rank; sorted_at gathers a (L, Kt) array in that order, and
-        # its inverse, unsort, puts a rank-major fill back in neighbor
-        # order
+        # per rank; sorted_at gathers a (L, Kt) array in that order
         order = np.argsort(-self.gain, axis=1, kind="stable")
-        sorted_at = (lane[:, None] * kt + order).T.ravel()
-        self.unsort = np.empty_like(sorted_at)
-        self.unsort[sorted_at] = np.arange(n_lanes * kt)
-        gain_sorted = self.gain.ravel()[sorted_at].reshape(kt, n_lanes)
+        self.sorted_at = (np.arange(n_lanes)[:, None] * kt + order).T.ravel()
+        gain_sorted = self.gain.ravel()[self.sorted_at].reshape(kt, n_lanes)
+        self.best_sorted = best.ravel()[self.sorted_at].reshape(kt, n_lanes)
         positive = gain_sorted > 0.0
         # a neighbor without positive gain takes no fill: its capacity is
         # gathered from a zero appended to the levels, and its gain counts
         # as 0 when the first open neighbor is sought
-        self.cap_at = np.where(positive.ravel(), sorted_at, n_lanes * kt)
+        self.cap_at = np.where(positive.ravel(), self.sorted_at,
+                               n_lanes * kt)
         self.gain_open = np.where(positive, gain_sorted, 0.0)
-        # each neighbor's fill into y through its best user, and the rest
-        # into x through the collector's best user
-        self.y_at = ((lane[:, None] * m + user_j) * kt
-                     + np.arange(kt)).ravel()
-        self.x_at = lane * m + user_0
 
     def solve(self, own, nbr):
-        """The subproblems at blanking levels own (L,) and nbr (L, Kt).
-
-        Returns x (L, M), y (L, M, Kt), phi (L,), lam_eq (L,) and lam_nbr
-        (L, Kt). A blanking level outside [0, 1] (or NaN) is a ValueError
-        naming the lowest such lane.
+        """The subproblems at blanking levels own (L,) and nbr (L, Kt),
+        as a `LanePass`. A blanking level outside [0, 1] (or NaN) is a
+        ValueError naming the lowest such lane.
         """
         own, nbr = (np.asarray(a, dtype=float) for a in (own, nbr))
-        w, r, rtil = self.w, self.r, self.rtil
-        n_lanes, m, kt = rtil.shape
+        n_lanes, kt = self.gain.shape
         levels = np.column_stack((own, nbr))
         bad = ~((levels >= 0.0) & (levels <= 1.0))
         if bad.any():
@@ -102,27 +115,37 @@ class LaneSet:
         start = np.zeros((kt, n_lanes))
         for j in range(kt - 1):
             np.add(start[j], cap[j], out=start[j + 1])
-        fill_sorted = np.minimum(cap, np.maximum(supply - start, 0.0))
-        fill = fill_sorted.ravel()[self.unsort].reshape(n_lanes, kt)
+        fill = np.minimum(cap, np.maximum(supply - start, 0.0))
+        # the supply left once every neighbor of positive gain is full
+        rest = np.maximum(supply - (start[-1] + cap[-1]), 0.0)
 
-        # each neighbor's fill through its best user, the rest to the
-        # collector
-        y = np.zeros((n_lanes, m, kt))
-        y.ravel()[self.y_at] = fill.ravel()
-        x = y.sum(axis=2)
-        x.ravel()[self.x_at] += np.maximum(supply - fill.sum(axis=1), 0.0)
-
-        # coordinator.subproblem_objective, lane by lane
-        phi = np.matmul(w[:, None, :], (x * r)[:, :, None])[:, 0, 0] \
-            + (w[:, :, None] * y * rtil).sum(axis=(1, 2))
+        # the value, rank by rank from the collector's share
+        phi = rest * self.c_0
+        for j in range(kt):
+            phi += fill[j] * self.best_sorted[j]
 
         # the first open neighbor has the largest gain of the open ones;
         # cap is 0 where the gain is not positive, so such a neighbor is
         # full
-        t = (self.gain_open * (fill_sorted < cap)).max(axis=0)
+        t = (self.gain_open * (fill < cap)).max(axis=0)
         lam_eq = self.c_0 + t
         lam_nbr = np.maximum(self.gain - t[:, None], 0.0)
-        return x, y, phi, lam_eq, lam_nbr
+        return LanePass(phi, lam_eq, lam_nbr, fill, rest)
+
+    def primal(self, lane_pass):
+        """x (L, M) and y (L, M, Kt) of a `LanePass` of this set: each
+        neighbor's fill into y through its best user, and the rest into x
+        through the collector's best user."""
+        n_lanes, kt = self.gain.shape
+        lane = np.arange(n_lanes)
+        fill = np.empty(n_lanes * kt)
+        fill[self.sorted_at] = lane_pass.fill.ravel()   # neighbor order
+        y = np.zeros((n_lanes, self.m, kt))
+        y.ravel()[((lane[:, None] * self.m + self.user_j) * kt
+                   + np.arange(kt)).ravel()] = fill
+        x = y.sum(axis=2)
+        x[lane, self.user_0] += lane_pass.rest
+        return x, y
 
 
 def _best_user(values):

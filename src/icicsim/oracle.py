@@ -380,19 +380,27 @@ def _unique_optimum(w, r, rtil):
 
 def lane_mismatches(own, nbr, w, r, rtil):
     """Indices of the lanes where `lanes.LaneSet(w, r, rtil).solve(own,
-    nbr)` fails to be optimal.
+    nbr)`, with x and y from the set's `primal` of that pass, fails to
+    be optimal.
 
     Every lane must be primal feasible (x, y >= 0, sum x = 1 - own, the
     neighbor columns of y within nbr, each user's row of y within x) and
     dual feasible (lam_nbr >= 0, lam_eq >= w r, lam_eq + lam_nbr >=
     w (r + rtil)), close the duality gap (phi = (1 - own) lam_eq +
-    sum nbr lam_nbr), and give phi, lam_eq and lam_nbr within REF_TOL of
-    coordinator.solve_subproblem. Where the optimum is unique (see
-    `_unique_optimum`), x and y must also be within LANE_TOL of the flow
-    solve's; ties leave several optima, and the two may differ there.
-    Float-order comparisons use LANE_TOL relative to max(1, |value|).
+    sum nbr lam_nbr), give the closed-form phi within LANE_TOL of
+    coordinator.subproblem_objective of its x and y, and give phi,
+    lam_eq and lam_nbr within REF_TOL of coordinator.solve_subproblem.
+    Where the optimum is unique (see `_unique_optimum`), x and y must
+    also be within LANE_TOL of the flow solve's; ties leave several
+    optima, and the two may differ there. Float-order comparisons use
+    LANE_TOL relative to max(1, |value|).
     """
-    x, y, phi, lam_eq, lam_nbr = lanes.LaneSet(w, r, rtil).solve(own, nbr)
+    lane_set = lanes.LaneSet(w, r, rtil)
+    sol = lane_set.solve(own, nbr)
+    phi, lam_eq, lam_nbr = sol.phi, sol.lam_eq, sol.lam_nbr
+    x, y = lane_set.primal(sol)
+    of_primal = np.array([coordinator.subproblem_objective(
+        w[i], r[i], rtil[i], x[i], y[i]) for i in range(own.shape[0])])
     sols = [coordinator.solve_subproblem(own[i], nbr[i], w[i], r[i], rtil[i])
             for i in range(own.shape[0])]
     ref = {name: np.array([getattr(s, name) for s in sols])
@@ -409,6 +417,7 @@ def lane_mismatches(own, nbr, w, r, rtil):
                   wr[:, :, None] + w[:, :, None] * rtil),
         _close(phi, (1.0 - own) * lam_eq + (nbr * lam_nbr).sum(axis=1),
                LANE_TOL),
+        _close(phi, of_primal, LANE_TOL),
         _close(phi, ref["phi"], REF_TOL),
         _close(lam_eq, ref["lam_eq"], REF_TOL),
         _close(lam_nbr, ref["lam_nbr"], REF_TOL),

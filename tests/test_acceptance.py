@@ -101,7 +101,7 @@ def test_criterion_4_flow_equals_enumeration():
         # the closed form the master loop uses, on the same subproblem
         closed = lanes.LaneSet(w[None], r[None], rtil[None]).solve(
             np.array([own]), nbr[None])
-        assert closed[2][0] == ref[2]
+        assert closed.phi[0] == ref[2]
         exact_matches += 1
     from icicsim import mcnf
     slack_checked = 0

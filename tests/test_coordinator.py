@@ -412,9 +412,12 @@ def test_one_lane_call_exchange_and_step_per_pass(monkeypatch, count):
 def test_one_lane_set_per_master_run(monkeypatch, config, solves):
     # run 1 builds a lane set and solves its n_iter passes and the
     # closing pass on it; the re-run, on silenced triples, builds its own
-    # for its n_iter passes; a round without a master pass builds none
-    built, solved = [], []
+    # for its n_iter passes; a round without a master pass builds none.
+    # x and y are built once, from run 1's closing pass, after every
+    # solve of run 1; the re-run never builds them
+    built, solved, primal_of = [], [], []
     init, solve = lanes.LaneSet.__init__, lanes.LaneSet.solve
+    primal = lanes.LaneSet.primal
 
     def counted_init(lane_set, *args):
         built.append(lane_set)
@@ -424,11 +427,18 @@ def test_one_lane_set_per_master_run(monkeypatch, config, solves):
         solved.append(built.index(lane_set))
         return solve(lane_set, *args)
 
+    def counted_primal(lane_set, *args):
+        primal_of.append((built.index(lane_set), len(solved)))
+        return primal(lane_set, *args)
+
     monkeypatch.setattr(lanes.LaneSet, "__init__", counted_init)
     monkeypatch.setattr(lanes.LaneSet, "solve", counted_solve)
+    monkeypatch.setattr(lanes.LaneSet, "primal", counted_primal)
     co.run_rounds(_batch_problems(), config)
     assert len(built) == len(set(solves))
     assert solved == solves
+    # (lane set, solves so far) of each primal call
+    assert primal_of == ([(0, config.n_iter + 1)] if config.n_iter else [])
 
 
 def test_rerun_holds_no_copy_of_the_gains():
@@ -627,8 +637,8 @@ def test_quantized_exchange_scales_each_message(monkeypatch):
     ref = lane_set.solve(
         blanking.ravel(), seen[prob.neighbors.nbr].transpose(0, 2, 1)
         .reshape(-1, 2))
-    assert np.array_equal(lam_eq.ravel(), ref[3])
-    assert np.array_equal(lam_nbr.reshape(-1, 2), ref[4])
+    assert np.array_equal(lam_eq.ravel(), ref.lam_eq)
+    assert np.array_equal(lam_nbr.reshape(-1, 2), ref.lam_nbr)
     grad = _first_direction(monkeypatch, prob, cfg, blanking)
     assert np.array_equal(grad, co.compute_subgradient(
         lam_eq, co._quantize(lam_nbr, bits, axis=1), prob.neighbors))

@@ -27,7 +27,10 @@ def test_edge_lanes_are_optimal(m, kt):
     own, nbr, w, r, rtil = oracle.edge_lanes(np.random.default_rng(m + kt),
                                              m, kt)
     assert oracle.lane_mismatches(own, nbr, w, r, rtil) == []
-    x, y, phi, _, _ = lanes.LaneSet(w, r, rtil).solve(own, nbr)
+    lane_set = lanes.LaneSet(w, r, rtil)
+    sol = lane_set.solve(own, nbr)
+    x, y = lane_set.primal(sol)
+    phi = sol.phi
     # no supply: nothing flows (lanes 0 and 6)
     for i in (0, 6):
         assert not x[i].any() and not y[i].any() and phi[i] == 0.0
@@ -65,8 +68,45 @@ def test_lane_set_is_reused_across_levels(inputs):
     draws = [(own, nbr)] + _level_draws(rng, *nbr.shape)
     for levels in draws + draws[::-1]:
         got = lane_set.solve(*levels)
-        assert oracle.bit_equal(got, lanes.LaneSet(w, r, rtil).solve(*levels))
+        fresh = lanes.LaneSet(w, r, rtil)
+        want = fresh.solve(*levels)
+        assert oracle.bit_equal(got, want)
+        assert oracle.bit_equal(lane_set.primal(got), fresh.primal(want))
         assert oracle.lane_mismatches(*levels, w, r, rtil) == []
+
+
+def test_closed_form_phi_against_the_primal():
+    # phi from the fill alone against coordinator.subproblem_objective of
+    # the primal, on 10,000 lanes over M 1-10 and K_tilde 1-9 with
+    # fractional levels. Both sum the same nonnegative terms, so each is
+    # within gamma_n = n u / (1 - n u) of the exact sum E (u = 2^-53),
+    # where n bounds the roundings on one term's path. The closed form:
+    # w r and w rtil, their sum, the product with the fill, and K_tilde
+    # additions, so n = K_tilde + 3. The primal: x_i as a sum of up to
+    # K_tilde + 1 fills (K_tilde), x r and w (x r) (2), the dot over M
+    # users (M - 1) and the final addition (1), so n = M + K_tilde + 2;
+    # its y part has fewer. Then |new - old| <= 2 gamma_n E with
+    # n = M + K_tilde + 3, and E <= max(new, old) / (1 - gamma_n).
+    rng = np.random.default_rng(31)
+    shapes = [(m, kt) for m in range(1, 11) for kt in range(1, 10)]
+    worst = 0.0
+    for m, kt in shapes:
+        _, _, w, r, rtil = oracle.random_lanes(rng, 10_000 // len(shapes) + 1,
+                                               m, kt)
+        own, nbr = rng.random(len(w)), rng.random((len(w), kt))
+        lane_set = lanes.LaneSet(w, r, rtil)
+        sol = lane_set.solve(own, nbr)
+        x, y = lane_set.primal(sol)
+        old = np.array([co.subproblem_objective(w[i], r[i], rtil[i], x[i],
+                                                y[i])
+                        for i in range(len(w))])
+        n = m + kt + 3
+        gamma = n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
+        bound = 2.0 * gamma / (1.0 - gamma) * np.maximum(sol.phi, old)
+        diff = np.abs(sol.phi - old)
+        assert (diff <= bound).all(), (m, kt)
+        worst = max(worst, float((diff[bound > 0] / bound[bound > 0]).max()))
+    assert 0.0 < worst <= 1.0      # the orders differ, within the bound
 
 
 def test_knapsack_by_hand():
@@ -78,7 +118,10 @@ def test_knapsack_by_hand():
     w = np.array([[1.0, 1.0]])
     r = np.array([[10.0, 8.0]])
     rtil = np.array([[[0.0, 5.0, 1.0], [4.0, 0.0, 0.0]]])
-    x, y, phi, lam_eq, lam_nbr = lanes.LaneSet(w, r, rtil).solve(own, nbr)
+    lane_set = lanes.LaneSet(w, r, rtil)
+    sol = lane_set.solve(own, nbr)
+    x, y = lane_set.primal(sol)
+    phi, lam_eq, lam_nbr = sol.phi, sol.lam_eq, sol.lam_nbr
     assert x.tolist() == [[0.5, 0.25]]
     assert y.tolist() == [[[0.0, 0.5, 0.0], [0.25, 0.0, 0.0]]]
     assert phi.tolist() == [10.5]           # 0.75 * 12 + 0.5 * 3

@@ -361,17 +361,21 @@ def test_plain_triples_equal_all_zero_silenced(inputs):
         precompute_rate_triples(gains, radio, nmap, amc, silenced))
 
 
-def test_lane_inputs_equal_per_sector_transposes():
+def test_lane_inputs_equal_per_sector_transposes(monkeypatch):
+    # the w, r and rtil that `_lane_inputs` builds its lane set from
     batch = random_desk_instances([71, 72, 73], n_sectors=6,
                                   users_per_sector=3, n_rbs=4)
     weights = batch.weights * 0.5
-    got = co._lane_inputs(weights, batch.triples.r, batch.triples.rtil)
+    built = []
+    monkeypatch.setattr(co.lanes, "LaneSet", lambda *args: built.append(args))
+    co._lane_inputs(weights, batch.triples.r, batch.triples.rtil)
+    (got,) = built
     want = [np.concatenate([np.repeat(w, 4, axis=0) for w in weights]),
             np.concatenate([batch[p].triples.r[k].T
                             for p in range(3) for k in range(batch.K)]),
             np.concatenate([batch[p].triples.rtil[k].transpose(1, 0, 2)
                             for p in range(3) for k in range(batch.K)])]
-    for g, w in zip((got.w, got.r, got.rtil), want):
+    for g, w in zip(got, want):
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()
 
