@@ -100,10 +100,11 @@ class LaneSet:
         """
         own, nbr = (np.asarray(a, dtype=float) for a in (own, nbr))
         n_lanes, kt = self.gain.shape
-        levels = np.column_stack((own, nbr))
-        bad = ~((levels >= 0.0) & (levels <= 1.0))
-        if bad.any():
-            lane, col = np.argwhere(bad)[0]
+        # min and max are NaN when a level is, and NaN fails both tests
+        if not all(a.min(initial=1.0) >= 0.0 and a.max(initial=0.0) <= 1.0
+                   for a in (own, nbr)):
+            levels = np.column_stack((own, nbr))
+            lane, col = np.argwhere(~((levels >= 0.0) & (levels <= 1.0)))[0]
             raise ValueError(
                 f"lane {lane}: blanking level {float(levels[lane, col])!r} "
                 f"outside [0, 1]")

@@ -1,10 +1,12 @@
 """Multi-cell layout, channel drawing, and user association.
 
 Sites sit on a triangular lattice and carry three sectors each with
-boresights 120 degrees apart. Wraparound is a true torus: the site set is
-a lattice cluster of size sites = i^2 + i*j + j^2 (1, 3, 4, 7, 9, 12, 13,
-16, 19, ...) and distances are minimized over the 6 cluster translation
-images, so every sector sees the same geometry.
+boresights 120 degrees apart. The layout is always a wrapped torus, as
+in the IMT-Advanced scenario: the site set is a lattice cluster of size
+sites = i^2 + i*j + j^2 (1, 3, 4, 7, 9, 12, 13, 16, 19, ...) and
+distances are minimized over the 6 cluster translation images, so every
+sector sees the same geometry. Each sector coordinates with the sectors
+nearest to it on the torus.
 
 The channel is a deliberately simple stand-in for a full stochastic
 geometry model, with the fixed physics of the IMT-Advanced deployment:
@@ -38,7 +40,6 @@ TILT_DEG = 12.0                 # electrical downtilt of every sector
 BS_POWER_DBM = 46.0             # per sector, over all RBs
 NOISE_PER_RB_DBM = -114.45
 BANDWIDTH_HZ = 10e6
-NEIGHBOR_MODES = ("nearest", "strongest")
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class Layout:
     sector_site: np.ndarray       # (K,) site index of each sector
     boresight_deg: np.ndarray     # (K,)
     isd: float
-    images: np.ndarray            # (n_images, 2) torus translation vectors
+    images: np.ndarray            # (7, 2): zero, the 6 cluster translations
 
     def sector_xy(self):
         return self.site_xy[self.sector_site]
@@ -110,8 +111,9 @@ def _cluster_shape(sites):
         f"form i^2+ij+j^2 (1, 3, 4, 7, 9, 12, 13, 16, 19, 21, 25, ...)")
 
 
-def generate_layout(dims, isd, wraparound=True):
-    """Hexagonal-lattice site cluster with tri-sector boresights.
+def generate_layout(dims, isd):
+    """Hexagonal-lattice site cluster with tri-sector boresights on the
+    wraparound torus.
 
     Deterministic: the geometry has no random component.
     """
@@ -144,15 +146,12 @@ def generate_layout(dims, isd, wraparound=True):
     sector_site = np.repeat(np.arange(dims.sites), 3)
     boresight = np.tile(np.array(BORESIGHTS_DEG), dims.sites)
 
-    if wraparound:
-        images = [np.zeros(2)]
-        vec = t1.copy()
-        for _ in range(6):
-            images.append(vec.copy())
-            vec = rot @ vec
-        images = np.array(images)
-    else:
-        images = np.zeros((1, 2))
+    images = [np.zeros(2)]
+    vec = t1.copy()
+    for _ in range(6):
+        images.append(vec.copy())
+        vec = rot @ vec
+    images = np.array(images)
 
     return Layout(site_xy=site_xy, sector_site=sector_site,
                   boresight_deg=boresight, isd=float(isd), images=images)
@@ -235,56 +234,34 @@ def ring_neighbor_map(num_sectors, k_tilde):
     return NeighborMap(nbr=np.array(rows))
 
 
-def _coupling_scores(layout, mode):
-    """Symmetric pairwise closeness score between sectors (higher = closer)."""
+def _coupling_scores(layout):
+    """Symmetric pairwise closeness score between sectors (higher =
+    closer): minus the torus distance between points a third of an ISD
+    out along each boresight."""
     k = layout.sector_site.shape[0]
     ref = layout.sector_xy() + (layout.isd / 3.0) * np.column_stack([
         np.cos(np.radians(layout.boresight_deg)),
         np.sin(np.radians(layout.boresight_deg))])
     score = np.full((k, k), -np.inf)
-    if mode == "nearest":
-        # elementwise, so each entry is the float of the one-pair call;
-        # a -> b and b -> a may differ in the last bit, so mirror a < b
-        upper = np.triu_indices(k, 1)
-        dist = layout.torus_distance(ref[:, None], ref[None, :])
-        score[upper] = -dist[upper]
-        score[upper[::-1]] = score[upper]
-        return score
-    # strongest average coupling, pathloss + pattern, no shadowing; scalar
-    # math calls, since numpy's SIMD arctan2 and log10 need not match them
-    # bit for bit, and these scores order near-ties
-    for a in range(k):
-        for b in range(a + 1, k):
-            score[a, b] = score[b, a] = (_mean_gain_db(layout, a, ref[b])
-                                         + _mean_gain_db(layout, b, ref[a]))
+    # elementwise, so each entry is the float of the one-pair call;
+    # a -> b and b -> a may differ in the last bit, so mirror a < b
+    upper = np.triu_indices(k, 1)
+    dist = layout.torus_distance(ref[:, None], ref[None, :])
+    score[upper] = -dist[upper]
+    score[upper[::-1]] = score[upper]
     return score
 
 
-def _mean_gain_db(layout, from_sector, to_xy):
-    site = layout.site_xy[layout.sector_site[from_sector]]
-    delta = layout.torus_delta(site, to_xy)
-    d = max(np.linalg.norm(delta), 1.0)
-    theta = math.degrees(math.atan2(delta[1], delta[0])) \
-        - layout.boresight_deg[from_sector]
-    return float(antenna_gain(theta, TILT_DEG)
-                 - 37.6 * math.log10(d))
-
-
-def neighbor_map(layout, k_tilde=6, mode="nearest"):
-    """Symmetric K_tilde-regular neighbor sets from geometric coupling.
+def neighbor_map(layout, k_tilde=6):
+    """Symmetric K_tilde-regular neighbor sets, nearest on the torus.
 
     Greedy b-matching on the coupling scores with a deterministic repair
     pass; raises if the requested regular relation cannot be completed.
-    mode: one of NEIGHBOR_MODES. "strongest" ranks pairs by
-    `_mean_gain_db`.
     """
     k = layout.sector_site.shape[0]
     if k_tilde >= k:
         raise ValueError("k_tilde must be < number of sectors")
-    if mode not in NEIGHBOR_MODES:
-        raise ValueError(f"unknown neighbor mode {mode!r}; "
-                         f"use one of {', '.join(NEIGHBOR_MODES)}")
-    score = _coupling_scores(layout, mode)
+    score = _coupling_scores(layout)
     # pairs a < b by score, high first, ties by (a, b)
     first, second = np.triu_indices(k, 1)
     order = np.lexsort((second, first, -score[first, second]))
@@ -405,7 +382,7 @@ def draw_channels(layout, dims, cfg, radio, seed):
     holds by construction. Deterministic for a given (config, seed).
     """
     rng = np.random.default_rng(seed)
-    origin, t1, t2 = _drop_region(layout)
+    t1, t2 = layout.images[1], layout.images[2]   # one cluster cell
 
     quota = list(dims.M)
     flat_xy, shadow, owners = [], [], []
@@ -419,7 +396,7 @@ def draw_channels(layout, dims, cfg, radio, seed):
                 f"user drop did not converge: sectors {unfilled} still "
                 f"lacked users after {max_attempts} tries")
         s, t = rng.random(2)
-        pos = origin + s * t1 + t * t2
+        pos = s * t1 + t * t2
         if np.min(layout.torus_distance(pos, layout.site_xy)) \
                 < cfg.min_bs_dist_m:
             continue
@@ -467,12 +444,3 @@ def refade(large_scale, dims, rngs):
     grid *= large_scale[..., None, :]
     return grid
 
-
-def _drop_region(layout):
-    """(origin, v1, v2) spanning the user drop area."""
-    if layout.images.shape[0] > 1:
-        return np.zeros(2), layout.images[1], layout.images[2]
-    # non-wrapped: the site bounding box with one ISD of margin
-    lo = layout.site_xy.min(axis=0) - layout.isd
-    hi = layout.site_xy.max(axis=0) + layout.isd
-    return lo, np.array([hi[0] - lo[0], 0.0]), np.array([0.0, hi[1] - lo[1]])

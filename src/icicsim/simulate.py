@@ -49,8 +49,9 @@ GROUP_LANES = 1024      # subproblems per lockstep round of a drop group
 
 @dataclass
 class ScenarioConfig:
-    """Deployment size and run length; the physics are the constants
-    of `network`'s IMT-Advanced deployment.
+    """Deployment size and run length; the physics and the geometry
+    (the wrapped torus, nearest-neighbour coordination sets) are fixed
+    by `network`'s IMT-Advanced deployment.
 
     Under the 25 m masts, isd_m >= 200 keeps the antenna pattern above
     its -20 dB floor in part of every cell, where otherwise the sectors
@@ -68,9 +69,7 @@ class ScenarioConfig:
     t_c: float = rule_of(AverageRateTracker, "t_c")
     seed: int = rule(1, ge=0)
     k_tilde: int = rule(6, ge=1)           # clamped to K - 1 at run time
-    neighbor_mode: str = rule("nearest", choices=nw.NEIGHBOR_MODES)
     estimation_delay_subframes: int = rule(0, ge=0)
-    wraparound: bool = True
 
     def __post_init__(self):
         check_fields(self)
@@ -309,9 +308,9 @@ def run_simulation(config):
     radio = config.radio()
     amc = default_amc_table()
     dims = nw.NetworkDims.uniform(sc.sites, sc.users_per_sector, sc.rbs)
-    layout = nw.generate_layout(dims, sc.isd_m, wraparound=sc.wraparound)
+    layout = nw.generate_layout(dims, sc.isd_m)
     k_tilde = min(sc.k_tilde, dims.K - 1)
-    nmap = nw.neighbor_map(layout, k_tilde, mode=sc.neighbor_mode)
+    nmap = nw.neighbor_map(layout, k_tilde)
 
     static = None
     if config.scheme != "proposed":

@@ -37,7 +37,6 @@ PROBES = [
     ("scheduler.alpha = inf", "scheduler.alpha"),
     ("icic.quantize_exchange = true\nicic.quant_bits = 2000",
      "icic.quant_bits"),
-    ("scenario.neighbor_mode = bogus", "scenario.neighbor_mode"),
     ("scenario.users_per_sector = 200000000", "scenario.users_per_sector"),
     # the delay history, not one tensor, is what outgrows memory here
     ("scenario.subframes = 100000000\n"
@@ -69,6 +68,10 @@ REMOVED = [
     ("scheduler.mode = linear", "scheduler.mode"),
     ("scheduler.beta = 500", "scheduler.beta"),
     ("icic.step_constant = 0.5", "icic.step_constant"),
+    # the wrapped torus and the nearest neighbour sets are the only
+    # geometry
+    ("scenario.wraparound = false", "scenario.wraparound"),
+    ("scenario.neighbor_mode = bogus", "scenario.neighbor_mode"),
 ]
 # a removed section is an unknown section, which the message names
 GONE_SECTIONS = [("metrics.rmin_grid = nan", "metrics.rmin_grid")]

@@ -10,8 +10,8 @@ from icicsim import coordinator as co
 from icicsim import lanes, mcnf, oracle
 from icicsim.fairsched import local_schedule
 from icicsim.instances import random_desk_instance, random_desk_instances
-from icicsim.network import (NEIGHBOR_MODES, NetworkDims, generate_layout,
-                             neighbor_map, ring_neighbor_map)
+from icicsim.network import (NetworkDims, generate_layout, neighbor_map,
+                             ring_neighbor_map)
 
 
 def test_network_counts_match_closed_form():
@@ -149,8 +149,7 @@ def _exchange_maps():
     lay = generate_layout(NetworkDims.uniform(4, 1, 1), 500.0)
     for kt in range(1, 7):
         yield ring_neighbor_map(14, kt)
-        for mode in NEIGHBOR_MODES:
-            yield neighbor_map(lay, kt, mode=mode)
+        yield neighbor_map(lay, kt)
 
 
 def test_subgradient_of_a_stack_equals_single_calls():

@@ -148,6 +148,13 @@ def test_engine_rejects_unroutable_supply():
         bad[lane] = level
         with pytest.raises(ValueError, match=f"lane {lane}:"):
             lanes.LaneSet(w, r, rtil).solve(bad, nbr)
+    # own and nbr are checked apart: the lowest bad lane of either wins,
+    # and the message quotes its level
+    bad_own, bad_nbr = own.copy(), nbr.copy()
+    bad_own[3] = 2.0
+    bad_nbr[1, 1] = -0.25
+    with pytest.raises(ValueError, match=r"lane 1: blanking level -0\.25 "):
+        lanes.LaneSet(w, r, rtil).solve(bad_own, bad_nbr)
 
 
 @pytest.mark.parametrize("config", [

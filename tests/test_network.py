@@ -39,21 +39,9 @@ def test_2x2_grid_symmetry_exhaustive():
             assert k in nmap.nbr[j]
 
 
-def test_strongest_coupling_mode():
-    dims = nw.NetworkDims.uniform(4, 1, 2)
-    lay = nw.generate_layout(dims, 500.0)
-    nmap = nw.neighbor_map(lay, 4, mode="strongest")
-    for k in range(12):
-        assert len(set(nmap.nbr[k].tolist())) == 4
-        for j in nmap.nbr[k]:
-            assert k in nmap.nbr[j]
-
-
-@pytest.mark.parametrize("wraparound", [True, False], ids=["wrapped", "flat"])
 @pytest.mark.parametrize("sites", [1, 4, 7, 19])
-def test_nearest_scores_equal_per_pair_distances(sites, wraparound):
-    lay = nw.generate_layout(nw.NetworkDims.uniform(sites, 1, 1), 500.0,
-                             wraparound=wraparound)
+def test_nearest_scores_equal_per_pair_distances(sites):
+    lay = nw.generate_layout(nw.NetworkDims.uniform(sites, 1, 1), 500.0)
     k = 3 * sites
     bore = np.radians(lay.boresight_deg)
     ref = lay.sector_xy() + (lay.isd / 3.0) * np.column_stack(
@@ -63,7 +51,7 @@ def test_nearest_scores_equal_per_pair_distances(sites, wraparound):
         for b in range(a + 1, k):
             expected[a, b] = expected[b, a] = \
                 -lay.torus_distance(ref[a], ref[b])
-    assert np.array_equal(nw._coupling_scores(lay, "nearest"), expected)
+    assert np.array_equal(nw._coupling_scores(lay), expected)
 
 
 def test_dims_reject_non_tri_sector():
@@ -129,12 +117,6 @@ def test_neighbor_map_odd_degree_sum_raises_own_error(sites, k_tilde):
     lay = nw.generate_layout(nw.NetworkDims.uniform(sites, 1, 1), 500.0)
     with pytest.raises(ValueError, match="could not complete a symmetric"):
         nw.neighbor_map(lay, k_tilde)
-
-
-def test_neighbor_map_rejects_unknown_mode():
-    lay = nw.generate_layout(nw.NetworkDims.uniform(1, 1, 1), 500.0)
-    with pytest.raises(ValueError, match="unknown neighbor mode 'bogus'"):
-        nw.neighbor_map(lay, 2, mode="bogus")
 
 
 def test_neighbor_map_validation():
@@ -222,7 +204,7 @@ def test_drawn_users_keep_min_distance_from_every_site():
 
 def test_symmetric_users_get_equal_gains():
     dims = nw.NetworkDims.uniform(1, 1, 1)
-    lay = nw.generate_layout(dims, 500.0, wraparound=False)
+    lay = nw.generate_layout(dims, 500.0)
     cfg = nw.ChannelConfig()
     bore = np.radians(lay.boresight_deg[0])
     offset = 120.0 * np.array([np.cos(bore), np.sin(bore)])
@@ -233,7 +215,7 @@ def test_symmetric_users_get_equal_gains():
 
 def test_pathloss_matches_direct_formula():
     dims = nw.NetworkDims.uniform(1, 1, 1)
-    lay = nw.generate_layout(dims, 500.0, wraparound=False)
+    lay = nw.generate_layout(dims, 500.0)
     cfg = nw.ChannelConfig()
     bore = np.radians(lay.boresight_deg[0])
     direction = np.array([np.cos(bore), np.sin(bore)])

@@ -36,12 +36,14 @@ def test_parse_roundtrip_and_overrides():
     assert cfg.scheduler.alpha == 1.0
 
 
-@pytest.mark.parametrize("source", ["desk.cfg", "imt57.cfg", "flat"])
+@pytest.mark.parametrize("source",
+                         ["desk.cfg", "imt57.cfg", "reuse3_quantized"])
 def test_canonical_text_is_a_config(source):
-    # the manifest's config block, fed back, gives the same config
-    if source == "flat":
-        text = SMALL + ("scenario.wraparound = false\n"
-                        "scenario.neighbor_mode = strongest\n")
+    # the manifest's config block, fed back, gives the same config; the
+    # reuse3_quantized case round-trips a non-default string and a bool
+    if source == "reuse3_quantized":
+        text = SMALL + ("run.scheme = reuse3\n"
+                        "icic.quantize_exchange = true\n")
     else:
         path = os.path.join(os.path.dirname(__file__), "..", "demos", source)
         with open(path) as fh:
@@ -276,10 +278,8 @@ def test_full_scale_coordination_smoke():
 
 def test_scenario_variants_run():
     variants = (
-        "scenario.wraparound = false\n",
         "icic.runs = 2\n",
         "icic.quantize_exchange = true\nicic.quant_bits = 12\n",
-        "scenario.neighbor_mode = strongest\n",
         "scenario.estimation_delay_subframes = 2\n",
     )
     for extra in variants:
