@@ -157,8 +157,8 @@ def _cmd_gapbench(args):
     from . import coordinator as co
     from . import oracle
     from .instances import random_desk_instances
-    # with no master step the re-run repeats run 1 and cannot improve
-    # on it, so the gate below could never pass
+    # the --niter floor is `IcicConfig`'s rule, checked here so that it
+    # exits 2 like the other flags
     for flag, value, low in (("--niter", args.niter, 1),
                              ("--instances", args.instances, 1),
                              ("--seed", args.seed, 0)):

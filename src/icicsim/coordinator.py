@@ -78,9 +78,10 @@ from .schema import check_fields, rule
 @dataclass
 class IcicConfig:
     """The `icic` config section: n_iter, rho, runs, quant_bits and
-    quantize_exchange. The master's step at iteration t is 1 / t."""
+    quantize_exchange. The master runs at least one iteration, and its
+    step at iteration t is 1 / t."""
 
-    n_iter: int = rule(5, ge=0)               # 0 skips the master
+    n_iter: int = rule(5, ge=1)               # master iterations per run
     rho: int = rule(1, ge=1)                  # execution period, sub-frames
     runs: int = rule(1, choices=(1, 2))       # 2 = the zeroed-channel re-run
     # message width for overhead accounting; capped so that 2^bits, the
@@ -436,8 +437,8 @@ def _binary_fraction(arrays, tol=1e-6):
 
 def _subgradient_run(lane_set, neighbors, config, init, frozen=None):
     """Run the master loops of a batch in lockstep, on the run's lane set
-    (see `_lane_inputs`; None when n_iter is 0): each pass is one lane
-    call, one exchange and one master step for the whole batch.
+    (see `_lane_inputs`): each pass is one lane call, one exchange and
+    one master step for the whole batch.
 
     init: (P, K, N). Returns the final I (P, K, N), the (P,) master
     values of each pass and the rounded iterates (P, n_iter + 1, K, N).
@@ -467,10 +468,12 @@ def run_rounds(batch, config, warm_start=None):
     """Coordinated rounds of a batch (see `CoordinationProblem`),
     advanced in lockstep; a single round runs as a batch of one.
 
-    The master state is held as (P, K, N) arrays, so each master pass is
-    one lane call, one exchange and one master step for the whole batch
-    (see `_subgradient_run`) on a lane set built once per run (see
-    `_lane_inputs`), and each run's rounded iterates of every round are
+    The master state is held as (P, K, N) arrays, so each of a run's
+    n_iter >= 1 master passes is one lane call, one exchange and one
+    master step for the whole batch (see `_subgradient_run`) on a lane
+    set built once per run (see `_lane_inputs`). Run 1 closes with one
+    more lane call, with no exchange, for the final master value and the
+    binary share. Each run's rounded iterates of every round are
     scored by one `bound_objective` call, as a (P, C) array from which
     the picks are argmax and running-max reductions along C. Only the
     reports are built per round. Every step is elementwise or keeps each
@@ -507,24 +510,19 @@ def run_rounds(batch, config, warm_start=None):
     def score(rounded):
         return bound_objective(weights[:, None], true_channel, rounded, nmap)
 
-    # one lane set per master run; a run without a master pass solves no
-    # lane and builds none
-    run1 = _lane_inputs(weights, r, rtil) if config.n_iter > 0 else None
+    # one lane set per master run
+    run1 = _lane_inputs(weights, r, rtil)
     finals, values, rounded = _subgradient_run(run1, nmap, config, init)
     scores = score(rounded)
-    if config.n_iter > 0:
-        # bookkeeping only: the final value and the run's one x and y,
-        # for the binary share; no exchange
-        _, _, final_value, xy = _solve_pass(run1, nmap.nbr, finals, config,
-                                            primal=True)
-        # run 1 has no pass left: free its lane set before the round's
-        # largest arrays, the binary share's, are built
-        del run1
-        values = np.column_stack(values + [final_value])
-        binary = _binary_fraction((*xy, finals))
-    else:
-        values = scores[:, :1]
-        binary = [1.0] * batch.rounds
+    # bookkeeping only: the final value and the run's one x and y, for
+    # the binary share; no exchange
+    _, _, final_value, xy = _solve_pass(run1, nmap.nbr, finals, config,
+                                        primal=True)
+    # run 1 has no pass left: free its lane set before the round's
+    # largest arrays, the binary share's, are built
+    del run1
+    values = np.column_stack(values + [final_value])
+    binary = _binary_fraction((*xy, finals))
     # best rounded value after each iterate of the first run
     p_hat_hist = (np.maximum.accumulate(scores, axis=1)
                   * scale[:, None]).tolist()
@@ -532,11 +530,9 @@ def run_rounds(batch, config, warm_start=None):
 
     if config.runs == 2:
         blank1 = rounded[rows, scores.argmax(axis=1)]
-        run2 = None
-        if config.n_iter > 0:
-            rerun = precompute_rate_triples(batch.gains, batch.radio, nmap,
-                                            batch.amc, silenced=blank1)
-            run2 = _lane_inputs(weights, rerun.r, rerun.rtil)
+        rerun = precompute_rate_triples(batch.gains, batch.radio, nmap,
+                                        batch.amc, silenced=blank1)
+        run2 = _lane_inputs(weights, rerun.r, rerun.rtil)
         _, _, rounded2 = _subgradient_run(run2, nmap, config, finals,
                                           frozen=blank1.astype(bool))
         rounded = np.concatenate([rounded, rounded2], axis=1)
@@ -619,7 +615,6 @@ def overhead_report(m_per_sector, k_tilde, n_rbs, config):
         / period_s
     r_cent = n_rbs * m_per_sector * (k_tilde + 1) * config.quant_bits \
         / period_s
-    ratio = m_per_sector * (k_tilde + 1) / (2.0 * k_tilde * config.n_iter) \
-        if config.n_iter > 0 else np.inf
+    ratio = m_per_sector * (k_tilde + 1) / (2.0 * k_tilde * config.n_iter)
     return OverheadReport(r_distributed_bps=r_dist, r_centralized_bps=r_cent,
                           ratio=ratio)

@@ -277,7 +277,7 @@ class MetricsReport:
     outage: list                        # (rmin, probability)
     blanked_pmf: np.ndarray             # (N+1,)
     gap_rows: list                      # dict rows: subframe metrics
-    overhead: object                    # OverheadReport or None
+    overhead: object                    # OverheadReport
     scheme: str = ""
     fairness_label: str = ""            # e.g. alpha=2.0
     config_text: str = ""
@@ -285,14 +285,12 @@ class MetricsReport:
 
     def cdf(self):
         vals = np.sort(self.throughput_bps_hz.ravel())
-        probs = np.arange(1, vals.size + 1) / max(vals.size, 1)
+        probs = np.arange(1, vals.size + 1) / vals.size
         return vals, probs
 
 
 def _percentiles(values, percents):
     flat = np.sort(np.asarray(values).ravel())
-    if flat.size == 0:
-        return {p: 0.0 for p in percents}
     return {p: float(np.percentile(flat, p)) for p in percents}
 
 
@@ -320,7 +318,7 @@ def run_simulation(config):
     thr_sum = np.zeros((sc.drops, n_users))    # every user, in sector order
     blank_counts = np.zeros(dims.N + 1)
     gap_rows = []
-    overhead = None
+    overhead = None     # the last round's report, or the static scheme's
     group = _drop_group(dims.K * dims.N, sc.drops)
 
     for first in range(0, sc.drops, group):
@@ -386,15 +384,13 @@ def run_simulation(config):
 
     if static is not None:
         np.add.at(blank_counts, static.sum(axis=1), sc.drops)
+        overhead = overhead_report(sc.users_per_sector, k_tilde, dims.N,
+                                   config.icic)
     user_thr = thr_sum / sc.subframes * 1e3 / radio.bandwidth_hz
     throughput = user_thr.ravel()
     outage = [(float(rmin), float(np.mean(throughput < rmin)))
               for rmin in RMIN_GRID]
-    pmf = blank_counts / blank_counts.sum() if blank_counts.sum() > 0 \
-        else blank_counts
-    if overhead is None:
-        overhead = overhead_report(sc.users_per_sector, k_tilde, dims.N,
-                                   config.icic)
+    pmf = blank_counts / blank_counts.sum()
 
     return MetricsReport(
         throughput_bps_hz=throughput,
@@ -429,54 +425,55 @@ def _fmt(v):
 
 
 def emit_reports(report, out_dir):
-    """Write the metric CSVs plus a manifest with the config hash."""
+    """Write the metric CSVs plus a manifest with the config hash.
+    Returns the sorted names of the files written."""
     os.makedirs(out_dir, exist_ok=True)
+    written = []
 
-    _write_rows(os.path.join(out_dir, "user_throughput.csv"),
-                ["drop", "sector", "throughput_bps_hz"],
-                zip(report.user_drop, report.user_sector,
-                    report.throughput_bps_hz))
+    def write(name, header, rows):
+        written.append(name)
+        _write_rows(os.path.join(out_dir, name), header, rows)
+
+    write("user_throughput.csv", ["drop", "sector", "throughput_bps_hz"],
+          zip(report.user_drop, report.user_sector,
+              report.throughput_bps_hz))
 
     vals, probs = report.cdf()
-    _write_rows(os.path.join(out_dir, "cdf.csv"),
-                ["throughput_bps_hz", "prob"], zip(vals, probs))
+    write("cdf.csv", ["throughput_bps_hz", "prob"], zip(vals, probs))
 
     # one fairness-setting point per run; sweep runs concatenate rows
-    trade = []
-    if report.throughput_bps_hz.size:
-        trade.append((report.scheme, report.fairness_label,
-                      *(report.percentiles[p] for p in PERCENTILES),
-                      float(report.sector_throughput.mean())))
-    _write_rows(os.path.join(out_dir, "tradeoff.csv"),
-                ["scheme", "fairness", "cell_edge_bps_hz", "median_bps_hz",
-                 "cell_center_bps_hz", "aggregate_bps_hz"], trade)
+    write("tradeoff.csv",
+          ["scheme", "fairness", "cell_edge_bps_hz", "median_bps_hz",
+           "cell_center_bps_hz", "aggregate_bps_hz"],
+          [(report.scheme, report.fairness_label,
+            *(report.percentiles[p] for p in PERCENTILES),
+            float(report.sector_throughput.mean()))])
 
-    _write_rows(os.path.join(out_dir, "outage.csv"),
-                ["rmin_bps_hz", "outage_prob"], report.outage)
+    write("outage.csv", ["rmin_bps_hz", "outage_prob"], report.outage)
 
-    _write_rows(os.path.join(out_dir, "blanked_pmf.csv"),
-                ["blanked_rbs", "prob"],
-                enumerate(report.blanked_pmf))
+    write("blanked_pmf.csv", ["blanked_rbs", "prob"],
+          enumerate(report.blanked_pmf))
 
-    _write_rows(os.path.join(out_dir, "gaps.csv"),
-                ["subframe", "rb_set", "p_relaxed", "p_hat", "gap_pct",
-                 "binary_frac", "prop1_bound"],
-                [(r["subframe"], r["rb_set"], r["p_relaxed"], r["p_hat"],
-                  r["gap_pct"], r["binary_frac"], r["prop1_bound"])
-                 for r in report.gap_rows])
+    write("gaps.csv",
+          ["subframe", "rb_set", "p_relaxed", "p_hat", "gap_pct",
+           "binary_frac", "prop1_bound"],
+          [(r["subframe"], r["rb_set"], r["p_relaxed"], r["p_hat"],
+            r["gap_pct"], r["binary_frac"], r["prop1_bound"])
+           for r in report.gap_rows])
 
     ov = report.overhead
-    _write_rows(os.path.join(out_dir, "overhead.csv"),
-                ["r_distributed_bps", "r_centralized_bps", "ratio",
-                 "simulated_values", "simulated_bits"],
-                [(ov.r_distributed_bps, ov.r_centralized_bps, ov.ratio,
-                  ov.simulated_values, ov.simulated_bits)] if ov else [])
+    write("overhead.csv",
+          ["r_distributed_bps", "r_centralized_bps", "ratio",
+           "simulated_values", "simulated_bits"],
+          [(ov.r_distributed_bps, ov.r_centralized_bps, ov.ratio,
+            ov.simulated_values, ov.simulated_bits)])
 
     digest = hashlib.sha256(report.config_text.encode()).hexdigest()
+    written.append("manifest.txt")
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
         fh.write(f"config_sha256 = {digest}\n")
         fh.write(f"seeds = {','.join(str(s) for s in report.seeds)}\n")
         fh.write("cdf_pooling = users pooled across drops\n")
         fh.write("--- config ---\n")
         fh.write(report.config_text)
-    return sorted(os.listdir(out_dir))
+    return sorted(written)

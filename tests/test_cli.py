@@ -27,6 +27,21 @@ def test_simulate_ok(tmp_path):
     assert (tmp_path / "out" / "user_throughput.csv").exists()
 
 
+def test_simulate_counts_only_the_files_it_wrote(tmp_path, capsys):
+    # a file already in --out is neither counted nor listed
+    cfg, out = tmp_path / "cfg.txt", tmp_path / "out"
+    cfg.write_text(GOOD)
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    assert f"wrote 8 files to {out}" in capsys.readouterr().out
+    assert (out / "notes.txt").read_text() == "kept\n"
+    names = simulate.emit_reports(
+        simulate.run_simulation(simulate.load_config(str(cfg))), str(out))
+    assert names == sorted(set(os.listdir(out)) - {"notes.txt"})
+
+
 def test_simulate_48_sites(tmp_path):
     # 48 = 4^2 + 4*4 + 4^2 is a cluster shape whose sites lie outside
     # a search window of i + j + 2 lattice steps

@@ -8,7 +8,6 @@ import pytest
 
 from icicsim import coordinator as co
 from icicsim import lanes, mcnf, oracle
-from icicsim.fairsched import local_schedule
 from icicsim.instances import random_desk_instance, random_desk_instances
 from icicsim.network import (NetworkDims, generate_layout, neighbor_map,
                              ring_neighbor_map)
@@ -255,17 +254,6 @@ def test_simulated_exchange_matches_formula(runs):
     assert res.overhead.simulated_bits == expected_values * 8
 
 
-def test_skip_master_reduces_to_uncoordinated():
-    prob = random_desk_instance(n_sectors=6, users_per_sector=3, n_rbs=4,
-                                k_tilde=2, seed=9)
-    res = co.run_coordination(prob, co.IcicConfig(n_iter=0))
-    assert np.all(res.blanking == 0)
-    for k in range(6):
-        direct = local_schedule(prob.weights[k], res.exact_rates[k],
-                                np.zeros(4, dtype=np.int8))
-        assert np.array_equal(res.assignments[k], direct)
-
-
 def test_max_sinr_center_users_stay_reuse1():
     # all cell-center users: blanking has nothing to offer
     prob = random_desk_instance(n_sectors=6, users_per_sector=2, n_rbs=2,
@@ -368,8 +356,7 @@ def _batch_problems(count=5):
     co.IcicConfig(n_iter=4),
     co.IcicConfig(n_iter=4, runs=2),
     co.IcicConfig(n_iter=3, runs=2, quantize_exchange=True, quant_bits=6),
-    co.IcicConfig(n_iter=0, runs=2),
-], ids=["runs1", "runs2", "quantized", "no_master"])
+], ids=["runs1", "runs2", "quantized"])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_batched_rounds_equal_single_rounds(config, warm):
     batch = _batch_problems()
@@ -405,15 +392,12 @@ def test_one_lane_call_exchange_and_step_per_pass(monkeypatch, count):
 @pytest.mark.parametrize("config, solves", [
     (co.IcicConfig(n_iter=4), [0] * 5),
     (co.IcicConfig(n_iter=4, runs=2), [0] * 5 + [1] * 4),
-    (co.IcicConfig(n_iter=0), []),
-    (co.IcicConfig(n_iter=0, runs=2), []),
-], ids=["runs1", "runs2", "no_master", "no_master_runs2"])
+], ids=["runs1", "runs2"])
 def test_one_lane_set_per_master_run(monkeypatch, config, solves):
     # run 1 builds a lane set and solves its n_iter passes and the
     # closing pass on it; the re-run, on silenced triples, builds its own
-    # for its n_iter passes; a round without a master pass builds none.
-    # x and y are built once, from run 1's closing pass, after every
-    # solve of run 1; the re-run never builds them
+    # for its n_iter passes. x and y are built once, from run 1's closing
+    # pass, after every solve of run 1; the re-run never builds them
     built, solved, primal_of = [], [], []
     init, solve = lanes.LaneSet.__init__, lanes.LaneSet.solve
     primal = lanes.LaneSet.primal
@@ -437,7 +421,7 @@ def test_one_lane_set_per_master_run(monkeypatch, config, solves):
     assert len(built) == len(set(solves))
     assert solved == solves
     # (lane set, solves so far) of each primal call
-    assert primal_of == ([(0, config.n_iter + 1)] if config.n_iter else [])
+    assert primal_of == [(0, config.n_iter + 1)]
 
 
 def test_rerun_holds_no_copy_of_the_gains():
@@ -645,7 +629,7 @@ def test_quantized_exchange_scales_each_message(monkeypatch):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        co.IcicConfig(n_iter=-1)
+        co.IcicConfig(n_iter=0)
     with pytest.raises(ValueError):
         co.IcicConfig(rho=0)
     with pytest.raises(ValueError):

@@ -177,20 +177,6 @@ def test_determinism_byte_identical(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-def test_empty_report_headers_only(tmp_path):
-    rep = MetricsReport(
-        throughput_bps_hz=np.array([]), user_sector=np.array([], dtype=int),
-        user_drop=np.array([], dtype=int), percentiles={},
-        sector_throughput=np.zeros((0, 0)), outage=[],
-        blanked_pmf=np.array([]), gap_rows=[], overhead=None,
-        config_text="", seeds=())
-    emit_reports(rep, tmp_path)
-    for name in ("user_throughput.csv", "cdf.csv", "tradeoff.csv",
-                 "outage.csv", "blanked_pmf.csv", "gaps.csv", "overhead.csv"):
-        lines = (tmp_path / name).read_text().splitlines()
-        assert len(lines) == 1, name
-
-
 GOLDEN_THROUGHPUT = """drop,sector,throughput_bps_hz
 0,0,0.25
 0,1,0.5
@@ -208,6 +194,11 @@ GOLDEN_PMF = """blanked_rbs,prob
 1,0.25
 """
 
+GOLDEN_OVERHEAD = """r_distributed_bps,r_centralized_bps,ratio,\
+simulated_values,simulated_bits
+960000.0,1200000.0,1.25,40,640
+"""
+
 
 def test_golden_files(tmp_path):
     rep = MetricsReport(
@@ -218,11 +209,15 @@ def test_golden_files(tmp_path):
         sector_throughput=np.array([[0.25, 0.5], [0.125, 1.0]]),
         outage=[(0.1, 0.0), (0.3, 0.5)],
         blanked_pmf=np.array([0.75, 0.25]),
-        gap_rows=[], overhead=None, config_text="demo", seeds=(1,))
+        gap_rows=[], config_text="demo", seeds=(1,),
+        overhead=coordinator.OverheadReport(
+            r_distributed_bps=960000.0, r_centralized_bps=1200000.0,
+            ratio=1.25, simulated_values=40, simulated_bits=640))
     emit_reports(rep, tmp_path)
     assert (tmp_path / "user_throughput.csv").read_text() == GOLDEN_THROUGHPUT
     assert (tmp_path / "outage.csv").read_text() == GOLDEN_OUTAGE
     assert (tmp_path / "blanked_pmf.csv").read_text() == GOLDEN_PMF
+    assert (tmp_path / "overhead.csv").read_text() == GOLDEN_OVERHEAD
     manifest = (tmp_path / "manifest.txt").read_text()
     assert "config_sha256" in manifest and "seeds = 1" in manifest
 

@@ -408,12 +408,8 @@ def _reference_rounds(batch, config, warm_start):
                                                   np.stack(inits))
     candidates = [scored(pr, w, rnd)
                   for pr, w, rnd in zip(problems, weights, rounded)]
-    if config.n_iter > 0:
-        _, _, final_value, _ = co._solve_pass(lane_set, nmap.nbr, finals,
-                                              config)
-        values = np.column_stack(values + [final_value]).tolist()
-    else:
-        values = [[cands[0][1]] for cands in candidates]
+    _, _, final_value, _ = co._solve_pass(lane_set, nmap.nbr, finals, config)
+    values = np.column_stack(values + [final_value]).tolist()
     if config.runs == 2:
         blank1 = np.stack([max(cands, key=lambda c: c[1])[0]
                            for cands in candidates])
@@ -456,7 +452,7 @@ def _coarse_scores(monkeypatch):
 
 @pytest.mark.parametrize("coarse", [False, True], ids=["exact", "ties"])
 @pytest.mark.parametrize("runs", [1, 2])
-@pytest.mark.parametrize("n_iter", [0, 5])
+@pytest.mark.parametrize("n_iter", [1, 5])
 def test_batch_picks_equal_per_problem_selection(runs, n_iter, coarse,
                                                  monkeypatch):
     if coarse:
